@@ -8,7 +8,8 @@ numeric parameters. Reports are written as JSON plus a text summary and are
 byte-identical across repeated runs.
 
 Exit codes: 0 pass/certified, 1 fail/not-separating, 2 unknown/evidence,
-3 usage or configuration error.
+3 usage or configuration error (including any ValueError or TypeError raised
+while reading or running the config), 4 internal error.
 
 Environment: CONESCOPE_CAP overrides the enumeration cap, CONESCOPE_TRAVERSAL
 ("forward" or "reverse") flips the internal traversal order; outputs must
@@ -22,6 +23,7 @@ import json
 import os
 import random
 import sys
+import traceback
 from pathlib import Path
 
 from . import __version__
@@ -69,6 +71,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 def _require(config: dict, key: str):
@@ -411,15 +414,15 @@ def main(argv=None) -> int:
         else:
             code, payload, summary = runner.run()
             timings = None
-    except ConfigError as exc:
+        _write_reports(Path(args.out), args.command, code, payload, summary,
+                       runner.config, timings)
+    except (ConescopeError, ValueError, TypeError) as exc:
+        # malformed input, whichever layer notices it
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ConescopeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    _write_reports(Path(args.out), args.command, code, payload, summary,
-                   runner.config, timings)
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
     print(summary)
     return code
 

@@ -14,12 +14,12 @@ class ModelMismatch(ConescopeError):
 
 
 class CapExceeded(ConescopeError):
-    """An enumeration would exceed the configured node cap."""
+    """An enumeration exceeded the configured node cap."""
 
-    def __init__(self, estimate: int, cap: int, what: str = "enumeration"):
-        self.estimate = estimate
+    def __init__(self, reached: int, cap: int, what: str = "enumeration"):
+        self.reached = reached
         self.cap = cap
-        super().__init__(f"{what} estimated at {estimate} nodes exceeds cap {cap}")
+        super().__init__(f"{what} reached {reached} nodes, which exceeds cap {cap}")
 
 
 class DegreeTooSmall(ConescopeError):

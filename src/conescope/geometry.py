@@ -24,13 +24,14 @@ from dataclasses import dataclass
 
 from .errors import (
     BrokenOrderError,
+    CapExceeded,
     FactorNotConnectedAtScale,
     ModelMismatch,
     NoDeclaredCofinalCenter,
     PathNotFound,
     WitnessNotFound,
 )
-from .groups import Ball, DirectProduct, Element, FreeGroup, GroupModel
+from .groups import DEFAULT_CAP, Ball, DirectProduct, Element, FreeGroup, GroupModel
 from .orders import OrderOracle, Sign
 from .words import Word, concat, inverse_word
 
@@ -188,24 +189,6 @@ def verify_maxima_ray(oracle: OrderOracle, depth: int,
 
 # -- r-components ------------------------------------------------------------
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
 @dataclass(frozen=True)
 class ComponentReport:
     oracle_name: str
@@ -231,16 +214,64 @@ class ComponentReport:
                 f"{self.count} class(es) of sizes [{sizes}]")
 
 
-def _jump_words(model: GroupModel, r: int, cap: int | None = None) -> list[Word]:
-    """Nonempty canonical words of length <= r: right multipliers for r-steps."""
-    ball = model.ball(r, cap=cap)
-    return [g.word for g in ball.sorted_elements() if g.word]
-
-
 def _jump_elements(model: GroupModel, r: int,
                    cap: int | None = None) -> list[Element]:
     ball = model.ball(r, cap=cap)
     return [g for g in ball.sorted_elements() if g.word]
+
+
+def _partition(members: list[Element],
+               jumps: list[Element]) -> list[list[Element]]:
+    """Union-find classes of members joined by right multiplication by a jump."""
+    index = {g: i for i, g in enumerate(members)}
+    parent = list(range(len(members)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, g in enumerate(members):
+        for jump in jumps:
+            j = index.get(g * jump)
+            if j is not None:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+    classes: dict[int, list[Element]] = {}
+    for i, g in enumerate(members):
+        classes.setdefault(find(i), []).append(g)
+    return list(classes.values())
+
+
+def _search(src: Element, dst: Element, nodes,
+            jumps: list[Element]) -> tuple[list[Element] | None, dict]:
+    """Breadth-first parent-pointer search from src to dst inside nodes.
+
+    A step right-multiplies by a jump, and the new neighbours of a node are
+    queued in shortlex order. Returns the path from src to dst (None when
+    dst is unreachable) and the parent map of every node reached.
+    """
+    parents: dict[Element, Element | None] = {src: None}
+    queue = deque([src])
+    while queue:
+        current = queue.popleft()
+        if current == dst:
+            path = [current]
+            while parents[path[-1]] is not None:
+                path.append(parents[path[-1]])
+            path.reverse()
+            return path, parents
+        neighbors = []
+        for jump in jumps:
+            nxt = current * jump
+            if nxt in nodes and nxt not in parents:
+                neighbors.append(nxt)
+        for nxt in sorted(neighbors, key=Element.sort_key):
+            parents[nxt] = current
+            queue.append(nxt)
+    return None, parents
 
 
 def r_components(oracle: OrderOracle, r: int, radius: int,
@@ -259,26 +290,13 @@ def r_components(oracle: OrderOracle, r: int, radius: int,
     model = oracle.model
     ball = model.ball(radius, cap=cap, traversal=traversal)
     positives = oracle.positives(ball)
-    if traversal == "reverse":
-        positives = list(reversed(positives))
-    index = {g: i for i, g in enumerate(positives)}
     jumps = _jump_elements(model, r, cap=cap)
     if traversal == "reverse":
+        positives = list(reversed(positives))
         jumps = list(reversed(jumps))
-
-    uf = _UnionFind(len(positives))
-    for g in positives:
-        gi = index[g]
-        for jump in jumps:
-            hi = index.get(g * jump)
-            if hi is not None:
-                uf.union(gi, hi)
-
-    classes: dict[int, list[Element]] = {}
-    for g in positives:
-        classes.setdefault(uf.find(index[g]), []).append(g)
     components = sorted(
-        (sorted(members, key=Element.sort_key) for members in classes.values()),
+        (sorted(members, key=Element.sort_key)
+         for members in _partition(positives, jumps)),
         key=lambda comp: comp[0].sort_key())
     return ComponentReport(
         oracle_name=oracle.name,
@@ -324,6 +342,33 @@ def _branch_letter(center: Element, g: Element) -> int | None:
     return word[0] if word else None
 
 
+def _reduced_words(model: FreeGroup, radius: int, cap: int | None = None):
+    """Freely reduced words of length <= radius, lazily, in shortlex order.
+
+    A shortlex-sorted sphere extended by the letters in the fixed order
+    stays sorted, so one sphere is held at a time. Raises CapExceeded once
+    more than cap words have been enumerated.
+    """
+    cap = DEFAULT_CAP if cap is None else cap
+    letters = model.alphabet.letters
+    sphere: list[Word] = [()]
+    count = 1
+    yield ()
+    for _ in range(radius):
+        extension = []
+        for word in sphere:
+            for letter in letters:
+                if word and word[-1] == -letter:
+                    continue
+                count += 1
+                if count > cap:
+                    raise CapExceeded(count, cap,
+                                      what=f"word scan of radius {radius}")
+                extension.append(word + (letter,))
+                yield extension[-1]
+        sphere = extension
+
+
 def tree_swamp_certificate(oracle: OrderOracle, r: int,
                            search_radius: int | None = None,
                            cap: int | None = None) -> SwampCertificate:
@@ -332,7 +377,9 @@ def tree_swamp_certificate(oracle: OrderOracle, r: int,
     The center is the inverse of the radius-(r+1) ball maximum, so S is a
     full negative ball of radius r around it; removing it cuts the tree.
     Witnesses are positive elements found in two distinct branches at the
-    center within the search horizon (default r + 8).
+    center within the search horizon (default r + 8): in each branch the
+    shortlex-first positive beyond distance r, with the branches taken in
+    the fixed letter order. The scan stops once every branch has one.
     """
     model = oracle.model
     if not isinstance(model, FreeGroup):
@@ -353,22 +400,20 @@ def tree_swamp_certificate(oracle: OrderOracle, r: int,
             raise BrokenOrderError(
                 f"swamp element {s} is not negative under {oracle.name}")
 
-    horizon = model.ball(search_radius, cap=cap)
+    letters = model.alphabet.letters
     witness_by_branch: dict[int, Element] = {}
-    for w in horizon.sorted_elements():
-        if horizon.members[w] <= r or not w.word:
+    for word in _reduced_words(model, search_radius, cap=cap):
+        if len(word) <= r or word[0] in witness_by_branch:
             continue
-        candidate = center * w
-        branch = w.word[0]
-        if branch in witness_by_branch:
-            continue
+        candidate = center * Element(model, word)
         if oracle.sign(candidate) is Sign.POSITIVE:
-            witness_by_branch[branch] = candidate
+            witness_by_branch[word[0]] = candidate
+            if len(witness_by_branch) == len(letters):
+                break
     if len(witness_by_branch) < 2:
         raise WitnessNotFound(search_radius,
                               f"positives found in {len(witness_by_branch)} branch(es)")
-    ordered = [witness_by_branch[l] for l in model.alphabet.letters
-               if l in witness_by_branch]
+    ordered = [witness_by_branch[l] for l in letters if l in witness_by_branch]
     return SwampCertificate(
         r=r,
         center=center,
@@ -481,35 +526,15 @@ def verify_separation(cert: SwampCertificate, model: GroupModel,
     allowed = {g for g in ball.members if g not in cert.swamp}
     if u not in allowed or v not in allowed:
         raise ValueError("witnesses must lie inside the search ball and off S")
-    jumps = _jump_elements(model, cert.r, cap=cap)
+    points, parents = _search(u, v, allowed,
+                              _jump_elements(model, cert.r, cap=cap))
+    if points is not None:
+        path = RPath(tuple(points), cert.r)
+        path.check()
+        return SeparationResult(verdict=Verdict.NOT_SEPARATING,
+                                avoiding_path=path, explored=len(parents))
     escape_cut = radius - cert.r
-
-    parents: dict[Element, Element | None] = {u: None}
-    queue = deque([u])
-    touched_boundary = ball.members[u] > escape_cut
-    while queue:
-        current = queue.popleft()
-        if current == v:
-            points = [current]
-            while parents[points[-1]] is not None:
-                points.append(parents[points[-1]])
-            points.reverse()
-            path = RPath(tuple(points), cert.r)
-            path.check()
-            return SeparationResult(verdict=Verdict.NOT_SEPARATING,
-                                    avoiding_path=path,
-                                    explored=len(parents))
-        neighbors = []
-        for jump in jumps:
-            nxt = current * jump
-            if nxt in allowed and nxt not in parents:
-                neighbors.append(nxt)
-        for nxt in sorted(neighbors, key=Element.sort_key):
-            parents[nxt] = current
-            if ball.members[nxt] > escape_cut:
-                touched_boundary = True
-            queue.append(nxt)
-
+    touched_boundary = any(ball.members[g] > escape_cut for g in parents)
     verdict = Verdict.EVIDENCE if touched_boundary else Verdict.CERTIFIED_EXHAUSTIVE
     return SeparationResult(verdict=verdict, explored=len(parents))
 
@@ -594,42 +619,21 @@ def cofinal_positive_path(oracle: OrderOracle, g: Element, h: Element,
     return path
 
 
-def _restricted_positive(oracle: OrderOracle, product: DirectProduct,
-                         factor: int, a: Element) -> bool:
-    """Whether the factor element is positive embedded as (a, 1) or (1, a)."""
-    return oracle.is_positive(product.embed(a, factor))
-
-
 def _factor_path(oracle: OrderOracle, product: DirectProduct, factor: int,
                  src: Element, dst: Element, r: int, radius: int,
                  cap: int | None = None) -> list[Element]:
-    """r-path from src to dst through restricted-positive factor elements."""
+    """r-path from src to dst through factor elements a whose embedding
+    (a, 1) or (1, a) is positive."""
     model = product.factors[factor]
     ball = model.ball(radius, cap=cap)
     nodes = {a for a in ball.members
-             if _restricted_positive(oracle, product, factor, a)}
+             if oracle.is_positive(product.embed(a, factor))}
     if src not in nodes or dst not in nodes:
         raise FactorNotConnectedAtScale(r, radius, factor)
-    jumps = _jump_elements(model, r, cap=cap)
-    parents: dict[Element, Element | None] = {src: None}
-    queue = deque([src])
-    while queue:
-        current = queue.popleft()
-        if current == dst:
-            out = [current]
-            while parents[out[-1]] is not None:
-                out.append(parents[out[-1]])
-            out.reverse()
-            return out
-        step = []
-        for jump in jumps:
-            nxt = current * jump
-            if nxt in nodes and nxt not in parents:
-                step.append(nxt)
-        for nxt in sorted(step, key=Element.sort_key):
-            parents[nxt] = current
-            queue.append(nxt)
-    raise FactorNotConnectedAtScale(r, radius, factor)
+    path, _ = _search(src, dst, nodes, _jump_elements(model, r, cap=cap))
+    if path is None:
+        raise FactorNotConnectedAtScale(r, radius, factor)
+    return path
 
 
 def _path_from_identity(oracle: OrderOracle, product: DirectProduct,
@@ -645,7 +649,7 @@ def _path_from_identity(oracle: OrderOracle, product: DirectProduct,
     ball = model.ball(radius, cap=cap)
     near = [a for a in ball.sorted_elements()
             if 0 < a.length <= r
-            and _restricted_positive(oracle, product, factor, a)]
+            and oracle.is_positive(product.embed(a, factor))]
     for start in near:
         try:
             return [identity] + _factor_path(oracle, product, factor,
@@ -661,7 +665,7 @@ def _shortest_positive(oracle: OrderOracle, product: DirectProduct,
     ball = model.ball(max(r, 1), cap=cap)
     for a in ball.sorted_elements():
         if not a.is_identity() and a.length <= max(r, 1) \
-                and _restricted_positive(oracle, product, factor, a):
+                and oracle.is_positive(product.embed(a, factor)):
             return a
     raise FactorNotConnectedAtScale(r, max(r, 1), factor)
 
@@ -697,19 +701,8 @@ def product_positive_path(oracle: OrderOracle, g: Element, h: Element,
         fmodel = model.factors[factor]
         ball = fmodel.ball(factor_radius, cap=cap)
         members = [a for a in ball.sorted_elements()
-                   if _restricted_positive(oracle, model, factor, a)]
-        if not members:
-            raise FactorNotConnectedAtScale(r, factor_radius, factor)
-        index = {a: i for i, a in enumerate(members)}
-        uf = _UnionFind(len(members))
-        jumps = _jump_elements(fmodel, r, cap=cap)
-        for a in members:
-            for jump in jumps:
-                b = a * jump
-                if b in index:
-                    uf.union(index[a], index[b])
-        roots = {uf.find(i) for i in range(len(members))}
-        if len(roots) != 1:
+                   if oracle.is_positive(model.embed(a, factor))]
+        if len(_partition(members, _jump_elements(fmodel, r, cap=cap))) != 1:
             raise FactorNotConnectedAtScale(r, factor_radius, factor)
 
     def normalize(point: Element) -> tuple[list[Element], Element]:
@@ -719,7 +712,7 @@ def product_positive_path(oracle: OrderOracle, g: Element, h: Element,
             current = path[-1]
             a = model.project(current, factor)
             other = model.project(current, 1 - factor)
-            if _restricted_positive(oracle, model, factor, a):
+            if oracle.is_positive(model.embed(a, factor)):
                 continue
             short = _shortest_positive(oracle, model, factor, r, cap=cap)
             if a.is_identity():

@@ -10,7 +10,9 @@ Four model kinds are supported:
   concatenation of the factor normal forms, so |(g, h)| = |g| + |h|.
 
 Every element is stored by its canonical word, which makes elements usable
-as deterministic dictionary keys.
+as deterministic dictionary keys. Every normal form is geodesic, so the word
+length is the length of the canonical word. For the Klein bottle: each
+generator moves |n| + |m| of b^n a^m by at most one, and b^n a^m spells it.
 """
 
 from __future__ import annotations
@@ -93,9 +95,6 @@ class Ball:
     def sorted_elements(self) -> list[Element]:
         return sorted(self.members, key=Element.sort_key)
 
-    def sphere(self, distance: int) -> list[Element]:
-        return [g for g in self.sorted_elements() if self.members[g] == distance]
-
     def translated(self, g: Element) -> "Ball":
         """The ball g * B: left translation preserves word distances."""
         moved = {g * h: d for h, d in self.members.items()}
@@ -152,7 +151,7 @@ class GroupModel:
     # -- metric -----------------------------------------------------------
 
     def word_length(self, word: Word) -> int:
-        """|w| in the word metric: length of the canonical word by default."""
+        """|w| in the word metric: the canonical word is geodesic."""
         return len(self.normal_form_word(word))
 
     def distance(self, g: Element, h: Element) -> int:
@@ -165,15 +164,15 @@ class GroupModel:
 
     def ball(self, radius: int, cap: int | None = None,
              traversal: str = "forward") -> Ball:
-        """Breadth-first ball around the identity with exact distances."""
+        """Breadth-first ball around the identity with exact distances.
+
+        Raises CapExceeded as soon as the ball holds more than cap nodes.
+        """
         if radius < 0:
             raise ValueError("radius must be non-negative")
         if traversal not in TRAVERSALS:
             raise ValueError(f"traversal must be one of {TRAVERSALS}")
         cap = DEFAULT_CAP if cap is None else cap
-        estimate = len(self.alphabet) ** radius
-        if estimate > cap:
-            raise CapExceeded(estimate, cap, what=f"ball of radius {radius}")
         letters = self.alphabet.letters
         if traversal == "reverse":
             letters = tuple(reversed(letters))
@@ -189,6 +188,9 @@ class GroupModel:
                     if h not in members:
                         members[h] = depth
                         extension.append(h)
+                        if len(members) > cap:
+                            raise CapExceeded(len(members), cap,
+                                              what=f"ball of radius {radius}")
             frontier = extension
         return Ball(center=identity, radius=radius, members=members)
 
@@ -252,11 +254,6 @@ class FreeAbelian(GroupModel):
         return {"kind": "abelian", "rank": self.rank}
 
 
-# Klein bottle ball cache: all KleinBottle() instances are equal, so one
-# shared growing ball serves every distance query.
-_KLEIN_BALLS: dict["KleinBottle", Ball] = {}
-
-
 @dataclass(frozen=True)
 class KleinBottle(GroupModel):
     """<a, b | a b a^-1 = b^-1> with a = letter 1 and b = letter 2."""
@@ -286,19 +283,6 @@ class KleinBottle(GroupModel):
 
     def pair(self, g: Element) -> tuple[int, int]:
         return self.pair_of_word(g.word)
-
-    def word_length(self, word: Word) -> int:
-        # BFS depth is the source of truth here, not a closed form; the
-        # canonical length bounds the search radius.
-        target = self.normal_form_word(word)
-        if not target:
-            return 0
-        bound = len(target)
-        cached = _KLEIN_BALLS.get(self)
-        if cached is None or cached.radius < bound:
-            cached = self.ball(bound)
-            _KLEIN_BALLS[self] = cached
-        return cached.members[Element(self, target)]
 
     def descriptor(self) -> dict:
         return {"kind": "klein"}
@@ -340,11 +324,6 @@ class DirectProduct(GroupModel):
         first, second = self.split_word(word)
         return self.join_words(self.factors[0].normal_form_word(first),
                                self.factors[1].normal_form_word(second))
-
-    def word_length(self, word: Word) -> int:
-        first, second = self.split_word(word)
-        return (self.factors[0].word_length(first)
-                + self.factors[1].word_length(second))
 
     def project(self, g: Element, index: int) -> Element:
         part = self.split_word(g.word)[index]

@@ -136,11 +136,9 @@ def hyperplane_order(model: FreeAbelian, weights,
     fixed = tuple(as_quadratic(w) for w in weights)
     if len(fixed) != model.rank:
         raise ValueError(f"need {model.rank} weights, got {len(fixed)}")
-    oracle = OrderOracle(
+    return OrderOracle(
         name=name, model=model,
         sign_fn=lambda g: hyperplane_sign(model.exponents(g), fixed))
-    oracle.weights = fixed
-    return oracle
 
 
 def sqrt2_weights(rank: int = 2) -> list[QuadraticValue]:
@@ -172,20 +170,8 @@ def klein_order(model: KleinBottle | None = None,
 
 # -- direct products: lexicographic pairs -----------------------------------
 
-@dataclass
-class LexPairOracle(OrderOracle):
-    """Lexicographic order on a direct product; leading factor decides."""
-
-    leading: OrderOracle | None = None
-    trailing: OrderOracle | None = None
-    leading_factor: int = 0
-
-    def factor_oracle(self, index: int) -> OrderOracle:
-        return self.leading if index == self.leading_factor else self.trailing
-
-
 def lex_pair_sign(leading: OrderOracle, trailing: OrderOracle,
-                  leading_factor: int = 0, name: str | None = None) -> LexPairOracle:
+                  leading_factor: int = 0, name: str | None = None) -> OrderOracle:
     """Combine factor oracles into the lexicographic order on A x B.
 
     leading_factor says which product coordinate the leading oracle reads
@@ -211,14 +197,11 @@ def lex_pair_sign(leading: OrderOracle, trailing: OrderOracle,
     lead_model = leading.model
     if isinstance(lead_model, FreeAbelian) and lead_model.rank == 1:
         declared = product.embed(lead_model.generator(1), leading_factor)
-    return LexPairOracle(
+    return OrderOracle(
         name=name or f"lex({leading.name},{trailing.name})",
         model=product,
         sign_fn=sign_fn,
         declared_cofinal_central=declared,
-        leading=leading,
-        trailing=trailing,
-        leading_factor=leading_factor,
     )
 
 
@@ -336,19 +319,3 @@ def order_from_descriptor(data: dict, model: GroupModel) -> OrderOracle:
         return oracle
     raise ValueError(f"unknown order kind {kind!r}")
 
-
-def order_descriptor(oracle: OrderOracle) -> dict:
-    """JSON descriptor for shipped oracle kinds (inverse of order_from_descriptor)."""
-    if isinstance(oracle, LexPairOracle):
-        return {"name": oracle.name, "kind": "lex_pair",
-                "leading_factor": oracle.leading_factor,
-                "leading": order_descriptor(oracle.leading),
-                "trailing": order_descriptor(oracle.trailing)}
-    if isinstance(oracle.model, FreeGroup):
-        return {"name": oracle.name, "kind": "magnus"}
-    if isinstance(oracle.model, KleinBottle):
-        return {"name": oracle.name, "kind": "klein"}
-    if isinstance(oracle.model, FreeAbelian) and hasattr(oracle, "weights"):
-        return {"name": oracle.name, "kind": "hyperplane",
-                "weights": [[w.p, w.q] for w in oracle.weights]}
-    raise ValueError(f"no canonical descriptor for oracle {oracle.name!r}")

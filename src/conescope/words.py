@@ -56,10 +56,6 @@ class GeneratorAlphabet:
             self.check_letter(letter)
 
 
-def inverse_letter(letter: Letter) -> Letter:
-    return -letter
-
-
 def inverse_word(word: Word) -> Word:
     return tuple(-l for l in reversed(word))
 

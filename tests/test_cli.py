@@ -207,3 +207,60 @@ def test_cap_env_variable(tmp_path):
         env=env, capture_output=True, text=True)
     assert proc.returncode == 3
     assert "exceeds cap" in proc.stderr
+
+
+def test_axioms_z2_radius_12_under_default_cap(tmp_path, monkeypatch):
+    # 313 elements; the cap counts nodes, not the 4^12 words of length 12
+    monkeypatch.delenv("CONESCOPE_CAP", raising=False)
+    assert run_cli(tmp_path, {**Z2_IRR, "radius": 12}, "axioms") == 0
+    report = json.loads((tmp_path / "out" / "axioms.report.json").read_text())
+    assert report["result"]["checked"] == 313
+
+
+def test_ray_klein_radius_12_under_default_cap(tmp_path, monkeypatch):
+    monkeypatch.delenv("CONESCOPE_CAP", raising=False)
+    config = {"group": {"kind": "klein"}, "order": {"kind": "klein"},
+              "radius": 12}
+    assert run_cli(tmp_path, config, "ray") == 0
+
+
+Z2_DFA = {"group": {"kind": "abelian", "rank": 2}, "dfa": Z2_LEX_DFA}
+
+MALFORMED = [
+    ("axioms", {**F2_MAGNUS, "radius": -1}),
+    ("ray", {**F2_MAGNUS, "radius": -1}),
+    ("components", {**F2_MAGNUS, "radius": 3, "width": 0}),
+    ("swamp", {**F2_MAGNUS, "width": 1, "search_radius": 2}),
+    ("survey", {**F2_MAGNUS, "width": 0, "radii": [2, 3]}),
+    ("survey", {**F2_MAGNUS, "radii": ["x"]}),
+    ("cofinal-path", {**F2_MAGNUS, "pairs": "x"}),
+    ("dfa-verify", {**Z2_DFA, "radius": -1}),
+    ("dfa-path", {**Z2_DFA, "word": "xyz"}),
+    ("dfa-qg", {**Z2_DFA, "lambda": "x"}),
+    ("dfa-qg", {**Z2_DFA, "lambda": 0}),
+    ("export-dot", {**F2_MAGNUS, "radius": -1}),
+]
+
+
+@pytest.mark.parametrize("command,config", MALFORMED,
+                         ids=[f"{c}-{i}" for i, (c, _) in enumerate(MALFORMED)])
+def test_malformed_config_exit_3(tmp_path, capsys, command, config):
+    assert run_cli(tmp_path, config, command) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_malformed_config_table_covers_every_command():
+    from conescope.cli import COMMANDS
+    assert {command for command, _ in MALFORMED} == set(COMMANDS)
+
+
+def test_internal_error_exit_4(tmp_path, capsys, monkeypatch):
+    from conescope.cli import Runner
+
+    def broken(self):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(Runner, "cmd_ray", broken)
+    assert run_cli(tmp_path, {**F2_MAGNUS, "radius": 2}, "ray") == 4
+    assert "RuntimeError: boom" in capsys.readouterr().err

@@ -172,6 +172,31 @@ def test_tree_swamp_needs_free_group(klein_oracle):
         cs.tree_swamp_certificate(klein_oracle, 1)
 
 
+def test_tree_swamp_lazy_scan_matches_full_ball_scan(magnus, f2):
+    # reference: the shortlex-first positive center * w per first letter of
+    # w, scanning the whole sorted ball of the default horizon r + 8
+    for r in (0, 1, 2):
+        cert = cs.tree_swamp_certificate(magnus, r)
+        center = cs.max_of_ball(magnus, r + 1).inverse()
+        horizon = f2.ball(r + 8)
+        witness_by_branch = {}
+        for w in horizon.sorted_elements():
+            if horizon.members[w] <= r or w.word[0] in witness_by_branch:
+                continue
+            if magnus.is_positive(center * w):
+                witness_by_branch[w.word[0]] = center * w
+        ordered = [witness_by_branch[l] for l in f2.alphabet.letters
+                   if l in witness_by_branch]
+        assert cert.center == center
+        assert cert.swamp == {center * b for b in f2.ball(r).members}
+        assert cert.witnesses == (ordered[0], ordered[1])
+
+
+def test_tree_swamp_witness_scan_honours_cap(magnus):
+    with pytest.raises(cs.CapExceeded):
+        cs.tree_swamp_certificate(magnus, 1, cap=200)
+
+
 def test_tree_swamp_witness_not_found_on_line():
     # the line (rank-1 free group) has a branch with no positives at all
     line = cs.FreeGroup(1)

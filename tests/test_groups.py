@@ -132,7 +132,7 @@ def test_multiplication_associative_on_samples(klein):
 
 # -- balls ----------------------------------------------------------------------
 
-def test_ball_counts_match_closed_forms(f2, z2):
+def test_ball_counts_match_closed_forms(f2, z2, klein, f2xz):
     # free: |B(R)| = 1 + 2k((2k-1)^R - 1)/(2k-2), asserted against BFS
     for k in (2, 3):
         model = cs.FreeGroup(k)
@@ -142,6 +142,22 @@ def test_ball_counts_match_closed_forms(f2, z2):
     # rank-2 abelian: 2R^2 + 2R + 1
     for radius in range(0, 7):
         assert len(z2.ball(radius)) == 2 * radius * radius + 2 * radius + 1
+    # Klein: b^n a^m has length |n| + |m|, so the count is that of Z^2
+    for radius in range(0, 9):
+        assert len(klein.ball(radius)) == 2 * radius * radius + 2 * radius + 1
+    # F2 x Z: lengths add, so sphere sizes are the convolution of the
+    # factor sphere sizes 1, 4, 12, 36, ... and 1, 2, 2, 2, ...
+    def free_sphere(n):
+        return 1 if n == 0 else 4 * 3 ** (n - 1)
+
+    def line_sphere(n):
+        return 1 if n == 0 else 2
+
+    ball = f2xz.ball(6)
+    for radius in range(0, 7):
+        expected = sum(free_sphere(i) * line_sphere(radius - i)
+                       for i in range(radius + 1))
+        assert sum(1 for d in ball.members.values() if d == radius) == expected
 
 
 def test_ball_examples(f2, z2):
@@ -174,7 +190,8 @@ def test_ball_distances_are_exact_bfs_depths(f2xz):
 def test_ball_cap(f2):
     with pytest.raises(cs.CapExceeded) as err:
         f2.ball(4, cap=100)
-    assert err.value.estimate == 4 ** 4
+    # the guard counts the nodes the BFS holds, stopping at the first over
+    assert err.value.reached == 101
 
 
 def test_ball_center_and_translation(f2):
@@ -197,8 +214,8 @@ def test_distance_examples(f2, klein):
 
 
 def test_distance_shortcuts_agree_with_bfs(f2, z2, klein, f2xz):
-    for model in (f2, z2, klein, f2xz):
-        ball = model.ball(4)
+    for model, radius in ((f2, 4), (z2, 4), (klein, 12), (f2xz, 4)):
+        ball = model.ball(radius)
         identity = model.identity()
         for g, d in ball.members.items():
             assert model.distance(identity, g) == d
