@@ -265,9 +265,14 @@ class Runner:
             raw = self.config["pair"]
             if not isinstance(raw, list) or len(raw) != 2:
                 raise ConfigError("pair must be a two-element list of words")
-            pairs.append((model.element(str(raw[0])), model.element(str(raw[1]))))
+            g, h = model.element(str(raw[0])), model.element(str(raw[1]))
+            if not (oracle.is_positive(g) and oracle.is_positive(h)):
+                raise ConfigError("pair: both endpoints must be positive")
+            pairs.append((g, h))
         elif "pairs" in self.config:
-            count = int(self.config["pairs"])
+            count = self.int_param("pairs")
+            if count < 1:
+                raise ConfigError("pairs must be at least 1")
             radius = self.int_param("radius", 4)
             seed = self.int_param("seed", 2026)
             rng = random.Random(seed)
@@ -284,7 +289,7 @@ class Runner:
                 path = cofinal_positive_path(oracle, g, h)
                 results.append({"from": str(g), "to": str(h),
                                 "points": path.words()})
-        except (NoDeclaredCofinalCenter, PathNotFound, ValueError) as exc:
+        except (NoDeclaredCofinalCenter, PathNotFound) as exc:
             return EXIT_UNKNOWN, {"error": str(exc)}, f"cofinal-path: {exc}"
         summary = f"cofinal-path: {len(results)} positive path(s) constructed"
         return EXIT_PASS, {"paths": results}, summary

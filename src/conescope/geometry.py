@@ -33,7 +33,7 @@ from .errors import (
 )
 from .groups import DEFAULT_CAP, Ball, DirectProduct, Element, FreeGroup, GroupModel
 from .orders import OrderOracle, Sign
-from .words import Word, concat, inverse_word
+from .words import Word
 
 
 class Verdict(enum.Enum):
@@ -81,7 +81,7 @@ def _dedupe(points: list[Element]) -> list[Element]:
 
 def geodesic_points(g: Element, h: Element) -> list[Element]:
     """A 1-path from g to h spelled by the canonical word of g^-1 h."""
-    word = g.model.normal_form(concat(inverse_word(g.word), h.word)).word
+    word = (g.inverse() * h).word
     points = [g]
     for letter in word:
         points.append(points[-1] * g.model.normal_form((letter,)))
@@ -338,7 +338,7 @@ class SwampCertificate:
 
 def _branch_letter(center: Element, g: Element) -> int | None:
     """First letter of the tree geodesic from the center to g (free groups)."""
-    word = g.model.normal_form(concat(inverse_word(center.word), g.word)).word
+    word = (center.inverse() * g).word
     return word[0] if word else None
 
 

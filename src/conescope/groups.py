@@ -13,11 +13,27 @@ Every element is stored by its canonical word, which makes elements usable
 as deterministic dictionary keys. Every normal form is geodesic, so the word
 length is the length of the canonical word. For the Klein bottle: each
 generator moves |n| + |m| of b^n a^m by at most one, and b^n a^m spells it.
+
+Products and inverses work on canonical words, never on a concatenation to
+be normalised again (`product_word`, `inverse_word`):
+
+* FreeGroup: cancel letter/inverse pairs at the junction of u and v only;
+  the inverse is the reversed word with every letter negated.
+* FreeAbelian: add or negate the exponent vectors read off the blocks.
+* KleinBottle: compose (n, m) in closed form,
+  b^n1 a^m1 b^n2 a^m2 = b^(n1 + (-1)^m1 n2) a^(m1 + m2), and the inverse
+  of b^n a^m is b^(-(-1)^m n) a^(-m).
+* DirectProduct: split each word where its first factor's letters end and
+  combine the two factor results.
+
+The GroupModel defaults, normal_form_word of the concatenation or of the
+inverted word, are the slow reference the tests compare these against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import CapExceeded, ModelMismatch
 from .words import (
@@ -65,8 +81,8 @@ class Element:
 
     @property
     def length(self) -> int:
-        """Word-metric distance from the identity."""
-        return self.model.word_length(self.word)
+        """Word-metric distance from the identity (normal forms are geodesic)."""
+        return len(self.word)
 
     def __str__(self) -> str:
         return format_word(self.word)
@@ -90,10 +106,16 @@ class Ball:
         return g in self.members
 
     def __iter__(self):
-        return iter(self.sorted_elements())
+        return iter(self._shortlex)
 
     def sorted_elements(self) -> list[Element]:
-        return sorted(self.members, key=Element.sort_key)
+        """The members in shortlex order, as a list the caller may modify."""
+        return list(self._shortlex)
+
+    @cached_property
+    def _shortlex(self) -> tuple[Element, ...]:
+        # the ball never changes, so it is sorted once
+        return tuple(sorted(self.members, key=Element.sort_key))
 
     def translated(self, g: Element) -> "Ball":
         """The ball g * B: left translation preserves word distances."""
@@ -112,6 +134,14 @@ class GroupModel:
 
     def normal_form_word(self, word: Word) -> Word:
         raise NotImplementedError
+
+    def product_word(self, u: Word, v: Word) -> Word:
+        """The canonical word of uv, for canonical words u and v."""
+        return self.normal_form_word(concat(u, v))
+
+    def inverse_word(self, u: Word) -> Word:
+        """The canonical word of u^-1, for a canonical word u."""
+        return self.normal_form_word(inverse_word(u))
 
     def descriptor(self) -> dict:
         raise NotImplementedError
@@ -139,14 +169,15 @@ class GroupModel:
         return self.normal_form((index,))
 
     def multiply(self, g: Element, h: Element) -> Element:
-        if g.model != self or h.model != self:
+        if ((g.model is not self and g.model != self)
+                or (h.model is not self and h.model != self)):
             raise ModelMismatch("operands belong to different models")
-        return Element(self, self.normal_form_word(concat(g.word, h.word)))
+        return Element(self, self.product_word(g.word, h.word))
 
     def invert(self, g: Element) -> Element:
-        if g.model != self:
+        if g.model is not self and g.model != self:
             raise ModelMismatch("operand belongs to a different model")
-        return Element(self, self.normal_form_word(inverse_word(g.word)))
+        return Element(self, self.inverse_word(g.word))
 
     # -- metric -----------------------------------------------------------
 
@@ -158,7 +189,7 @@ class GroupModel:
         """d(g, h) = |g^-1 h|."""
         if g.model != self or h.model != self:
             raise ModelMismatch("operands belong to different models")
-        return self.word_length(concat(inverse_word(g.word), h.word))
+        return len(self.product_word(self.inverse_word(g.word), h.word))
 
     # -- enumeration ------------------------------------------------------
 
@@ -203,12 +234,22 @@ class FreeGroup(GroupModel):
         if self.rank < 1:
             raise ValueError("free group rank must be >= 1")
 
-    @property
+    @cached_property
     def alphabet(self) -> GeneratorAlphabet:
         return GeneratorAlphabet(self.rank)
 
     def normal_form_word(self, word: Word) -> Word:
         return free_reduce(word)
+
+    def product_word(self, u: Word, v: Word) -> Word:
+        # u and v are reduced, so only the junction can cancel
+        i, n = 0, min(len(u), len(v))
+        while i < n and u[-1 - i] == -v[i]:
+            i += 1
+        return u[:len(u) - i] + v[i:] if i else u + v
+
+    def inverse_word(self, u: Word) -> Word:
+        return inverse_word(u)
 
     def descriptor(self) -> dict:
         return {"kind": "free", "rank": self.rank}
@@ -222,16 +263,25 @@ class FreeAbelian(GroupModel):
         if self.rank < 1:
             raise ValueError("free abelian rank must be >= 1")
 
-    @property
+    @cached_property
     def alphabet(self) -> GeneratorAlphabet:
         return GeneratorAlphabet(self.rank)
 
     def normal_form_word(self, word: Word) -> Word:
-        exponents = self.exponents_of_word(word)
-        out: list[int] = []
-        for i, e in enumerate(exponents, start=1):
-            out.extend([i if e > 0 else -i] * abs(e))
-        return tuple(out)
+        return self._spell(self.exponents_of_word(word))
+
+    def product_word(self, u: Word, v: Word) -> Word:
+        # exponent vectors add; the exponent of x_i is the count of x_i
+        # minus the count of x_i^-1
+        out: Word = EMPTY
+        for i in range(1, self.rank + 1):
+            out += _power(i, u.count(i) - u.count(-i) + v.count(i) - v.count(-i))
+        return out
+
+    def inverse_word(self, u: Word) -> Word:
+        # negating every letter negates every exponent and keeps the blocks
+        # in generator order
+        return tuple(-l for l in u)
 
     def exponents_of_word(self, word: Word) -> tuple[int, ...]:
         exps = [0] * self.rank
@@ -245,10 +295,15 @@ class FreeAbelian(GroupModel):
     def from_exponents(self, exps) -> Element:
         if len(exps) != self.rank:
             raise ValueError(f"expected {self.rank} exponents, got {len(exps)}")
-        word: list[int] = []
+        return Element(self, self._spell(exps))
+
+    @staticmethod
+    def _spell(exps) -> Word:
+        """The canonical word x1^e1 ... xn^en."""
+        out: Word = EMPTY
         for i, e in enumerate(exps, start=1):
-            word.extend([i if e > 0 else -i] * abs(e))
-        return Element(self, tuple(word))
+            out += _power(i, e)
+        return out
 
     def descriptor(self) -> dict:
         return {"kind": "abelian", "rank": self.rank}
@@ -258,16 +313,25 @@ class FreeAbelian(GroupModel):
 class KleinBottle(GroupModel):
     """<a, b | a b a^-1 = b^-1> with a = letter 1 and b = letter 2."""
 
-    @property
+    @cached_property
     def alphabet(self) -> GeneratorAlphabet:
         return GeneratorAlphabet(2)
 
     def normal_form_word(self, word: Word) -> Word:
         n, m = self.pair_of_word(word)
-        out: list[int] = []
-        out.extend([2 if n > 0 else -2] * abs(n))
-        out.extend([1 if m > 0 else -1] * abs(m))
-        return tuple(out)
+        return _power(2, n) + _power(1, m)
+
+    def product_word(self, u: Word, v: Word) -> Word:
+        # b^n1 a^m1 b^n2 a^m2 = b^(n1 + (-1)^m1 n2) a^(m1 + m2)
+        m1 = u.count(1) - u.count(-1)
+        n2 = v.count(2) - v.count(-2)
+        return (_power(2, u.count(2) - u.count(-2) + (-n2 if m1 % 2 else n2))
+                + _power(1, m1 + v.count(1) - v.count(-1)))
+
+    def inverse_word(self, u: Word) -> Word:
+        # (b^n a^m)^-1 = b^(-(-1)^m n) a^-m
+        n, m = u.count(2) - u.count(-2), u.count(1) - u.count(-1)
+        return _power(2, n if m % 2 else -n) + _power(1, -m)
 
     def pair_of_word(self, word: Word) -> tuple[int, int]:
         """(n, m) with the element equal to b^n a^m."""
@@ -298,36 +362,78 @@ class DirectProduct(GroupModel):
         if len(self.factors) != 2:
             raise ValueError("DirectProduct takes exactly two factors")
 
-    @property
+    @cached_property
     def alphabet(self) -> GeneratorAlphabet:
         return GeneratorAlphabet(self.factors[0].alphabet.rank
                                  + self.factors[1].alphabet.rank)
 
+    @cached_property
+    def _up(self) -> dict[int, int]:
+        """Second-factor letter -> product letter."""
+        shift = self.factors[0].alphabet.rank
+        return {l: l + shift if l > 0 else l - shift
+                for l in self.factors[1].alphabet.letters}
+
+    @cached_property
+    def _down(self) -> dict[int, int]:
+        """Product letter of the second factor -> that factor's letter."""
+        return {v: k for k, v in self._up.items()}
+
     def split_word(self, word: Word) -> tuple[Word, Word]:
         """Project onto the factors (a homomorphism since factors commute)."""
-        shift = self.factors[0].alphabet.rank
+        down = self._down
         first: list[int] = []
         second: list[int] = []
         for letter in word:
-            if abs(letter) <= shift:
-                first.append(letter)
+            if letter in down:
+                second.append(down[letter])
             else:
-                second.append(letter - shift if letter > 0 else letter + shift)
+                first.append(letter)
         return tuple(first), tuple(second)
 
     def join_words(self, first: Word, second: Word) -> Word:
-        shift = self.factors[0].alphabet.rank
-        shifted = tuple(l + shift if l > 0 else l - shift for l in second)
-        return concat(first, shifted)
+        return first + _relabel(second, self._up)
 
     def normal_form_word(self, word: Word) -> Word:
         first, second = self.split_word(word)
         return self.join_words(self.factors[0].normal_form_word(first),
                                self.factors[1].normal_form_word(second))
 
+    def _first_length(self, word: Word) -> int:
+        """How many letters of a canonical word belong to the first factor:
+        they form a prefix, and the second factor's letters follow."""
+        down = self._down
+        k = len(word)
+        while k and word[k - 1] in down:
+            k -= 1
+        return k
+
+    def product_word(self, u: Word, v: Word) -> Word:
+        ku, kv = self._first_length(u), self._first_length(v)
+        # the second factor multiplies only when both words reach into it
+        second = u[ku:]
+        if not second:
+            second = v[kv:]
+        elif kv < len(v):
+            down = self._down
+            word = self.factors[1].product_word(_relabel(second, down),
+                                                _relabel(v[kv:], down))
+            second = _relabel(word, self._up)
+        return self.factors[0].product_word(u[:ku], v[:kv]) + second
+
+    def inverse_word(self, u: Word) -> Word:
+        k = self._first_length(u)
+        first = self.factors[0].inverse_word(u[:k])
+        if k == len(u):
+            return first
+        second = self.factors[1].inverse_word(_relabel(u[k:], self._down))
+        return self.join_words(first, second)
+
     def project(self, g: Element, index: int) -> Element:
-        part = self.split_word(g.word)[index]
-        return self.factors[index].normal_form(part)
+        k = self._first_length(g.word)
+        if index == 0:
+            return Element(self.factors[0], g.word[:k])
+        return Element(self.factors[1], _relabel(g.word[k:], self._down))
 
     def embed(self, g: Element, index: int) -> Element:
         """The factor element as (g, 1) or (1, g) in the product."""
@@ -345,6 +451,15 @@ class DirectProduct(GroupModel):
     def descriptor(self) -> dict:
         return {"kind": "product",
                 "factors": [f.descriptor() for f in self.factors]}
+
+
+def _relabel(word: Word, table: dict[int, int]) -> Word:
+    return tuple(map(table.__getitem__, word))
+
+
+def _power(generator: int, e: int) -> Word:
+    """The word x^e for the generator x."""
+    return (generator,) * e if e >= 0 else (-generator,) * -e
 
 
 def model_from_descriptor(data: dict) -> GroupModel:

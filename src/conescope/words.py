@@ -10,6 +10,7 @@ for the empty word.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import UnknownLetter
 
@@ -31,13 +32,18 @@ class GeneratorAlphabet:
         if not 1 <= self.rank <= _MAX_RANK:
             raise ValueError(f"rank must be in 1..{_MAX_RANK}, got {self.rank}")
 
-    @property
+    @cached_property
     def letters(self) -> tuple[Letter, ...]:
         out = []
         for i in range(1, self.rank + 1):
             out.append(i)
             out.append(-i)
         return tuple(out)
+
+    @cached_property
+    def positions(self) -> dict[Letter, int]:
+        """Letter -> index in the fixed order, the table shortlex_key reads."""
+        return {letter: self.position(letter) for letter in self.letters}
 
     def __len__(self) -> int:
         return 2 * self.rank
@@ -97,7 +103,11 @@ def parse_word(text: str, alphabet: GeneratorAlphabet | None = None) -> Word:
 
 def shortlex_key(word: Word, alphabet: GeneratorAlphabet) -> tuple:
     """Sort key: length first, then the fixed letter order positionwise."""
-    return (len(word), tuple(alphabet.position(l) for l in word))
+    try:
+        return (len(word), tuple(map(alphabet.positions.__getitem__, word)))
+    except KeyError:
+        alphabet.check_word(word)  # raises UnknownLetter
+        raise
 
 
 def free_reduce(word: Word) -> Word:

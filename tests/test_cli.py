@@ -8,6 +8,20 @@ import pytest
 from conescope.cli import main
 
 F2_MAGNUS = {"group": {"kind": "free", "rank": 2}, "order": {"kind": "magnus"}}
+F2XZ = {"kind": "product",
+        "factors": [{"kind": "free", "rank": 2}, {"kind": "abelian", "rank": 1}]}
+F2XZ_Z_LEADING = {
+    "group": F2XZ,
+    "order": {"kind": "lex_pair", "leading_factor": 1,
+              "leading": {"kind": "hyperplane", "weights": [[1, 0]]},
+              "trailing": {"kind": "magnus"}},
+}
+F2XZ_F2_LEADING = {
+    "group": F2XZ,
+    "order": {"kind": "lex_pair", "leading_factor": 0,
+              "leading": {"kind": "magnus"},
+              "trailing": {"kind": "hyperplane", "weights": [[1, 0]]}},
+}
 Z2_IRR = {"group": {"kind": "abelian", "rank": 2},
           "order": {"kind": "hyperplane", "weights": [[1, 0], [0, 1]]}}
 Z2_LEX_DFA = {
@@ -93,16 +107,7 @@ def test_components_and_survey(tmp_path):
 
 
 def test_survey_evidence_exit_2(tmp_path):
-    config = {
-        "group": {"kind": "product",
-                  "factors": [{"kind": "free", "rank": 2},
-                              {"kind": "abelian", "rank": 1}]},
-        "order": {"kind": "lex_pair", "leading_factor": 0,
-                  "leading": {"kind": "magnus"},
-                  "trailing": {"kind": "hyperplane", "weights": [[1, 0]]}},
-        "width": 1,
-        "radii": [3, 4],
-    }
+    config = {**F2XZ_F2_LEADING, "width": 1, "radii": [3, 4]}
     assert run_cli(tmp_path, config, "survey") == 2
 
 
@@ -134,15 +139,7 @@ def test_dfa_from_file(tmp_path):
 
 
 def test_cofinal_path_command(tmp_path):
-    config = {
-        "group": {"kind": "product",
-                  "factors": [{"kind": "free", "rank": 2},
-                              {"kind": "abelian", "rank": 1}]},
-        "order": {"kind": "lex_pair", "leading_factor": 1,
-                  "leading": {"kind": "hyperplane", "weights": [[1, 0]]},
-                  "trailing": {"kind": "magnus"}},
-        "pair": ["Ac", "bc"],
-    }
+    config = {**F2XZ_Z_LEADING, "pair": ["Ac", "bc"]}
     assert run_cli(tmp_path, config, "cofinal-path") == 0
     report = json.loads((tmp_path / "out" / "cofinal-path.report.json").read_text())
     assert report["result"]["paths"][0]["points"][0] == "Ac"
@@ -239,6 +236,9 @@ MALFORMED = [
     ("dfa-qg", {**Z2_DFA, "lambda": "x"}),
     ("dfa-qg", {**Z2_DFA, "lambda": 0}),
     ("export-dot", {**F2_MAGNUS, "radius": -1}),
+    # a config error, not an "unknown" verdict: "A" is negative here
+    ("cofinal-path", {**F2XZ_Z_LEADING, "pair": ["A", "a"]}),
+    ("cofinal-path", {**F2XZ_Z_LEADING, "pairs": -3}),
 ]
 
 
@@ -264,3 +264,51 @@ def test_internal_error_exit_4(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(Runner, "cmd_ray", broken)
     assert run_cli(tmp_path, {**F2_MAGNUS, "radius": 2}, "ray") == 4
     assert "RuntimeError: boom" in capsys.readouterr().err
+
+
+KERNEL_CONFIGS = {
+    "f2": F2_MAGNUS,
+    "z2": Z2_IRR,
+    "klein": {"group": {"kind": "klein"}, "order": {"kind": "klein"}},
+    "f2xz-z": F2XZ_Z_LEADING,
+    "f2xz-f2": F2XZ_F2_LEADING,
+}
+KERNEL_PARAMS = {"radius": 3, "width": 1, "radii": [2, 3], "search_radius": 5,
+                 "pairs": 5, "seed": 3}
+KERNEL_COMMANDS = ("axioms", "ray", "components", "swamp", "survey",
+                   "cofinal-path", "export-dot")
+
+
+# every command on every config, plus a product swamp wide enough to find
+# its witnesses and run a real separation search
+KERNEL_RUNS = [(name, command, {**base, **KERNEL_PARAMS})
+               for name, base in KERNEL_CONFIGS.items()
+               for command in KERNEL_COMMANDS]
+KERNEL_RUNS.append(("f2xz-f2-r5", "swamp",
+                    {**F2XZ_F2_LEADING, **KERNEL_PARAMS, "radius": 5}))
+
+
+def _kernel_reports(tmp_path, tag):
+    """Exit code and report bytes of each of KERNEL_RUNS."""
+    out = {}
+    for name, command, config in KERNEL_RUNS:
+        cfg = write_config(tmp_path, config, f"{name}-{command}.json")
+        outdir = tmp_path / tag / name / command
+        code = main(["--config", cfg, "--command", command,
+                     "--out", str(outdir)])
+        files = sorted(outdir.iterdir()) if outdir.exists() else []
+        out[name, command] = (code, {f.name: f.read_bytes() for f in files})
+    return out
+
+
+def test_reports_identical_under_reference_kernel(tmp_path, monkeypatch):
+    import conescope as cs
+    monkeypatch.delenv("CONESCOPE_CAP", raising=False)
+    monkeypatch.delenv("CONESCOPE_TRAVERSAL", raising=False)
+    fast = _kernel_reports(tmp_path, "fast")
+    assert {code for code, _ in fast.values()} >= {0, 2}
+    for cls in (cs.FreeGroup, cs.FreeAbelian, cs.KleinBottle, cs.DirectProduct):
+        for attr in ("product_word", "inverse_word"):
+            monkeypatch.setattr(cls, attr, getattr(cs.GroupModel, attr))
+    reference = _kernel_reports(tmp_path, "reference")
+    assert fast == reference

@@ -121,6 +121,62 @@ def test_invert_is_involution_and_inverse(word):
         assert (g.inverse() * g).is_identity()
 
 
+# -- canonical-word kernel against the normalise-the-concatenation reference --
+
+KERNEL_MODELS = [
+    cs.FreeGroup(2), cs.FreeGroup(3), cs.FreeAbelian(2), cs.FreeAbelian(3),
+    cs.KleinBottle(), cs.DirectProduct((cs.FreeGroup(2), cs.FreeAbelian(1))),
+    cs.DirectProduct((cs.DirectProduct((cs.FreeGroup(2), cs.FreeAbelian(1))),
+                      cs.FreeAbelian(1))),
+]
+KERNEL_IDS = ["F2", "F3", "Z2", "Z3", "Klein", "F2xZ", "F2xZxZ"]
+
+
+def canonical_words(model, count):
+    """`count` canonical words of `model`, from random words over its alphabet."""
+    word = words_strategy(rank=model.alphabet.rank, max_size=12)
+    return st.tuples(*[word] * count).map(
+        lambda ws: tuple(model.normal_form_word(w) for w in ws))
+
+
+@pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
+@settings(max_examples=150)
+@given(data=st.data())
+def test_product_and_inverse_word_match_reference(model, data):
+    u, v = data.draw(canonical_words(model, 2))
+    assert model.product_word(u, v) == cs.GroupModel.product_word(model, u, v)
+    assert model.inverse_word(u) == cs.GroupModel.inverse_word(model, u)
+    g, h = model.element(u), model.element(v)
+    assert (g * h).word == model.product_word(u, v)
+    assert g.inverse().word == model.inverse_word(u)
+
+
+@pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
+@settings(max_examples=60)
+@given(data=st.data())
+def test_element_length_matches_word_length(model, data):
+    word = data.draw(words_strategy(rank=model.alphabet.rank, max_size=12))
+    assert model.normal_form(word).length == model.word_length(word)
+
+
+def test_multiply_accepts_equal_models():
+    # equal but distinct model objects: the identity test falls back to ==
+    g = cs.FreeGroup(2).element("ab")
+    h = cs.FreeGroup(2).element("Ba")
+    assert str(cs.FreeGroup(2).multiply(g, h)) == "aa"
+    assert str(cs.FreeGroup(2).invert(g)) == "BA"
+
+
+def test_invert_model_mismatch(f2, z2):
+    with pytest.raises(cs.ModelMismatch):
+        f2.invert(z2.element("a"))
+
+
+def test_alphabet_built_once(f2, z2, klein, f2xz):
+    for model in (f2, z2, klein, f2xz):
+        assert model.alphabet is model.alphabet
+
+
 def test_multiplication_associative_on_samples(klein):
     rng = random.Random(7)
     elems = [klein.normal_form(tuple(rng.choice((1, -1, 2, -2))
@@ -158,6 +214,19 @@ def test_ball_counts_match_closed_forms(f2, z2, klein, f2xz):
         expected = sum(free_sphere(i) * line_sphere(radius - i)
                        for i in range(radius + 1))
         assert sum(1 for d in ball.members.values() if d == radius) == expected
+
+
+@pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
+def test_sorted_elements_sorts_once_into_fresh_lists(model):
+    ball = model.ball(3)
+    first = ball.sorted_elements()
+    assert first == sorted(ball.members, key=cs.Element.sort_key)
+    first.reverse()
+    first.append(model.identity())
+    second = ball.sorted_elements()
+    assert second == sorted(ball.members, key=cs.Element.sort_key)
+    assert second is not first
+    assert list(ball) == second
 
 
 def test_ball_examples(f2, z2):

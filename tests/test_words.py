@@ -97,3 +97,19 @@ def test_shortlex_key_order():
     assert shortlex_key((1,), ab) < shortlex_key((-1,), ab)
     assert shortlex_key((-1,), ab) < shortlex_key((2,), ab)
     assert shortlex_key((2,), ab) < shortlex_key((-2,), ab)
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda rank: st.tuples(st.just(rank), words_strategy(rank=rank))))
+def test_shortlex_key_matches_position(rank_word):
+    rank, word = rank_word
+    ab = GeneratorAlphabet(rank)
+    assert shortlex_key(word, ab) == (len(word),
+                                      tuple(ab.position(l) for l in word))
+
+
+@given(words_strategy(rank=2), st.sampled_from([0, 3, -3, 7]),
+       words_strategy(rank=2))
+def test_shortlex_key_rejects_unknown_letter(before, bad, after):
+    with pytest.raises(cs.UnknownLetter):
+        shortlex_key(before + (bad,) + after, GeneratorAlphabet(2))
