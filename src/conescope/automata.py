@@ -13,14 +13,16 @@ word-length cutoff.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import CapExceeded, NotAccepted
 from .geometry import RPath
 from .groups import Element, GroupModel
-from .words import GeneratorAlphabet, Word, concat, format_word, letter_char
+from .words import EMPTY, GeneratorAlphabet, Word, concat, format_word, letter_char
 
 DEFAULT_NODE_CAP = 2_000_000
 DEFAULT_WORD_CAP = 500_000
@@ -56,9 +58,16 @@ class ConeDfa:
                 if row[ch] not in self.states:
                     raise ValueError(f"transition target {row[ch]!r} unknown")
 
+    @cached_property
+    def table(self) -> dict[str, dict[int, str]]:
+        """state -> letter -> target, built once; callers validate letters."""
+        return {state: {l: self.transitions[state][letter_char(l)]
+                         for l in self.alphabet.letters}
+                for state in self.states}
+
     def step(self, state: str, letter: int) -> str:
         self.alphabet.check_letter(letter)
-        return self.transitions[state][letter_char(letter)]
+        return self.table[state][letter]
 
     def size(self) -> int:
         return len(self.states)
@@ -92,9 +101,11 @@ class ConeDfa:
 
 def dfa_run(dfa: ConeDfa, word: Word) -> tuple[str, bool]:
     """Fold the transition function left to right; accepted iff final state is."""
+    dfa.alphabet.check_word(word)
+    table = dfa.table
     state = dfa.initial
     for letter in word:
-        state = dfa.step(state, letter)
+        state = table[state][letter]
     return state, state in dfa.accepting
 
 
@@ -112,8 +123,9 @@ def prefix_completion(dfa: ConeDfa, state: str) -> Word | None:
     queue = deque([state])
     while queue:
         current = queue.popleft()
+        row = dfa.table[current]
         for letter in dfa.alphabet.letters:
-            target = dfa.step(current, letter)
+            target = row[letter]
             if target in parents:
                 continue
             parents[target] = (current, letter)
@@ -189,8 +201,8 @@ def _live_states(dfa: ConeDfa) -> set[str]:
         for state in dfa.states:
             if state in live:
                 continue
-            for letter in dfa.alphabet.letters:
-                if dfa.step(state, letter) in live:
+            for target in dfa.table[state].values():
+                if target in live:
                     live.add(state)
                     changed = True
                     break
@@ -211,8 +223,7 @@ def language_sample(dfa: ConeDfa, model: GroupModel, max_length: int,
     for _ in range(max_length):
         extension: list[tuple[Word, str]] = []
         for word, state in frontier:
-            for letter in dfa.alphabet.letters:
-                target = dfa.step(state, letter)
+            for letter, target in dfa.table[state].items():
                 if target not in live:
                     continue
                 grown = word + (letter,)
@@ -265,8 +276,7 @@ def reachable_evaluations(dfa: ConeDfa, model: GroupModel, max_length: int,
     letters = dfa.alphabet.letters
     if traversal == "reverse":
         letters = tuple(reversed(letters))
-    steps = [(letter_char(letter), model.normal_form((letter,)))
-             for letter in letters]
+    steps = [(letter, model.normal_form((letter,))) for letter in letters]
     live = _live_states(dfa)
     reached: set[Element] = set()
     if dfa.initial not in live:
@@ -279,9 +289,9 @@ def reachable_evaluations(dfa: ConeDfa, model: GroupModel, max_length: int,
     for _ in range(max_length):
         extension = []
         for state, g in frontier:
-            row = dfa.transitions[state]
-            for ch, gen in steps:
-                target = row[ch]
+            row = dfa.table[state]
+            for letter, gen in steps:
+                target = row[letter]
                 if target not in live:
                     continue
                 h = g * gen
@@ -392,7 +402,8 @@ def quasigeodesic_check(dfa: ConeDfa, model: GroupModel, lam, c,
 
     Distances are exact ball-BFS values: the infix w[i:j] evaluates inside
     B(1, max_length), whose distances are precomputed once. lambda and c
-    are compared exactly through fractions.
+    are exact fractions; as j - i is an integer, the test is
+    j - i > floor(lambda (d + c)), one threshold per distance d.
     """
     from fractions import Fraction
 
@@ -402,13 +413,17 @@ def quasigeodesic_check(dfa: ConeDfa, model: GroupModel, lam, c,
         raise ValueError("need lambda >= 1 and c >= 0")
     sample = language_sample(dfa, model, max_length, word_cap=word_cap)
     ball = model.ball(max_length, cap=cap)
+    limit = [math.floor(lam * (d + c)) for d in range(max_length + 1)]
+    letter_words = {l: model.normal_form((l,)).word
+                    for l in model.alphabet.letters}
     for word in sample.words:
         n = len(word)
-        for i in range(n + 1):
+        for i in range(n):
+            infix = EMPTY
             for j in range(i + 1, n + 1):
-                infix = model.normal_form(word[i:j])
-                dist = ball.members[infix]
-                if Fraction(j - i, 1) / lam - c > dist:
+                infix = model.product_word(infix, letter_words[word[j - 1]])
+                dist = ball.members[Element(model, infix)]
+                if j - i > limit[dist]:
                     return QuasigeodesicReport(
                         verdict="FAIL", lam=lam, c=c, max_length=max_length,
                         violation=(format_word(word), i, j, dist))

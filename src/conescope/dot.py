@@ -20,7 +20,8 @@ def export_dot(oracle: OrderOracle, r: int, radius: int,
     comp_index = {}
     if radius >= 1 and r >= 1:
         comp_index = r_components(oracle, r, radius, cap=cap,
-                                  traversal=traversal).component_index()
+                                  traversal=traversal,
+                                  ball=ball).component_index()
     nodes = ball.sorted_elements()
     node_id = {g: i for i, g in enumerate(nodes)}
     gens = [model.normal_form((l,)) for l in model.alphabet.letters]

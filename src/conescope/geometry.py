@@ -169,8 +169,7 @@ def verify_maxima_ray(oracle: OrderOracle, depth: int,
     negativity_failures = []
     for n in range(1, depth + 1):
         center = inverses[n]
-        inner = model.ball(n - 1, cap=cap)
-        for b in inner.sorted_elements():
+        for b in ball.within(n - 1).sorted_elements():
             shifted = center * b
             if oracle.sign(shifted) is not Sign.NEGATIVE:
                 negativity_failures.append(
@@ -212,12 +211,6 @@ class ComponentReport:
         sizes = ",".join(str(len(c)) for c in self.components)
         return (f"components[{self.oracle_name}] r={self.r} R={self.radius}: "
                 f"{self.count} class(es) of sizes [{sizes}]")
-
-
-def _jump_elements(model: GroupModel, r: int,
-                   cap: int | None = None) -> list[Element]:
-    ball = model.ball(r, cap=cap)
-    return [g for g in ball.sorted_elements() if g.word]
 
 
 def _partition(members: list[Element],
@@ -275,8 +268,8 @@ def _search(src: Element, dst: Element, nodes,
 
 
 def r_components(oracle: OrderOracle, r: int, radius: int,
-                 cap: int | None = None,
-                 traversal: str = "forward") -> ComponentReport:
+                 cap: int | None = None, traversal: str = "forward",
+                 ball: Ball | None = None) -> ComponentReport:
     """Partition the positives of B(1, R) into classes joined at distance <= r.
 
     Only pairs of in-ball positive elements are joined, which is the
@@ -287,10 +280,10 @@ def r_components(oracle: OrderOracle, r: int, radius: int,
         raise ValueError("r must be >= 1")
     if r > radius:
         raise ValueError("r must not exceed the ball radius")
-    model = oracle.model
-    ball = model.ball(radius, cap=cap, traversal=traversal)
-    positives = oracle.positives(ball)
-    jumps = _jump_elements(model, r, cap=cap)
+    if ball is None or ball.radius < radius:
+        ball = oracle.model.ball(radius, cap=cap, traversal=traversal)
+    positives = oracle.positives(ball.within(radius))
+    jumps = [g for g in ball.within(r).sorted_elements() if g.word]
     if traversal == "reverse":
         positives = list(reversed(positives))
         jumps = list(reversed(jumps))
@@ -371,7 +364,8 @@ def _reduced_words(model: FreeGroup, radius: int, cap: int | None = None):
 
 def tree_swamp_certificate(oracle: OrderOracle, r: int,
                            search_radius: int | None = None,
-                           cap: int | None = None) -> SwampCertificate:
+                           cap: int | None = None,
+                           ball: Ball | None = None) -> SwampCertificate:
     """The exact free-group swamp: S = g_{r+1}^-1 B(1, r).
 
     The center is the inverse of the radius-(r+1) ball maximum, so S is a
@@ -391,10 +385,10 @@ def tree_swamp_certificate(oracle: OrderOracle, r: int,
     if search_radius <= r + 1:
         raise ValueError("search radius must exceed r + 1")
 
-    g_top = max_of_ball(oracle, r + 1, cap=cap)
-    center = g_top.inverse()
-    inner = model.ball(r, cap=cap)
-    swamp = frozenset(center * b for b in inner.sorted_elements())
+    if ball is None or ball.radius < r + 1:
+        ball = model.ball(r + 1, cap=cap)
+    center = max_of_ball(oracle, r + 1, ball=ball).inverse()
+    swamp = frozenset(center * b for b in ball.within(r).sorted_elements())
     for s in sorted(swamp, key=Element.sort_key):
         if oracle.sign(s) is not Sign.NEGATIVE:
             raise BrokenOrderError(
@@ -441,9 +435,10 @@ def product_column_swamp(oracle: OrderOracle, r: int, radius: int,
     free = model.factors[free_factor]
     if not isinstance(free, FreeGroup):
         raise ModelMismatch("the column swamp needs a free factor")
-    center = max_of_ball(oracle, r + 1, cap=cap).inverse()
+    largest = model.ball(max(radius, r + 1), cap=cap)
+    center = max_of_ball(oracle, r + 1, ball=largest).inverse()
     center_free = model.project(center, free_factor)
-    ball = model.ball(radius, cap=cap)
+    ball = largest.within(radius)
     swamp = set()
     for g in ball.sorted_elements():
         if free.distance(center_free, model.project(g, free_factor)) <= r:
@@ -522,12 +517,13 @@ def verify_separation(cert: SwampCertificate, model: GroupModel,
 
     if radius is None:
         radius = max(u.length, v.length, cert.center.length) + cert.r + 1
-    ball = model.ball(radius, cap=cap)
+    largest = model.ball(max(radius, cert.r), cap=cap)
+    ball = largest.within(radius)
     allowed = {g for g in ball.members if g not in cert.swamp}
     if u not in allowed or v not in allowed:
         raise ValueError("witnesses must lie inside the search ball and off S")
-    points, parents = _search(u, v, allowed,
-                              _jump_elements(model, cert.r, cap=cap))
+    jumps = [g for g in largest.within(cert.r).sorted_elements() if g.word]
+    points, parents = _search(u, v, allowed, jumps)
     if points is not None:
         path = RPath(tuple(points), cert.r)
         path.check()
@@ -619,57 +615,6 @@ def cofinal_positive_path(oracle: OrderOracle, g: Element, h: Element,
     return path
 
 
-def _factor_path(oracle: OrderOracle, product: DirectProduct, factor: int,
-                 src: Element, dst: Element, r: int, radius: int,
-                 cap: int | None = None) -> list[Element]:
-    """r-path from src to dst through factor elements a whose embedding
-    (a, 1) or (1, a) is positive."""
-    model = product.factors[factor]
-    ball = model.ball(radius, cap=cap)
-    nodes = {a for a in ball.members
-             if oracle.is_positive(product.embed(a, factor))}
-    if src not in nodes or dst not in nodes:
-        raise FactorNotConnectedAtScale(r, radius, factor)
-    path, _ = _search(src, dst, nodes, _jump_elements(model, r, cap=cap))
-    if path is None:
-        raise FactorNotConnectedAtScale(r, radius, factor)
-    return path
-
-
-def _path_from_identity(oracle: OrderOracle, product: DirectProduct,
-                        factor: int, dst: Element, r: int, radius: int,
-                        cap: int | None = None) -> list[Element]:
-    """[1, p_1, ..., dst] with every point after 1 restricted-positive."""
-    model = product.factors[factor]
-    identity = model.identity()
-    if dst == identity:
-        return [identity]
-    if dst.length <= r:
-        return [identity, dst]
-    ball = model.ball(radius, cap=cap)
-    near = [a for a in ball.sorted_elements()
-            if 0 < a.length <= r
-            and oracle.is_positive(product.embed(a, factor))]
-    for start in near:
-        try:
-            return [identity] + _factor_path(oracle, product, factor,
-                                             start, dst, r, radius, cap=cap)
-        except FactorNotConnectedAtScale:
-            continue
-    raise FactorNotConnectedAtScale(r, radius, factor)
-
-
-def _shortest_positive(oracle: OrderOracle, product: DirectProduct,
-                       factor: int, r: int, cap: int | None = None) -> Element:
-    model = product.factors[factor]
-    ball = model.ball(max(r, 1), cap=cap)
-    for a in ball.sorted_elements():
-        if not a.is_identity() and a.length <= max(r, 1) \
-                and oracle.is_positive(product.embed(a, factor)):
-            return a
-    raise FactorNotConnectedAtScale(r, max(r, 1), factor)
-
-
 def product_positive_path(oracle: OrderOracle, g: Element, h: Element,
                           r: int = 1, factor_radius: int | None = None,
                           cap: int | None = None) -> RPath:
@@ -696,14 +641,43 @@ def product_positive_path(oracle: OrderOracle, g: Element, h: Element,
         factor_radius = max(max(a.length for a, _ in coords),
                             max(b.length for _, b in coords), 1) + r + 1
 
-    # empirical gate: both restricted cones must form one r-class in the ball
+    # one ball per factor serves the gate and every leg: the restricted
+    # positives a, with (a, 1) or (1, a) positive, and the r-jumps
+    cones = []
     for factor in (0, 1):
-        fmodel = model.factors[factor]
-        ball = fmodel.ball(factor_radius, cap=cap)
-        members = [a for a in ball.sorted_elements()
-                   if oracle.is_positive(model.embed(a, factor))]
-        if len(_partition(members, _jump_elements(fmodel, r, cap=cap))) != 1:
+        ball = model.factors[factor].ball(max(factor_radius, r, 1), cap=cap)
+        positives = [a for a in ball.sorted_elements()
+                     if oracle.is_positive(model.embed(a, factor))]
+        members = [a for a in positives if a.length <= factor_radius]
+        jumps = [a for a in ball.within(r).sorted_elements() if a.word]
+        # empirical gate: the restricted cone must form one r-class in the ball
+        if len(_partition(members, jumps)) != 1:
             raise FactorNotConnectedAtScale(r, factor_radius, factor)
+        cones.append((positives[:1], members, set(members), jumps))
+
+    def factor_path(factor: int, src: Element, dst: Element) -> list[Element]:
+        """r-path from src to dst through restricted positives."""
+        _, _, nodes, jumps = cones[factor]
+        path = None
+        if src in nodes and dst in nodes:
+            path, _ = _search(src, dst, nodes, jumps)
+        if path is None:
+            raise FactorNotConnectedAtScale(r, factor_radius, factor)
+        return path
+
+    def ladder(factor: int, dst: Element) -> list[Element]:
+        """[1, p_1, ..., dst] with every point after 1 restricted-positive.
+
+        The gate made the restricted cone one r-class, so its first element
+        within r of the identity reaches dst exactly when any element does.
+        """
+        one = model.factors[factor].identity()
+        if dst.length <= r:
+            return _dedupe([one, dst])
+        near = cones[factor][1][:1]
+        if not near or near[0].length > r:
+            raise FactorNotConnectedAtScale(r, factor_radius, factor)
+        return [one] + factor_path(factor, near[0], dst)
 
     def normalize(point: Element) -> tuple[list[Element], Element]:
         """Walk both coordinates into the factor cones; returns path + endpoint."""
@@ -714,15 +688,12 @@ def product_positive_path(oracle: OrderOracle, g: Element, h: Element,
             other = model.project(current, 1 - factor)
             if oracle.is_positive(model.embed(a, factor)):
                 continue
-            short = _shortest_positive(oracle, model, factor, r, cap=cap)
-            if a.is_identity():
-                climb = [model.factors[factor].identity(), short]
-            else:
-                ladder = _path_from_identity(oracle, model, factor,
-                                             a.inverse(), r, factor_radius,
-                                             cap=cap)
-                climb = [model.factors[factor].multiply(a, q) for q in ladder]
-                climb.append(short)
+            # the climb ends at the shortlex-least restricted positive
+            first = cones[factor][0]
+            if not first or first[0].length > max(r, 1):
+                raise FactorNotConnectedAtScale(r, max(r, 1), factor)
+            climb = [model.factors[factor].multiply(a, q)
+                     for q in ladder(factor, a.inverse())] + first
             for q in climb:
                 pieces = [None, None]
                 pieces[factor] = q
@@ -735,12 +706,8 @@ def product_positive_path(oracle: OrderOracle, g: Element, h: Element,
     a1, b1 = model.project(start, 0), model.project(start, 1)
     a2, b2 = model.project(goal, 0), model.project(goal, 1)
 
-    leg_a = [model.pair(y, b1)
-             for y in _factor_path(oracle, model, 0, a1, a2, r,
-                                   factor_radius, cap=cap)]
-    leg_b = [model.pair(a2, z)
-             for z in _factor_path(oracle, model, 1, b1, b2, r,
-                                   factor_radius, cap=cap)]
+    leg_a = [model.pair(y, b1) for y in factor_path(0, a1, a2)]
+    leg_b = [model.pair(a2, z) for z in factor_path(1, b1, b2)]
 
     points = _dedupe(up_g + leg_a + leg_b + list(reversed(up_h)))
     path = RPath(tuple(points), r)
@@ -782,7 +749,9 @@ def connectivity_survey(oracle: OrderOracle, r: int, radii,
     radii = tuple(sorted(radii))
     if not radii:
         raise ValueError("need at least one radius")
-    counts = tuple(r_components(oracle, r, R, cap=cap, traversal=traversal).count
+    ball = oracle.model.ball(radii[-1], cap=cap, traversal=traversal)
+    counts = tuple(r_components(oracle, r, R, cap=cap, traversal=traversal,
+                                ball=ball).count
                    for R in radii)
     stable = len(set(counts)) == 1
     certificate = None
@@ -792,7 +761,8 @@ def connectivity_survey(oracle: OrderOracle, r: int, radii,
     else:
         if isinstance(oracle.model, FreeGroup):
             try:
-                certificate = tree_swamp_certificate(oracle, r, cap=cap)
+                certificate = tree_swamp_certificate(
+                    oracle, r, cap=cap, ball=ball.within(r + 1))
             except (WitnessNotFound, ModelMismatch):
                 certificate = None
         if certificate is not None:

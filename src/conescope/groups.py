@@ -13,6 +13,9 @@ Every element is stored by its canonical word, which makes elements usable
 as deterministic dictionary keys. Every normal form is geodesic, so the word
 length is the length of the canonical word. For the Klein bottle: each
 generator moves |n| + |m| of b^n a^m by at most one, and b^n a^m spells it.
+Hence a BFS ball B(R) holds every smaller ball B(n) with the same exact
+distances (its members at depth <= n, `Ball.within`), and in shortlex order
+B(n) is a prefix of B(R): diagnostics build their largest ball once.
 
 Products and inverses work on canonical words, never on a concatenation to
 be normalised again (`product_word`, `inverse_word`):
@@ -117,6 +120,15 @@ class Ball:
         # the ball never changes, so it is sorted once
         return tuple(sorted(self.members, key=Element.sort_key))
 
+    def within(self, n: int) -> "Ball":
+        """B(center, n): the members at depth <= n (this ball when n >= radius)."""
+        if n >= self.radius:
+            return self
+        if n < 0:
+            raise ValueError("radius must be non-negative")
+        return Ball(center=self.center, radius=n,
+                    members={g: d for g, d in self.members.items() if d <= n})
+
     def translated(self, g: Element) -> "Ball":
         """The ball g * B: left translation preserves word distances."""
         moved = {g * h: d for h, d in self.members.items()}
@@ -187,7 +199,8 @@ class GroupModel:
 
     def distance(self, g: Element, h: Element) -> int:
         """d(g, h) = |g^-1 h|."""
-        if g.model != self or h.model != self:
+        if ((g.model is not self and g.model != self)
+                or (h.model is not self and h.model != self)):
             raise ModelMismatch("operands belong to different models")
         return len(self.product_word(self.inverse_word(g.word), h.word))
 

@@ -69,7 +69,7 @@ class OrderOracle:
     _cache: dict[Word, Sign] = field(default_factory=dict, repr=False)
 
     def sign(self, g: Element) -> Sign:
-        if g.model != self.model:
+        if g.model is not self.model and g.model != self.model:
             raise ModelMismatch(f"element {g} does not live in {self.name}'s model")
         cached = self._cache.get(g.word)
         if cached is None:

@@ -1,8 +1,10 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import conescope as cs
 from conescope.words import GeneratorAlphabet, format_word
@@ -269,6 +271,50 @@ def test_quasigeodesic_klein(kdfa, klein):
 def test_quasigeodesic_loose_constants_pass(f2):
     report = cs.quasigeodesic_check(backtracking_dfa(), f2, 3, 2, 7)
     assert report.verdict == "PASS"
+
+
+def cubic_quasigeodesic(dfa, model, lam, c, max_length):
+    """The reference check: every infix normalised from scratch and compared
+    through fractions. Returns (verdict, violation)."""
+    lam, c = Fraction(lam), Fraction(c)
+    sample = cs.language_sample(dfa, model, max_length)
+    ball = model.ball(max_length)
+    for word in sample.words:
+        n = len(word)
+        for i in range(n + 1):
+            for j in range(i + 1, n + 1):
+                dist = ball.members[model.normal_form(word[i:j])]
+                if Fraction(j - i) / lam - c > dist:
+                    return "FAIL", (format_word(word), i, j, dist)
+    return "PASS", None
+
+
+QG_CONSTANTS = [(1, 0), (1, 1), (Fraction(3, 2), 0), (Fraction(4, 3), Fraction(1, 2)),
+                (2, 1), (3, 2)]
+
+
+def test_quasigeodesic_matches_cubic_reference_on_shipped(zdfa, kdfa, z2, klein, f2):
+    verdicts = set()
+    for dfa, model in ((zdfa, z2), (kdfa, klein), (zdfa, f2),
+                       (backtracking_dfa(), f2), (all_accepting_f2_dfa(), f2)):
+        for lam, c in QG_CONSTANTS:
+            report = cs.quasigeodesic_check(dfa, model, lam, c, 6)
+            expected = cubic_quasigeodesic(dfa, model, lam, c, 6)
+            assert (report.verdict, report.violation) == expected
+            verdicts.add(report.verdict)
+    assert verdicts == {"PASS", "FAIL"}
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**6),
+       model=st.sampled_from([cs.FreeGroup(2), cs.FreeAbelian(2), cs.KleinBottle()]),
+       lam=st.fractions(1, 3, max_denominator=3),
+       c=st.fractions(0, 2, max_denominator=3))
+def test_quasigeodesic_matches_cubic_reference_on_random_dfas(seed, model, lam, c):
+    dfa = cs.random_dfa(random.Random(seed))
+    report = cs.quasigeodesic_check(dfa, model, lam, c, 5)
+    expected = cubic_quasigeodesic(dfa, model, lam, c, 5)
+    assert (report.verdict, report.violation) == expected
 
 
 def test_klein_normal_forms_are_geodesic(klein):

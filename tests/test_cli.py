@@ -239,6 +239,12 @@ MALFORMED = [
     # a config error, not an "unknown" verdict: "A" is negative here
     ("cofinal-path", {**F2XZ_Z_LEADING, "pair": ["A", "a"]}),
     ("cofinal-path", {**F2XZ_Z_LEADING, "pairs": -3}),
+    # "b" is a letter of Z^2 but not of the rank-1 automaton
+    ("dfa-path", {"group": {"kind": "abelian", "rank": 2},
+                  "dfa": {"states": ["s"], "initial": "s", "accepting": ["s"],
+                          "alphabet": "a",
+                          "transitions": {"s": {"a": "s", "A": "s"}}},
+                  "word": "ab"}),
 ]
 
 

@@ -355,6 +355,60 @@ def test_product_path_random_pairs(zz_lex):
         assert all(zz_lex.is_positive(p) for p in path.points)
 
 
+# -- one ball per diagnostic ---------------------------------------------------------------
+
+@pytest.fixture
+def ball_builds(monkeypatch):
+    """The model of every GroupModel.ball call, in call order."""
+    calls = []
+    build = cs.GroupModel.ball
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return build(self, *args, **kwargs)
+    monkeypatch.setattr(cs.GroupModel, "ball", counting)
+    return calls
+
+
+ONE_BALL_RUNS = {
+    "ray": lambda o: cs.verify_maxima_ray(o["hyper_irr"], 6),
+    "components": lambda o: cs.r_components(o["magnus"], 2, 4),
+    "survey-prieto": lambda o: cs.connectivity_survey(o["hyper_irr"], 1,
+                                                      [2, 4, 3]),
+    # the counts split, so the survey also builds a tree swamp
+    "survey-hucha": lambda o: cs.connectivity_survey(o["magnus"], 1, [3, 4]),
+    "export-dot": lambda o: cs.export_dot(o["z_leading"], 1, 3),
+    "tree-swamp": lambda o: cs.tree_swamp_certificate(o["magnus"], 1),
+    "column-swamp": lambda o: product_column_swamp(o["f2_leading"], 1, 5),
+    "column-swamp-wide": lambda o: product_column_swamp(o["f2_leading"], 4, 3),
+    "separation": lambda o: cs.verify_separation(
+        product_column_swamp(o["f2_leading"], 1, 5), o["f2_leading"].model,
+        radius=5),
+}
+
+
+@pytest.mark.parametrize("name", ONE_BALL_RUNS)
+def test_diagnostic_builds_one_ball(ball_builds, name, magnus, hyper_irr,
+                                    z_leading, f2_leading):
+    oracles = {"magnus": magnus, "hyper_irr": hyper_irr,
+               "z_leading": z_leading, "f2_leading": f2_leading}
+    try:
+        result = ONE_BALL_RUNS[name](oracles)
+    except cs.WitnessNotFound:
+        result = None
+    if name == "survey-hucha":
+        assert result.classification is cs.SurveyClass.HUCHA_CERTIFIED
+    # the separation run builds its certificate's ball first
+    assert len(ball_builds) == (2 if name == "separation" else 1)
+
+
+def test_product_path_builds_one_ball_per_factor(ball_builds, zz_lex):
+    M = zz_lex.model
+    # both endpoints need a climb: the path uses every per-factor search
+    cs.product_positive_path(zz_lex, M.element("b"), M.element("aBBBBB"), r=1)
+    assert sorted(map(id, ball_builds)) == sorted(map(id, M.factors))
+
+
 # -- survey ----------------------------------------------------------------------------------
 
 def test_survey_prieto_consistent(hyper_irr):

@@ -98,6 +98,10 @@ def test_multiply_examples(f2, z2, klein):
 def test_multiply_model_mismatch(f2, z2):
     with pytest.raises(cs.ModelMismatch):
         f2.multiply(f2.element("a"), z2.element("a"))
+    for g, h in ((f2.element("a"), z2.element("a")),
+                 (z2.element("a"), f2.element("a"))):
+        with pytest.raises(cs.ModelMismatch):
+            f2.distance(g, h)
 
 
 def test_invert_examples(f2, klein):
@@ -165,6 +169,8 @@ def test_multiply_accepts_equal_models():
     h = cs.FreeGroup(2).element("Ba")
     assert str(cs.FreeGroup(2).multiply(g, h)) == "aa"
     assert str(cs.FreeGroup(2).invert(g)) == "BA"
+    assert cs.FreeGroup(2).distance(g, h) == 4
+    assert cs.magnus_order(cs.FreeGroup(2)).sign(g) is cs.Sign.POSITIVE
 
 
 def test_invert_model_mismatch(f2, z2):
@@ -254,6 +260,23 @@ def test_ball_distances_are_exact_bfs_depths(f2xz):
     ball = f2xz.ball(4)
     for g, d in ball.members.items():
         assert g.length == d
+
+
+@pytest.mark.parametrize("traversal", ["forward", "reverse"])
+@pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
+def test_ball_within_matches_fresh_ball(model, traversal):
+    # GroupModel.ball is the reference for every smaller ball cut by depth
+    big = model.ball(4, traversal=traversal)
+    order = big.sorted_elements()
+    for n in range(5):
+        cut, fresh = big.within(n), model.ball(n, traversal=traversal)
+        assert cut.radius == n and cut.center == fresh.center
+        assert cut.members == fresh.members
+        assert cut.sorted_elements() == fresh.sorted_elements()
+        assert cut.sorted_elements() == order[:len(fresh)]
+    assert big.within(4) is big and big.within(7) is big
+    with pytest.raises(ValueError):
+        big.within(-1)
 
 
 def test_ball_cap(f2):
