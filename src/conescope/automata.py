@@ -4,7 +4,8 @@ A ConeDfa reads words over the doubled alphabet (lowercase generator,
 uppercase inverse) with a total transition function. The evaluation set
 ev(L) of its language is a candidate positive cone; regular sets are always
 (2|S|+1)-connected in the Cayley graph, interpolated through shortest
-accepting completions of each prefix.
+accepting completions of each prefix: one table per automaton
+(`ConeDfa.completions`, None for a dead state), which pruning also reads.
 
 Membership of a group element in ev(L) is only semi-decidable by length
 enumeration, so cone verification reports PASS / FAIL / UNKNOWN against a
@@ -15,14 +16,13 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import CapExceeded, NotAccepted
 from .geometry import RPath
 from .groups import Element, GroupModel
-from .words import EMPTY, GeneratorAlphabet, Word, concat, format_word, letter_char
+from .words import EMPTY, GeneratorAlphabet, Word, format_word, letter_char
 
 DEFAULT_NODE_CAP = 2_000_000
 DEFAULT_WORD_CAP = 500_000
@@ -64,6 +64,35 @@ class ConeDfa:
         return {state: {l: self.transitions[state][letter_char(l)]
                          for l in self.alphabet.letters}
                 for state in self.states}
+
+    @cached_property
+    def completions(self) -> dict[str, Word | None]:
+        """state -> shortest word to acceptance, ties by the letter order.
+
+        None marks a dead state. Breadth-first backwards from the accepting
+        set: in each round, a state takes its first letter (x1 < x1^-1 < ...)
+        into the previous round, followed by that target's completion. No
+        state repeats, so a completion has fewer than |states| letters.
+        """
+        table = self.table
+        out = {s: () if s in self.accepting else None for s in self.states}
+        layer = self.accepting
+        while layer:
+            found = {}
+            for state, row in table.items():
+                if out[state] is None:
+                    letter = next((l for l, t in row.items() if t in layer), None)
+                    if letter is not None:
+                        found[state] = (letter,) + out[row[letter]]
+            out.update(found)
+            layer = found.keys()
+        for state, word in out.items():
+            if word is not None:
+                end = state
+                for letter in word:
+                    end = table[end][letter]
+                assert end in self.accepting and len(word) < self.size()
+        return out
 
     def step(self, state: str, letter: int) -> str:
         self.alphabet.check_letter(letter)
@@ -112,34 +141,12 @@ def dfa_run(dfa: ConeDfa, word: Word) -> tuple[str, bool]:
 def prefix_completion(dfa: ConeDfa, state: str) -> Word | None:
     """Shortest word from the state to acceptance, ties by the letter order.
 
-    Returns None when no accepting state is reachable. A shortest completion
-    never repeats a state, so its length is at most |states| - 1.
+    Returns None when no accepting state is reachable. Reads the automaton's
+    completion table (`ConeDfa.completions`).
     """
     if state not in dfa.states:
         raise ValueError(f"unknown state {state!r}")
-    if state in dfa.accepting:
-        return ()
-    parents: dict[str, tuple[str, int]] = {state: None}
-    queue = deque([state])
-    while queue:
-        current = queue.popleft()
-        row = dfa.table[current]
-        for letter in dfa.alphabet.letters:
-            target = row[letter]
-            if target in parents:
-                continue
-            parents[target] = (current, letter)
-            if target in dfa.accepting:
-                out: list[int] = []
-                back = target
-                while parents[back] is not None:
-                    back, letter_taken = parents[back]
-                    out.append(letter_taken)
-                word = tuple(reversed(out))
-                assert len(word) <= dfa.size() - 1
-                return word
-            queue.append(target)
-    return None
+    return dfa.completions[state]
 
 
 def connectivity_radius(dfa: ConeDfa) -> int:
@@ -151,31 +158,32 @@ def regular_interpolation(dfa: ConeDfa, model: GroupModel,
                           word: Word) -> RPath:
     """Interpolate an accepted word through ev(L) with gaps <= 2|S| + 1.
 
-    Each prefix is completed to an accepted word by a shortest completion
-    from its state; the evaluations of those completions are at most |S| - 1
+    Each prefix is completed to an accepted word by the shortest completion
+    of its state; the evaluations of those completions are at most |S| - 1
     away from the prefix evaluation, so consecutive interpolation points are
-    within 2|S| + 1 of each other.
+    within 2|S| + 1 of each other. One run of the word: the prefix element
+    grows one generator at a time, and each state's completion is
+    normalised once.
     """
-    state, accepted = dfa_run(dfa, word)
+    _, accepted = dfa_run(dfa, word)
     if not accepted:
         raise NotAccepted(f"word {format_word(word)} is rejected")
-    bound = connectivity_radius(dfa)
-    points = [model.identity()]
-    current = dfa.initial
-    consumed: list[int] = []
+    model.alphabet.check_word(word)
+    table, gens = dfa.table, model.generators
+    ends: dict[str, Element] = {}
+    prefix = model.identity()
+    points = [prefix]
+    state = dfa.initial
     for i in range(len(word) + 1):
-        completion = prefix_completion(dfa, current)
-        assert completion is not None  # accepted word: acceptance reachable
-        witness = concat(tuple(consumed), completion)
-        _, ok = dfa_run(dfa, witness)
-        assert ok, "completion must re-accept"
-        point = model.normal_form(witness)
+        if state not in ends:
+            ends[state] = model.normal_form(dfa.completions[state])
+        point = prefix * ends[state]
         if point != points[-1]:
             points.append(point)
         if i < len(word):
-            consumed.append(word[i])
-            current = dfa.step(current, word[i])
-    path = RPath(tuple(points), bound)
+            prefix = prefix * gens[word[i]]
+            state = table[state][word[i]]
+    path = RPath(tuple(points), connectivity_radius(dfa))
     path.check()
     return path
 
@@ -192,28 +200,10 @@ class LanguageSample:
         return set(self.evaluations)
 
 
-def _live_states(dfa: ConeDfa) -> set[str]:
-    """States from which some accepting state is reachable."""
-    live = set(dfa.accepting)
-    changed = True
-    while changed:
-        changed = False
-        for state in dfa.states:
-            if state in live:
-                continue
-            for target in dfa.table[state].values():
-                if target in live:
-                    live.add(state)
-                    changed = True
-                    break
-    return live
-
-
 def language_sample(dfa: ConeDfa, model: GroupModel, max_length: int,
                     word_cap: int | None = None) -> LanguageSample:
     """Enumerate the accepted words of length <= max_length (dead-state pruned)."""
     word_cap = DEFAULT_WORD_CAP if word_cap is None else word_cap
-    live = _live_states(dfa)
     words: list[Word] = []
     evaluations: dict[Element, list[Word]] = {}
     frontier: list[tuple[Word, str]] = [((), dfa.initial)]
@@ -224,7 +214,7 @@ def language_sample(dfa: ConeDfa, model: GroupModel, max_length: int,
         extension: list[tuple[Word, str]] = []
         for word, state in frontier:
             for letter, target in dfa.table[state].items():
-                if target not in live:
+                if dfa.completions[target] is None:
                     continue
                 grown = word + (letter,)
                 if target in dfa.accepting:
@@ -276,10 +266,10 @@ def reachable_evaluations(dfa: ConeDfa, model: GroupModel, max_length: int,
     letters = dfa.alphabet.letters
     if traversal == "reverse":
         letters = tuple(reversed(letters))
-    steps = [(letter, model.normal_form((letter,))) for letter in letters]
-    live = _live_states(dfa)
+    model.alphabet.check_word(letters)
+    steps = [(letter, model.generators[letter]) for letter in letters]
     reached: set[Element] = set()
-    if dfa.initial not in live:
+    if dfa.completions[dfa.initial] is None:
         return reached
     start = (dfa.initial, model.identity())
     visited = {start}
@@ -292,7 +282,7 @@ def reachable_evaluations(dfa: ConeDfa, model: GroupModel, max_length: int,
             row = dfa.table[state]
             for letter, gen in steps:
                 target = row[letter]
-                if target not in live:
+                if dfa.completions[target] is None:
                     continue
                 h = g * gen
                 pair = (target, h)
@@ -414,14 +404,13 @@ def quasigeodesic_check(dfa: ConeDfa, model: GroupModel, lam, c,
     sample = language_sample(dfa, model, max_length, word_cap=word_cap)
     ball = model.ball(max_length, cap=cap)
     limit = [math.floor(lam * (d + c)) for d in range(max_length + 1)]
-    letter_words = {l: model.normal_form((l,)).word
-                    for l in model.alphabet.letters}
+    gens = model.generators
     for word in sample.words:
         n = len(word)
         for i in range(n):
             infix = EMPTY
             for j in range(i + 1, n + 1):
-                infix = model.product_word(infix, letter_words[word[j - 1]])
+                infix = model.product_word(infix, gens[word[j - 1]].word)
                 dist = ball.members[Element(model, infix)]
                 if j - i > limit[dist]:
                     return QuasigeodesicReport(

@@ -5,7 +5,8 @@
 Every diagnostic is a command; the config is a strict JSON document (unknown
 keys are rejected) naming the group, the order, the automaton and the
 numeric parameters. Reports are written as JSON plus a text summary and are
-byte-identical across repeated runs.
+byte-identical across repeated runs: they hold no wall times (their
+"timings" key is always null), and there is no flag to record them.
 
 Exit codes: 0 pass/certified, 1 fail/not-separating, 2 unknown/evidence,
 3 usage or configuration error (including any ValueError or TypeError raised
@@ -208,20 +209,24 @@ class Runner:
         width = self.int_param("width", 1)
         model = oracle.model
         try:
+            # one ball serves the certificate and the separation check
             if isinstance(model, FreeGroup):
                 search = self.int_param("search_radius", width + 8)
+                radius = None
+                ball = model.ball(width + 1, cap=self.cap)
                 cert = tree_swamp_certificate(oracle, width,
                                               search_radius=search,
-                                              cap=self.cap)
-                result = verify_separation(cert, model, cap=self.cap)
+                                              cap=self.cap, ball=ball)
             elif isinstance(model, DirectProduct):
                 radius = self.int_param("radius", width + 4)
-                cert = product_column_swamp(oracle, width, radius, cap=self.cap)
-                result = verify_separation(cert, model, radius=radius,
-                                           cap=self.cap)
+                ball = model.ball(max(radius, width + 1), cap=self.cap)
+                cert = product_column_swamp(oracle, width, radius,
+                                            cap=self.cap, ball=ball)
             else:
                 raise ConfigError(
                     "swamp construction needs a free group or a product model")
+            result = verify_separation(cert, model, radius=radius,
+                                       cap=self.cap, ball=ball)
         except WitnessNotFound as exc:
             return EXIT_UNKNOWN, {"error": str(exc)}, f"swamp: {exc}"
         codes = {Verdict.CERTIFIED_TREE: EXIT_PASS,
@@ -318,13 +323,11 @@ class Runner:
             path = regular_interpolation(dfa, model, word)
         except NotAccepted as exc:
             return EXIT_FAIL, {"error": str(exc)}, f"dfa-path: {exc}"
-        payload = {
-            "points": path.words(),
-            "gaps": path.gaps(),
-            "bound": connectivity_radius(dfa),
-        }
+        gaps = path.gaps()
+        bound = connectivity_radius(dfa)
+        payload = {"points": path.words(), "gaps": gaps, "bound": bound}
         summary = (f"dfa-path: {len(path.points)} points, max gap "
-                   f"{max(path.gaps(), default=0)} <= {connectivity_radius(dfa)}")
+                   f"{max(gaps, default=0)} <= {bound}")
         return EXIT_PASS, payload, summary
 
     def cmd_dfa_qg(self):
@@ -354,7 +357,7 @@ class Runner:
 
 
 def _write_reports(out_dir: Path, command: str, code: int, payload: dict,
-                   summary: str, config: dict, timings) -> None:
+                   summary: str, config: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     report = {
         "command": command,
@@ -362,7 +365,7 @@ def _write_reports(out_dir: Path, command: str, code: int, payload: dict,
         "inputs": config,
         "exit_code": code,
         "result": payload,
-        "timings": timings,
+        "timings": None,  # kept, always null, for stable report bytes
     }
     json_path = out_dir / f"{command}.report.json"
     with open(json_path, "w", encoding="utf-8") as fh:
@@ -397,9 +400,6 @@ def main(argv=None) -> int:
                         help="override the config width (r)")
     parser.add_argument("--lmax", type=int, default=None,
                         help="override the language length cutoff")
-    parser.add_argument("--timings", action="store_true",
-                        help="record wall-clock timings in the report "
-                             "(breaks byte-for-byte determinism)")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -411,16 +411,9 @@ def main(argv=None) -> int:
                         overrides={"radius": args.radius, "width": args.width,
                                    "lmax": args.lmax},
                         config_dir=Path(args.config).resolve().parent)
-        if args.timings:
-            import time
-            started = time.monotonic()
-            code, payload, summary = runner.run()
-            timings = {"seconds": round(time.monotonic() - started, 3)}
-        else:
-            code, payload, summary = runner.run()
-            timings = None
+        code, payload, summary = runner.run()
         _write_reports(Path(args.out), args.command, code, payload, summary,
-                       runner.config, timings)
+                       runner.config)
     except (ConescopeError, ValueError, TypeError) as exc:
         # malformed input, whichever layer notices it
         print(f"error: {exc}", file=sys.stderr)

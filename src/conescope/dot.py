@@ -24,7 +24,7 @@ def export_dot(oracle: OrderOracle, r: int, radius: int,
                                   ball=ball).component_index()
     nodes = ball.sorted_elements()
     node_id = {g: i for i, g in enumerate(nodes)}
-    gens = [model.normal_form((l,)) for l in model.alphabet.letters]
+    gens = model.generators.values()
 
     lines = ["graph cayley_ball {"]
     for g in nodes:

@@ -82,9 +82,10 @@ def _dedupe(points: list[Element]) -> list[Element]:
 def geodesic_points(g: Element, h: Element) -> list[Element]:
     """A 1-path from g to h spelled by the canonical word of g^-1 h."""
     word = (g.inverse() * h).word
+    gens = g.model.generators
     points = [g]
     for letter in word:
-        points.append(points[-1] * g.model.normal_form((letter,)))
+        points.append(points[-1] * gens[letter])
     return points
 
 
@@ -96,9 +97,7 @@ def max_of_ball(oracle: OrderOracle, n: int, ball: Ball | None = None,
     if ball is None or ball.radius < n:
         ball = oracle.model.ball(n, cap=cap)
     best: Element | None = None
-    for g in ball.sorted_elements():
-        if ball.members[g] > n:
-            continue
+    for g in ball.within(n):
         if best is None:
             best = g
             continue
@@ -144,7 +143,9 @@ def verify_maxima_ray(oracle: OrderOracle, depth: int,
     """
     model = oracle.model
     ball = model.ball(depth, cap=cap)
-    maxima = [max_of_ball(oracle, n, ball=ball) for n in range(1, depth + 1)]
+    # largest first: every smaller cut filters the order of the sorted B(depth)
+    maxima = [max_of_ball(oracle, n, ball=ball) for n in range(depth, 0, -1)]
+    maxima.reverse()
 
     length_failures = []
     for n, g in enumerate(maxima, start=1):
@@ -152,7 +153,7 @@ def verify_maxima_ray(oracle: OrderOracle, depth: int,
             length_failures.append((n, str(g), g.length))
 
     successor_failures = []
-    gens = [model.normal_form((l,)) for l in model.alphabet.letters]
+    gens = model.generators.values()
     for n in range(len(maxima) - 1):
         g, successor = maxima[n], maxima[n + 1]
         if all(x * g != successor for x in gens):
@@ -418,8 +419,8 @@ def tree_swamp_certificate(oracle: OrderOracle, r: int,
 
 
 def product_column_swamp(oracle: OrderOracle, r: int, radius: int,
-                         free_factor: int = 0,
-                         cap: int | None = None) -> SwampCertificate:
+                         free_factor: int = 0, cap: int | None = None,
+                         ball: Ball | None = None) -> SwampCertificate:
     """Negative column swamp in a product with a free leading factor.
 
     The maxima-ray center has the free coordinate c_F carrying a negative
@@ -435,10 +436,11 @@ def product_column_swamp(oracle: OrderOracle, r: int, radius: int,
     free = model.factors[free_factor]
     if not isinstance(free, FreeGroup):
         raise ModelMismatch("the column swamp needs a free factor")
-    largest = model.ball(max(radius, r + 1), cap=cap)
-    center = max_of_ball(oracle, r + 1, ball=largest).inverse()
+    if ball is None or ball.radius < max(radius, r + 1):
+        ball = model.ball(max(radius, r + 1), cap=cap)
+    center = max_of_ball(oracle, r + 1, ball=ball).inverse()
     center_free = model.project(center, free_factor)
-    ball = largest.within(radius)
+    ball = ball.within(radius)
     swamp = set()
     for g in ball.sorted_elements():
         if free.distance(center_free, model.project(g, free_factor)) <= r:
@@ -486,8 +488,8 @@ class SeparationResult:
 
 
 def verify_separation(cert: SwampCertificate, model: GroupModel,
-                      radius: int | None = None,
-                      cap: int | None = None) -> SeparationResult:
+                      radius: int | None = None, cap: int | None = None,
+                      ball: Ball | None = None) -> SeparationResult:
     """Decide whether the swamp separates the witnesses.
 
     Free-group model: structural tree-cut argument; any r-path between two
@@ -497,12 +499,14 @@ def verify_separation(cert: SwampCertificate, model: GroupModel,
     B(1, R) over arbitrary (not only positive) elements. The verdict is
     CertifiedExhaustive only when the reachable region never comes within r
     of the ball boundary, so no path could continue outside; otherwise the
-    search is only Evidence.
+    search is only Evidence. A given ball around the identity is used when
+    its radius suffices; otherwise one is built.
     """
     u, v = cert.witnesses
     if isinstance(model, FreeGroup):
-        ball_r = model.ball(cert.r, cap=cap)
-        full_ball = {cert.center * b for b in ball_r.sorted_elements()}
+        if ball is None or ball.radius < cert.r:
+            ball = model.ball(cert.r, cap=cap)
+        full_ball = {cert.center * b for b in ball.within(cert.r)}
         bu = _branch_letter(cert.center, u)
         bv = _branch_letter(cert.center, v)
         structural = (
@@ -517,12 +521,13 @@ def verify_separation(cert: SwampCertificate, model: GroupModel,
 
     if radius is None:
         radius = max(u.length, v.length, cert.center.length) + cert.r + 1
-    largest = model.ball(max(radius, cert.r), cap=cap)
-    ball = largest.within(radius)
-    allowed = {g for g in ball.members if g not in cert.swamp}
+    if ball is None or ball.radius < max(radius, cert.r):
+        ball = model.ball(max(radius, cert.r), cap=cap)
+    allowed = {g for g, d in ball.members.items()
+               if d <= radius and g not in cert.swamp}
     if u not in allowed or v not in allowed:
         raise ValueError("witnesses must lie inside the search ball and off S")
-    jumps = [g for g in largest.within(cert.r).sorted_elements() if g.word]
+    jumps = [g for g in ball.within(cert.r) if g.word]
     points, parents = _search(u, v, allowed, jumps)
     if points is not None:
         path = RPath(tuple(points), cert.r)
@@ -584,8 +589,7 @@ def cofinal_positive_path(oracle: OrderOracle, g: Element, h: Element,
         raise ValueError("both endpoints must be positive")
     if oracle.is_negative(z):
         z = z.inverse()
-    for letter in model.alphabet.letters:
-        x = model.normal_form((letter,))
+    for x in model.generators.values():
         if z * x != x * z:
             raise BrokenOrderError(f"declared generator {z} is not central")
 
@@ -750,9 +754,11 @@ def connectivity_survey(oracle: OrderOracle, r: int, radii,
     if not radii:
         raise ValueError("need at least one radius")
     ball = oracle.model.ball(radii[-1], cap=cap, traversal=traversal)
-    counts = tuple(r_components(oracle, r, R, cap=cap, traversal=traversal,
-                                ball=ball).count
-                   for R in radii)
+    # largest first: every smaller cut filters the order of the sorted ball
+    counts = tuple(reversed([
+        r_components(oracle, r, R, cap=cap, traversal=traversal,
+                     ball=ball).count
+        for R in reversed(radii)]))
     stable = len(set(counts)) == 1
     certificate = None
     if all(c == 1 for c in counts):

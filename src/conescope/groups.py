@@ -121,13 +121,18 @@ class Ball:
         return tuple(sorted(self.members, key=Element.sort_key))
 
     def within(self, n: int) -> "Ball":
-        """B(center, n): the members at depth <= n (this ball when n >= radius)."""
+        """B(center, n): the members at depth <= n (this ball when n >= radius).
+        A cut of a sorted ball filters its shortlex order instead of sorting."""
         if n >= self.radius:
             return self
         if n < 0:
             raise ValueError("radius must be non-negative")
-        return Ball(center=self.center, radius=n,
-                    members={g: d for g, d in self.members.items() if d <= n})
+        cut = Ball(center=self.center, radius=n,
+                   members={g: d for g, d in self.members.items() if d <= n})
+        if "_shortlex" in self.__dict__:
+            cut.__dict__["_shortlex"] = tuple(g for g in self._shortlex
+                                              if g in cut)
+        return cut
 
     def translated(self, g: Element) -> "Ball":
         """The ball g * B: left translation preserves word distances."""
@@ -176,6 +181,11 @@ class GroupModel:
     def identity(self) -> Element:
         return Element(self, EMPTY)
 
+    @cached_property
+    def generators(self) -> dict[int, Element]:
+        """Letter -> the generator or inverse it spells, in the letter order."""
+        return {l: self.normal_form((l,)) for l in self.alphabet.letters}
+
     def generator(self, index: int) -> Element:
         """The index-th generator (1-based) as an element."""
         return self.normal_form((index,))
@@ -220,7 +230,7 @@ class GroupModel:
         letters = self.alphabet.letters
         if traversal == "reverse":
             letters = tuple(reversed(letters))
-        gens = [self.normal_form((l,)) for l in letters]
+        gens = [self.generators[l] for l in letters]
         identity = self.identity()
         members: dict[Element, int] = {identity: 0}
         frontier = [identity]

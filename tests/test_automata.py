@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import conescope as cs
+from conescope import automata
 from conescope.words import GeneratorAlphabet, format_word
 
 
@@ -99,6 +100,28 @@ def test_prefix_completion_tie_break_by_letter_order():
     assert cs.prefix_completion(dfa, "s") == (1,)
 
 
+def brute_completion(dfa, state):
+    """The first word of length <= |S| - 1, in shortlex order, that leads
+    from the state to acceptance, or None."""
+    for n in range(dfa.size()):
+        for word in itertools.product(dfa.alphabet.letters, repeat=n):
+            end = state
+            for letter in word:
+                end = dfa.step(end, letter)
+            if end in dfa.accepting:
+                return word
+    return None
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 10**6), max_states=st.integers(1, 5),
+       rank=st.integers(1, 3))
+def test_prefix_completion_matches_brute_force(seed, max_states, rank):
+    dfa = cs.random_dfa(random.Random(seed), max_states=max_states, rank=rank)
+    for state in dfa.states:
+        assert cs.prefix_completion(dfa, state) == brute_completion(dfa, state)
+
+
 # -- connectivity radius -------------------------------------------------------------
 
 def test_connectivity_radius(zdfa, kdfa):
@@ -146,6 +169,64 @@ def test_interpolation_soundness_all_short_words(zdfa, kdfa, z2, klein):
             assert max(path.gaps(), default=0) <= bound
             for point in path.points[1:]:
                 assert point in membership
+
+
+def definitional_points(dfa, model, word):
+    """Interpolation points straight from the definition: each prefix
+    followed by its shortest completion, normalised from scratch."""
+    points = [model.identity()]
+    state = dfa.initial
+    for i in range(len(word) + 1):
+        point = model.normal_form(word[:i] + brute_completion(dfa, state))
+        if point != points[-1]:
+            points.append(point)
+        if i < len(word):
+            state = dfa.step(state, word[i])
+    return points
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(),
+       model=st.sampled_from([cs.FreeAbelian(2), cs.KleinBottle(), cs.FreeGroup(2)]),
+       dfa=st.one_of(
+           st.sampled_from([cs.z2_lex_cone_dfa(), cs.klein_cone_dfa()]),
+           st.integers(0, 10**6).map(
+               lambda seed: cs.random_dfa(random.Random(seed), max_states=5))))
+def test_interpolation_matches_definition(data, model, dfa):
+    # a random walk through live states, then the completion of its end
+    live = {s for s in dfa.states if brute_completion(dfa, s) is not None}
+    assume(dfa.initial in live)
+    word, state = [], dfa.initial
+    for choice in data.draw(st.lists(st.integers(0, 3), max_size=40)):
+        options = [l for l in dfa.alphabet.letters if dfa.step(state, l) in live]
+        if not options:
+            break
+        word.append(options[choice % len(options)])
+        state = dfa.step(state, word[-1])
+    word = tuple(word) + brute_completion(dfa, state)
+    path = cs.regular_interpolation(dfa, model, word)
+    assert list(path.points) == definitional_points(dfa, model, word)
+
+
+def test_interpolation_runs_the_word_once(zdfa, monkeypatch):
+    model = cs.FreeAbelian(2)  # fresh, so its generator table is built here
+    word = (1,) * 100 + (-2,) * 100
+    runs, forms = [], []
+    run, normal_form = automata.dfa_run, cs.GroupModel.normal_form
+
+    def counted_run(*args):
+        runs.append(args)
+        return run(*args)
+
+    def counted_normal_form(self, w):
+        forms.append(w)
+        return normal_form(self, w)
+    monkeypatch.setattr(automata, "dfa_run", counted_run)
+    monkeypatch.setattr(cs.GroupModel, "normal_form", counted_normal_form)
+    path = cs.regular_interpolation(zdfa, model, word)
+    assert len(runs) == 1
+    assert len(forms) <= zdfa.size() + 2 * model.alphabet.rank
+    assert path.points[-1] == model.element("a" * 100 + "B" * 100)
 
 
 # -- language samples ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from conescope import klein_cone_dfa
 from conescope.cli import main
 
 F2_MAGNUS = {"group": {"kind": "free", "rank": 2}, "order": {"kind": "magnus"}}
@@ -90,6 +91,13 @@ def test_missing_required_parameter(tmp_path):
 
 def test_usage_error_without_flags():
     assert main([]) == 3
+
+
+def test_removed_timings_flag_exit_3(tmp_path):
+    # report bytes must not depend on the run, so wall times have no flag
+    assert run_cli(tmp_path, {**F2_MAGNUS, "radius": 2}, "ray",
+                   extra=("--timings",)) == 3
+    assert not (tmp_path / "out").exists()
 
 
 def test_components_and_survey(tmp_path):
@@ -245,6 +253,11 @@ MALFORMED = [
                           "alphabet": "a",
                           "transitions": {"s": {"a": "s", "A": "s"}}},
                   "word": "ab"}),
+    # "c" is a letter of the rank-3 automaton but not of Z^2
+    ("dfa-verify", {"group": {"kind": "abelian", "rank": 2}, "radius": 1,
+                    "dfa": {"states": ["s"], "initial": "s", "accepting": ["s"],
+                            "alphabet": "abc",
+                            "transitions": {"s": {ch: "s" for ch in "aAbBcC"}}}}),
 ]
 
 
@@ -292,6 +305,13 @@ KERNEL_RUNS = [(name, command, {**base, **KERNEL_PARAMS})
                for command in KERNEL_COMMANDS]
 KERNEL_RUNS.append(("f2xz-f2-r5", "swamp",
                     {**F2XZ_F2_LEADING, **KERNEL_PARAMS, "radius": 5}))
+# the shipped automata on their groups, with an accepted word for dfa-path
+KERNEL_DFAS = {"z2": (Z2_LEX_DFA, "aaaaaaBBBBBB"),
+               "klein": (klein_cone_dfa().to_json(), "BBBBBBaaaaaa")}
+KERNEL_RUNS += [(name, command, {**KERNEL_CONFIGS[name], **KERNEL_PARAMS,
+                                 "dfa": dfa, "word": word})
+                for name, (dfa, word) in KERNEL_DFAS.items()
+                for command in ("dfa-verify", "dfa-path", "dfa-qg")]
 
 
 def _kernel_reports(tmp_path, tag):

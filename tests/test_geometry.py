@@ -5,6 +5,8 @@ import pytest
 import conescope as cs
 from conescope.geometry import SwampCertificate, Verdict, product_column_swamp
 
+from test_cli import F2_MAGNUS, F2XZ_F2_LEADING, run_cli
+
 
 def brute_force_components(oracle, r, radius):
     """Independent oracle: pairwise distances + transitive closure by DFS."""
@@ -384,20 +386,28 @@ ONE_BALL_RUNS = {
     "separation": lambda o: cs.verify_separation(
         product_column_swamp(o["f2_leading"], 1, 5), o["f2_leading"].model,
         radius=5),
+    # the certificate and its separation check share one ball
+    "cli-swamp-free": lambda o: run_cli(
+        o["tmp_path"], {**F2_MAGNUS, "width": 1}, "swamp"),
+    "cli-swamp-product": lambda o: run_cli(
+        o["tmp_path"], {**F2XZ_F2_LEADING, "width": 1, "radius": 5}, "swamp"),
 }
 
 
 @pytest.mark.parametrize("name", ONE_BALL_RUNS)
 def test_diagnostic_builds_one_ball(ball_builds, name, magnus, hyper_irr,
-                                    z_leading, f2_leading):
+                                    z_leading, f2_leading, tmp_path):
     oracles = {"magnus": magnus, "hyper_irr": hyper_irr,
-               "z_leading": z_leading, "f2_leading": f2_leading}
+               "z_leading": z_leading, "f2_leading": f2_leading,
+               "tmp_path": tmp_path}
     try:
         result = ONE_BALL_RUNS[name](oracles)
     except cs.WitnessNotFound:
         result = None
     if name == "survey-hucha":
         assert result.classification is cs.SurveyClass.HUCHA_CERTIFIED
+    if name == "cli-swamp-free":
+        assert result == 0  # certified-tree
     # the separation run builds its certificate's ball first
     assert len(ball_builds) == (2 if name == "separation" else 1)
 

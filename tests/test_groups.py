@@ -279,6 +279,19 @@ def test_ball_within_matches_fresh_ball(model, traversal):
         big.within(-1)
 
 
+@pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
+def test_ball_within_keeps_sorted_parent_order(model, monkeypatch):
+    big = model.ball(4)
+    big.sorted_elements()
+
+    def no_sort(self):
+        raise AssertionError("a cut of a sorted ball was sorted again")
+    monkeypatch.setattr(cs.Element, "sort_key", no_sort)
+    cuts = [list(big.within(n)) for n in range(5)]
+    monkeypatch.undo()
+    assert cuts == [model.ball(n).sorted_elements() for n in range(5)]
+
+
 def test_ball_cap(f2):
     with pytest.raises(cs.CapExceeded) as err:
         f2.ball(4, cap=100)
