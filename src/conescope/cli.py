@@ -209,24 +209,21 @@ class Runner:
         width = self.int_param("width", 1)
         model = oracle.model
         try:
-            # one ball serves the certificate and the separation check
             if isinstance(model, FreeGroup):
                 search = self.int_param("search_radius", width + 8)
                 radius = None
-                ball = model.ball(width + 1, cap=self.cap)
                 cert = tree_swamp_certificate(oracle, width,
                                               search_radius=search,
-                                              cap=self.cap, ball=ball)
+                                              cap=self.cap)
             elif isinstance(model, DirectProduct):
                 radius = self.int_param("radius", width + 4)
-                ball = model.ball(max(radius, width + 1), cap=self.cap)
-                cert = product_column_swamp(oracle, width, radius,
-                                            cap=self.cap, ball=ball)
+                cert = product_column_swamp(oracle, width, radius, cap=self.cap)
             else:
                 raise ConfigError(
                     "swamp construction needs a free group or a product model")
+            # the certificate's ball serves the separation check too
             result = verify_separation(cert, model, radius=radius,
-                                       cap=self.cap, ball=ball)
+                                       cap=self.cap, ball=cert.ball)
         except WitnessNotFound as exc:
             return EXIT_UNKNOWN, {"error": str(exc)}, f"swamp: {exc}"
         codes = {Verdict.CERTIFIED_TREE: EXIT_PASS,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     BrokenOrderError,
@@ -143,9 +143,7 @@ def verify_maxima_ray(oracle: OrderOracle, depth: int,
     """
     model = oracle.model
     ball = model.ball(depth, cap=cap)
-    # largest first: every smaller cut filters the order of the sorted B(depth)
-    maxima = [max_of_ball(oracle, n, ball=ball) for n in range(depth, 0, -1)]
-    maxima.reverse()
+    maxima = [max_of_ball(oracle, n, ball=ball) for n in range(1, depth + 1)]
 
     length_failures = []
     for n, g in enumerate(maxima, start=1):
@@ -312,6 +310,8 @@ class SwampCertificate:
     swamp: frozenset[Element]
     witnesses: tuple[Element, Element]
     verdict: Verdict
+    # the ball around the identity the swamp was cut from, for verify_separation
+    ball: Ball | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         model = self.center.model
@@ -415,12 +415,13 @@ def tree_swamp_certificate(oracle: OrderOracle, r: int,
         swamp=swamp,
         witnesses=(ordered[0], ordered[1]),
         verdict=Verdict.CERTIFIED_TREE,
+        ball=ball,
     )
 
 
 def product_column_swamp(oracle: OrderOracle, r: int, radius: int,
-                         free_factor: int = 0, cap: int | None = None,
-                         ball: Ball | None = None) -> SwampCertificate:
+                         free_factor: int = 0,
+                         cap: int | None = None) -> SwampCertificate:
     """Negative column swamp in a product with a free leading factor.
 
     The maxima-ray center has the free coordinate c_F carrying a negative
@@ -436,11 +437,10 @@ def product_column_swamp(oracle: OrderOracle, r: int, radius: int,
     free = model.factors[free_factor]
     if not isinstance(free, FreeGroup):
         raise ModelMismatch("the column swamp needs a free factor")
-    if ball is None or ball.radius < max(radius, r + 1):
-        ball = model.ball(max(radius, r + 1), cap=cap)
-    center = max_of_ball(oracle, r + 1, ball=ball).inverse()
+    largest = model.ball(max(radius, r + 1), cap=cap)
+    center = max_of_ball(oracle, r + 1, ball=largest).inverse()
     center_free = model.project(center, free_factor)
-    ball = ball.within(radius)
+    ball = largest.within(radius)
     swamp = set()
     for g in ball.sorted_elements():
         if free.distance(center_free, model.project(g, free_factor)) <= r:
@@ -471,6 +471,7 @@ def product_column_swamp(oracle: OrderOracle, r: int, radius: int,
         swamp=frozenset(swamp),
         witnesses=(ordered[0], ordered[1]),
         verdict=Verdict.EVIDENCE,
+        ball=largest,
     )
 
 
@@ -754,11 +755,9 @@ def connectivity_survey(oracle: OrderOracle, r: int, radii,
     if not radii:
         raise ValueError("need at least one radius")
     ball = oracle.model.ball(radii[-1], cap=cap, traversal=traversal)
-    # largest first: every smaller cut filters the order of the sorted ball
-    counts = tuple(reversed([
-        r_components(oracle, r, R, cap=cap, traversal=traversal,
-                     ball=ball).count
-        for R in reversed(radii)]))
+    counts = tuple(r_components(oracle, r, R, cap=cap, traversal=traversal,
+                                ball=ball).count
+                   for R in radii)
     stable = len(set(counts)) == 1
     certificate = None
     if all(c == 1 for c in counts):

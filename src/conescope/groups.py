@@ -121,17 +121,19 @@ class Ball:
         return tuple(sorted(self.members, key=Element.sort_key))
 
     def within(self, n: int) -> "Ball":
-        """B(center, n): the members at depth <= n (this ball when n >= radius).
-        A cut of a sorted ball filters its shortlex order instead of sorting."""
+        """B(n): the members at depth <= n of a ball around the identity
+        (this ball when n >= radius). There depth is word length, which
+        shortlex compares first, so the cut's order is a prefix of this
+        ball's, which is sorted once for all its cuts."""
         if n >= self.radius:
             return self
         if n < 0:
             raise ValueError("radius must be non-negative")
+        if self.center.word:
+            raise ValueError("only a ball around the identity is cut by depth")
         cut = Ball(center=self.center, radius=n,
                    members={g: d for g, d in self.members.items() if d <= n})
-        if "_shortlex" in self.__dict__:
-            cut.__dict__["_shortlex"] = tuple(g for g in self._shortlex
-                                              if g in cut)
+        cut.__dict__["_shortlex"] = self._shortlex[:len(cut)]
         return cut
 
     def translated(self, g: Element) -> "Ball":

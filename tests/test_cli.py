@@ -270,6 +270,32 @@ def test_malformed_config_exit_3(tmp_path, capsys, command, config):
     assert "Traceback" not in err
 
 
+Z_F2 = {"kind": "product",
+        "factors": [{"kind": "abelian", "rank": 1}, {"kind": "free", "rank": 2}]}
+# each ball would exceed the cap below, so only a check made before the ball
+# is built reports the bad input itself
+SWAMP_CHECKED_FIRST = [
+    ({**F2_MAGNUS, "width": 30, "search_radius": 5},
+     "search radius must exceed r + 1"),
+    ({**F2_MAGNUS, "width": -2}, "width must be non-negative"),
+    ({"group": Z_F2,
+      "order": {"kind": "lex_pair", "leading_factor": 0,
+                "leading": {"kind": "hyperplane", "weights": [[1, 0]]},
+                "trailing": {"kind": "magnus"}},
+      "width": 1, "radius": 30},
+     "the column swamp needs a free factor"),
+]
+
+
+@pytest.mark.parametrize("config,message", SWAMP_CHECKED_FIRST,
+                         ids=["search-radius", "width", "free-factor"])
+def test_swamp_checks_inputs_before_its_ball(tmp_path, capsys, monkeypatch,
+                                             config, message):
+    monkeypatch.setenv("CONESCOPE_CAP", "1000")
+    assert run_cli(tmp_path, config, "swamp") == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_malformed_config_table_covers_every_command():
     from conescope.cli import COMMANDS
     assert {command for command, _ in MALFORMED} == set(COMMANDS)

@@ -282,14 +282,22 @@ def test_ball_within_matches_fresh_ball(model, traversal):
 @pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
 def test_ball_within_keeps_sorted_parent_order(model, monkeypatch):
     big = model.ball(4)
-    big.sorted_elements()
+    keyed = []
+    sort_key = cs.Element.sort_key
 
-    def no_sort(self):
-        raise AssertionError("a cut of a sorted ball was sorted again")
-    monkeypatch.setattr(cs.Element, "sort_key", no_sort)
+    def counted(self):
+        keyed.append(self)
+        return sort_key(self)
+    monkeypatch.setattr(cs.Element, "sort_key", counted)
+    # smallest first, and a cut of a cut: the parent is still sorted only once
     cuts = [list(big.within(n)) for n in range(5)]
+    cuts.append(list(big.within(3).within(2)))
     monkeypatch.undo()
-    assert cuts == [model.ball(n).sorted_elements() for n in range(5)]
+    assert len(keyed) == len(big)
+    assert cuts == [model.ball(n).sorted_elements() for n in (0, 1, 2, 3, 4, 2)]
+    # away from the identity, depth is not word length and no prefix is cut
+    with pytest.raises(ValueError):
+        big.translated(model.generator(1)).within(2)
 
 
 def test_ball_cap(f2):
