@@ -22,7 +22,7 @@ from functools import cached_property
 from .errors import CapExceeded, NotAccepted
 from .geometry import RPath
 from .groups import Element, GroupModel
-from .words import EMPTY, GeneratorAlphabet, Word, format_word, letter_char
+from .words import GeneratorAlphabet, Word, format_word, letter_char
 
 DEFAULT_NODE_CAP = 2_000_000
 DEFAULT_WORD_CAP = 500_000
@@ -192,9 +192,17 @@ def regular_interpolation(dfa: ConeDfa, model: GroupModel,
 class LanguageSample:
     """All accepted words up to a length, with their evaluations."""
 
+    model: GroupModel
     max_length: int
     words: tuple[Word, ...]
-    evaluations: dict[Element, tuple[Word, ...]]
+
+    @cached_property
+    def evaluations(self) -> dict[Element, tuple[Word, ...]]:
+        """Element -> its sampled words, normalised when first read."""
+        out: dict[Element, list[Word]] = {}
+        for word in self.words:
+            out.setdefault(self.model.normal_form(word), []).append(word)
+        return {e: tuple(ws) for e, ws in out.items()}
 
     def elements(self) -> set[Element]:
         return set(self.evaluations)
@@ -205,11 +213,9 @@ def language_sample(dfa: ConeDfa, model: GroupModel, max_length: int,
     """Enumerate the accepted words of length <= max_length (dead-state pruned)."""
     word_cap = DEFAULT_WORD_CAP if word_cap is None else word_cap
     words: list[Word] = []
-    evaluations: dict[Element, list[Word]] = {}
     frontier: list[tuple[Word, str]] = [((), dfa.initial)]
     if dfa.initial in dfa.accepting:
         words.append(())
-        evaluations.setdefault(model.identity(), []).append(())
     for _ in range(max_length):
         extension: list[tuple[Word, str]] = []
         for word, state in frontier:
@@ -219,18 +225,13 @@ def language_sample(dfa: ConeDfa, model: GroupModel, max_length: int,
                 grown = word + (letter,)
                 if target in dfa.accepting:
                     words.append(grown)
-                    ev = model.normal_form(grown)
-                    evaluations.setdefault(ev, []).append(grown)
                     if len(words) > word_cap:
                         raise CapExceeded(len(words), word_cap,
                                           what="language enumeration")
                 extension.append((grown, target))
         frontier = extension
-    return LanguageSample(
-        max_length=max_length,
-        words=tuple(words),
-        evaluations={e: tuple(ws) for e, ws in evaluations.items()},
-    )
+    return LanguageSample(model=model, max_length=max_length,
+                          words=tuple(words))
 
 
 @dataclass(frozen=True)
@@ -401,6 +402,7 @@ def quasigeodesic_check(dfa: ConeDfa, model: GroupModel, lam, c,
     c = Fraction(c)
     if lam < 1 or c < 0:
         raise ValueError("need lambda >= 1 and c >= 0")
+    model.alphabet.check_word(dfa.alphabet.letters)
     sample = language_sample(dfa, model, max_length, word_cap=word_cap)
     ball = model.ball(max_length, cap=cap)
     limit = [math.floor(lam * (d + c)) for d in range(max_length + 1)]
@@ -408,10 +410,10 @@ def quasigeodesic_check(dfa: ConeDfa, model: GroupModel, lam, c,
     for word in sample.words:
         n = len(word)
         for i in range(n):
-            infix = EMPTY
+            infix = model.identity()
             for j in range(i + 1, n + 1):
-                infix = model.product_word(infix, gens[word[j - 1]].word)
-                dist = ball.members[Element(model, infix)]
+                infix = infix * gens[word[j - 1]]
+                dist = ball.members[infix]
                 if j - i > limit[dist]:
                     return QuasigeodesicReport(
                         verdict="FAIL", lam=lam, c=c, max_length=max_length,

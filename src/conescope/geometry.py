@@ -21,6 +21,7 @@ import enum
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     BrokenOrderError,
@@ -56,16 +57,20 @@ class RPath:
     def check(self) -> None:
         if not self.points:
             raise ValueError("an r-path needs at least one point")
-        model = self.points[0].model
-        for u, v in zip(self.points, self.points[1:]):
-            d = model.distance(u, v)
+        for i, d in enumerate(self._gaps):
             if d > self.r:
-                raise ValueError(f"gap {d} > r={self.r} between {u} and {v}")
+                raise ValueError(f"gap {d} > r={self.r} between "
+                                 f"{self.points[i]} and {self.points[i + 1]}")
 
     def gaps(self) -> list[int]:
+        return list(self._gaps)
+
+    @cached_property
+    def _gaps(self) -> tuple[int, ...]:
+        # the points never change, so each gap is measured once
         model = self.points[0].model
-        return [model.distance(u, v)
-                for u, v in zip(self.points, self.points[1:])]
+        return tuple(model.distance(u, v)
+                     for u, v in zip(self.points, self.points[1:]))
 
     def words(self) -> list[str]:
         return [str(p) for p in self.points]
@@ -282,7 +287,7 @@ def r_components(oracle: OrderOracle, r: int, radius: int,
     if ball is None or ball.radius < radius:
         ball = oracle.model.ball(radius, cap=cap, traversal=traversal)
     positives = oracle.positives(ball.within(radius))
-    jumps = [g for g in ball.within(r).sorted_elements() if g.word]
+    jumps = [g for g in ball.within(r).sorted_elements() if not g.is_identity()]
     if traversal == "reverse":
         positives = list(reversed(positives))
         jumps = list(reversed(jumps))
@@ -400,7 +405,7 @@ def tree_swamp_certificate(oracle: OrderOracle, r: int,
     for word in _reduced_words(model, search_radius, cap=cap):
         if len(word) <= r or word[0] in witness_by_branch:
             continue
-        candidate = center * Element(model, word)
+        candidate = center * model.normal_form(word)
         if oracle.sign(candidate) is Sign.POSITIVE:
             witness_by_branch[word[0]] = candidate
             if len(witness_by_branch) == len(letters):
@@ -528,7 +533,7 @@ def verify_separation(cert: SwampCertificate, model: GroupModel,
                if d <= radius and g not in cert.swamp}
     if u not in allowed or v not in allowed:
         raise ValueError("witnesses must lie inside the search ball and off S")
-    jumps = [g for g in ball.within(cert.r) if g.word]
+    jumps = [g for g in ball.within(cert.r) if not g.is_identity()]
     points, parents = _search(u, v, allowed, jumps)
     if points is not None:
         path = RPath(tuple(points), cert.r)
@@ -654,7 +659,7 @@ def product_positive_path(oracle: OrderOracle, g: Element, h: Element,
         positives = [a for a in ball.sorted_elements()
                      if oracle.is_positive(model.embed(a, factor))]
         members = [a for a in positives if a.length <= factor_radius]
-        jumps = [a for a in ball.within(r).sorted_elements() if a.word]
+        jumps = [a for a in ball.within(r).sorted_elements() if not a.is_identity()]
         # empirical gate: the restricted cone must form one r-class in the ball
         if len(_partition(members, jumps)) != 1:
             raise FactorNotConnectedAtScale(r, factor_radius, factor)

@@ -1,42 +1,43 @@
-"""Group models with exact word arithmetic, normal forms and ball enumeration.
+"""Group models with exact arithmetic on model coordinates, and Cayley balls.
 
-Four model kinds are supported:
+Four model kinds are supported. Each holds an element by its key, the
+coordinates in which the model computes:
 
-* FreeGroup(k): normal form is the freely reduced word.
-* FreeAbelian(n): normal form is x1^e1 ... xn^en (sorted exponent blocks).
-* KleinBottle: presentation <a, b | a b a^-1 = b^-1>, normal form b^n a^m,
-  obtained by pushing every a past the b's with the rewrite a b^e -> b^-e a.
-* DirectProduct(m1, m2): disjoint-union alphabet, normal form is the
-  concatenation of the factor normal forms, so |(g, h)| = |g| + |h|.
-
-Every element is stored by its canonical word, which makes elements usable
-as deterministic dictionary keys. Every normal form is geodesic, so the word
-length is the length of the canonical word. For the Klein bottle: each
-generator moves |n| + |m| of b^n a^m by at most one, and b^n a^m spells it.
-Hence a BFS ball B(R) holds every smaller ball B(n) with the same exact
-distances (its members at depth <= n, `Ball.within`), and in shortlex order
-B(n) is a prefix of B(R): diagnostics build their largest ball once.
-
-Products and inverses work on canonical words, never on a concatenation to
-be normalised again (`product_word`, `inverse_word`):
-
-* FreeGroup: cancel letter/inverse pairs at the junction of u and v only;
-  the inverse is the reversed word with every letter negated.
-* FreeAbelian: add or negate the exponent vectors read off the blocks.
-* KleinBottle: compose (n, m) in closed form,
+* FreeGroup(k): the freely reduced word.
+* FreeAbelian(n): the exponent tuple (e1, ..., en); the canonical word is
+  x1^e1 ... xn^en (sorted exponent blocks).
+* KleinBottle: presentation <a, b | a b a^-1 = b^-1>, key (n, m) for the
+  normal form b^n a^m, reached by pushing every a past the b's with the
+  rewrite a b^e -> b^-e a. Keys compose in closed form,
   b^n1 a^m1 b^n2 a^m2 = b^(n1 + (-1)^m1 n2) a^(m1 + m2), and the inverse
   of b^n a^m is b^(-(-1)^m n) a^(-m).
-* DirectProduct: split each word where its first factor's letters end and
-  combine the two factor results.
+* DirectProduct(m1, m2): the pair of factor keys over the disjoint-union
+  alphabet; the canonical word is the concatenation of the factor words,
+  so |(g, h)| = |g| + |h|.
 
-The GroupModel defaults, normal_form_word of the concatenation or of the
-inverted word, are the slow reference the tests compare these against.
+Each model implements the same key operations: `one`, `key_of` (read any
+word), `spell` (write the canonical word), `mul`, `inv` and `key_length`.
+Products, inverses, distances and lengths compute on keys; words appear
+only at the boundary: parsing, printing, shortlex sorting, Magnus signs
+and spelling geodesics (`Element.word`, computed when read).
+
+Every normal form is geodesic, so the word length is the length of the
+canonical word. For the Klein bottle: each generator moves |n| + |m| of
+b^n a^m by at most one, and b^n a^m spells it. Hence a BFS ball B(R) holds
+every smaller ball B(n) with the same exact distances (its members at
+depth <= n, `Ball.within`), and in shortlex order B(n) is a prefix of
+B(R): diagnostics build their largest ball once.
+
+The GroupModel methods product_word and inverse_word normalise the
+concatenation or the inverted word; they are the slow reference the tests
+compare the key arithmetic against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import add, index, neg
 
 from .errors import CapExceeded, ModelMismatch
 from .words import (
@@ -58,17 +59,27 @@ DEFAULT_CAP = 10**7
 TRAVERSALS = ("forward", "reverse")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Element:
-    """A group element held by its canonical (normal form) word."""
+    """A group element held by its model's key (see the module docs)."""
 
     model: "GroupModel"
-    word: Word
+    key: tuple
+
+    def __eq__(self, other: object) -> bool:
+        # keys first: the model test is the rare tie-break
+        if not isinstance(other, Element):
+            return NotImplemented
+        return self.key == other.key and (self.model is other.model
+                                          or self.model == other.model)
 
     def __hash__(self) -> int:
-        # hot path in ball BFS; the word alone is a valid hash (equality
-        # still compares the model)
-        return hash(self.word)
+        return hash(self.key)
+
+    @property
+    def word(self) -> Word:
+        """The canonical (normal form) word, spelled when read."""
+        return self.model.spell(self.key)
 
     def __mul__(self, other: "Element") -> "Element":
         return self.model.multiply(self, other)
@@ -77,7 +88,7 @@ class Element:
         return self.model.invert(self)
 
     def is_identity(self) -> bool:
-        return not self.word
+        return self.key == self.model.one
 
     def sort_key(self) -> tuple:
         return shortlex_key(self.word, self.model.alphabet)
@@ -85,7 +96,7 @@ class Element:
     @property
     def length(self) -> int:
         """Word-metric distance from the identity (normal forms are geodesic)."""
-        return len(self.word)
+        return self.model.key_length(self.key)
 
     def __str__(self) -> str:
         return format_word(self.word)
@@ -129,7 +140,7 @@ class Ball:
             return self
         if n < 0:
             raise ValueError("radius must be non-negative")
-        if self.center.word:
+        if not self.center.is_identity():
             raise ValueError("only a ball around the identity is cut by depth")
         cut = Ball(center=self.center, radius=n,
                    members={g: d for g, d in self.members.items() if d <= n})
@@ -143,23 +154,24 @@ class Ball:
 
 
 class GroupModel:
-    """Shared machinery; concrete kinds fill in the normal form."""
+    """Shared machinery; concrete kinds fill in the key operations."""
 
-    # concrete subclasses define: alphabet, kind, normal_form_word, descriptor
+    # concrete subclasses define: alphabet, descriptor and the key
+    # operations one, key_of, spell, mul, inv and key_length
 
     @property
     def alphabet(self) -> GeneratorAlphabet:
         raise NotImplementedError
 
     def normal_form_word(self, word: Word) -> Word:
-        raise NotImplementedError
+        return self.spell(self.key_of(word))
 
     def product_word(self, u: Word, v: Word) -> Word:
-        """The canonical word of uv, for canonical words u and v."""
+        """The canonical word of uv: the slow reference for `mul`."""
         return self.normal_form_word(concat(u, v))
 
     def inverse_word(self, u: Word) -> Word:
-        """The canonical word of u^-1, for a canonical word u."""
+        """The canonical word of u^-1: the slow reference for `inv`."""
         return self.normal_form_word(inverse_word(u))
 
     def descriptor(self) -> dict:
@@ -169,7 +181,7 @@ class GroupModel:
 
     def normal_form(self, word: Word) -> Element:
         self.alphabet.check_word(word)
-        return Element(self, self.normal_form_word(word))
+        return Element(self, self.key_of(word))
 
     def element(self, spec: "Word | str | Element") -> Element:
         if isinstance(spec, Element):
@@ -181,7 +193,7 @@ class GroupModel:
         return self.normal_form(tuple(spec))
 
     def identity(self) -> Element:
-        return Element(self, EMPTY)
+        return Element(self, self.one)
 
     @cached_property
     def generators(self) -> dict[int, Element]:
@@ -196,25 +208,25 @@ class GroupModel:
         if ((g.model is not self and g.model != self)
                 or (h.model is not self and h.model != self)):
             raise ModelMismatch("operands belong to different models")
-        return Element(self, self.product_word(g.word, h.word))
+        return Element(self, self.mul(g.key, h.key))
 
     def invert(self, g: Element) -> Element:
         if g.model is not self and g.model != self:
             raise ModelMismatch("operand belongs to a different model")
-        return Element(self, self.inverse_word(g.word))
+        return Element(self, self.inv(g.key))
 
     # -- metric -----------------------------------------------------------
 
     def word_length(self, word: Word) -> int:
         """|w| in the word metric: the canonical word is geodesic."""
-        return len(self.normal_form_word(word))
+        return self.key_length(self.key_of(word))
 
     def distance(self, g: Element, h: Element) -> int:
         """d(g, h) = |g^-1 h|."""
         if ((g.model is not self and g.model != self)
                 or (h.model is not self and h.model != self)):
             raise ModelMismatch("operands belong to different models")
-        return len(self.product_word(self.inverse_word(g.word), h.word))
+        return self.key_length(self.mul(self.inv(g.key), h.key))
 
     # -- enumeration ------------------------------------------------------
 
@@ -254,6 +266,7 @@ class GroupModel:
 @dataclass(frozen=True)
 class FreeGroup(GroupModel):
     rank: int
+    one = EMPTY
 
     def __post_init__(self):
         if self.rank < 1:
@@ -263,18 +276,24 @@ class FreeGroup(GroupModel):
     def alphabet(self) -> GeneratorAlphabet:
         return GeneratorAlphabet(self.rank)
 
-    def normal_form_word(self, word: Word) -> Word:
+    def key_of(self, word: Word) -> Word:
         return free_reduce(word)
 
-    def product_word(self, u: Word, v: Word) -> Word:
+    def spell(self, key: Word) -> Word:
+        return key
+
+    def mul(self, u: Word, v: Word) -> Word:
         # u and v are reduced, so only the junction can cancel
         i, n = 0, min(len(u), len(v))
         while i < n and u[-1 - i] == -v[i]:
             i += 1
         return u[:len(u) - i] + v[i:] if i else u + v
 
-    def inverse_word(self, u: Word) -> Word:
+    def inv(self, u: Word) -> Word:
         return inverse_word(u)
+
+    def key_length(self, key: Word) -> int:
+        return len(key)
 
     def descriptor(self) -> dict:
         return {"kind": "free", "rank": self.rank}
@@ -292,43 +311,38 @@ class FreeAbelian(GroupModel):
     def alphabet(self) -> GeneratorAlphabet:
         return GeneratorAlphabet(self.rank)
 
-    def normal_form_word(self, word: Word) -> Word:
-        return self._spell(self.exponents_of_word(word))
+    @cached_property
+    def one(self) -> tuple[int, ...]:
+        return (0,) * self.rank
 
-    def product_word(self, u: Word, v: Word) -> Word:
-        # exponent vectors add; the exponent of x_i is the count of x_i
-        # minus the count of x_i^-1
-        out: Word = EMPTY
-        for i in range(1, self.rank + 1):
-            out += _power(i, u.count(i) - u.count(-i) + v.count(i) - v.count(-i))
-        return out
-
-    def inverse_word(self, u: Word) -> Word:
-        # negating every letter negates every exponent and keeps the blocks
-        # in generator order
-        return tuple(-l for l in u)
-
-    def exponents_of_word(self, word: Word) -> tuple[int, ...]:
+    def key_of(self, word: Word) -> tuple[int, ...]:
         exps = [0] * self.rank
         for letter in word:
             exps[abs(letter) - 1] += 1 if letter > 0 else -1
         return tuple(exps)
 
+    def spell(self, key: tuple[int, ...]) -> Word:
+        out: Word = EMPTY
+        for i, e in enumerate(key, start=1):
+            out += _power(i, e)
+        return out
+
+    def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(map(add, a, b))
+
+    def inv(self, a: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(map(neg, a))
+
+    def key_length(self, key: tuple[int, ...]) -> int:
+        return sum(map(abs, key))
+
     def exponents(self, g: Element) -> tuple[int, ...]:
-        return self.exponents_of_word(g.word)
+        return g.key
 
     def from_exponents(self, exps) -> Element:
         if len(exps) != self.rank:
             raise ValueError(f"expected {self.rank} exponents, got {len(exps)}")
-        return Element(self, self._spell(exps))
-
-    @staticmethod
-    def _spell(exps) -> Word:
-        """The canonical word x1^e1 ... xn^en."""
-        out: Word = EMPTY
-        for i, e in enumerate(exps, start=1):
-            out += _power(i, e)
-        return out
+        return Element(self, tuple(map(index, exps)))
 
     def descriptor(self) -> dict:
         return {"kind": "abelian", "rank": self.rank}
@@ -338,28 +352,13 @@ class FreeAbelian(GroupModel):
 class KleinBottle(GroupModel):
     """<a, b | a b a^-1 = b^-1> with a = letter 1 and b = letter 2."""
 
+    one = (0, 0)
+
     @cached_property
     def alphabet(self) -> GeneratorAlphabet:
         return GeneratorAlphabet(2)
 
-    def normal_form_word(self, word: Word) -> Word:
-        n, m = self.pair_of_word(word)
-        return _power(2, n) + _power(1, m)
-
-    def product_word(self, u: Word, v: Word) -> Word:
-        # b^n1 a^m1 b^n2 a^m2 = b^(n1 + (-1)^m1 n2) a^(m1 + m2)
-        m1 = u.count(1) - u.count(-1)
-        n2 = v.count(2) - v.count(-2)
-        return (_power(2, u.count(2) - u.count(-2) + (-n2 if m1 % 2 else n2))
-                + _power(1, m1 + v.count(1) - v.count(-1)))
-
-    def inverse_word(self, u: Word) -> Word:
-        # (b^n a^m)^-1 = b^(-(-1)^m n) a^-m
-        n, m = u.count(2) - u.count(-2), u.count(1) - u.count(-1)
-        return _power(2, n if m % 2 else -n) + _power(1, -m)
-
-    def pair_of_word(self, word: Word) -> tuple[int, int]:
-        """(n, m) with the element equal to b^n a^m."""
+    def key_of(self, word: Word) -> tuple[int, int]:
         n = m = 0
         for letter in word:
             if abs(letter) == 1:
@@ -370,8 +369,23 @@ class KleinBottle(GroupModel):
                 n += e if m % 2 == 0 else -e
         return n, m
 
+    def spell(self, key: tuple[int, int]) -> Word:
+        return _power(2, key[0]) + _power(1, key[1])
+
+    def mul(self, u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+        # b^n1 a^m1 b^n2 a^m2 = b^(n1 + (-1)^m1 n2) a^(m1 + m2)
+        return u[0] + (-v[0] if u[1] % 2 else v[0]), u[1] + v[1]
+
+    def inv(self, u: tuple[int, int]) -> tuple[int, int]:
+        # (b^n a^m)^-1 = b^(-(-1)^m n) a^-m
+        return (u[0] if u[1] % 2 else -u[0]), -u[1]
+
+    def key_length(self, key: tuple[int, int]) -> int:
+        return abs(key[0]) + abs(key[1])
+
     def pair(self, g: Element) -> tuple[int, int]:
-        return self.pair_of_word(g.word)
+        """(n, m) with g equal to b^n a^m."""
+        return g.key
 
     def descriptor(self) -> dict:
         return {"kind": "klein"}
@@ -393,93 +407,57 @@ class DirectProduct(GroupModel):
                                  + self.factors[1].alphabet.rank)
 
     @cached_property
+    def one(self) -> tuple:
+        return self.factors[0].one, self.factors[1].one
+
+    @cached_property
     def _up(self) -> dict[int, int]:
         """Second-factor letter -> product letter."""
         shift = self.factors[0].alphabet.rank
         return {l: l + shift if l > 0 else l - shift
                 for l in self.factors[1].alphabet.letters}
 
-    @cached_property
-    def _down(self) -> dict[int, int]:
-        """Product letter of the second factor -> that factor's letter."""
-        return {v: k for k, v in self._up.items()}
+    def key_of(self, word: Word) -> tuple:
+        # the projections onto the factors are homomorphisms
+        k = self.factors[0].alphabet.rank
+        first = tuple(l for l in word if abs(l) <= k)
+        second = tuple(l - k if l > 0 else l + k for l in word if abs(l) > k)
+        return self.factors[0].key_of(first), self.factors[1].key_of(second)
 
-    def split_word(self, word: Word) -> tuple[Word, Word]:
-        """Project onto the factors (a homomorphism since factors commute)."""
-        down = self._down
-        first: list[int] = []
-        second: list[int] = []
-        for letter in word:
-            if letter in down:
-                second.append(down[letter])
-            else:
-                first.append(letter)
-        return tuple(first), tuple(second)
+    def spell(self, key: tuple) -> Word:
+        second = tuple(map(self._up.__getitem__, self.factors[1].spell(key[1])))
+        return self.factors[0].spell(key[0]) + second
 
-    def join_words(self, first: Word, second: Word) -> Word:
-        return first + _relabel(second, self._up)
+    def mul(self, u: tuple, v: tuple) -> tuple:
+        return (self.factors[0].mul(u[0], v[0]),
+                self.factors[1].mul(u[1], v[1]))
 
-    def normal_form_word(self, word: Word) -> Word:
-        first, second = self.split_word(word)
-        return self.join_words(self.factors[0].normal_form_word(first),
-                               self.factors[1].normal_form_word(second))
+    def inv(self, u: tuple) -> tuple:
+        return self.factors[0].inv(u[0]), self.factors[1].inv(u[1])
 
-    def _first_length(self, word: Word) -> int:
-        """How many letters of a canonical word belong to the first factor:
-        they form a prefix, and the second factor's letters follow."""
-        down = self._down
-        k = len(word)
-        while k and word[k - 1] in down:
-            k -= 1
-        return k
-
-    def product_word(self, u: Word, v: Word) -> Word:
-        ku, kv = self._first_length(u), self._first_length(v)
-        # the second factor multiplies only when both words reach into it
-        second = u[ku:]
-        if not second:
-            second = v[kv:]
-        elif kv < len(v):
-            down = self._down
-            word = self.factors[1].product_word(_relabel(second, down),
-                                                _relabel(v[kv:], down))
-            second = _relabel(word, self._up)
-        return self.factors[0].product_word(u[:ku], v[:kv]) + second
-
-    def inverse_word(self, u: Word) -> Word:
-        k = self._first_length(u)
-        first = self.factors[0].inverse_word(u[:k])
-        if k == len(u):
-            return first
-        second = self.factors[1].inverse_word(_relabel(u[k:], self._down))
-        return self.join_words(first, second)
+    def key_length(self, key: tuple) -> int:
+        return (self.factors[0].key_length(key[0])
+                + self.factors[1].key_length(key[1]))
 
     def project(self, g: Element, index: int) -> Element:
-        k = self._first_length(g.word)
-        if index == 0:
-            return Element(self.factors[0], g.word[:k])
-        return Element(self.factors[1], _relabel(g.word[k:], self._down))
+        return Element(self.factors[index], g.key[index])
 
     def embed(self, g: Element, index: int) -> Element:
         """The factor element as (g, 1) or (1, g) in the product."""
         if g.model != self.factors[index]:
             raise ModelMismatch("element does not belong to the requested factor")
-        parts = [EMPTY, EMPTY]
-        parts[index] = g.word
-        return Element(self, self.join_words(parts[0], parts[1]))
+        parts = [self.factors[0].one, self.factors[1].one]
+        parts[index] = g.key
+        return Element(self, tuple(parts))
 
     def pair(self, first: Element, second: Element) -> Element:
         if first.model != self.factors[0] or second.model != self.factors[1]:
             raise ModelMismatch("pair components do not match the factor models")
-        return Element(self, self.join_words(first.word, second.word))
+        return Element(self, (first.key, second.key))
 
     def descriptor(self) -> dict:
         return {"kind": "product",
                 "factors": [f.descriptor() for f in self.factors]}
-
-
-def _relabel(word: Word, table: dict[int, int]) -> Word:
-    return tuple(map(table.__getitem__, word))
 
 
 def _power(generator: int, e: int) -> Word:

@@ -66,15 +66,15 @@ class OrderOracle:
     model: GroupModel
     sign_fn: Callable[[Element], Sign]
     declared_cofinal_central: Element | None = None
-    _cache: dict[Word, Sign] = field(default_factory=dict, repr=False)
+    _cache: dict[tuple, Sign] = field(default_factory=dict, repr=False)
 
     def sign(self, g: Element) -> Sign:
         if g.model is not self.model and g.model != self.model:
             raise ModelMismatch(f"element {g} does not live in {self.name}'s model")
-        cached = self._cache.get(g.word)
+        cached = self._cache.get(g.key)
         if cached is None:
             cached = self.sign_fn(g)
-            self._cache[g.word] = cached
+            self._cache[g.key] = cached
         return cached
 
     def is_positive(self, g: Element) -> bool:

@@ -354,6 +354,21 @@ def test_quasigeodesic_loose_constants_pass(f2):
     assert report.verdict == "PASS"
 
 
+def test_quasigeodesic_normalises_no_sampled_word(zdfa, monkeypatch):
+    model = cs.FreeAbelian(2)  # fresh, so its generator table is built here
+    forms = []
+    normal_form = cs.GroupModel.normal_form
+
+    def counted_normal_form(self, w):
+        forms.append(w)
+        return normal_form(self, w)
+    monkeypatch.setattr(cs.GroupModel, "normal_form", counted_normal_form)
+    report = cs.quasigeodesic_check(zdfa, model, 1, 0, 8)
+    assert report.verdict == "PASS"
+    # the generator table only: the infixes grow by multiplication
+    assert sorted(forms) == sorted((l,) for l in model.alphabet.letters)
+
+
 def cubic_quasigeodesic(dfa, model, lam, c, max_length):
     """The reference check: every infix normalised from scratch and compared
     through fractions. Returns (verdict, violation)."""

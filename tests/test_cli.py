@@ -119,6 +119,24 @@ def test_survey_evidence_exit_2(tmp_path):
     assert run_cli(tmp_path, config, "survey") == 2
 
 
+def test_dfa_path_measures_each_gap_once(tmp_path, monkeypatch):
+    import conescope as cs
+    pairs = []
+    distance = cs.GroupModel.distance
+
+    def counted_distance(self, g, h):
+        pairs.append((g, h))
+        return distance(self, g, h)
+    monkeypatch.setattr(cs.GroupModel, "distance", counted_distance)
+    config = {"group": {"kind": "abelian", "rank": 2}, "dfa": Z2_LEX_DFA,
+              "word": "aaaaaaBBBBBB"}
+    assert run_cli(tmp_path, config, "dfa-path") == 0
+    report = json.loads((tmp_path / "out" / "dfa-path.report.json").read_text())
+    points = report["result"]["points"]
+    assert len(points) == 13
+    assert len(pairs) == len(points) - 1
+
+
 def test_dfa_verify_and_paths(tmp_path):
     config = {"group": {"kind": "abelian", "rank": 2}, "dfa": Z2_LEX_DFA,
               "radius": 3, "lmax": 12}
@@ -258,6 +276,11 @@ MALFORMED = [
                     "dfa": {"states": ["s"], "initial": "s", "accepting": ["s"],
                             "alphabet": "abc",
                             "transitions": {"s": {ch: "s" for ch in "aAbBcC"}}}}),
+    # the same on dfa-qg, whose language sample is never normalised
+    ("dfa-qg", {"group": {"kind": "abelian", "rank": 2}, "lmax": 2,
+                "dfa": {"states": ["s"], "initial": "s", "accepting": ["s"],
+                        "alphabet": "abc",
+                        "transitions": {"s": {ch: "s" for ch in "aAbBcC"}}}}),
 ]
 
 
@@ -359,8 +382,16 @@ def test_reports_identical_under_reference_kernel(tmp_path, monkeypatch):
     monkeypatch.delenv("CONESCOPE_TRAVERSAL", raising=False)
     fast = _kernel_reports(tmp_path, "fast")
     assert {code for code, _ in fast.values()} >= {0, 2}
+
+    # key arithmetic replaced by normalising the concatenated or inverted
+    # canonical words
+    def mul(self, a, b):
+        return self.key_of(self.product_word(self.spell(a), self.spell(b)))
+
+    def inv(self, a):
+        return self.key_of(self.inverse_word(self.spell(a)))
     for cls in (cs.FreeGroup, cs.FreeAbelian, cs.KleinBottle, cs.DirectProduct):
-        for attr in ("product_word", "inverse_word"):
-            monkeypatch.setattr(cls, attr, getattr(cs.GroupModel, attr))
+        monkeypatch.setattr(cls, "mul", mul)
+        monkeypatch.setattr(cls, "inv", inv)
     reference = _kernel_reports(tmp_path, "reference")
     assert fast == reference

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -125,7 +126,7 @@ def test_invert_is_involution_and_inverse(word):
         assert (g.inverse() * g).is_identity()
 
 
-# -- canonical-word kernel against the normalise-the-concatenation reference --
+# -- key arithmetic against the normalise-the-concatenation reference ----------
 
 KERNEL_MODELS = [
     cs.FreeGroup(2), cs.FreeGroup(3), cs.FreeAbelian(2), cs.FreeAbelian(3),
@@ -148,11 +149,45 @@ def canonical_words(model, count):
 @given(data=st.data())
 def test_product_and_inverse_word_match_reference(model, data):
     u, v = data.draw(canonical_words(model, 2))
-    assert model.product_word(u, v) == cs.GroupModel.product_word(model, u, v)
-    assert model.inverse_word(u) == cs.GroupModel.inverse_word(model, u)
     g, h = model.element(u), model.element(v)
+    assert (g * h).key == model.key_of(model.product_word(u, v))
+    assert g.inverse().key == model.key_of(model.inverse_word(u))
     assert (g * h).word == model.product_word(u, v)
     assert g.inverse().word == model.inverse_word(u)
+
+
+@pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
+@settings(max_examples=150)
+@given(data=st.data())
+def test_keys_round_trip_through_canonical_words(model, data):
+    word = data.draw(words_strategy(rank=model.alphabet.rank, max_size=12))
+    key = model.key_of(word)
+    # reading a word agrees with multiplying its letters one at a time
+    folded = model.one
+    for letter in word:
+        folded = model.mul(folded, model.key_of((letter,)))
+    assert key == folded
+    assert model.key_of(model.spell(key)) == key
+    # length and distance read only keys; with the ball tests, which compare
+    # them with BFS depths, this shows that every canonical word is geodesic
+    assert model.key_length(key) == len(model.spell(key))
+
+
+def test_element_is_immutable(f2xz):
+    g = f2xz.element("abc")
+    for attr in ("key", "model"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(g, attr, getattr(f2xz.identity(), attr))
+    assert not hasattr(g, "__dict__")
+    assert g == f2xz.element("abc") and hash(g) == hash(g.key)
+
+
+def test_from_exponents_builds_integer_keys(z2):
+    assert z2.from_exponents([2, -1]) == z2.element("aaB")
+    with pytest.raises(ValueError):
+        z2.from_exponents((1,))
+    with pytest.raises(TypeError):
+        z2.from_exponents((0.5, 0))
 
 
 @pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
