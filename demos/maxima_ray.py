@@ -15,11 +15,10 @@ def show(oracle, depth):
     report = cs.verify_maxima_ray(oracle, depth)
     print("ball maxima:     ", " ".join(str(g) for g in report.maxima))
     print("inverse ray:     ", " ".join(str(g.inverse()) for g in report.maxima))
-    # one ball serves every radius: B(n - 1) is B(depth) cut by depth
-    ball = oracle.model.ball(depth)
+    # the model grew B(depth) for the report; B(n - 1) is a prefix of it
     for n in (depth,):
         center = report.maxima[n - 1].inverse()
-        inner = ball.within(n - 1)
+        inner = oracle.model.ball(n - 1)
         signs = {oracle.sign(center * b).value for b in inner.sorted_elements()}
         print(f"B({center}, {n - 1}):  {len(inner)} elements, signs = {signs}")
     print("all checks pass: ", report.passed)

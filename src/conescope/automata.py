@@ -387,13 +387,13 @@ class QuasigeodesicReport:
 
 
 def quasigeodesic_check(dfa: ConeDfa, model: GroupModel, lam, c,
-                        max_length: int, cap: int | None = None,
+                        max_length: int,
                         word_cap: int | None = None) -> QuasigeodesicReport:
     """Check (j - i)/lambda - c <= d(ev(w_i), ev(w_j)) on all accepted words.
 
-    Distances are exact ball-BFS values: the infix w[i:j] evaluates inside
-    B(1, max_length), whose distances are precomputed once. lambda and c
-    are exact fractions; as j - i is an integer, the test is
+    The distance is the length of the infix w[i:j], grown one generator at
+    a time: every normal form is geodesic. lambda and c are exact
+    fractions; as j - i is an integer, the test is
     j - i > floor(lambda (d + c)), one threshold per distance d.
     """
     from fractions import Fraction
@@ -402,9 +402,10 @@ def quasigeodesic_check(dfa: ConeDfa, model: GroupModel, lam, c,
     c = Fraction(c)
     if lam < 1 or c < 0:
         raise ValueError("need lambda >= 1 and c >= 0")
+    if max_length < 0:
+        raise ValueError("max_length must be non-negative")
     model.alphabet.check_word(dfa.alphabet.letters)
     sample = language_sample(dfa, model, max_length, word_cap=word_cap)
-    ball = model.ball(max_length, cap=cap)
     limit = [math.floor(lam * (d + c)) for d in range(max_length + 1)]
     gens = model.generators
     for word in sample.words:
@@ -413,7 +414,7 @@ def quasigeodesic_check(dfa: ConeDfa, model: GroupModel, lam, c,
             infix = model.identity()
             for j in range(i + 1, n + 1):
                 infix = infix * gens[word[j - 1]]
-                dist = ball.members[infix]
+                dist = infix.length
                 if j - i > limit[dist]:
                     return QuasigeodesicReport(
                         verdict="FAIL", lam=lam, c=c, max_length=max_length,

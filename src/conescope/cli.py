@@ -221,9 +221,8 @@ class Runner:
             else:
                 raise ConfigError(
                     "swamp construction needs a free group or a product model")
-            # the certificate's ball serves the separation check too
             result = verify_separation(cert, model, radius=radius,
-                                       cap=self.cap, ball=cert.ball)
+                                       cap=self.cap)
         except WitnessNotFound as exc:
             return EXIT_UNKNOWN, {"error": str(exc)}, f"swamp: {exc}"
         codes = {Verdict.CERTIFIED_TREE: EXIT_PASS,
@@ -333,7 +332,7 @@ class Runner:
         lam = self.config.get("lambda", 1)
         c = self.config.get("c", 0)
         lmax = self.int_param("lmax", 8)
-        report = quasigeodesic_check(dfa, model, lam, c, lmax, cap=self.cap)
+        report = quasigeodesic_check(dfa, model, lam, c, lmax)
         code = EXIT_PASS if report.verdict == "PASS" else EXIT_FAIL
         payload = {"verdict": report.verdict, "lambda": str(report.lam),
                    "c": str(report.c)}

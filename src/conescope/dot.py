@@ -20,8 +20,7 @@ def export_dot(oracle: OrderOracle, r: int, radius: int,
     comp_index = {}
     if radius >= 1 and r >= 1:
         comp_index = r_components(oracle, r, radius, cap=cap,
-                                  traversal=traversal,
-                                  ball=ball).component_index()
+                                  traversal=traversal).component_index()
     nodes = ball.sorted_elements()
     node_id = {g: i for i, g in enumerate(nodes)}
     gens = model.generators.values()

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -32,7 +32,7 @@ from .errors import (
     PathNotFound,
     WitnessNotFound,
 )
-from .groups import DEFAULT_CAP, Ball, DirectProduct, Element, FreeGroup, GroupModel
+from .groups import DEFAULT_CAP, DirectProduct, Element, FreeGroup, GroupModel
 from .orders import OrderOracle, Sign
 from .words import Word
 
@@ -96,13 +96,11 @@ def geodesic_points(g: Element, h: Element) -> list[Element]:
 
 # -- ball maxima -------------------------------------------------------------
 
-def max_of_ball(oracle: OrderOracle, n: int, ball: Ball | None = None,
+def max_of_ball(oracle: OrderOracle, n: int,
                 cap: int | None = None) -> Element:
     """The unique order-maximum of B(1, n), by pairwise sign comparison."""
-    if ball is None or ball.radius < n:
-        ball = oracle.model.ball(n, cap=cap)
     best: Element | None = None
-    for g in ball.within(n):
+    for g in oracle.model.ball(n, cap=cap):
         if best is None:
             best = g
             continue
@@ -147,8 +145,8 @@ def verify_maxima_ray(oracle: OrderOracle, depth: int,
     B(g_n^-1, n - 1) is negative.
     """
     model = oracle.model
-    ball = model.ball(depth, cap=cap)
-    maxima = [max_of_ball(oracle, n, ball=ball) for n in range(1, depth + 1)]
+    model.ball(depth, cap=cap)  # checks the depth, and grows B(depth) at once
+    maxima = [max_of_ball(oracle, n, cap=cap) for n in range(1, depth + 1)]
 
     length_failures = []
     for n, g in enumerate(maxima, start=1):
@@ -173,7 +171,7 @@ def verify_maxima_ray(oracle: OrderOracle, depth: int,
     negativity_failures = []
     for n in range(1, depth + 1):
         center = inverses[n]
-        for b in ball.within(n - 1).sorted_elements():
+        for b in model.ball(n - 1, cap=cap):
             shifted = center * b
             if oracle.sign(shifted) is not Sign.NEGATIVE:
                 negativity_failures.append(
@@ -272,8 +270,8 @@ def _search(src: Element, dst: Element, nodes,
 
 
 def r_components(oracle: OrderOracle, r: int, radius: int,
-                 cap: int | None = None, traversal: str = "forward",
-                 ball: Ball | None = None) -> ComponentReport:
+                 cap: int | None = None,
+                 traversal: str = "forward") -> ComponentReport:
     """Partition the positives of B(1, R) into classes joined at distance <= r.
 
     Only pairs of in-ball positive elements are joined, which is the
@@ -284,10 +282,10 @@ def r_components(oracle: OrderOracle, r: int, radius: int,
         raise ValueError("r must be >= 1")
     if r > radius:
         raise ValueError("r must not exceed the ball radius")
-    if ball is None or ball.radius < radius:
-        ball = oracle.model.ball(radius, cap=cap, traversal=traversal)
-    positives = oracle.positives(ball.within(radius))
-    jumps = [g for g in ball.within(r).sorted_elements() if not g.is_identity()]
+    model = oracle.model
+    positives = oracle.positives(model.ball(radius, cap=cap, traversal=traversal))
+    jumps = [g for g in model.ball(r, cap=cap, traversal=traversal)
+             if not g.is_identity()]
     if traversal == "reverse":
         positives = list(reversed(positives))
         jumps = list(reversed(jumps))
@@ -315,8 +313,6 @@ class SwampCertificate:
     swamp: frozenset[Element]
     witnesses: tuple[Element, Element]
     verdict: Verdict
-    # the ball around the identity the swamp was cut from, for verify_separation
-    ball: Ball | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         model = self.center.model
@@ -370,8 +366,7 @@ def _reduced_words(model: FreeGroup, radius: int, cap: int | None = None):
 
 def tree_swamp_certificate(oracle: OrderOracle, r: int,
                            search_radius: int | None = None,
-                           cap: int | None = None,
-                           ball: Ball | None = None) -> SwampCertificate:
+                           cap: int | None = None) -> SwampCertificate:
     """The exact free-group swamp: S = g_{r+1}^-1 B(1, r).
 
     The center is the inverse of the radius-(r+1) ball maximum, so S is a
@@ -391,10 +386,8 @@ def tree_swamp_certificate(oracle: OrderOracle, r: int,
     if search_radius <= r + 1:
         raise ValueError("search radius must exceed r + 1")
 
-    if ball is None or ball.radius < r + 1:
-        ball = model.ball(r + 1, cap=cap)
-    center = max_of_ball(oracle, r + 1, ball=ball).inverse()
-    swamp = frozenset(center * b for b in ball.within(r).sorted_elements())
+    center = max_of_ball(oracle, r + 1, cap=cap).inverse()
+    swamp = frozenset(center * b for b in model.ball(r, cap=cap))
     for s in sorted(swamp, key=Element.sort_key):
         if oracle.sign(s) is not Sign.NEGATIVE:
             raise BrokenOrderError(
@@ -420,7 +413,6 @@ def tree_swamp_certificate(oracle: OrderOracle, r: int,
         swamp=swamp,
         witnesses=(ordered[0], ordered[1]),
         verdict=Verdict.CERTIFIED_TREE,
-        ball=ball,
     )
 
 
@@ -442,10 +434,9 @@ def product_column_swamp(oracle: OrderOracle, r: int, radius: int,
     free = model.factors[free_factor]
     if not isinstance(free, FreeGroup):
         raise ModelMismatch("the column swamp needs a free factor")
-    largest = model.ball(max(radius, r + 1), cap=cap)
-    center = max_of_ball(oracle, r + 1, ball=largest).inverse()
+    center = max_of_ball(oracle, r + 1, cap=cap).inverse()
     center_free = model.project(center, free_factor)
-    ball = largest.within(radius)
+    ball = model.ball(radius, cap=cap)
     swamp = set()
     for g in ball.sorted_elements():
         if free.distance(center_free, model.project(g, free_factor)) <= r:
@@ -476,7 +467,6 @@ def product_column_swamp(oracle: OrderOracle, r: int, radius: int,
         swamp=frozenset(swamp),
         witnesses=(ordered[0], ordered[1]),
         verdict=Verdict.EVIDENCE,
-        ball=largest,
     )
 
 
@@ -494,8 +484,8 @@ class SeparationResult:
 
 
 def verify_separation(cert: SwampCertificate, model: GroupModel,
-                      radius: int | None = None, cap: int | None = None,
-                      ball: Ball | None = None) -> SeparationResult:
+                      radius: int | None = None,
+                      cap: int | None = None) -> SeparationResult:
     """Decide whether the swamp separates the witnesses.
 
     Free-group model: structural tree-cut argument; any r-path between two
@@ -505,14 +495,11 @@ def verify_separation(cert: SwampCertificate, model: GroupModel,
     B(1, R) over arbitrary (not only positive) elements. The verdict is
     CertifiedExhaustive only when the reachable region never comes within r
     of the ball boundary, so no path could continue outside; otherwise the
-    search is only Evidence. A given ball around the identity is used when
-    its radius suffices; otherwise one is built.
+    search is only Evidence.
     """
     u, v = cert.witnesses
     if isinstance(model, FreeGroup):
-        if ball is None or ball.radius < cert.r:
-            ball = model.ball(cert.r, cap=cap)
-        full_ball = {cert.center * b for b in ball.within(cert.r)}
+        full_ball = {cert.center * b for b in model.ball(cert.r, cap=cap)}
         bu = _branch_letter(cert.center, u)
         bv = _branch_letter(cert.center, v)
         structural = (
@@ -527,13 +514,11 @@ def verify_separation(cert: SwampCertificate, model: GroupModel,
 
     if radius is None:
         radius = max(u.length, v.length, cert.center.length) + cert.r + 1
-    if ball is None or ball.radius < max(radius, cert.r):
-        ball = model.ball(max(radius, cert.r), cap=cap)
-    allowed = {g for g, d in ball.members.items()
-               if d <= radius and g not in cert.swamp}
+    ball = model.ball(radius, cap=cap)
+    allowed = {g for g in ball.members if g not in cert.swamp}
     if u not in allowed or v not in allowed:
         raise ValueError("witnesses must lie inside the search ball and off S")
-    jumps = [g for g in ball.within(cert.r) if not g.is_identity()]
+    jumps = [g for g in model.ball(cert.r, cap=cap) if not g.is_identity()]
     points, parents = _search(u, v, allowed, jumps)
     if points is not None:
         path = RPath(tuple(points), cert.r)
@@ -557,8 +542,8 @@ def sample_tree_paths(cert: SwampCertificate, model: FreeGroup, count: int,
     rng = random.Random(seed)
     u, v = cert.witnesses
     reach = max(model.distance(cert.center, u), model.distance(cert.center, v))
-    ball = model.ball(reach, cap=cap).translated(cert.center)
-    pool = ball.sorted_elements()
+    pool = sorted((cert.center * b for b in model.ball(reach, cap=cap)),
+                  key=Element.sort_key)
     step = max(cert.r, 1)
     paths = []
     for _ in range(count):
@@ -659,7 +644,8 @@ def product_positive_path(oracle: OrderOracle, g: Element, h: Element,
         positives = [a for a in ball.sorted_elements()
                      if oracle.is_positive(model.embed(a, factor))]
         members = [a for a in positives if a.length <= factor_radius]
-        jumps = [a for a in ball.within(r).sorted_elements() if not a.is_identity()]
+        jumps = [a for a in model.factors[factor].ball(r, cap=cap)
+                 if not a.is_identity()]
         # empirical gate: the restricted cone must form one r-class in the ball
         if len(_partition(members, jumps)) != 1:
             raise FactorNotConnectedAtScale(r, factor_radius, factor)
@@ -759,9 +745,7 @@ def connectivity_survey(oracle: OrderOracle, r: int, radii,
     radii = tuple(sorted(radii))
     if not radii:
         raise ValueError("need at least one radius")
-    ball = oracle.model.ball(radii[-1], cap=cap, traversal=traversal)
-    counts = tuple(r_components(oracle, r, R, cap=cap, traversal=traversal,
-                                ball=ball).count
+    counts = tuple(r_components(oracle, r, R, cap=cap, traversal=traversal).count
                    for R in radii)
     stable = len(set(counts)) == 1
     certificate = None
@@ -771,8 +755,7 @@ def connectivity_survey(oracle: OrderOracle, r: int, radii,
     else:
         if isinstance(oracle.model, FreeGroup):
             try:
-                certificate = tree_swamp_certificate(
-                    oracle, r, cap=cap, ball=ball.within(r + 1))
+                certificate = tree_swamp_certificate(oracle, r, cap=cap)
             except (WitnessNotFound, ModelMismatch):
                 certificate = None
         if certificate is not None:

@@ -24,9 +24,11 @@ and spelling geodesics (`Element.word`, computed when read).
 Every normal form is geodesic, so the word length is the length of the
 canonical word. For the Klein bottle: each generator moves |n| + |m| of
 b^n a^m by at most one, and b^n a^m spells it. Hence a BFS ball B(R) holds
-every smaller ball B(n) with the same exact distances (its members at
-depth <= n, `Ball.within`), and in shortlex order B(n) is a prefix of
-B(R): diagnostics build their largest ball once.
+every smaller ball B(n) with the same exact distances, and in shortlex
+order B(n) is a prefix of B(R), the concatenation of its sorted spheres.
+So each model holds one ball around the identity: `GroupModel.ball(n)`
+grows it sphere by sphere as far as n, enumerating each element once, and
+returns its first |B(n)| members.
 
 The GroupModel methods product_word and inverse_word normalise the
 concatenation or the inverted word; they are the slow reference the tests
@@ -35,8 +37,9 @@ compare the key arithmetic against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice, repeat
 from operator import add, index, neg
 
 from .errors import CapExceeded, ModelMismatch
@@ -105,13 +108,13 @@ class Element:
         return f"<{format_word(self.word)}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ball:
-    """All elements within a given word-metric radius of the center."""
+    """B(radius) around the identity, from GroupModel.ball: its members
+    (element -> word-metric depth) in shortlex order."""
 
-    center: Element
     radius: int
-    members: dict[Element, int] = field(compare=False)
+    members: dict[Element, int]
 
     def __len__(self) -> int:
         return len(self.members)
@@ -120,37 +123,20 @@ class Ball:
         return g in self.members
 
     def __iter__(self):
-        return iter(self._shortlex)
+        return iter(self.members)
 
     def sorted_elements(self) -> list[Element]:
         """The members in shortlex order, as a list the caller may modify."""
-        return list(self._shortlex)
+        return list(self.members)
 
-    @cached_property
-    def _shortlex(self) -> tuple[Element, ...]:
-        # the ball never changes, so it is sorted once
-        return tuple(sorted(self.members, key=Element.sort_key))
 
-    def within(self, n: int) -> "Ball":
-        """B(n): the members at depth <= n of a ball around the identity
-        (this ball when n >= radius). There depth is word length, which
-        shortlex compares first, so the cut's order is a prefix of this
-        ball's, which is sorted once for all its cuts."""
-        if n >= self.radius:
-            return self
-        if n < 0:
-            raise ValueError("radius must be non-negative")
-        if not self.center.is_identity():
-            raise ValueError("only a ball around the identity is cut by depth")
-        cut = Ball(center=self.center, radius=n,
-                   members={g: d for g, d in self.members.items() if d <= n})
-        cut.__dict__["_shortlex"] = self._shortlex[:len(cut)]
-        return cut
+@dataclass(slots=True)
+class _HeldBall:
+    """The ball a model has grown: its members in shortlex order, in a dict
+    that is replaced, never changed, once handed out; sizes[n] = |B(n)|."""
 
-    def translated(self, g: Element) -> "Ball":
-        """The ball g * B: left translation preserves word distances."""
-        moved = {g * h: d for h, d in self.members.items()}
-        return Ball(center=g * self.center, radius=self.radius, members=moved)
+    members: dict[Element, int]
+    sizes: list[int]
 
 
 class GroupModel:
@@ -230,37 +216,64 @@ class GroupModel:
 
     # -- enumeration ------------------------------------------------------
 
+    @cached_property
+    def _held(self) -> _HeldBall:
+        return _HeldBall({self.identity(): 0}, [1])
+
     def ball(self, radius: int, cap: int | None = None,
              traversal: str = "forward") -> Ball:
-        """Breadth-first ball around the identity with exact distances.
+        """B(radius) around the identity, with exact distances.
 
-        Raises CapExceeded as soon as the ball holds more than cap nodes.
+        The model holds one ball, grown by `_grow`, and B(radius) is its
+        first |B(radius)| members. Raises CapExceeded when B(radius) holds
+        more than cap nodes.
         """
         if radius < 0:
             raise ValueError("radius must be non-negative")
         if traversal not in TRAVERSALS:
             raise ValueError(f"traversal must be one of {TRAVERSALS}")
         cap = DEFAULT_CAP if cap is None else cap
+        held = self._held
+        if radius >= len(held.sizes):
+            self._grow(radius, cap, traversal)
+        size = held.sizes[radius]
+        if size > cap:
+            raise CapExceeded(cap + 1, cap, what=f"ball of radius {radius}")
+        if size == len(held.members):
+            return Ball(radius, held.members)
+        return Ball(radius, dict(islice(held.members.items(), size)))
+
+    def _grow(self, radius: int, cap: int, traversal: str) -> None:
+        """Grow the held ball to the radius by BFS, a sphere at a time.
+
+        Around the identity depth is word length, which shortlex compares
+        first, so each new sphere is sorted once and appended. The held ball
+        is replaced only when every sphere is done: CapExceeded, raised as
+        soon as the ball would hold more than cap nodes, leaves it as it was.
+        """
         letters = self.alphabet.letters
         if traversal == "reverse":
             letters = tuple(reversed(letters))
         gens = [self.generators[l] for l in letters]
-        identity = self.identity()
-        members: dict[Element, int] = {identity: 0}
-        frontier = [identity]
-        for depth in range(1, radius + 1):
-            extension = []
+        held = self._held
+        members, sizes = dict(held.members), list(held.sizes)
+        frontier = list(islice(members, sizes[-2] if len(sizes) > 1 else 0,
+                               None))
+        for depth in range(len(sizes), radius + 1):
+            # keyed by Element.key, whose tuple hash runs in C, not in Python
+            sphere: dict[tuple, Element] = {}
             for g in frontier:
                 for x in gens:
                     h = g * x
-                    if h not in members:
-                        members[h] = depth
-                        extension.append(h)
-                        if len(members) > cap:
-                            raise CapExceeded(len(members), cap,
+                    if h.key not in sphere and h not in members:
+                        sphere[h.key] = h
+                        if len(members) + len(sphere) > cap:
+                            raise CapExceeded(cap + 1, cap,
                                               what=f"ball of radius {radius}")
-            frontier = extension
-        return Ball(center=identity, radius=radius, members=members)
+            frontier = sorted(sphere.values(), key=Element.sort_key)
+            members.update(zip(frontier, repeat(depth)))
+            sizes.append(len(members))
+        held.members, held.sizes = members, sizes
 
 
 @dataclass(frozen=True)

@@ -85,10 +85,14 @@ def char_letter(ch: str) -> Letter:
     return index if ch.islower() else -index
 
 
+# letter -> character for every letter of the largest alphabet
+_CHARS = {l: letter_char(l) for i in range(1, _MAX_RANK + 1) for l in (i, -i)}
+
+
 def format_word(word: Word) -> str:
     if not word:
         return "1"
-    return "".join(letter_char(l) for l in word)
+    return "".join(map(_CHARS.__getitem__, word))
 
 
 def parse_word(text: str, alphabet: GeneratorAlphabet | None = None) -> Word:

@@ -281,6 +281,8 @@ MALFORMED = [
                 "dfa": {"states": ["s"], "initial": "s", "accepting": ["s"],
                         "alphabet": "abc",
                         "transitions": {"s": {ch: "s" for ch in "aAbBcC"}}}}),
+    # a negative cutoff, which a ball of that radius used to refuse
+    ("dfa-qg", {**Z2_DFA, "lmax": -1}),
 ]
 
 

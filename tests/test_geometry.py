@@ -210,6 +210,8 @@ def test_tree_swamp_witness_not_found_on_line():
 def test_tree_swamp_sampled_paths_all_meet_s(magnus, f2):
     cert = cs.tree_swamp_certificate(magnus, 2)
     paths = cs.sample_tree_paths(cert, f2, 25, seed=99)
+    # the seed fixes the paths, as the waypoint pool keeps shortlex order
+    assert [len(p) for p in paths[:10]] == [24, 11, 10, 6, 18, 25, 24, 18, 10, 24]
     for path in paths:
         assert path.points[0] == cert.witnesses[0]
         assert path.points[-1] == cert.witnesses[1]
@@ -360,63 +362,91 @@ def test_product_path_random_pairs(zz_lex):
 # -- one ball per diagnostic ---------------------------------------------------------------
 
 @pytest.fixture
-def ball_builds(monkeypatch):
-    """The model of every GroupModel.ball call, in call order."""
-    calls = []
-    build = cs.GroupModel.ball
+def enumerated(monkeypatch):
+    """Counts the elements each model's ball BFS enumerates, the identity
+    included, as [(model kind, count)] over distinct models. A grown ball
+    enumerates nothing more, so the models counted must be fresh."""
+    counts = {}
+    grow = cs.GroupModel._grow
 
-    def counting(self, *args, **kwargs):
-        calls.append(self)
-        return build(self, *args, **kwargs)
-    monkeypatch.setattr(cs.GroupModel, "ball", counting)
-    return calls
+    def counting(self, *args):
+        before = self._held.sizes[-1]
+        grow(self, *args)
+        model, count = counts.get(id(self), (self, 1))
+        counts[id(self)] = model, count + self._held.sizes[-1] - before
+    monkeypatch.setattr(cs.GroupModel, "_grow", counting)
+    return lambda: sorted((m.descriptor()["kind"], n) for m, n in counts.values())
 
 
+def fresh_oracles():
+    """The conftest oracles, on models that hold no ball yet."""
+    magnus = cs.magnus_order(cs.FreeGroup(2))
+    z_natural = cs.hyperplane_order(cs.FreeAbelian(1), [(1, 0)], name="z-natural")
+    return {
+        "magnus": magnus,
+        "hyper_irr": cs.hyperplane_order(cs.FreeAbelian(2), cs.sqrt2_weights(),
+                                         name="hyperplane-irrational"),
+        "f2_leading": cs.lex_pair_sign(magnus, z_natural, leading_factor=0,
+                                       name="f2-leading"),
+        "z_leading": cs.lex_pair_sign(z_natural, magnus, leading_factor=1,
+                                      name="z-leading"),
+    }
+
+
+# name -> (run, the one model it enumerates and |B(its largest radius)|);
+# |B(R)| is 2R^2 + 2R + 1 on Z^2, 1 + 2(3^R - 1) on F2, and
+# sum_i |S_F2(i)| (2(R - i) + 1) on F2 x Z
 ONE_BALL_RUNS = {
-    "ray": lambda o: cs.verify_maxima_ray(o["hyper_irr"], 6),
-    "components": lambda o: cs.r_components(o["magnus"], 2, 4),
-    "survey-prieto": lambda o: cs.connectivity_survey(o["hyper_irr"], 1,
-                                                      [2, 4, 3]),
+    "ray": (lambda o: cs.verify_maxima_ray(o["hyper_irr"], 6), ("abelian", 85)),
+    "components": (lambda o: cs.r_components(o["magnus"], 2, 4), ("free", 161)),
+    "survey-prieto": (lambda o: cs.connectivity_survey(o["hyper_irr"], 1,
+                                                       [2, 4, 3]),
+                      ("abelian", 41)),
     # the counts split, so the survey also builds a tree swamp
-    "survey-hucha": lambda o: cs.connectivity_survey(o["magnus"], 1, [3, 4]),
-    "export-dot": lambda o: cs.export_dot(o["z_leading"], 1, 3),
-    "tree-swamp": lambda o: cs.tree_swamp_certificate(o["magnus"], 1),
-    "column-swamp": lambda o: product_column_swamp(o["f2_leading"], 1, 5),
-    "column-swamp-wide": lambda o: product_column_swamp(o["f2_leading"], 4, 3),
-    "separation": lambda o: cs.verify_separation(
+    "survey-hucha": (lambda o: cs.connectivity_survey(o["magnus"], 1, [3, 4]),
+                     ("free", 161)),
+    "export-dot": (lambda o: cs.export_dot(o["z_leading"], 1, 3), ("product", 99)),
+    "tree-swamp": (lambda o: cs.tree_swamp_certificate(o["magnus"], 1),
+                   ("free", 17)),
+    "column-swamp": (lambda o: product_column_swamp(o["f2_leading"], 1, 5),
+                     ("product", 959)),
+    "column-swamp-wide": (lambda o: product_column_swamp(o["f2_leading"], 4, 3),
+                          ("product", 959)),
+    # the certificate's ball serves the separation check
+    "separation": (lambda o: cs.verify_separation(
         product_column_swamp(o["f2_leading"], 1, 5), o["f2_leading"].model,
-        radius=5),
-    # the certificate and its separation check share one ball
-    "cli-swamp-free": lambda o: run_cli(
-        o["tmp_path"], {**F2_MAGNUS, "width": 1}, "swamp"),
-    "cli-swamp-product": lambda o: run_cli(
+        radius=5), ("product", 959)),
+    "cli-swamp-free": (lambda o: run_cli(
+        o["tmp_path"], {**F2_MAGNUS, "width": 1}, "swamp"), ("free", 17)),
+    "cli-swamp-product": (lambda o: run_cli(
         o["tmp_path"], {**F2XZ_F2_LEADING, "width": 1, "radius": 5}, "swamp"),
+        ("product", 959)),
 }
 
 
 @pytest.mark.parametrize("name", ONE_BALL_RUNS)
-def test_diagnostic_builds_one_ball(ball_builds, name, magnus, hyper_irr,
-                                    z_leading, f2_leading, tmp_path):
-    oracles = {"magnus": magnus, "hyper_irr": hyper_irr,
-               "z_leading": z_leading, "f2_leading": f2_leading,
-               "tmp_path": tmp_path}
+def test_diagnostic_builds_one_ball(enumerated, name, tmp_path):
+    run, expected = ONE_BALL_RUNS[name]
     try:
-        result = ONE_BALL_RUNS[name](oracles)
+        result = run({**fresh_oracles(), "tmp_path": tmp_path})
     except cs.WitnessNotFound:
         result = None
     if name == "survey-hucha":
         assert result.classification is cs.SurveyClass.HUCHA_CERTIFIED
     if name == "cli-swamp-free":
         assert result == 0  # certified-tree
-    # the separation run builds its certificate's ball first
-    assert len(ball_builds) == (2 if name == "separation" else 1)
+    assert enumerated() == [expected]
 
 
-def test_product_path_builds_one_ball_per_factor(ball_builds, zz_lex):
-    M = zz_lex.model
-    # both endpoints need a climb: the path uses every per-factor search
-    cs.product_positive_path(zz_lex, M.element("b"), M.element("aBBBBB"), r=1)
-    assert sorted(map(id, ball_builds)) == sorted(map(id, M.factors))
+def test_product_path_builds_one_ball_per_factor(enumerated):
+    lead = cs.hyperplane_order(cs.FreeAbelian(1), [(1, 0)], name="lead")
+    trail = cs.hyperplane_order(cs.FreeAbelian(1), [(1, 0)], name="trail")
+    oracle = cs.lex_pair_sign(lead, trail, leading_factor=0, name="zz-lex")
+    M = oracle.model
+    # both endpoints need a climb: the path uses every per-factor search;
+    # the factor radius is max(|a|, |b|, 1) + r + 1 = 7, and |B_Z(7)| = 15
+    cs.product_positive_path(oracle, M.element("b"), M.element("aBBBBB"), r=1)
+    assert enumerated() == [("abelian", 15), ("abelian", 15)]
 
 
 # -- survey ----------------------------------------------------------------------------------

@@ -297,26 +297,30 @@ def test_ball_distances_are_exact_bfs_depths(f2xz):
         assert g.length == d
 
 
+def fresh(model):
+    """An equal model that holds no ball yet."""
+    return cs.model_from_descriptor(model.descriptor())
+
+
 @pytest.mark.parametrize("traversal", ["forward", "reverse"])
 @pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
 def test_ball_within_matches_fresh_ball(model, traversal):
-    # GroupModel.ball is the reference for every smaller ball cut by depth
-    big = model.ball(4, traversal=traversal)
-    order = big.sorted_elements()
-    for n in range(5):
-        cut, fresh = big.within(n), model.ball(n, traversal=traversal)
-        assert cut.radius == n and cut.center == fresh.center
-        assert cut.members == fresh.members
-        assert cut.sorted_elements() == fresh.sorted_elements()
-        assert cut.sorted_elements() == order[:len(fresh)]
-    assert big.within(4) is big and big.within(7) is big
+    # a ball within the one the model holds, in any request order, is the
+    # ball a fresh model builds: same members, depths and shortlex order
+    held = fresh(model)
+    for n in (3, 0, 4, 1, 2, 4):
+        ball, reference = held.ball(n, traversal=traversal), fresh(model).ball(n)
+        assert ball.radius == n
+        assert list(ball.members.items()) == list(reference.members.items())
+        assert ball.sorted_elements() == sorted(reference.members,
+                                                key=cs.Element.sort_key)
     with pytest.raises(ValueError):
-        big.within(-1)
+        held.ball(-1)
 
 
 @pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
 def test_ball_within_keeps_sorted_parent_order(model, monkeypatch):
-    big = model.ball(4)
+    held = fresh(model)
     keyed = []
     sort_key = cs.Element.sort_key
 
@@ -324,15 +328,13 @@ def test_ball_within_keeps_sorted_parent_order(model, monkeypatch):
         keyed.append(self)
         return sort_key(self)
     monkeypatch.setattr(cs.Element, "sort_key", counted)
-    # smallest first, and a cut of a cut: the parent is still sorted only once
-    cuts = [list(big.within(n)) for n in range(5)]
-    cuts.append(list(big.within(3).within(2)))
+    # growing in steps and cutting smaller balls sorts each member once
+    # (the identity, sphere 0, is never sorted)
+    balls = [list(held.ball(n)) for n in (2, 0, 4, 1, 3, 4)]
     monkeypatch.undo()
-    assert len(keyed) == len(big)
-    assert cuts == [model.ball(n).sorted_elements() for n in (0, 1, 2, 3, 4, 2)]
-    # away from the identity, depth is not word length and no prefix is cut
-    with pytest.raises(ValueError):
-        big.translated(model.generator(1)).within(2)
+    largest = held.ball(4)
+    assert sorted(keyed, key=cs.Element.sort_key) == list(largest)[1:]
+    assert balls == [list(largest)[:len(held.ball(n))] for n in (2, 0, 4, 1, 3, 4)]
 
 
 def test_ball_cap(f2):
@@ -342,14 +344,26 @@ def test_ball_cap(f2):
     assert err.value.reached == 101
 
 
-def test_ball_center_and_translation(f2):
-    ball = f2.ball(2)
-    g = f2.element("ab")
-    moved = ball.translated(g)
-    assert moved.center == g
-    assert set(moved.members.values()) == set(ball.members.values())
-    for h, d in moved.members.items():
-        assert f2.distance(g, h) == d
+def test_ball_cap_holds_for_a_grown_ball():
+    model = cs.FreeGroup(2)
+    model.ball(4)
+    # |B(3)| = 53: a grown ball is refused exactly as a fresh BFS refuses it
+    for radius in (3, 4, 5):
+        with pytest.raises(cs.CapExceeded) as err:
+            model.ball(radius, cap=52)
+        assert (err.value.reached, err.value.cap) == (53, 52)
+    assert len(model.ball(3, cap=53)) == 53
+
+
+def test_cap_hit_in_mid_growth_keeps_no_partial_sphere():
+    model = cs.FreeGroup(2)
+    model.ball(2)
+    with pytest.raises(cs.CapExceeded) as err:
+        model.ball(4, cap=100)  # |B(3)| = 53 fits, |B(4)| = 161 does not
+    assert err.value.reached == 101
+    assert model._held.sizes == [1, 5, 17] and len(model._held.members) == 17
+    assert list(model.ball(4).members.items()) == list(
+        cs.FreeGroup(2).ball(4).members.items())
 
 
 # -- distances -------------------------------------------------------------------
