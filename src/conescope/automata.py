@@ -317,40 +317,48 @@ def verify_cone_dfa(dfa: ConeDfa, model: GroupModel, radius: int,
     reached = reachable_evaluations(dfa, model, max_length,
                                     node_cap=node_cap, traversal=traversal)
 
-    counterexamples = []
-    identity = model.identity()
-    if identity in reached:
-        counterexamples.append(("identity-in", str(identity)))
+    # the pairs run on keys; an Element is built only to print a finding
+    reached_keys = {g.key for g in reached}
+    ball_keys = {g.key for g in ball}
+    one, inv, mul = model.one, model.inv, model.mul
 
-    in_ball = [g for g in ball.sorted_elements()
-               if not g.is_identity() and g in reached]
+    def show(key) -> str:
+        return str(Element(model, key))
+
+    counterexamples = []
+    if one in reached_keys:
+        counterexamples.append(("identity-in", show(one)))
+
+    in_ball = [g for g in ball if g.key != one and g.key in reached_keys]
     unresolved = []
-    seen: set[Element] = set()
-    for g in ball.sorted_elements():
-        if g.is_identity() or g in seen:
+    seen: set[tuple] = set()
+    for g in ball:
+        key = g.key
+        if key == one or key in seen:
             continue
-        inv = g.inverse()
-        seen.add(g)
-        seen.add(inv)
-        gin, iin = g in reached, inv in reached
+        g_inv = inv(key)
+        seen.add(key)
+        seen.add(g_inv)
+        gin, iin = key in reached_keys, g_inv in reached_keys
         if gin and iin:
-            counterexamples.append(("both-in", str(g), str(inv)))
+            counterexamples.append(("both-in", str(g), show(g_inv)))
         elif not gin and not iin:
             unresolved.append(g)
 
     unresolved_products = []
-    for g in in_ball:
-        for h in in_ball:
-            product = g * h
-            if product not in ball.members:
+    in_keys = [g.key for g in in_ball]
+    for g in in_keys:
+        for h in in_keys:
+            product = mul(g, h)
+            if product not in ball_keys or product in reached_keys:
                 continue
-            if product.is_identity():
+            if product == one:
                 continue  # already reported as both-in
-            if product.inverse() in reached and product not in reached:
+            if inv(product) in reached_keys:
                 counterexamples.append(
-                    ("product-negative", str(g), str(h), str(product)))
-            elif product not in reached:
-                unresolved_products.append((str(g), str(h), str(product)))
+                    ("product-negative", show(g), show(h), show(product)))
+            else:
+                unresolved_products.append((show(g), show(h), show(product)))
 
     if counterexamples:
         verdict = "FAIL"

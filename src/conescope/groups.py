@@ -297,10 +297,12 @@ class FreeGroup(GroupModel):
 
     def mul(self, u: Word, v: Word) -> Word:
         # u and v are reduced, so only the junction can cancel
-        i, n = 0, min(len(u), len(v))
+        if not u or not v or u[-1] != -v[0]:
+            return u + v
+        i, n = 1, min(len(u), len(v))
         while i < n and u[-1 - i] == -v[i]:
             i += 1
-        return u[:len(u) - i] + v[i:] if i else u + v
+        return u[:len(u) - i] + v[i:]
 
     def inv(self, u: Word) -> Word:
         return inverse_word(u)

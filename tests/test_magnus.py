@@ -1,11 +1,13 @@
+import collections
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import conescope as cs
 from conescope.magnus import deglex_key, expand_word, leading_term
-from conescope.words import free_reduce
+from conescope.words import free_reduce, inverse_word
 
 from test_words import words_strategy
 
@@ -105,7 +107,7 @@ def test_magnus_sign_examples():
 
 
 def test_magnus_sign_agrees_with_full_expansion():
-    # iterative deepening must match a single max-degree expansion
+    # the degree-by-degree search must match a single max-degree expansion
     for word in [(1, 2), (-1, 2), (1, 2, -1, -2), (-1, -2, 1, 2),
                  (2, 2, -1), (1, -2, -2, -2)]:
         series = cs.magnus_expand(word, max(len(word), 1))
@@ -137,3 +139,62 @@ def test_magnus_bi_invariance_on_ball(f2, magnus):
         for h in ball.sorted_elements()[:20]:
             conj = h * g * h.inverse()
             assert magnus.sign(conj) is cs.Sign.POSITIVE
+
+
+# -- leading_term by degree against iterative deepening -----------------------
+
+def deepening_leading_term(word):
+    """Re-expand at degree 1, 2, ... until a nonzero term shows."""
+    reduced = free_reduce(word)
+    if not reduced:
+        return None
+    for degree in range(1, len(reduced) + 1):
+        coeffs = expand_word(reduced, degree)
+        candidates = [(m, c) for m, c in coeffs.items() if m and c != 0]
+        if candidates:
+            return min(candidates, key=lambda mc: deglex_key(mc[0]))
+    raise AssertionError(f"expansion of {reduced} vanished")
+
+
+def random_reduced_word(rng, rank, max_length):
+    letters = [l for i in range(1, rank + 1) for l in (i, -i)]
+    word = []
+    for _ in range(rng.randint(0, max_length)):
+        word.append(rng.choice([l for l in letters
+                                if not word or l != -word[-1]]))
+    return tuple(word)
+
+
+def commutator(u, v):
+    return free_reduce(u + v + inverse_word(u) + inverse_word(v))
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_leading_term_matches_deepening_on_random_words(rank):
+    rng = random.Random(rank)
+    words = []
+    for _ in range(2000):
+        u, v, w = (random_reduced_word(rng, rank, 3) for _ in range(3))
+        words.append(random_reduced_word(rng, rank, 14))
+        words.append(commutator(u, v))
+        words.append(commutator(commutator(u, v), w))
+    degrees = collections.Counter()
+    for word in words:
+        expected = deepening_leading_term(word)
+        assert leading_term(word) == expected, word
+        if expected is not None:
+            degrees[len(expected[0])] += 1
+    assert {1, 2, 3, 4} <= set(degrees)
+
+
+@pytest.mark.parametrize("rank, radius", [(2, 7), (3, 4)])
+def test_leading_term_matches_deepening_on_ball(rank, radius):
+    for g in cs.FreeGroup(rank).ball(radius):
+        assert leading_term(g.word) == deepening_leading_term(g.word)
+
+
+def test_leading_term_keeps_unreduced_input_and_rank():
+    # the letters beyond the rank of the word never enter a monomial
+    assert leading_term((3, -3, 1, 2, -1, -2)) == ((1, 2), 1)
+    assert leading_term((2, 3, -2, -3)) == ((2, 3), 1)
+    assert leading_term((-3, 2, 3, -2)) == ((2, 3), 1)
