@@ -310,6 +310,8 @@ def verify_cone_dfa(dfa: ConeDfa, model: GroupModel, radius: int,
     g^-1 reached, or a product of two reached elements whose inverse is
     reached. UNKNOWN when some element of the ball (or some product) is not
     classified by length max_length; PASS otherwise. Default cutoff 4R.
+    Only the products that land in B(1, R) are formed: for each reached g,
+    h runs over `model.landing`.
     """
     if max_length is None:
         max_length = 4 * radius
@@ -319,8 +321,7 @@ def verify_cone_dfa(dfa: ConeDfa, model: GroupModel, radius: int,
 
     # the pairs run on keys; an Element is built only to print a finding
     reached_keys = {g.key for g in reached}
-    ball_keys = {g.key for g in ball}
-    one, inv, mul = model.one, model.inv, model.mul
+    one, inv, mul, landing = model.one, model.inv, model.mul, model.landing
 
     def show(key) -> str:
         return str(Element(model, key))
@@ -346,14 +347,17 @@ def verify_cone_dfa(dfa: ConeDfa, model: GroupModel, radius: int,
             unresolved.append(g)
 
     unresolved_products = []
-    in_keys = [g.key for g in in_ball]
-    for g in in_keys:
-        for h in in_keys:
-            product = mul(g, h)
-            if product not in ball_keys or product in reached_keys:
-                continue
-            if product == one:
-                continue  # already reported as both-in
+    # findings come out in (g, h) ball order: each g's are sorted by h
+    index = {g.key: i for i, g in enumerate(in_ball)}
+    for g in index:
+        found = []
+        for h in landing(g, radius, radius):
+            if h in index:
+                product = mul(g, h)
+                # a product 1 is already reported as both-in
+                if product != one and product not in reached_keys:
+                    found.append((index[h], h, product))
+        for _, h, product in sorted(found):  # h's indices are distinct
             if inv(product) in reached_keys:
                 counterexamples.append(
                     ("product-negative", show(g), show(h), show(product)))

@@ -24,7 +24,6 @@ import json
 import os
 import random
 import sys
-import traceback
 from pathlib import Path
 
 from . import __version__
@@ -415,6 +414,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:
+        import traceback  # only an internal error pays for the import
         traceback.print_exc()
         return EXIT_INTERNAL
     print(summary)

@@ -16,7 +16,8 @@ coordinates in which the model computes:
   so |(g, h)| = |g| + |h|.
 
 Each model implements the same key operations: `one`, `key_of` (read any
-word), `spell` (write the canonical word), `mul`, `inv` and `key_length`.
+word), `spell` (write the canonical word), `mul`, `inv`, `key_length` and
+`landing` (each h with |h| <= reach and |gh| <= out, for the closure checks).
 Products, inverses, distances and lengths compute on keys; words appear
 only at the boundary: parsing, printing, shortlex sorting, Magnus signs
 and spelling geodesics (`Element.word`, computed when read).
@@ -143,7 +144,8 @@ class GroupModel:
     """Shared machinery; concrete kinds fill in the key operations."""
 
     # concrete subclasses define: alphabet, descriptor and the key
-    # operations one, key_of, spell, mul, inv and key_length
+    # operations one, key_of, spell, mul, inv, key_length and landing (each
+    # key h with |h| <= reach and |gh| <= out, exactly once)
 
     @property
     def alphabet(self) -> GeneratorAlphabet:
@@ -206,6 +208,15 @@ class GroupModel:
     def word_length(self, word: Word) -> int:
         """|w| in the word metric: the canonical word is geodesic."""
         return self.key_length(self.key_of(word))
+
+    def _landing_groups(self, g: tuple, out: int, reach: int) -> dict:
+        """(|h|, |gh|) -> the keys h of `landing` with those lengths, so
+        that a direct product hands its second factor what the first leaves."""
+        groups: dict[tuple[int, int], list] = {}
+        length, mul = self.key_length, self.mul
+        for h in self.landing(g, out, reach):
+            groups.setdefault((length(h), length(mul(g, h))), []).append(h)
+        return groups
 
     def distance(self, g: Element, h: Element) -> int:
         """d(g, h) = |g^-1 h|."""
@@ -310,6 +321,31 @@ class FreeGroup(GroupModel):
     def key_length(self, key: Word) -> int:
         return len(key)
 
+    def landing(self, g: Word, out: int, reach: int) -> list:
+        groups = self._landing_groups(g, out, reach).values()
+        return [h for group in groups for h in group]
+
+    def _landing_groups(self, g: Word, out: int, reach: int) -> dict:
+        # h = (last c letters of g)^-1 t cancels exactly c letters of g, so
+        # |h| = c + |t| and |gh| = |g| - c + |t| (Lyndon-Schupp I.1): each
+        # (c, |t|) is one group
+        n, letters, groups = len(g), self.alphabet.letters, {}
+        follow = {l: [x for x in letters if x != -l] for l in letters}
+        for c in range(min(n, reach) + 1):
+            budget = min(out - n + c, reach - c)
+            if budget < 0:
+                continue
+            head = inverse_word(g[n - c:])
+            groups[c, n - c] = [head]
+            # t[0] cancels neither g[-c-1] nor the last letter of head
+            level = [head + (x,) for x in letters
+                     if (c == n or x != -g[n - c - 1]) and (c == 0 or x != g[n - c])]
+            for size in range(1, budget + 1):
+                groups[c + size, n - c + size] = level
+                if size < budget:
+                    level = [h + (x,) for h in level for x in follow[h[-1]]]
+        return groups
+
     def descriptor(self) -> dict:
         return {"kind": "free", "rank": self.rank}
 
@@ -350,6 +386,20 @@ class FreeAbelian(GroupModel):
 
     def key_length(self, key: tuple[int, ...]) -> int:
         return sum(map(abs, key))
+
+    @staticmethod
+    def landing(g: tuple[int, ...], out: int, reach: int) -> list:
+        """Each h with |h| <= reach and |g + h| <= out in the l1 norm,
+        built one coordinate interval at a time."""
+        # a level holds (prefix, reach left, out left): |y| <= r, |x + y| <= o
+        level = [((), reach, out)]
+        for x in g[:-1]:
+            level = [(h + (y,), r - abs(y), o - abs(x + y))
+                     for h, r, o in level
+                     for y in range(max(-r, -o - x), min(r, o - x) + 1)]
+        x = g[-1]
+        return [h + (y,) for h, r, o in level
+                for y in range(max(-r, -o - x), min(r, o - x) + 1)]
 
     def exponents(self, g: Element) -> tuple[int, ...]:
         return g.key
@@ -397,6 +447,11 @@ class KleinBottle(GroupModel):
 
     def key_length(self, key: tuple[int, int]) -> int:
         return abs(key[0]) + abs(key[1])
+
+    def landing(self, g: tuple[int, int], out: int, reach: int) -> list:
+        # gh = (n1 + s n2, m1 + m2) with s = (-1)^m1 and |n1 + s n2| =
+        # |s n1 + n2|: the Z^2 landing of (s n1, m1)
+        return FreeAbelian.landing((-g[0], g[1]) if g[1] % 2 else g, out, reach)
 
     def pair(self, g: Element) -> tuple[int, int]:
         """(n, m) with g equal to b^n a^m."""
@@ -453,6 +508,15 @@ class DirectProduct(GroupModel):
     def key_length(self, key: tuple) -> int:
         return (self.factors[0].key_length(key[0])
                 + self.factors[1].key_length(key[1]))
+
+    def landing(self, g: tuple, out: int, reach: int) -> list:
+        # lengths add: per group of first-factor lengths, one second-factor
+        # landing on the budgets the first factor leaves
+        first, second = self.factors
+        groups = first._landing_groups(g[0], out, reach)
+        return [(h1, h2) for (l1, o1), firsts in groups.items()
+                for h2 in second.landing(g[1], out - o1, reach - l1)
+                for h1 in firsts]
 
     def project(self, g: Element, index: int) -> Element:
         return Element(self.factors[index], g.key[index])

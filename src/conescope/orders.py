@@ -237,7 +237,8 @@ def verify_order_axioms(oracle: OrderOracle, radius: int,
 
     (i) for g != 1 exactly one of g, g^-1 is positive (and neither is
     labelled identity), (ii) sign(1) = Identity, (iii) positive pairs with
-    |gh| <= R have a positive product.
+    |gh| <= R have a positive product. Only products landing in B(1, R)
+    are formed: for each positive g, h runs over `model.landing`.
     """
     model = oracle.model
     ball = model.ball(radius, cap=cap, traversal=traversal)
@@ -247,7 +248,7 @@ def verify_order_axioms(oracle: OrderOracle, radius: int,
 
     # the pairs run on keys; an Element is built only to print a failure
     signs: dict[tuple, Sign] = {g.key: oracle.sign(g) for g in ball}
-    one, inv, mul = model.one, model.inv, model.mul
+    one, inv, mul, landing = model.one, model.inv, model.mul, model.landing
 
     def show(key) -> str:
         return str(Element(model, key))
@@ -267,14 +268,19 @@ def verify_order_axioms(oracle: OrderOracle, radius: int,
         if len(positives) != 1 or Sign.IDENTITY in (sg, si):
             partition_failures.append((show(g), sg.value, show(g_inv), si.value))
 
-    positives_list = [g for g, s in signs.items() if s is Sign.POSITIVE]
-    for g in positives_list:
-        for h in positives_list:
-            product = mul(g, h)
-            sp = signs.get(product, Sign.POSITIVE)  # unchecked beyond R
-            if sp is not Sign.POSITIVE:
-                closure_failures.append((show(g), show(h), show(product),
-                                         sp.value))
+    # failures come out in (g, h) ball order: each g's are sorted by h
+    index = {g: i for i, g in enumerate(signs)}
+    positive = Sign.POSITIVE
+    for g in [g for g, s in signs.items() if s is positive]:
+        found = []
+        for h in landing(g, radius, radius):
+            if signs[h] is positive:
+                product = mul(g, h)
+                if signs[product] is not positive:
+                    found.append((index[h], h, product))
+        for _, h, product in sorted(found):  # h's indices are distinct
+            closure_failures.append((show(g), show(h), show(product),
+                                     signs[product].value))
 
     return AxiomReport(
         oracle_name=oracle.name,

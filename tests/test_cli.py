@@ -336,6 +336,16 @@ def test_internal_error_exit_4(tmp_path, capsys, monkeypatch):
     assert "RuntimeError: boom" in capsys.readouterr().err
 
 
+def test_import_leaves_traceback_unloaded():
+    # only the exit-4 path of main imports traceback
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, conescope.cli; print('traceback' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 KERNEL_CONFIGS = {
     "f2": F2_MAGNUS,
     "z2": Z2_IRR,

@@ -1,12 +1,15 @@
 """The closure loops of verify_order_axioms and verify_cone_dfa against
-Element-level references: whole reports, failure tuples in order."""
+Element-level references over all pairs: whole reports, failure tuples in
+order; and each model's `landing` against a brute-force filter."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import conescope as cs
 from conescope.words import GeneratorAlphabet
 
 from test_automata import all_accepting_f2_dfa
+from test_groups import KERNEL_IDS, KERNEL_MODELS
 
 
 # -- references: every pair through Element arithmetic --------------------------
@@ -124,6 +127,29 @@ def cubic_z2():
                           sign_fn=sign_fn)
 
 
+def twisted_klein():
+    """Antisymmetric on the Klein bottle but not closed: the cone of
+    klein_order with the sign of b^n a^m flipped for odd m and n > 1 (the
+    inverse of b^n a^m keeps n when m is odd)."""
+    def sign_fn(g):
+        n, m = g.key
+        value = (-m if m % 2 and n > 1 else m) or n
+        if value:
+            return cs.Sign.POSITIVE if value > 0 else cs.Sign.NEGATIVE
+        return cs.Sign.IDENTITY
+    return cs.OrderOracle(name="twisted-klein", model=cs.KleinBottle(),
+                          sign_fn=sign_fn)
+
+
+def flipped_magnus(model):
+    """The Magnus order with the sign of every length-2 word flipped:
+    antisymmetric (inversion keeps length) but not closed."""
+    def sign_fn(g):
+        sign = cs.magnus_sign(g.word)
+        return sign.negated() if len(g.key) == 2 else sign
+    return cs.OrderOracle(name="flipped-magnus", model=model, sign_fn=sign_fn)
+
+
 def a_or_aa_dfa():
     """Accepts exactly the words a and AA."""
     sink = {"a": "sink", "A": "sink", "b": "sink", "B": "sink"}
@@ -150,6 +176,9 @@ def axiom_cases():
         (cs.klein_order(cs.KleinBottle()), 4),
         (cs.lex_pair_sign(magnus, z, leading_factor=0), 3),
         (cs.lex_pair_sign(z, magnus, leading_factor=1), 3),
+        (twisted_klein(), 4),
+        (cs.lex_pair_sign(z, flipped_magnus(f2xz.factors[0]),
+                          leading_factor=1), 4),
     ]
 
 
@@ -160,6 +189,7 @@ def dfa_cases():
         (cs.z2_lex_cone_dfa(), z2, 2, 1),
         (cs.z2_lex_cone_dfa(), z2, 3, 2),
         (all_accepting_f2_dfa(), cs.FreeGroup(2), 2, 4),
+        (cs.klein_cone_dfa(), cs.KleinBottle(), 4, 3),
     ]
 
 
@@ -194,8 +224,16 @@ def test_cone_dfa_matches_reference(dfa_reports):
         assert report == expected
 
 
+def test_closure_failures_on_klein_and_product(axiom_reports):
+    # the findings a landing set that drops pairs would lose
+    twisted, flipped = [report for _, report in axiom_reports[-2:]]
+    for report in (twisted, flipped):
+        assert report.closure_failures
+        assert not (report.partition_failures or report.identity_failures)
+
+
 def test_cone_dfa_cases_cover_every_outcome(dfa_reports):
-    only_a, lex_short, lex_longer, free = [r for _, r in dfa_reports]
+    only_a, lex_short, lex_longer, free, klein = [r for _, r in dfa_reports]
     negatives = [c for c in only_a.counterexamples
                  if c[0] == "product-negative"]
     assert negatives[0] == ("product-negative", "a", "a", "aa")
@@ -203,4 +241,21 @@ def test_cone_dfa_cases_cover_every_outcome(dfa_reports):
     assert len(lex_short.unresolved_products) == 4
     assert len(lex_longer.unresolved_products) == 14
     assert {c[0] for c in free.counterexamples} >= {"identity-in", "both-in"}
+    assert len(klein.unresolved_products) == 40
     assert {r.verdict for _, r in dfa_reports} == {"FAIL", "UNKNOWN"}
+
+
+# -- landing sets -----------------------------------------------------------------
+
+@pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_landing_is_every_h_that_lands_once(model, data):
+    keys = [g.key for g in model.ball(4)]
+    g = data.draw(st.sampled_from(keys))
+    out, reach = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    landing = model.landing(g, out, reach)
+    length = model.key_length
+    assert len(landing) == len(set(landing))
+    assert set(landing) == {h for h in keys if length(h) <= reach
+                            and length(model.mul(g, h)) <= out}
