@@ -149,10 +149,10 @@ class Runner:
             if default is None:
                 raise ConfigError(f"config key {key!r} is required")
             return default
-        try:
-            return int(self.config[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config key {key!r} must be an integer") from exc
+        value = self.config[key]
+        if type(value) is not int:  # a bool or float is refused
+            raise ConfigError(f"config key {key!r} must be an integer")
+        return value
 
     # -- dispatch ------------------------------------------------------------
 
@@ -239,9 +239,10 @@ class Runner:
         oracle = self.oracle()
         width = self.int_param("width", 1)
         radii = self.config.get("radii")
-        if not isinstance(radii, list) or not radii:
-            raise ConfigError("survey needs a non-empty list of radii")
-        report = connectivity_survey(oracle, width, [int(R) for R in radii],
+        if (not isinstance(radii, list) or not radii
+                or any(type(R) is not int for R in radii)):
+            raise ConfigError("survey needs a non-empty list of integer radii")
+        report = connectivity_survey(oracle, width, radii,
                                      cap=self.cap, traversal=self.traversal)
         codes = {SurveyClass.PRIETO_CONSISTENT: EXIT_PASS,
                  SurveyClass.HUCHA_CERTIFIED: EXIT_PASS,

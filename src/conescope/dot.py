@@ -21,25 +21,19 @@ def export_dot(oracle: OrderOracle, r: int, radius: int,
     if radius >= 1 and r >= 1:
         comp_index = r_components(oracle, r, radius, cap=cap,
                                   traversal=traversal).component_index()
-    nodes = ball.sorted_elements()
-    node_id = {g: i for i, g in enumerate(nodes)}
     gens = model.generators.values()
 
     lines = ["graph cayley_ball {"]
-    for g in nodes:
+    for i, g in enumerate(ball):
         sign = _SIGN_ATTR[oracle.sign(g)]
         comp = comp_index.get(g, -1)
-        lines.append(f'  n{node_id[g]} [label="{g}", sign={sign}, comp={comp}];')
-    seen: set[tuple[int, int]] = set()
-    for g in nodes:
+        lines.append(f'  n{i} [label="{g}", sign={sign}, comp={comp}];')
+    # node ids are ranks; an edge is met from both ends, written from the lower
+    ranks, size = ball.held.ranks, len(ball)
+    for i, g in enumerate(ball):
         for x in gens:
-            h = g * x
-            if h not in ball.members:
-                continue
-            a, b = node_id[g], node_id[h]
-            key = (min(a, b), max(a, b))
-            if a != b and key not in seen:
-                seen.add(key)
-                lines.append(f"  n{key[0]} -- n{key[1]};")
+            j = ranks.get((g * x).key, size)
+            if i < j < size:
+                lines.append(f"  n{i} -- n{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

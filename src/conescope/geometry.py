@@ -218,7 +218,7 @@ class ComponentReport:
 def _partition(members: list[Element],
                jumps: list[Element]) -> list[list[Element]]:
     """Union-find classes of members joined by right multiplication by a jump."""
-    index = {g: i for i, g in enumerate(members)}
+    index = {g.key: i for i, g in enumerate(members)}
     parent = list(range(len(members)))
 
     def find(i: int) -> int:
@@ -229,7 +229,7 @@ def _partition(members: list[Element],
 
     for i, g in enumerate(members):
         for jump in jumps:
-            j = index.get(g * jump)
+            j = index.get((g * jump).key)
             if j is not None:
                 ri, rj = find(i), find(j)
                 if ri != rj:
@@ -240,32 +240,32 @@ def _partition(members: list[Element],
     return list(classes.values())
 
 
-def _search(src: Element, dst: Element, nodes,
+def _search(src: Element, dst: Element, nodes: dict[tuple, int],
             jumps: list[Element]) -> tuple[list[Element] | None, dict]:
     """Breadth-first parent-pointer search from src to dst inside nodes.
 
-    A step right-multiplies by a jump, and the new neighbours of a node are
-    queued in shortlex order. Returns the path from src to dst (None when
-    dst is unreachable) and the parent map of every node reached.
+    nodes maps keys to shortlex ranks. A step right-multiplies by a jump, and
+    the new neighbours of a node are queued by rank. Returns the path (None
+    when dst is unreachable) and the parents, by key, of every node reached.
     """
-    parents: dict[Element, Element | None] = {src: None}
+    parents: dict[tuple, Element | None] = {src.key: None}
     queue = deque([src])
     while queue:
         current = queue.popleft()
-        if current == dst:
+        if current.key == dst.key:
             path = [current]
-            while parents[path[-1]] is not None:
-                path.append(parents[path[-1]])
+            while parents[path[-1].key] is not None:
+                path.append(parents[path[-1].key])
             path.reverse()
             return path, parents
-        neighbors = []
+        neighbors = {}
         for jump in jumps:
             nxt = current * jump
-            if nxt in nodes and nxt not in parents:
-                neighbors.append(nxt)
-        for nxt in sorted(neighbors, key=Element.sort_key):
-            parents[nxt] = current
-            queue.append(nxt)
+            if nxt.key in nodes and nxt.key not in parents:
+                neighbors[nodes[nxt.key]] = nxt
+        for rank in sorted(neighbors):
+            parents[neighbors[rank].key] = current
+            queue.append(neighbors[rank])
     return None, parents
 
 
@@ -283,16 +283,16 @@ def r_components(oracle: OrderOracle, r: int, radius: int,
     if r > radius:
         raise ValueError("r must not exceed the ball radius")
     model = oracle.model
-    positives = oracle.positives(model.ball(radius, cap=cap, traversal=traversal))
+    ball = model.ball(radius, cap=cap, traversal=traversal)
+    positives, ranks = oracle.positives(ball), ball.held.ranks
     jumps = [g for g in model.ball(r, cap=cap, traversal=traversal)
              if not g.is_identity()]
     if traversal == "reverse":
         positives = list(reversed(positives))
         jumps = list(reversed(jumps))
-    components = sorted(
-        (sorted(members, key=Element.sort_key)
-         for members in _partition(positives, jumps)),
-        key=lambda comp: comp[0].sort_key())
+    components = sorted((sorted(members, key=lambda g: ranks[g.key])
+                         for members in _partition(positives, jumps)),
+                        key=lambda comp: ranks[comp[0].key])
     return ComponentReport(
         oracle_name=oracle.name,
         r=r,
@@ -437,17 +437,15 @@ def product_column_swamp(oracle: OrderOracle, r: int, radius: int,
     center = max_of_ball(oracle, r + 1, cap=cap).inverse()
     center_free = model.project(center, free_factor)
     ball = model.ball(radius, cap=cap)
-    swamp = set()
-    for g in ball.sorted_elements():
-        if free.distance(center_free, model.project(g, free_factor)) <= r:
-            swamp.add(g)
-    for s in sorted(swamp, key=Element.sort_key):
+    swamp = [g for g in ball
+             if free.distance(center_free, model.project(g, free_factor)) <= r]
+    for s in swamp:
         if oracle.sign(s) is not Sign.NEGATIVE:
             raise BrokenOrderError(
                 f"column element {s} is not negative under {oracle.name}")
 
     witness_by_branch: dict[int, Element] = {}
-    for g in ball.sorted_elements():
+    for g in ball:
         gf = model.project(g, free_factor)
         if free.distance(center_free, gf) <= r:
             continue
@@ -515,8 +513,9 @@ def verify_separation(cert: SwampCertificate, model: GroupModel,
     if radius is None:
         radius = max(u.length, v.length, cert.center.length) + cert.r + 1
     ball = model.ball(radius, cap=cap)
-    allowed = {g for g in ball.members if g not in cert.swamp}
-    if u not in allowed or v not in allowed:
+    swamp = {s.key for s in cert.swamp}
+    allowed = {g.key: i for i, g in enumerate(ball) if g.key not in swamp}
+    if u.key not in allowed or v.key not in allowed:
         raise ValueError("witnesses must lie inside the search ball and off S")
     jumps = [g for g in model.ball(cert.r, cap=cap) if not g.is_identity()]
     points, parents = _search(u, v, allowed, jumps)
@@ -526,7 +525,7 @@ def verify_separation(cert: SwampCertificate, model: GroupModel,
         return SeparationResult(verdict=Verdict.NOT_SEPARATING,
                                 avoiding_path=path, explored=len(parents))
     escape_cut = radius - cert.r
-    touched_boundary = any(ball.members[g] > escape_cut for g in parents)
+    touched_boundary = any(model.key_length(g) > escape_cut for g in parents)
     verdict = Verdict.EVIDENCE if touched_boundary else Verdict.CERTIFIED_EXHAUSTIVE
     return SeparationResult(verdict=verdict, explored=len(parents))
 
@@ -641,7 +640,7 @@ def product_positive_path(oracle: OrderOracle, g: Element, h: Element,
     cones = []
     for factor in (0, 1):
         ball = model.factors[factor].ball(max(factor_radius, r, 1), cap=cap)
-        positives = [a for a in ball.sorted_elements()
+        positives = [a for a in ball
                      if oracle.is_positive(model.embed(a, factor))]
         members = [a for a in positives if a.length <= factor_radius]
         jumps = [a for a in model.factors[factor].ball(r, cap=cap)
@@ -649,13 +648,14 @@ def product_positive_path(oracle: OrderOracle, g: Element, h: Element,
         # empirical gate: the restricted cone must form one r-class in the ball
         if len(_partition(members, jumps)) != 1:
             raise FactorNotConnectedAtScale(r, factor_radius, factor)
-        cones.append((positives[:1], members, set(members), jumps))
+        nodes = {a.key: ball.held.ranks[a.key] for a in members}
+        cones.append((positives[:1], members, nodes, jumps))
 
     def factor_path(factor: int, src: Element, dst: Element) -> list[Element]:
         """r-path from src to dst through restricted positives."""
         _, _, nodes, jumps = cones[factor]
         path = None
-        if src in nodes and dst in nodes:
+        if src.key in nodes and dst.key in nodes:
             path, _ = _search(src, dst, nodes, jumps)
         if path is None:
             raise FactorNotConnectedAtScale(r, factor_radius, factor)

@@ -27,9 +27,12 @@ canonical word. For the Klein bottle: each generator moves |n| + |m| of
 b^n a^m by at most one, and b^n a^m spells it. Hence a BFS ball B(R) holds
 every smaller ball B(n) with the same exact distances, and in shortlex
 order B(n) is a prefix of B(R), the concatenation of its sorted spheres.
-So each model holds one ball around the identity: `GroupModel.ball(n)`
-grows it sphere by sphere as far as n, enumerating each element once, and
-returns its first |B(n)| members.
+So each model holds one ball around the identity, the one index of
+shortlex order and membership: `elements` in shortlex order, `ranks`
+(key -> position) and sizes[n] = |B(n)|. `GroupModel.ball(n)` grows it
+sphere by sphere as far as n, enumerating each element once, and returns
+B(n), a view of its first sizes[n] members that copies nothing. A member's
+depth is its `length`, and diagnostics order members by rank.
 
 The GroupModel methods product_word and inverse_word normalise the
 concatenation or the inverted word; they are the slow reference the tests
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import count, islice
 from operator import add, index, neg
 
 from .errors import CapExceeded, ModelMismatch
@@ -109,35 +112,38 @@ class Element:
         return f"<{format_word(self.word)}>"
 
 
+@dataclass(slots=True)
+class _HeldBall:
+    """The ball a model has grown (see the module docs). Growth replaces
+    its lists and dict, never changes them."""
+
+    elements: list[Element]
+    ranks: dict[tuple, int]
+    sizes: list[int]
+
+
 @dataclass(frozen=True, eq=False)
 class Ball:
-    """B(radius) around the identity, from GroupModel.ball: its members
-    (element -> word-metric depth) in shortlex order."""
+    """B(radius) around the identity, from GroupModel.ball: a view of the
+    first |B(radius)| members of the held ball, in shortlex order; its
+    `held.ranks` may also hold keys beyond the radius."""
 
     radius: int
-    members: dict[Element, int]
+    held: _HeldBall
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.held.sizes[self.radius]
 
     def __contains__(self, g: Element) -> bool:
-        return g in self.members
+        rank = self.held.ranks.get(g.key, len(self))
+        return rank < len(self) and self.held.elements[rank] == g
 
     def __iter__(self):
-        return iter(self.members)
+        return islice(self.held.elements, len(self))
 
     def sorted_elements(self) -> list[Element]:
         """The members in shortlex order, as a list the caller may modify."""
-        return list(self.members)
-
-
-@dataclass(slots=True)
-class _HeldBall:
-    """The ball a model has grown: its members in shortlex order, in a dict
-    that is replaced, never changed, once handed out; sizes[n] = |B(n)|."""
-
-    members: dict[Element, int]
-    sizes: list[int]
+        return self.held.elements[:len(self)]
 
 
 class GroupModel:
@@ -229,15 +235,15 @@ class GroupModel:
 
     @cached_property
     def _held(self) -> _HeldBall:
-        return _HeldBall({self.identity(): 0}, [1])
+        return _HeldBall([self.identity()], {self.one: 0}, [1])
 
     def ball(self, radius: int, cap: int | None = None,
              traversal: str = "forward") -> Ball:
         """B(radius) around the identity, with exact distances.
 
-        The model holds one ball, grown by `_grow`, and B(radius) is its
-        first |B(radius)| members. Raises CapExceeded when B(radius) holds
-        more than cap nodes.
+        The model holds one ball, grown by `_grow`, and B(radius) is a view
+        of its first |B(radius)| members. Raises CapExceeded when B(radius)
+        holds more than cap nodes.
         """
         if radius < 0:
             raise ValueError("radius must be non-negative")
@@ -247,12 +253,9 @@ class GroupModel:
         held = self._held
         if radius >= len(held.sizes):
             self._grow(radius, cap, traversal)
-        size = held.sizes[radius]
-        if size > cap:
+        if held.sizes[radius] > cap:
             raise CapExceeded(cap + 1, cap, what=f"ball of radius {radius}")
-        if size == len(held.members):
-            return Ball(radius, held.members)
-        return Ball(radius, dict(islice(held.members.items(), size)))
+        return Ball(radius, held)
 
     def _grow(self, radius: int, cap: int, traversal: str) -> None:
         """Grow the held ball to the radius by BFS, a sphere at a time.
@@ -267,24 +270,25 @@ class GroupModel:
             letters = tuple(reversed(letters))
         gens = [self.generators[l] for l in letters]
         held = self._held
-        members, sizes = dict(held.members), list(held.sizes)
-        frontier = list(islice(members, sizes[-2] if len(sizes) > 1 else 0,
-                               None))
-        for depth in range(len(sizes), radius + 1):
+        elements, ranks = list(held.elements), dict(held.ranks)
+        sizes = list(held.sizes)
+        frontier = elements[sizes[-2] if len(sizes) > 1 else 0:]
+        for _ in range(len(sizes), radius + 1):
             # keyed by Element.key, whose tuple hash runs in C, not in Python
             sphere: dict[tuple, Element] = {}
             for g in frontier:
                 for x in gens:
                     h = g * x
-                    if h.key not in sphere and h not in members:
+                    if h.key not in sphere and h.key not in ranks:
                         sphere[h.key] = h
-                        if len(members) + len(sphere) > cap:
+                        if len(elements) + len(sphere) > cap:
                             raise CapExceeded(cap + 1, cap,
                                               what=f"ball of radius {radius}")
             frontier = sorted(sphere.values(), key=Element.sort_key)
-            members.update(zip(frontier, repeat(depth)))
-            sizes.append(len(members))
-        held.members, held.sizes = members, sizes
+            ranks.update(zip((h.key for h in frontier), count(len(elements))))
+            elements += frontier
+            sizes.append(len(elements))
+        held.elements, held.ranks, held.sizes = elements, ranks, sizes
 
 
 @dataclass(frozen=True)
@@ -549,10 +553,10 @@ def model_from_descriptor(data: dict) -> GroupModel:
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError(f"bad group descriptor: {data!r}")
     kind = data["kind"]
-    if kind == "free":
-        return FreeGroup(int(data["rank"]))
-    if kind == "abelian":
-        return FreeAbelian(int(data["rank"]))
+    if kind in ("free", "abelian"):
+        if type(data["rank"]) is not int:  # a bool or float is refused
+            raise ValueError(f"rank must be an integer, got {data['rank']!r}")
+        return (FreeGroup if kind == "free" else FreeAbelian)(data["rank"])
     if kind == "klein":
         return KleinBottle()
     if kind == "product":

@@ -268,9 +268,8 @@ def verify_order_axioms(oracle: OrderOracle, radius: int,
         if len(positives) != 1 or Sign.IDENTITY in (sg, si):
             partition_failures.append((show(g), sg.value, show(g_inv), si.value))
 
-    # failures come out in (g, h) ball order: each g's are sorted by h
-    index = {g: i for i, g in enumerate(signs)}
-    positive = Sign.POSITIVE
+    # failures come out in (g, h) ball order: each g's are sorted by h's rank
+    index, positive = ball.held.ranks, Sign.POSITIVE
     for g in [g for g, s in signs.items() if s is positive]:
         found = []
         for h in landing(g, radius, radius):
@@ -314,8 +313,8 @@ def order_from_descriptor(data: dict, model: GroupModel) -> OrderOracle:
     if kind == "lex_pair":
         if not isinstance(model, DirectProduct):
             raise ModelMismatch("lex_pair order needs a product model")
-        leading_factor = int(data.get("leading_factor", 0))
-        if leading_factor not in (0, 1):
+        leading_factor = data.get("leading_factor", 0)
+        if type(leading_factor) is not int or leading_factor not in (0, 1):
             raise ValueError("leading_factor must be 0 or 1")
         lead = order_from_descriptor(data["leading"],
                                      model.factors[leading_factor])

@@ -63,11 +63,12 @@ ZERO = QuadraticValue(0, 0)
 
 
 def as_quadratic(value) -> QuadraticValue:
-    """Coerce an int, (p, q) pair or QuadraticValue."""
+    """Coerce an int, (p, q) pair of ints or QuadraticValue; never a float."""
     if isinstance(value, QuadraticValue):
         return value
-    if isinstance(value, int):
+    if type(value) is int:
         return QuadraticValue(value, 0)
-    if isinstance(value, (tuple, list)) and len(value) == 2:
-        return QuadraticValue(int(value[0]), int(value[1]))
+    if (isinstance(value, (tuple, list)) and len(value) == 2
+            and all(type(c) is int for c in value)):
+        return QuadraticValue(*value)
     raise TypeError(f"cannot interpret {value!r} as p + q*sqrt(2)")

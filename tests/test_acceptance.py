@@ -279,10 +279,13 @@ def test_criterion_9_determinism(tmp_path, oracles):
 
 def test_library_level_determinism(oracles):
     """Same partition and certificates from both internal traversal orders."""
-    magnus = oracles["magnus"]
-    fwd = cs.r_components(magnus, 1, 5, traversal="forward")
+    # the reverse calls get models that hold no ball, so their BFS runs
+    magnus = cs.magnus_order(cs.FreeGroup(2))
+    irrational = cs.hyperplane_order(cs.FreeAbelian(2), cs.sqrt2_weights(),
+                                     name="hyperplane-irrational")
+    fwd = cs.r_components(oracles["magnus"], 1, 5, traversal="forward")
     rev = cs.r_components(magnus, 1, 5, traversal="reverse")
     assert fwd == rev
     dot_f = cs.export_dot(oracles["irrational"], 1, 3, traversal="forward")
-    dot_r = cs.export_dot(oracles["irrational"], 1, 3, traversal="reverse")
+    dot_r = cs.export_dot(irrational, 1, 3, traversal="reverse")
     assert dot_f == dot_r

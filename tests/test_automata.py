@@ -10,6 +10,8 @@ import conescope as cs
 from conescope import automata
 from conescope.words import GeneratorAlphabet, format_word
 
+from test_groups import bfs_depths
+
 
 @pytest.fixture(scope="module")
 def zdfa():
@@ -374,12 +376,12 @@ def cubic_quasigeodesic(dfa, model, lam, c, max_length):
     through fractions. Returns (verdict, violation)."""
     lam, c = Fraction(lam), Fraction(c)
     sample = cs.language_sample(dfa, model, max_length)
-    ball = model.ball(max_length)
+    depths = bfs_depths(model.ball(max_length))
     for word in sample.words:
         n = len(word)
         for i in range(n + 1):
             for j in range(i + 1, n + 1):
-                dist = ball.members[model.normal_form(word[i:j])]
+                dist = depths[model.normal_form(word[i:j])]
                 if Fraction(j - i) / lam - c > dist:
                     return "FAIL", (format_word(word), i, j, dist)
     return "PASS", None
@@ -415,8 +417,7 @@ def test_quasigeodesic_matches_cubic_reference_on_random_dfas(seed, model, lam, 
 
 def test_klein_normal_forms_are_geodesic(klein):
     # |b^n a^m| = |n| + |m|: cross-check canonical length against BFS
-    ball = klein.ball(6)
-    for g, d in ball.members.items():
+    for g, d in bfs_depths(klein.ball(6)).items():
         assert len(g.word) == d
 
 

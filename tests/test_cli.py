@@ -283,6 +283,30 @@ MALFORMED = [
                         "transitions": {"s": {ch: "s" for ch in "aAbBcC"}}}}),
     # a negative cutoff, which a ball of that radius used to refuse
     ("dfa-qg", {**Z2_DFA, "lmax": -1}),
+    # a number that is not a JSON integer is refused, never truncated
+    ("axioms", {**F2_MAGNUS, "radius": 2.9}),
+    ("axioms", {**F2_MAGNUS, "radius": True}),
+    ("export-dot", {**F2_MAGNUS, "radius": 2, "width": 1.5}),
+    ("survey", {**F2_MAGNUS, "radii": [2.5, 3.7]}),
+    ("survey", {**F2_MAGNUS, "radii": [3, True]}),
+    ("axioms", {**Z2_IRR, "order": {"kind": "hyperplane",
+                                     "weights": [[1.9, 0], [0, 1]]},
+                "radius": 2}),
+    ("axioms", {**Z2_IRR, "order": {"kind": "hyperplane",
+                                     "weights": [[0.5, 0], [0, 0]]},
+                "radius": 2}),
+    ("axioms", {**Z2_IRR, "order": {"kind": "hyperplane",
+                                     "weights": [[1, 0], [True, 1]]},
+                "radius": 2}),
+    ("ray", {**F2_MAGNUS, "group": {"kind": "free", "rank": 2.0}, "radius": 2}),
+    ("ray", {"group": {"kind": "abelian", "rank": True},
+             "order": {"kind": "hyperplane", "weights": [[1, 0]]}, "radius": 2}),
+    ("components", {**F2XZ_Z_LEADING,
+                    "order": {**F2XZ_Z_LEADING["order"], "leading_factor": True},
+                    "radius": 2}),
+    ("components", {**F2XZ_F2_LEADING,
+                    "order": {**F2XZ_F2_LEADING["order"], "leading_factor": 0.5},
+                    "radius": 2}),
 ]
 
 

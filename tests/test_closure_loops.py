@@ -45,7 +45,7 @@ def reference_order_axioms(oracle, radius):
     for g in positives_list:
         for h in positives_list:
             product = g * h
-            if product in ball.members and signs[product] is not cs.Sign.POSITIVE:
+            if product in ball and signs[product] is not cs.Sign.POSITIVE:
                 closure_failures.append((str(g), str(h), str(product),
                                          signs[product].value))
 
@@ -85,7 +85,7 @@ def reference_cone_dfa(dfa, model, radius, max_length):
     for g in in_ball:
         for h in in_ball:
             product = g * h
-            if product not in ball.members:
+            if product not in ball:
                 continue
             if product.is_identity():
                 continue

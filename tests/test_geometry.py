@@ -6,6 +6,7 @@ import conescope as cs
 from conescope.geometry import SwampCertificate, Verdict, product_column_swamp
 
 from test_cli import F2_MAGNUS, F2XZ_F2_LEADING, run_cli
+from test_groups import bfs_depths
 
 
 def brute_force_components(oracle, r, radius):
@@ -181,16 +182,17 @@ def test_tree_swamp_lazy_scan_matches_full_ball_scan(magnus, f2):
         cert = cs.tree_swamp_certificate(magnus, r)
         center = cs.max_of_ball(magnus, r + 1).inverse()
         horizon = f2.ball(r + 8)
+        depths = bfs_depths(horizon)
         witness_by_branch = {}
         for w in horizon.sorted_elements():
-            if horizon.members[w] <= r or w.word[0] in witness_by_branch:
+            if depths[w] <= r or w.word[0] in witness_by_branch:
                 continue
             if magnus.is_positive(center * w):
                 witness_by_branch[w.word[0]] = center * w
         ordered = [witness_by_branch[l] for l in f2.alphabet.letters
                    if l in witness_by_branch]
         assert cert.center == center
-        assert cert.swamp == {center * b for b in f2.ball(r).members}
+        assert cert.swamp == {center * b for b in f2.ball(r)}
         assert cert.witnesses == (ordered[0], ordered[1])
 
 
@@ -246,7 +248,7 @@ def test_separation_not_separating_in_plane(z2, hyper_irr):
 def test_separation_certified_exhaustive_annulus(z2, hyper_irr):
     # a full annulus encloses the origin: the search space is finite
     ball = z2.ball(6)
-    annulus = frozenset(g for g, d in ball.members.items() if d in (2, 3))
+    annulus = frozenset(g for g, d in bfs_depths(ball).items() if d in (2, 3))
     cert = SwampCertificate(
         r=1, center=z2.element("aa"), swamp=annulus,
         witnesses=(z2.element("b"), z2.from_exponents((0, 5))),
@@ -447,6 +449,32 @@ def test_product_path_builds_one_ball_per_factor(enumerated):
     # the factor radius is max(|a|, |b|, 1) + r + 1 = 7, and |B_Z(7)| = 15
     cs.product_positive_path(oracle, M.element("b"), M.element("aBBBBB"), r=1)
     assert enumerated() == [("abelian", 15), ("abelian", 15)]
+
+
+def test_ball_bounded_diagnostics_order_by_rank(zz_lex, monkeypatch):
+    # once the ball is grown they read the held ball's ranks, and spell no
+    # word to put members in shortlex order
+    o = fresh_oracles()
+    M = zz_lex.model
+    runs = [
+        lambda: cs.r_components(o["magnus"], 2, 4),
+        lambda: cs.r_components(o["z_leading"], 1, 4, traversal="reverse"),
+        lambda: cs.export_dot(o["f2_leading"], 1, 3),
+        lambda: cs.verify_separation(product_column_swamp(o["f2_leading"], 1, 5),
+                                     o["f2_leading"].model, radius=5),
+        lambda: cs.product_positive_path(zz_lex, M.element("b"),
+                                         M.element("aBBBBB"), r=1),
+    ]
+    grown = [run() for run in runs]
+    calls = []
+    sort_key = cs.Element.sort_key
+
+    def counted(self):
+        calls.append(self)
+        return sort_key(self)
+    monkeypatch.setattr(cs.Element, "sort_key", counted)
+    assert [run() for run in runs] == grown
+    assert calls == []
 
 
 # -- survey ----------------------------------------------------------------------------------

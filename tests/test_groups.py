@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -229,6 +230,25 @@ def test_multiplication_associative_on_samples(klein):
 
 # -- balls ----------------------------------------------------------------------
 
+def bfs_depths(ball):
+    """Member -> the BFS sphere that found it, read off the held sizes."""
+    sizes = ball.held.sizes
+    return {g: bisect_right(sizes, i) for i, g in enumerate(ball)}
+
+
+def reference_bfs(model, radius):
+    """B(radius) as element -> depth, by a plain BFS over Elements: the
+    slow reference for the held ball."""
+    depths = {model.identity(): 0}
+    frontier = [model.identity()]
+    for depth in range(1, radius + 1):
+        frontier = [h for h in dict.fromkeys(g * x for g in frontier
+                                             for x in model.generators.values())
+                    if h not in depths]
+        depths.update(dict.fromkeys(frontier, depth))
+    return depths
+
+
 def test_ball_counts_match_closed_forms(f2, z2, klein, f2xz):
     # free: |B(R)| = 1 + 2k((2k-1)^R - 1)/(2k-2), asserted against BFS
     for k in (2, 3):
@@ -254,18 +274,18 @@ def test_ball_counts_match_closed_forms(f2, z2, klein, f2xz):
     for radius in range(0, 7):
         expected = sum(free_sphere(i) * line_sphere(radius - i)
                        for i in range(radius + 1))
-        assert sum(1 for d in ball.members.values() if d == radius) == expected
+        assert sum(1 for d in bfs_depths(ball).values() if d == radius) == expected
 
 
 @pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
 def test_sorted_elements_sorts_once_into_fresh_lists(model):
     ball = model.ball(3)
     first = ball.sorted_elements()
-    assert first == sorted(ball.members, key=cs.Element.sort_key)
+    assert first == sorted(ball, key=cs.Element.sort_key)
     first.reverse()
     first.append(model.identity())
     second = ball.sorted_elements()
-    assert second == sorted(ball.members, key=cs.Element.sort_key)
+    assert second == sorted(ball, key=cs.Element.sort_key)
     assert second is not first
     assert list(ball) == second
 
@@ -277,10 +297,12 @@ def test_ball_examples(f2, z2):
 
 
 def test_ball_reverse_traversal_identical(f2, klein):
+    # each side grows its own ball, so the reverse BFS really runs
     for model in (f2, klein):
-        fwd = model.ball(4, traversal="forward")
-        rev = model.ball(4, traversal="reverse")
-        assert fwd.members == rev.members
+        fwd = fresh(model).ball(4, traversal="forward")
+        rev = fresh(model).ball(4, traversal="reverse")
+        assert fwd.held.elements == rev.held.elements
+        assert fwd.held.ranks == rev.held.ranks
         assert fwd.sorted_elements() == rev.sorted_elements()
 
 
@@ -292,8 +314,7 @@ def test_ball_growth_monotone(klein, f2xz):
 
 
 def test_ball_distances_are_exact_bfs_depths(f2xz):
-    ball = f2xz.ball(4)
-    for g, d in ball.members.items():
+    for g, d in bfs_depths(f2xz.ball(4)).items():
         assert g.length == d
 
 
@@ -311,8 +332,9 @@ def test_ball_within_matches_fresh_ball(model, traversal):
     for n in (3, 0, 4, 1, 2, 4):
         ball, reference = held.ball(n, traversal=traversal), fresh(model).ball(n)
         assert ball.radius == n
-        assert list(ball.members.items()) == list(reference.members.items())
-        assert ball.sorted_elements() == sorted(reference.members,
+        assert list(ball) == list(reference)
+        assert bfs_depths(ball) == bfs_depths(reference)
+        assert ball.sorted_elements() == sorted(reference,
                                                 key=cs.Element.sort_key)
     with pytest.raises(ValueError):
         held.ball(-1)
@@ -335,6 +357,46 @@ def test_ball_within_keeps_sorted_parent_order(model, monkeypatch):
     largest = held.ball(4)
     assert sorted(keyed, key=cs.Element.sort_key) == list(largest)[1:]
     assert balls == [list(largest)[:len(held.ball(n))] for n in (2, 0, 4, 1, 3, 4)]
+
+
+@pytest.mark.parametrize("traversal", ["forward", "reverse"])
+@pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
+def test_held_index_matches_sorted_reference_bfs(model, traversal):
+    # the held ball is the fast path; a plain BFS sorted by sort_key is the
+    # reference, after requests in mixed order
+    held = fresh(model)
+    early = held.ball(1, traversal=traversal)
+    early_members = list(early)
+    for n in (3, 0, 4, 1, 2, 4):
+        ball = held.ball(n, traversal=traversal)
+        reference = reference_bfs(model, n)
+        assert list(ball) == sorted(reference, key=cs.Element.sort_key)
+        assert bfs_depths(ball) == reference
+        assert all(ball.held.ranks[g.key] == i for i, g in enumerate(ball))
+        sizes = ball.held.sizes
+        for m in range(1, n + 1):
+            sphere = ball.held.elements[sizes[m - 1]:sizes[m]]
+            assert all(g.length == m for g in sphere)
+    # a Ball taken before the growth keeps its length, members and membership
+    beyond = held.ball(4).sorted_elements()[len(early_members):]
+    assert len(early) == len(early_members) and list(early) == early_members
+    assert all(g in early for g in early_members)
+    assert not any(g in early for g in beyond)
+    # membership keeps the model check of Element equality
+    other = cs.Element(cs.FreeGroup(5), early_members[-1].key)
+    assert other not in early
+
+
+@pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rank_order_is_shortlex_order(model, data):
+    ball = model.ball(3)
+    ranks = ball.held.ranks
+    subset = data.draw(st.lists(st.sampled_from(ball.sorted_elements()),
+                                unique_by=lambda g: g.key))
+    assert (sorted(subset, key=lambda g: ranks[g.key])
+            == sorted(subset, key=cs.Element.sort_key))
 
 
 def test_ball_cap(f2):
@@ -361,9 +423,10 @@ def test_cap_hit_in_mid_growth_keeps_no_partial_sphere():
     with pytest.raises(cs.CapExceeded) as err:
         model.ball(4, cap=100)  # |B(3)| = 53 fits, |B(4)| = 161 does not
     assert err.value.reached == 101
-    assert model._held.sizes == [1, 5, 17] and len(model._held.members) == 17
-    assert list(model.ball(4).members.items()) == list(
-        cs.FreeGroup(2).ball(4).members.items())
+    held = model._held
+    assert held.sizes == [1, 5, 17]
+    assert len(held.elements) == len(held.ranks) == 17
+    assert list(model.ball(4)) == list(cs.FreeGroup(2).ball(4))
 
 
 # -- distances -------------------------------------------------------------------
@@ -377,9 +440,8 @@ def test_distance_examples(f2, klein):
 
 def test_distance_shortcuts_agree_with_bfs(f2, z2, klein, f2xz):
     for model, radius in ((f2, 4), (z2, 4), (klein, 12), (f2xz, 4)):
-        ball = model.ball(radius)
         identity = model.identity()
-        for g, d in ball.members.items():
+        for g, d in bfs_depths(model.ball(radius)).items():
             assert model.distance(identity, g) == d
 
 
