@@ -211,6 +211,8 @@ class LanguageSample:
 def language_sample(dfa: ConeDfa, model: GroupModel, max_length: int,
                     word_cap: int | None = None) -> LanguageSample:
     """Enumerate the accepted words of length <= max_length (dead-state pruned)."""
+    if max_length < 0:
+        raise ValueError("max_length must be non-negative")
     word_cap = DEFAULT_WORD_CAP if word_cap is None else word_cap
     words: list[Word] = []
     frontier: list[tuple[Word, str]] = [((), dfa.initial)]
@@ -263,6 +265,8 @@ def reachable_evaluations(dfa: ConeDfa, model: GroupModel, max_length: int,
     Pairs whose state cannot reach acceptance are pruned: they contribute
     nothing to ev(L).
     """
+    if max_length < 0:
+        raise ValueError("max_length must be non-negative")
     node_cap = DEFAULT_NODE_CAP if node_cap is None else node_cap
     letters = dfa.alphabet.letters
     if traversal == "reverse":
@@ -310,8 +314,8 @@ def verify_cone_dfa(dfa: ConeDfa, model: GroupModel, radius: int,
     g^-1 reached, or a product of two reached elements whose inverse is
     reached. UNKNOWN when some element of the ball (or some product) is not
     classified by length max_length; PASS otherwise. Default cutoff 4R.
-    Only the products that land in B(1, R) are formed: for each reached g,
-    h runs over `model.landing`.
+    The model's cone-axiom walk (`inverse_pairs`, `closure_misses`) finds
+    the pairs and products.
     """
     if max_length is None:
         max_length = 4 * radius
@@ -319,9 +323,9 @@ def verify_cone_dfa(dfa: ConeDfa, model: GroupModel, radius: int,
     reached = reachable_evaluations(dfa, model, max_length,
                                     node_cap=node_cap, traversal=traversal)
 
-    # the pairs run on keys; an Element is built only to print a finding
+    # the walk runs on keys; an Element is built only to print a finding
     reached_keys = {g.key for g in reached}
-    one, inv, mul, landing = model.one, model.inv, model.mul, model.landing
+    one = model.one
 
     def show(key) -> str:
         return str(Element(model, key))
@@ -332,37 +336,23 @@ def verify_cone_dfa(dfa: ConeDfa, model: GroupModel, radius: int,
 
     in_ball = [g for g in ball if g.key != one and g.key in reached_keys]
     unresolved = []
-    seen: set[tuple] = set()
-    for g in ball:
-        key = g.key
-        if key == one or key in seen:
-            continue
-        g_inv = inv(key)
-        seen.add(key)
-        seen.add(g_inv)
-        gin, iin = key in reached_keys, g_inv in reached_keys
+    for g, g_inv in model.inverse_pairs(ball):
+        gin, iin = g in reached_keys, g_inv in reached_keys
         if gin and iin:
-            counterexamples.append(("both-in", str(g), show(g_inv)))
+            counterexamples.append(("both-in", show(g), show(g_inv)))
         elif not gin and not iin:
-            unresolved.append(g)
+            unresolved.append(Element(model, g))
 
     unresolved_products = []
-    # findings come out in (g, h) ball order: each g's are sorted by h
-    index = {g.key: i for i, g in enumerate(in_ball)}
-    for g in index:
-        found = []
-        for h in landing(g, radius, radius):
-            if h in index:
-                product = mul(g, h)
-                # a product 1 is already reported as both-in
-                if product != one and product not in reached_keys:
-                    found.append((index[h], h, product))
-        for _, h, product in sorted(found):  # h's indices are distinct
-            if inv(product) in reached_keys:
-                counterexamples.append(
-                    ("product-negative", show(g), show(h), show(product)))
-            else:
-                unresolved_products.append((show(g), show(h), show(product)))
+    members = {g.key: rank for rank, g in enumerate(in_ball)}
+    for g, h, gh in model.closure_misses(members, radius):
+        if gh == one:  # already reported as both-in
+            continue
+        if model.inv(gh) in reached_keys:
+            counterexamples.append(
+                ("product-negative", show(g), show(h), show(gh)))
+        else:
+            unresolved_products.append((show(g), show(h), show(gh)))
 
     if counterexamples:
         verdict = "FAIL"
@@ -371,14 +361,10 @@ def verify_cone_dfa(dfa: ConeDfa, model: GroupModel, radius: int,
     else:
         verdict = "PASS"
     return ConeDfaReport(
-        verdict=verdict,
-        radius=radius,
-        max_length=max_length,
-        in_ball=tuple(in_ball),
-        unresolved=tuple(unresolved),
+        verdict=verdict, radius=radius, max_length=max_length,
+        in_ball=tuple(in_ball), unresolved=tuple(unresolved),
         counterexamples=tuple(counterexamples),
-        unresolved_products=tuple(unresolved_products),
-    )
+        unresolved_products=tuple(unresolved_products))
 
 
 @dataclass(frozen=True)
@@ -414,8 +400,6 @@ def quasigeodesic_check(dfa: ConeDfa, model: GroupModel, lam, c,
     c = Fraction(c)
     if lam < 1 or c < 0:
         raise ValueError("need lambda >= 1 and c >= 0")
-    if max_length < 0:
-        raise ValueError("max_length must be non-negative")
     model.alphabet.check_word(dfa.alphabet.letters)
     sample = language_sample(dfa, model, max_length, word_cap=word_cap)
     limit = [math.floor(lam * (d + c)) for d in range(max_length + 1)]

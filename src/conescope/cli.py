@@ -12,9 +12,9 @@ Exit codes: 0 pass/certified, 1 fail/not-separating, 2 unknown/evidence,
 3 usage or configuration error (including any ValueError or TypeError raised
 while reading or running the config), 4 internal error.
 
-Environment: CONESCOPE_CAP overrides the enumeration cap, CONESCOPE_TRAVERSAL
-("forward" or "reverse") flips the internal traversal order; outputs must
-not change with it.
+Environment: CONESCOPE_CAP (a non-negative integer) overrides the
+enumeration cap, CONESCOPE_TRAVERSAL ("forward" or "reverse") flips the
+internal traversal order; outputs must not change with it.
 """
 
 from __future__ import annotations
@@ -123,6 +123,8 @@ class Runner:
                 self.config[key] = value
         self.config_dir = config_dir
         self.cap = int(os.environ.get("CONESCOPE_CAP", DEFAULT_CAP))
+        if self.cap < 0:
+            raise ConfigError("CONESCOPE_CAP must be a non-negative integer")
         self.traversal = os.environ.get("CONESCOPE_TRAVERSAL", "forward")
         if self.traversal not in ("forward", "reverse"):
             raise ConfigError("CONESCOPE_TRAVERSAL must be forward or reverse")
@@ -408,8 +410,12 @@ def main(argv=None) -> int:
                                    "lmax": args.lmax},
                         config_dir=Path(args.config).resolve().parent)
         code, payload, summary = runner.run()
-        _write_reports(Path(args.out), args.command, code, payload, summary,
-                       runner.config)
+        try:
+            _write_reports(Path(args.out), args.command, code, payload,
+                           summary, runner.config)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot write reports to {args.out}: {exc}") from exc
     except (ConescopeError, ValueError, TypeError) as exc:
         # malformed input, whichever layer notices it
         print(f"error: {exc}", file=sys.stderr)

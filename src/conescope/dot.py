@@ -15,18 +15,22 @@ def export_dot(oracle: OrderOracle, r: int, radius: int,
     Node attributes: label (canonical word), sign in {pos, neg, id}, comp
     (component index at width r for positives, -1 otherwise).
     """
+    if r < 0:
+        raise ValueError("width must be non-negative")
     model = oracle.model
     ball = model.ball(radius, cap=cap, traversal=traversal)
     comp_index = {}
     if radius >= 1 and r >= 1:
-        comp_index = r_components(oracle, r, radius, cap=cap,
-                                  traversal=traversal).component_index()
+        components = r_components(oracle, r, radius, cap=cap,
+                                  traversal=traversal).components
+        comp_index = {g.key: i for i, comp in enumerate(components)
+                      for g in comp}
     gens = model.generators.values()
 
     lines = ["graph cayley_ball {"]
     for i, g in enumerate(ball):
         sign = _SIGN_ATTR[oracle.sign(g)]
-        comp = comp_index.get(g, -1)
+        comp = comp_index.get(g.key, -1)
         lines.append(f'  n{i} [label="{g}", sign={sign}, comp={comp}];')
     # node ids are ranks; an edge is met from both ends, written from the lower
     ranks, size = ball.held.ranks, len(ball)

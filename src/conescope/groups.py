@@ -290,6 +290,33 @@ class GroupModel:
             sizes.append(len(elements))
         held.elements, held.ranks, held.sizes = elements, ranks, sizes
 
+    # -- the cone-axiom walk ----------------------------------------------
+
+    def inverse_pairs(self, ball: Ball) -> list[tuple[tuple, tuple]]:
+        """The keys (g, g^-1) once per pair of non-identity members, in
+        ball order: g is the member of the pair met first."""
+        ranks, inv = ball.held.ranks, self.inv
+        keys = [g.key for g in islice(ball, 1, None)]  # rank 0: the identity
+        return [(g, h) for rank, g, h in zip(count(1), keys, map(inv, keys))
+                if rank <= ranks[h]]
+
+    def closure_misses(self, members: dict[tuple, int],
+                       radius: int) -> list[tuple[tuple, tuple, tuple]]:
+        """Each (g, h, gh) of keys with g and h in `members` (keys of
+        B(radius) -> rank) and gh in B(radius) but not in `members`, in
+        (rank g, rank h) order. Only the `landing` products are formed and
+        only the misses are sorted."""
+        mul, landing = self.mul, self.landing
+        misses = []
+        for g, rank in members.items():
+            for h in landing(g, radius, radius):
+                if h in members:
+                    gh = mul(g, h)
+                    if gh not in members:
+                        misses.append((rank, members[h], g, h, gh))
+        misses.sort()  # the (rank g, rank h) pairs are distinct
+        return [miss[2:] for miss in misses]
+
 
 @dataclass(frozen=True)
 class FreeGroup(GroupModel):

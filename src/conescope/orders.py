@@ -22,7 +22,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import AllZeroWeights, ModelMismatch
+from .errors import AllZeroWeights, BrokenOrderError, ModelMismatch
 from .groups import (
     Ball,
     DirectProduct,
@@ -67,6 +67,12 @@ class OrderOracle:
     sign_fn: Callable[[Element], Sign]
     declared_cofinal_central: Element | None = None
     _cache: dict[tuple, Sign] = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        z = self.declared_cofinal_central
+        if z is not None and any(z * x != x * z
+                                 for x in self.model.generators.values()):
+            raise BrokenOrderError(f"declared generator {z} is not central")
 
     def sign(self, g: Element) -> Sign:
         if g.model is not self.model and g.model != self.model:
@@ -237,58 +243,37 @@ def verify_order_axioms(oracle: OrderOracle, radius: int,
 
     (i) for g != 1 exactly one of g, g^-1 is positive (and neither is
     labelled identity), (ii) sign(1) = Identity, (iii) positive pairs with
-    |gh| <= R have a positive product. Only products landing in B(1, R)
-    are formed: for each positive g, h runs over `model.landing`.
+    |gh| <= R have a positive product. The model's cone-axiom walk
+    (`inverse_pairs`, `closure_misses`) finds the pairs and products.
     """
     model = oracle.model
     ball = model.ball(radius, cap=cap, traversal=traversal)
-    partition_failures = []
-    identity_failures = []
-    closure_failures = []
-
-    # the pairs run on keys; an Element is built only to print a failure
+    # the walk runs on keys; an Element is built only to print a failure
     signs: dict[tuple, Sign] = {g.key: oracle.sign(g) for g in ball}
-    one, inv, mul, landing = model.one, model.inv, model.mul, model.landing
+    one, positive = model.one, Sign.POSITIVE
 
     def show(key) -> str:
         return str(Element(model, key))
 
+    identity_failures = []
     if signs[one] is not Sign.IDENTITY:
         identity_failures.append((show(one), signs[one].value))
-
-    seen: set[tuple] = set()
-    for g in signs:
-        if g == one or g in seen:
-            continue
-        g_inv = inv(g)
-        seen.add(g)
-        seen.add(g_inv)
-        sg, si = signs[g], signs[g_inv]
-        positives = [s for s in (sg, si) if s is Sign.POSITIVE]
-        if len(positives) != 1 or Sign.IDENTITY in (sg, si):
-            partition_failures.append((show(g), sg.value, show(g_inv), si.value))
-
-    # failures come out in (g, h) ball order: each g's are sorted by h's rank
-    index, positive = ball.held.ranks, Sign.POSITIVE
-    for g in [g for g, s in signs.items() if s is positive]:
-        found = []
-        for h in landing(g, radius, radius):
-            if signs[h] is positive:
-                product = mul(g, h)
-                if signs[product] is not positive:
-                    found.append((index[h], h, product))
-        for _, h, product in sorted(found):  # h's indices are distinct
-            closure_failures.append((show(g), show(h), show(product),
-                                     signs[product].value))
+    partition_failures = [
+        (show(g), signs[g].value, show(h), signs[h].value)
+        for g, h in model.inverse_pairs(ball)
+        if ((signs[g] is positive) == (signs[h] is positive)
+            or Sign.IDENTITY in (signs[g], signs[h]))]
+    # signs is in ball order, so a key's index there is its rank
+    positives = {g: rank for rank, (g, s) in enumerate(signs.items())
+                 if s is positive}
+    closure_failures = [(show(g), show(h), show(gh), signs[gh].value)
+                        for g, h, gh in model.closure_misses(positives, radius)]
 
     return AxiomReport(
-        oracle_name=oracle.name,
-        radius=radius,
-        checked=len(ball),
+        oracle_name=oracle.name, radius=radius, checked=len(ball),
         partition_failures=tuple(partition_failures),
         identity_failures=tuple(identity_failures),
-        closure_failures=tuple(closure_failures),
-    )
+        closure_failures=tuple(closure_failures))
 
 
 # -- descriptors -------------------------------------------------------------

@@ -307,6 +307,14 @@ MALFORMED = [
     ("components", {**F2XZ_F2_LEADING,
                     "order": {**F2XZ_F2_LEADING["order"], "leading_factor": 0.5},
                     "radius": 2}),
+    # a negative cutoff, even where the empty word is accepted
+    ("dfa-verify", {"group": {"kind": "abelian", "rank": 2}, "radius": 2,
+                    "lmax": -1,
+                    "dfa": {"states": ["s"], "initial": "s", "accepting": ["s"],
+                            "alphabet": "ab",
+                            "transitions": {"s": {ch: "s" for ch in "aAbB"}}}}),
+    # a negative width; width 0 is valid and labels no components
+    ("export-dot", {**F2_MAGNUS, "radius": 2, "width": -3}),
 ]
 
 
@@ -348,6 +356,34 @@ def test_swamp_checks_inputs_before_its_ball(tmp_path, capsys, monkeypatch,
 def test_malformed_config_table_covers_every_command():
     from conescope.cli import COMMANDS
     assert {command for command, _ in MALFORMED} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/reports"],
+                         ids=["existing-file", "under-a-file"])
+def test_unwritable_out_exit_3(tmp_path, capsys, out):
+    (tmp_path / "taken").write_text("not a directory\n")
+    assert run_cli(tmp_path, {**F2_MAGNUS, "radius": 2}, "ray", out=out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write reports to ")
+    assert "Traceback" not in err
+
+
+def test_negative_cap_refused(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CONESCOPE_CAP", "-5")
+    assert run_cli(tmp_path, {**F2_MAGNUS, "radius": 2}, "ray") == 3
+    assert capsys.readouterr().err == (
+        "error: CONESCOPE_CAP must be a non-negative integer\n")
+    # a cap of 0 is valid: dfa-path enumerates no ball
+    monkeypatch.setenv("CONESCOPE_CAP", "0")
+    assert run_cli(tmp_path, {**Z2_DFA, "word": "ab"}, "dfa-path") == 0
+
+
+def test_export_dot_width_0_labels_no_components(tmp_path):
+    assert run_cli(tmp_path, {**F2_MAGNUS, "radius": 2, "width": 0},
+                   "export-dot") == 0
+    dot = (tmp_path / "out" / "ball.dot").read_text()
+    assert dot.count("[label=") == 17
+    assert dot.count("comp=-1") == 17
 
 
 def test_internal_error_exit_4(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,11 @@
 """The closure loops of verify_order_axioms and verify_cone_dfa against
 Element-level references over all pairs: whole reports, failure tuples in
-order; and each model's `landing` against a brute-force filter."""
+order; the shared cone-axiom walk (`inverse_pairs`, `closure_misses`) and
+each model's `landing` against brute-force filters."""
+
+import functools
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -259,3 +264,46 @@ def test_landing_is_every_h_that_lands_once(model, data):
     assert len(landing) == len(set(landing))
     assert set(landing) == {h for h in keys if length(h) <= reach
                             and length(model.mul(g, h)) <= out}
+
+
+# -- the cone-axiom walk ----------------------------------------------------------
+
+@functools.cache
+def brute_walk(model, radius):
+    """The keys of B(radius) in ball order, each (g, g^-1) pair with g met
+    first, and each (g, h, gh) with gh in the ball, over all pairs of keys."""
+    keys = [g.key for g in model.ball(radius)]
+    ranks = {k: i for i, k in enumerate(keys)}
+    products = [(g, h, gh) for g in keys for h in keys
+                for gh in [model.mul(g, h)] if gh in ranks]
+    pairs = [(g, h) for g, h, gh in products
+             if gh == model.one and g != model.one and ranks[g] <= ranks[h]]
+    return keys, pairs, products
+
+
+@pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_walk_matches_brute_force(model, data):
+    radius = data.draw(st.sampled_from([3, 4]))
+    keys, pairs, products = brute_walk(model, radius)
+    assert model.inverse_pairs(model.ball(radius)) == pairs
+    # every non-identity member lies in exactly one pair
+    assert Counter(k for pair in pairs for k in pair) == Counter(keys[1:])
+
+    # a seeded generator: drawing each membership from hypothesis would
+    # exceed its entropy budget on F3 B(4) (937 members)
+    rnd = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    density = data.draw(st.floats(0, 1))
+    chosen = [k for k in keys if rnd.random() < density]
+    # ranks are ball ranks or positions among the members; either orders
+    # the members as the ball does
+    if data.draw(st.booleans()):
+        ranks = {k: i for i, k in enumerate(keys)}
+    else:
+        ranks = {k: i for i, k in enumerate(chosen)}
+    rnd.shuffle(chosen)
+    members = {k: ranks[k] for k in chosen}
+    expected = [(g, h, gh) for g, h, gh in products
+                if g in members and h in members and gh not in members]
+    assert model.closure_misses(members, radius) == expected

@@ -130,7 +130,8 @@ def test_components_traversal_independent(magnus, z_leading):
 def test_components_refine_as_r_grows(magnus):
     fine = cs.r_components(magnus, 1, 5)
     coarse = cs.r_components(magnus, 2, 5)
-    coarse_index = coarse.component_index()
+    coarse_index = {g: i for i, comp in enumerate(coarse.components)
+                    for g in comp}
     for comp in fine.components:
         targets = {coarse_index[g] for g in comp}
         assert len(targets) == 1

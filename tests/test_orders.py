@@ -122,6 +122,16 @@ def test_lex_pair_records_cofinal_center(z_leading, f2_leading):
     assert f2_leading.declared_cofinal_central is None
 
 
+def test_non_central_declaration_is_refused():
+    # the centrality of a declared cofinal generator is checked once, when
+    # the oracle is built, not on every path
+    f2 = cs.FreeGroup(2)
+    with pytest.raises(cs.BrokenOrderError, match="not central"):
+        cs.OrderOracle(name="magnus-a", model=f2,
+                       sign_fn=lambda g: cs.magnus_sign(g.word),
+                       declared_cofinal_central=f2.generator(1))
+
+
 def test_lex_pair_model_mismatch(magnus, z_natural):
     pair = cs.lex_pair_sign(magnus, z_natural)
     with pytest.raises(cs.ModelMismatch):
