@@ -122,9 +122,13 @@ class Runner:
             if value is not None:
                 self.config[key] = value
         self.config_dir = config_dir
-        self.cap = int(os.environ.get("CONESCOPE_CAP", DEFAULT_CAP))
-        if self.cap < 0:
-            raise ConfigError("CONESCOPE_CAP must be a non-negative integer")
+        try:
+            self.cap = int(os.environ.get("CONESCOPE_CAP", DEFAULT_CAP))
+            if self.cap < 0:
+                raise ValueError
+        except ValueError:
+            raise ConfigError(
+                "CONESCOPE_CAP must be a non-negative integer") from None
         self.traversal = os.environ.get("CONESCOPE_TRAVERSAL", "forward")
         if self.traversal not in ("forward", "reverse"):
             raise ConfigError("CONESCOPE_TRAVERSAL must be forward or reverse")

@@ -5,7 +5,8 @@ The operations come in three groups:
 * maxima rays: the ball maxima g_n of an order trace a geodesic ray whose
   inverses carry balls B(g_n^-1, n-1) entirely inside the negative cone;
 * disconnection: r-components of the positive set within a ball, negative
-  swamp certificates (exact on trees, search-bounded elsewhere);
+  swamp certificates (exact on trees, search-bounded elsewhere) whose
+  witnesses come from one scan of the model's held ball;
 * connection: explicit positive paths through a cofinal central copy of Z
   and through the factors of a direct product.
 
@@ -22,19 +23,18 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 from .errors import (
     BrokenOrderError,
-    CapExceeded,
     FactorNotConnectedAtScale,
     ModelMismatch,
     NoDeclaredCofinalCenter,
     PathNotFound,
     WitnessNotFound,
 )
-from .groups import DEFAULT_CAP, DirectProduct, Element, FreeGroup, GroupModel
+from .groups import DirectProduct, Element, FreeGroup, GroupModel
 from .orders import OrderOracle, Sign
-from .words import Word
 
 
 class Verdict(enum.Enum):
@@ -96,22 +96,29 @@ def geodesic_points(g: Element, h: Element) -> list[Element]:
 
 # -- ball maxima -------------------------------------------------------------
 
+def _ball_maxima(oracle: OrderOracle, n: int,
+                 cap: int | None = None) -> list[Element]:
+    """The order-maxima g_0, ..., g_n of B(1, 0), ..., B(1, n): B(k) is a
+    prefix of B(n), so one running comparison over B(n) gives every g_k."""
+    held = oracle.model.ball(n, cap=cap).held
+    best = held.elements[0]
+    maxima = [best]
+    for k in range(1, n + 1):
+        for g in islice(held.elements, held.sizes[k - 1], held.sizes[k]):
+            s = oracle.sign(best.inverse() * g)
+            if s is Sign.IDENTITY and g != best:
+                raise BrokenOrderError(
+                    f"tie between distinct elements {best} and {g}")
+            if s is Sign.POSITIVE:
+                best = g
+        maxima.append(best)
+    return maxima
+
+
 def max_of_ball(oracle: OrderOracle, n: int,
                 cap: int | None = None) -> Element:
     """The unique order-maximum of B(1, n), by pairwise sign comparison."""
-    best: Element | None = None
-    for g in oracle.model.ball(n, cap=cap):
-        if best is None:
-            best = g
-            continue
-        s = oracle.sign(best.inverse() * g)
-        if s is Sign.IDENTITY and g != best:
-            raise BrokenOrderError(
-                f"tie between distinct elements {best} and {g}")
-        if s is Sign.POSITIVE:
-            best = g
-    assert best is not None
-    return best
+    return _ball_maxima(oracle, n, cap=cap)[-1]
 
 
 @dataclass(frozen=True)
@@ -145,8 +152,7 @@ def verify_maxima_ray(oracle: OrderOracle, depth: int,
     B(g_n^-1, n - 1) is negative.
     """
     model = oracle.model
-    model.ball(depth, cap=cap)  # checks the depth, and grows B(depth) at once
-    maxima = [max_of_ball(oracle, n, cap=cap) for n in range(1, depth + 1)]
+    maxima = _ball_maxima(oracle, depth, cap=cap)[1:]
 
     length_failures = []
     for n, g in enumerate(maxima, start=1):
@@ -330,31 +336,23 @@ def _branch_letter(center: Element, g: Element) -> int | None:
     return word[0] if word else None
 
 
-def _reduced_words(model: FreeGroup, radius: int, cap: int | None = None):
-    """Freely reduced words of length <= radius, lazily, in shortlex order.
+def _witnesses(oracle: OrderOracle, candidates, letters,
+               horizon: int) -> tuple[Element, Element]:
+    """The positive witnesses in two branches of a swamp.
 
-    A shortlex-sorted sphere extended by the letters in the fixed order
-    stays sorted, so one sphere is held at a time. Raises CapExceeded once
-    more than cap words have been enumerated.
+    candidates are (branch letter, element) pairs in scan order; the first
+    positive of each branch is kept, and the scan stops once every letter
+    has one. Returns the first two in letter order.
     """
-    cap = DEFAULT_CAP if cap is None else cap
-    letters = model.alphabet.letters
-    sphere: list[Word] = [()]
-    count = 1
-    yield ()
-    for _ in range(radius):
-        extension = []
-        for word in sphere:
-            for letter in letters:
-                if word and word[-1] == -letter:
-                    continue
-                count += 1
-                if count > cap:
-                    raise CapExceeded(count, cap,
-                                      what=f"word scan of radius {radius}")
-                extension.append(word + (letter,))
-                yield extension[-1]
-        sphere = extension
+    found: dict[int, Element] = {}
+    for branch, g in candidates:
+        if branch not in found and oracle.is_positive(g):
+            found[branch] = g
+            if len(found) == len(letters):
+                break
+    if len(found) < 2:
+        raise WitnessNotFound(horizon, f"positives found in {len(found)} branch(es)")
+    return tuple([found[l] for l in letters if l in found][:2])
 
 
 def tree_swamp_certificate(oracle: OrderOracle, r: int,
@@ -367,7 +365,8 @@ def tree_swamp_certificate(oracle: OrderOracle, r: int,
     Witnesses are positive elements found in two distinct branches at the
     center within the search horizon (default r + 8): in each branch the
     shortlex-first positive beyond distance r, with the branches taken in
-    the fixed letter order. The scan stops once every branch has one.
+    the fixed letter order. The scan reads the held ball beyond B(r), grows
+    it only as far as it reaches, and stops once every branch has one.
     """
     model = oracle.model
     if not isinstance(model, FreeGroup):
@@ -386,33 +385,21 @@ def tree_swamp_certificate(oracle: OrderOracle, r: int,
             raise BrokenOrderError(
                 f"swamp element {s} is not negative under {oracle.name}")
 
-    letters = model.alphabet.letters
-    witness_by_branch: dict[int, Element] = {}
-    for word in _reduced_words(model, search_radius, cap=cap):
-        if len(word) <= r or word[0] in witness_by_branch:
-            continue
-        candidate = center * model.normal_form(word)
-        if oracle.sign(candidate) is Sign.POSITIVE:
-            witness_by_branch[word[0]] = candidate
-            if len(witness_by_branch) == len(letters):
-                break
-    if len(witness_by_branch) < 2:
-        raise WitnessNotFound(search_radius,
-                              f"positives found in {len(witness_by_branch)} branch(es)")
-    ordered = [witness_by_branch[l] for l in letters if l in witness_by_branch]
-    return SwampCertificate(
-        r=r,
-        center=center,
-        swamp=swamp,
-        witnesses=(ordered[0], ordered[1]),
-        verdict=Verdict.CERTIFIED_TREE,
-    )
+    def candidates():
+        # the key of a free-group element is its reduced word
+        for k in range(r + 1, search_radius + 1):
+            held = model.ball(k, cap=cap).held
+            for g in islice(held.elements, held.sizes[k - 1], held.sizes[k]):
+                yield g.key[0], center * g
+
+    witnesses = _witnesses(oracle, candidates(), model.alphabet.letters,
+                           search_radius)
+    return SwampCertificate(r, center, swamp, witnesses, Verdict.CERTIFIED_TREE)
 
 
 def product_column_swamp(oracle: OrderOracle, r: int, radius: int,
-                         free_factor: int = 0,
                          cap: int | None = None) -> SwampCertificate:
-    """Negative column swamp in a product with a free leading factor.
+    """Negative column swamp in a product with a free first factor.
 
     The maxima-ray center has the free coordinate c_F carrying a negative
     ball B(c_F, r) in the factor; under a free-leading lexicographic order
@@ -424,41 +411,30 @@ def product_column_swamp(oracle: OrderOracle, r: int, radius: int,
     model = oracle.model
     if not isinstance(model, DirectProduct):
         raise ModelMismatch("column swamps live on product models")
-    free = model.factors[free_factor]
+    free = model.factors[0]
     if not isinstance(free, FreeGroup):
         raise ModelMismatch("the column swamp needs a free factor")
     center = max_of_ball(oracle, r + 1, cap=cap).inverse()
-    center_free = model.project(center, free_factor)
+    center_free = model.project(center, 0)
     ball = model.ball(radius, cap=cap)
     swamp = [g for g in ball
-             if free.distance(center_free, model.project(g, free_factor)) <= r]
+             if free.distance(center_free, model.project(g, 0)) <= r]
     for s in swamp:
         if oracle.sign(s) is not Sign.NEGATIVE:
             raise BrokenOrderError(
                 f"column element {s} is not negative under {oracle.name}")
 
-    witness_by_branch: dict[int, Element] = {}
-    for g in ball:
-        gf = model.project(g, free_factor)
-        if free.distance(center_free, gf) <= r:
-            continue
-        branch = _branch_letter(center_free, gf)
-        if branch is None or branch in witness_by_branch:
-            continue
-        if oracle.sign(g) is Sign.POSITIVE:
-            witness_by_branch[branch] = g
-    if len(witness_by_branch) < 2:
-        raise WitnessNotFound(radius,
-                              f"positives found in {len(witness_by_branch)} branch(es)")
-    ordered = [witness_by_branch[l] for l in free.alphabet.letters
-               if l in witness_by_branch]
-    return SwampCertificate(
-        r=r,
-        center=center,
-        swamp=frozenset(swamp),
-        witnesses=(ordered[0], ordered[1]),
-        verdict=Verdict.EVIDENCE,
-    )
+    def candidates():
+        # each free coordinate beyond distance r of c_F (never c_F itself),
+        # by the first letter of its reduced word seen from c_F
+        for g in ball:
+            word = (center_free.inverse() * model.project(g, 0)).key
+            if len(word) > max(r, 0):
+                yield word[0], g
+
+    witnesses = _witnesses(oracle, candidates(), free.alphabet.letters, radius)
+    return SwampCertificate(r, center, frozenset(swamp), witnesses,
+                            Verdict.EVIDENCE)
 
 
 @dataclass(frozen=True)
@@ -553,8 +529,29 @@ def sample_tree_paths(cert: SwampCertificate, model: FreeGroup, count: int,
 
 # -- positive path constructions ----------------------------------------------
 
-def cofinal_positive_path(oracle: OrderOracle, g: Element, h: Element,
-                          power_budget: int = 10_000) -> RPath:
+# the largest central power s tried by cofinal_positive_path
+_POWER_BUDGET = 10_000
+
+
+def _check_endpoints(oracle: OrderOracle, g: Element, h: Element) -> None:
+    if g.model != oracle.model or h.model != oracle.model:
+        raise ModelMismatch("endpoints do not live in the oracle's model")
+    if not (oracle.is_positive(g) and oracle.is_positive(h)):
+        raise ValueError("both endpoints must be positive")
+
+
+def _cone_path(oracle: OrderOracle, points: list[Element], r: int,
+               kind: str) -> RPath:
+    """The points, repeats dropped, as an r-path checked to stay in the cone."""
+    path = RPath(tuple(_dedupe(points)), r)
+    path.check()
+    for p in path.points:
+        if not oracle.is_positive(p):
+            raise BrokenOrderError(f"{kind} path left the cone at {p}")
+    return path
+
+
+def cofinal_positive_path(oracle: OrderOracle, g: Element, h: Element) -> RPath:
     """Join two positives through the declared cofinal central copy of Z.
 
     Take the geodesic 1-path from g to h, push it up by a central power
@@ -565,24 +562,20 @@ def cofinal_positive_path(oracle: OrderOracle, g: Element, h: Element,
     if z is None:
         raise NoDeclaredCofinalCenter(
             f"oracle {oracle.name} declares no cofinal central generator")
-    model = oracle.model
-    if g.model != model or h.model != model:
-        raise ModelMismatch("endpoints do not live in the oracle's model")
-    if not (oracle.is_positive(g) and oracle.is_positive(h)):
-        raise ValueError("both endpoints must be positive")
+    _check_endpoints(oracle, g, h)
     if oracle.is_negative(z):
         z = z.inverse()
 
     base = geodesic_points(g, h)
-    power = model.identity()
+    power = oracle.model.identity()
     s = 0
-    while s <= power_budget:
+    while s <= _POWER_BUDGET:
         if all(oracle.is_positive(power * p) for p in base):
             break
         power = power * z
         s += 1
     else:
-        raise PathNotFound(f"no positive translate within budget {power_budget}")
+        raise PathNotFound(f"no positive translate within budget {_POWER_BUDGET}")
 
     up = [g]
     for _ in range(s):
@@ -590,18 +583,12 @@ def cofinal_positive_path(oracle: OrderOracle, g: Element, h: Element,
     down = [h]
     for _ in range(s):
         down.append(down[-1] * z)
-    points = _dedupe(up + [power * p for p in base] + list(reversed(down)))
-    path = RPath(tuple(points), 1)
-    path.check()
-    for p in path.points:
-        if not oracle.is_positive(p):
-            raise BrokenOrderError(f"cofinal path left the cone at {p}")
-    return path
+    return _cone_path(oracle, up + [power * p for p in base]
+                      + list(reversed(down)), 1, "cofinal")
 
 
 def product_positive_path(oracle: OrderOracle, g: Element, h: Element,
-                          r: int = 1, factor_radius: int | None = None,
-                          cap: int | None = None) -> RPath:
+                          r: int = 1, cap: int | None = None) -> RPath:
     """Three-leg positive path in a direct product whose factor cones connect.
 
     First both endpoints are normalized so that each coordinate is positive
@@ -614,36 +601,31 @@ def product_positive_path(oracle: OrderOracle, g: Element, h: Element,
     model = oracle.model
     if not isinstance(model, DirectProduct):
         raise ModelMismatch("product paths need a DirectProduct model")
-    if g.model != model or h.model != model:
-        raise ModelMismatch("endpoints do not live in the oracle's model")
-    if not (oracle.is_positive(g) and oracle.is_positive(h)):
-        raise ValueError("both endpoints must be positive")
+    _check_endpoints(oracle, g, h)
 
     coords = [(model.project(g, 0), model.project(g, 1)),
               (model.project(h, 0), model.project(h, 1))]
-    if factor_radius is None:
-        factor_radius = max(max(a.length for a, _ in coords),
-                            max(b.length for _, b in coords), 1) + r + 1
+    factor_radius = max(max(a.length for a, _ in coords),
+                        max(b.length for _, b in coords), 1) + r + 1
 
     # one ball per factor serves the gate and every leg: the restricted
     # positives a, with (a, 1) or (1, a) positive, and the r-jumps
     cones = []
     for factor in (0, 1):
-        ball = model.factors[factor].ball(max(factor_radius, r, 1), cap=cap)
+        ball = model.factors[factor].ball(factor_radius, cap=cap)
         positives = [a for a in ball
                      if oracle.is_positive(model.embed(a, factor))]
-        members = [a for a in positives if a.length <= factor_radius]
         jumps = [a for a in model.factors[factor].ball(r, cap=cap)
                  if not a.is_identity()]
         # empirical gate: the restricted cone must form one r-class in the ball
-        if len(_partition(members, jumps)) != 1:
+        if len(_partition(positives, jumps)) != 1:
             raise FactorNotConnectedAtScale(r, factor_radius, factor)
-        nodes = {a.key: ball.held.ranks[a.key] for a in members}
-        cones.append((positives[:1], members, nodes, jumps))
+        nodes = {a.key: ball.held.ranks[a.key] for a in positives}
+        cones.append((positives[:1], nodes, jumps))
 
     def factor_path(factor: int, src: Element, dst: Element) -> list[Element]:
         """r-path from src to dst through restricted positives."""
-        _, _, nodes, jumps = cones[factor]
+        _, nodes, jumps = cones[factor]
         path = None
         if src.key in nodes and dst.key in nodes:
             path, _ = _search(src, dst, nodes, jumps)
@@ -660,7 +642,7 @@ def product_positive_path(oracle: OrderOracle, g: Element, h: Element,
         one = model.factors[factor].identity()
         if dst.length <= r:
             return _dedupe([one, dst])
-        near = cones[factor][1][:1]
+        near = cones[factor][0]
         if not near or near[0].length > r:
             raise FactorNotConnectedAtScale(r, factor_radius, factor)
         return [one] + factor_path(factor, near[0], dst)
@@ -694,14 +676,8 @@ def product_positive_path(oracle: OrderOracle, g: Element, h: Element,
 
     leg_a = [model.pair(y, b1) for y in factor_path(0, a1, a2)]
     leg_b = [model.pair(a2, z) for z in factor_path(1, b1, b2)]
-
-    points = _dedupe(up_g + leg_a + leg_b + list(reversed(up_h)))
-    path = RPath(tuple(points), r)
-    path.check()
-    for p in path.points:
-        if not oracle.is_positive(p):
-            raise BrokenOrderError(f"product path left the cone at {p}")
-    return path
+    return _cone_path(oracle, up_g + leg_a + leg_b + list(reversed(up_h)), r,
+                      "product")
 
 
 # -- survey --------------------------------------------------------------------

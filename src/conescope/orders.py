@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable
 
 from .errors import AllZeroWeights, BrokenOrderError, ModelMismatch
@@ -33,7 +34,7 @@ from .groups import (
     KleinBottle,
 )
 from .magnus import leading_term
-from .quadratic import QuadraticValue, ZERO, as_quadratic
+from .quadratic import QuadraticValue, as_quadratic, sqrt2_sign
 from .words import Word
 
 
@@ -116,17 +117,10 @@ def magnus_order(model: FreeGroup, name: str = "magnus") -> OrderOracle:
 
 # -- free abelian groups: hyperplane orders --------------------------------
 
-def hyperplane_sign(vector, weights) -> Sign:
-    """Sign of sum(v_i * w_i); exact ties fall back to lex on the vector."""
-    weights = [as_quadratic(w) for w in weights]
-    if len(weights) != len(vector):
-        raise ValueError(f"{len(vector)} coordinates but {len(weights)} weights")
-    if all(w.is_zero() for w in weights):
-        raise AllZeroWeights("hyperplane weights are all zero")
-    total = ZERO
-    for v, w in zip(vector, weights):
-        total = total + w.scaled(v)
-    value_sign = total.sign()
+def _hyperplane_sign(vector, ps, qs) -> Sign:
+    """Sign of sum(v_i * (p_i + q_i sqrt2)), from the integer sums of the
+    v_i p_i and v_i q_i; exact ties fall back to lex on the vector."""
+    value_sign = sqrt2_sign(sum(map(mul, vector, ps)), sum(map(mul, vector, qs)))
     if value_sign != 0:
         return _sign_of_int(value_sign)
     for v in vector:
@@ -135,16 +129,33 @@ def hyperplane_sign(vector, weights) -> Sign:
     return Sign.IDENTITY
 
 
+def _weight_parts(weights) -> tuple[list[int], list[int]]:
+    """The p and q parts of a weight row, refusing an all-zero row."""
+    if all(w.is_zero() for w in weights):
+        raise AllZeroWeights("hyperplane weights are all zero")
+    return [w.p for w in weights], [w.q for w in weights]
+
+
+def hyperplane_sign(vector, weights) -> Sign:
+    """Sign of sum(v_i * w_i); exact ties fall back to lex on the vector."""
+    weights = [as_quadratic(w) for w in weights]
+    if len(weights) != len(vector):
+        raise ValueError(f"{len(vector)} coordinates but {len(weights)} weights")
+    return _hyperplane_sign(vector, *_weight_parts(weights))
+
+
 def hyperplane_order(model: FreeAbelian, weights,
                      name: str = "hyperplane") -> OrderOracle:
+    """The hyperplane order; its weights are checked once, here."""
     if not isinstance(model, FreeAbelian):
         raise ModelMismatch("hyperplane orders live on free abelian groups")
     fixed = tuple(as_quadratic(w) for w in weights)
     if len(fixed) != model.rank:
         raise ValueError(f"need {model.rank} weights, got {len(fixed)}")
+    ps, qs = _weight_parts(fixed)
     return OrderOracle(
         name=name, model=model,
-        sign_fn=lambda g: hyperplane_sign(model.exponents(g), fixed))
+        sign_fn=lambda g: _hyperplane_sign(model.exponents(g), ps, qs))
 
 
 def sqrt2_weights(rank: int = 2) -> list[QuadraticValue]:

@@ -369,13 +369,23 @@ def test_unwritable_out_exit_3(tmp_path, capsys, out):
 
 
 def test_negative_cap_refused(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CONESCOPE_CAP", "-5")
-    assert run_cli(tmp_path, {**F2_MAGNUS, "radius": 2}, "ray") == 3
-    assert capsys.readouterr().err == (
-        "error: CONESCOPE_CAP must be a non-negative integer\n")
+    # a cap that is not an integer gets the same message
+    for cap in ("-5", "abc", "1.5", ""):
+        monkeypatch.setenv("CONESCOPE_CAP", cap)
+        assert run_cli(tmp_path, {**F2_MAGNUS, "radius": 2}, "ray") == 3
+        assert capsys.readouterr().err == (
+            "error: CONESCOPE_CAP must be a non-negative integer\n")
     # a cap of 0 is valid: dfa-path enumerates no ball
     monkeypatch.setenv("CONESCOPE_CAP", "0")
     assert run_cli(tmp_path, {**Z2_DFA, "word": "ab"}, "dfa-path") == 0
+
+
+def test_all_zero_hyperplane_weights_refused(tmp_path, capsys):
+    config = {"group": {"kind": "abelian", "rank": 2}, "radius": 2,
+              "order": {"kind": "hyperplane", "weights": [[0, 0], [0, 0]]}}
+    assert run_cli(tmp_path, config, "ray") == 3
+    assert capsys.readouterr().err == (
+        "error: bad order descriptor: hyperplane weights are all zero\n")
 
 
 def test_export_dot_width_0_labels_no_components(tmp_path):

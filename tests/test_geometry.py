@@ -60,6 +60,37 @@ def test_max_of_ball_detects_ties(f2):
         cs.max_of_ball(sloppy, 1)
 
 
+SHIPPED_ORDERS = ["magnus", "hyper_irr", "hyper_lex", "klein_oracle",
+                  "z_leading", "f2_leading", "z_natural"]
+
+
+@pytest.mark.parametrize("name", SHIPPED_ORDERS)
+def test_ball_maxima_match_brute_force(request, name):
+    # the one maxima scan against the definition: g_n is the member of B(n)
+    # that every other member precedes
+    oracle = request.getfixturevalue(name)
+    depth = 4
+    expected = []
+    for n in range(depth + 1):
+        top = cs.max_of_ball(oracle, n)
+        members = oracle.model.ball(n).sorted_elements()
+        assert top in members
+        assert all(oracle.precedes(h, top) for h in members if h != top)
+        expected.append(top)
+    assert cs.verify_maxima_ray(oracle, depth).maxima == tuple(expected[1:])
+
+
+def test_maxima_ray_detects_ties_like_max_of_ball(f2):
+    sloppy = cs.OrderOracle(
+        name="sloppy", model=f2,
+        sign_fn=lambda g: cs.Sign.IDENTITY)
+    with pytest.raises(cs.BrokenOrderError) as single:
+        cs.max_of_ball(sloppy, 1)
+    with pytest.raises(cs.BrokenOrderError) as ray:
+        cs.verify_maxima_ray(sloppy, 3)
+    assert str(ray.value) == str(single.value)
+
+
 # -- maxima ray -----------------------------------------------------------------
 
 def test_maxima_ray_magnus(magnus):
@@ -194,6 +225,31 @@ def test_tree_swamp_lazy_scan_matches_full_ball_scan(magnus, f2):
                    if l in witness_by_branch]
         assert cert.center == center
         assert cert.swamp == {center * b for b in f2.ball(r)}
+        assert cert.witnesses == (ordered[0], ordered[1])
+
+
+def test_column_swamp_scan_matches_full_ball_scan(f2_leading):
+    # reference: the first positive per branch at c_F over all of B(R), in
+    # ball order with no early stop, the branches then taken in letter order
+    model = f2_leading.model
+    free = model.factors[0]
+    for r, radius in itertools.product((0, 1, 2), (2, 3, 4, 5)):
+        center_free = model.project(cs.max_of_ball(f2_leading, r + 1), 0).inverse()
+        witness_by_branch = {}
+        for g in model.ball(radius).sorted_elements():
+            word = (center_free.inverse() * model.project(g, 0)).word
+            if len(word) <= r or word[0] in witness_by_branch:
+                continue
+            if f2_leading.is_positive(g):
+                witness_by_branch[word[0]] = g
+        ordered = [witness_by_branch[l] for l in free.alphabet.letters
+                   if l in witness_by_branch]
+        if len(ordered) < 2:
+            with pytest.raises(cs.WitnessNotFound):
+                product_column_swamp(f2_leading, r, radius)
+            continue
+        cert = product_column_swamp(f2_leading, r, radius)
+        assert model.project(cert.center, 0) == center_free
         assert cert.witnesses == (ordered[0], ordered[1])
 
 
@@ -398,7 +454,8 @@ def fresh_oracles():
 
 # name -> (run, the one model it enumerates and |B(its largest radius)|);
 # |B(R)| is 2R^2 + 2R + 1 on Z^2, 1 + 2(3^R - 1) on F2, and
-# sum_i |S_F2(i)| (2(R - i) + 1) on F2 x Z
+# sum_i |S_F2(i)| (2(R - i) + 1) on F2 x Z. A tree swamp's witness scan
+# reads the held ball, and at width 1 it reaches B_F2(5), |B_F2(5)| = 485
 ONE_BALL_RUNS = {
     "ray": (lambda o: cs.verify_maxima_ray(o["hyper_irr"], 6), ("abelian", 85)),
     "components": (lambda o: cs.r_components(o["magnus"], 2, 4), ("free", 161)),
@@ -407,10 +464,10 @@ ONE_BALL_RUNS = {
                       ("abelian", 41)),
     # the counts split, so the survey also builds a tree swamp
     "survey-hucha": (lambda o: cs.connectivity_survey(o["magnus"], 1, [3, 4]),
-                     ("free", 161)),
+                     ("free", 485)),
     "export-dot": (lambda o: cs.export_dot(o["z_leading"], 1, 3), ("product", 99)),
     "tree-swamp": (lambda o: cs.tree_swamp_certificate(o["magnus"], 1),
-                   ("free", 17)),
+                   ("free", 485)),
     "column-swamp": (lambda o: product_column_swamp(o["f2_leading"], 1, 5),
                      ("product", 959)),
     "column-swamp-wide": (lambda o: product_column_swamp(o["f2_leading"], 4, 3),
@@ -420,7 +477,7 @@ ONE_BALL_RUNS = {
         product_column_swamp(o["f2_leading"], 1, 5), o["f2_leading"].model,
         radius=5), ("product", 959)),
     "cli-swamp-free": (lambda o: run_cli(
-        o["tmp_path"], {**F2_MAGNUS, "width": 1}, "swamp"), ("free", 17)),
+        o["tmp_path"], {**F2_MAGNUS, "width": 1}, "swamp"), ("free", 485)),
     "cli-swamp-product": (lambda o: run_cli(
         o["tmp_path"], {**F2XZ_F2_LEADING, "width": 1, "radius": 5}, "swamp"),
         ("product", 959)),

@@ -47,6 +47,20 @@ def test_hyperplane_all_zero_weights():
         cs.hyperplane_sign((1, 2), [(0, 0), (0, 0)])
 
 
+def test_hyperplane_order_refuses_all_zero_weights_when_built(z2):
+    with pytest.raises(cs.AllZeroWeights):
+        cs.hyperplane_order(z2, [(0, 0), (0, 0)])
+
+
+@pytest.mark.parametrize("weights", [[(1, 0), (0, 1)], [(1, 0), (0, 0)],
+                                     [(0, -1), (3, 2)], [(2, -1), (-3, 2)]])
+def test_hyperplane_order_matches_hyperplane_sign(z2, weights):
+    # the order sums integer parts; hyperplane_sign is the reference
+    order = cs.hyperplane_order(z2, weights)
+    for g in z2.ball(6).sorted_elements():
+        assert order.sign(g) is cs.hyperplane_sign(z2.exponents(g), weights)
+
+
 def test_irrational_weights_never_tie_on_ball_6(z2):
     # 1*m + sqrt2*n = 0 has no nonzero integer solutions; check on B(6)
     for g in z2.ball(6).sorted_elements():
