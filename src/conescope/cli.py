@@ -80,6 +80,22 @@ def _require(config: dict, key: str):
     return config[key]
 
 
+def _fraction(config: dict, key: str, default: int):
+    """An exact constant: a JSON integer or a string such as "3/2"."""
+    # imported here: `fractions` loads `decimal`, which at module level
+    # raised the peak RSS of every command by about 0.5 MB
+    from fractions import Fraction
+
+    value = config.get(key, default)
+    if type(value) is int or isinstance(value, str):  # never a bool or float
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ConfigError(f"config key {key!r} must be an integer or a fraction "
+                      f"string such as \"3/2\"")
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -335,8 +351,8 @@ class Runner:
     def cmd_dfa_qg(self):
         model = self.model()
         dfa = _load_dfa(_require(self.config, "dfa"), self.config_dir)
-        lam = self.config.get("lambda", 1)
-        c = self.config.get("c", 0)
+        lam = _fraction(self.config, "lambda", 1)
+        c = _fraction(self.config, "c", 0)
         lmax = self.int_param("lmax", 8)
         report = quasigeodesic_check(dfa, model, lam, c, lmax)
         code = EXIT_PASS if report.verdict == "PASS" else EXIT_FAIL

@@ -10,6 +10,9 @@ The operations come in three groups:
 * connection: explicit positive paths through a cofinal central copy of Z
   and through the factors of a direct product.
 
+One breadth-first search on keys in the held ball answers every r-path
+question: r-classes, S-avoiding paths and paths through factor cones.
+
 Coarse connectivity of an infinite set is not finitely decidable, so
 verdicts are stratified: CertifiedTree (structural proof), CertifiedExhaustive
 (complete finite search), Evidence (ball-bounded search), NotSeparating
@@ -214,56 +217,32 @@ class ComponentReport:
                 f"{self.count} class(es) of sizes [{sizes}]")
 
 
-def _partition(members: list[Element],
-               jumps: list[Element]) -> list[list[Element]]:
-    """Union-find classes of members joined by right multiplication by a jump."""
-    index = {g.key: i for i, g in enumerate(members)}
-    parent = list(range(len(members)))
+def _search(model: GroupModel, src: tuple, dst: tuple | None, nodes: dict,
+            jumps: list[tuple]) -> tuple[list[Element] | None, dict]:
+    """Breadth-first parent-pointer search on keys from src to dst in nodes.
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, g in enumerate(members):
-        for jump in jumps:
-            j = index.get((g * jump).key)
-            if j is not None:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    classes: dict[int, list[Element]] = {}
-    for i, g in enumerate(members):
-        classes.setdefault(find(i), []).append(g)
-    return list(classes.values())
-
-
-def _search(src: Element, dst: Element, nodes: dict[tuple, int],
-            jumps: list[Element]) -> tuple[list[Element] | None, dict]:
-    """Breadth-first parent-pointer search from src to dst inside nodes.
-
-    nodes maps keys to shortlex ranks. A step right-multiplies by a jump, and
-    the new neighbours of a node are queued by rank. Returns the path (None
-    when dst is unreachable) and the parents, by key, of every node reached.
+    nodes maps keys to shortlex ranks. A step right-multiplies by a jump,
+    and the new neighbours of a node are queued by rank. Returns the path
+    as elements (None when dst is None or unreachable) and the parents, by
+    key, of every node reached: with dst None, the r-class of src.
     """
-    parents: dict[tuple, Element | None] = {src.key: None}
+    mul = model.mul
+    parents: dict[tuple, tuple | None] = {src: None}
     queue = deque([src])
     while queue:
         current = queue.popleft()
-        if current.key == dst.key:
+        if current == dst:
             path = [current]
-            while parents[path[-1].key] is not None:
-                path.append(parents[path[-1].key])
-            path.reverse()
-            return path, parents
+            while parents[path[-1]] is not None:
+                path.append(parents[path[-1]])
+            return [Element(model, key) for key in reversed(path)], parents
         neighbors = {}
         for jump in jumps:
-            nxt = current * jump
-            if nxt.key in nodes and nxt.key not in parents:
-                neighbors[nodes[nxt.key]] = nxt
+            nxt = mul(current, jump)
+            if nxt in nodes and nxt not in parents:
+                neighbors[nodes[nxt]] = nxt
         for rank in sorted(neighbors):
-            parents[neighbors[rank].key] = current
+            parents[neighbors[rank]] = current
             queue.append(neighbors[rank])
     return None, parents
 
@@ -283,15 +262,19 @@ def r_components(oracle: OrderOracle, r: int, radius: int,
         raise ValueError("r must not exceed the ball radius")
     model = oracle.model
     ball = model.ball(radius, cap=cap, traversal=traversal)
-    positives, ranks = oracle.positives(ball), ball.held.ranks
-    jumps = [g for g in model.ball(r, cap=cap, traversal=traversal)
-             if not g.is_identity()]
+    nodes = {g.key: ball.held.ranks[g.key] for g in oracle.positives(ball)}
+    starts = list(nodes)
+    jumps = [g.key for g in islice(model.ball(r, cap=cap, traversal=traversal),
+                                   1, None)]  # rank 0: the identity
     if traversal == "reverse":
-        positives = list(reversed(positives))
-        jumps = list(reversed(jumps))
-    components = sorted((sorted(members, key=lambda g: ranks[g.key])
-                         for members in _partition(positives, jumps)),
-                        key=lambda comp: ranks[comp[0].key])
+        starts.reverse()
+        jumps.reverse()
+    classes = []
+    for start in starts:
+        if start in nodes:  # each class is popped from nodes once found
+            reached = _search(model, start, None, nodes, jumps)[1]
+            classes.append(sorted(map(nodes.pop, reached)))
+    components = [[ball.held.elements[i] for i in c] for c in sorted(classes)]
     return ComponentReport(
         oracle_name=oracle.name,
         r=r,
@@ -414,11 +397,13 @@ def product_column_swamp(oracle: OrderOracle, r: int, radius: int,
     free = model.factors[0]
     if not isinstance(free, FreeGroup):
         raise ModelMismatch("the column swamp needs a free factor")
+    if r < 0:
+        raise ValueError("width must be non-negative")
     center = max_of_ball(oracle, r + 1, cap=cap).inverse()
-    center_free = model.project(center, 0)
+    back = free.inv(center.key[0])
     ball = model.ball(radius, cap=cap)
-    swamp = [g for g in ball
-             if free.distance(center_free, model.project(g, 0)) <= r]
+    # a free key is the reduced word of c_F^-1 times the free coordinate
+    swamp = [g for g in ball if len(free.mul(back, g.key[0])) <= r]
     for s in swamp:
         if oracle.sign(s) is not Sign.NEGATIVE:
             raise BrokenOrderError(
@@ -428,8 +413,8 @@ def product_column_swamp(oracle: OrderOracle, r: int, radius: int,
         # each free coordinate beyond distance r of c_F (never c_F itself),
         # by the first letter of its reduced word seen from c_F
         for g in ball:
-            word = (center_free.inverse() * model.project(g, 0)).key
-            if len(word) > max(r, 0):
+            word = free.mul(back, g.key[0])
+            if len(word) > r:
                 yield word[0], g
 
     witnesses = _witnesses(oracle, candidates(), free.alphabet.letters, radius)
@@ -486,8 +471,8 @@ def verify_separation(cert: SwampCertificate, model: GroupModel,
     allowed = {g.key: i for i, g in enumerate(ball) if g.key not in swamp}
     if u.key not in allowed or v.key not in allowed:
         raise ValueError("witnesses must lie inside the search ball and off S")
-    jumps = [g for g in model.ball(cert.r, cap=cap) if not g.is_identity()]
-    points, parents = _search(u, v, allowed, jumps)
+    jumps = [g.key for g in islice(model.ball(cert.r, cap=cap), 1, None)]
+    points, parents = _search(model, u.key, v.key, allowed, jumps)
     if points is not None:
         path = RPath(tuple(points), cert.r)
         path.check()
@@ -611,27 +596,27 @@ def product_positive_path(oracle: OrderOracle, g: Element, h: Element,
     # one ball per factor serves the gate and every leg: the restricted
     # positives a, with (a, 1) or (1, a) positive, and the r-jumps
     cones = []
-    for factor in (0, 1):
-        ball = model.factors[factor].ball(factor_radius, cap=cap)
+    for factor, group in enumerate(model.factors):
+        ball = group.ball(factor_radius, cap=cap)
         positives = [a for a in ball
                      if oracle.is_positive(model.embed(a, factor))]
-        jumps = [a for a in model.factors[factor].ball(r, cap=cap)
-                 if not a.is_identity()]
-        # empirical gate: the restricted cone must form one r-class in the ball
-        if len(_partition(positives, jumps)) != 1:
-            raise FactorNotConnectedAtScale(r, factor_radius, factor)
         nodes = {a.key: ball.held.ranks[a.key] for a in positives}
+        jumps = [a.key for a in islice(group.ball(r, cap=cap), 1, None)]
+        # empirical gate: the restricted cone must form one r-class in the
+        # ball, so one search from its first positive reaches all of it
+        if not positives or len(_search(group, positives[0].key, None, nodes,
+                                        jumps)[1]) != len(nodes):
+            raise FactorNotConnectedAtScale(r, factor_radius, factor)
         cones.append((positives[:1], nodes, jumps))
 
     def factor_path(factor: int, src: Element, dst: Element) -> list[Element]:
         """r-path from src to dst through restricted positives."""
         _, nodes, jumps = cones[factor]
-        path = None
-        if src.key in nodes and dst.key in nodes:
-            path, _ = _search(src, dst, nodes, jumps)
-        if path is None:
+        if src.key not in nodes or dst.key not in nodes:
             raise FactorNotConnectedAtScale(r, factor_radius, factor)
-        return path
+        # the gate made nodes one r-class, so the search reaches dst
+        return _search(model.factors[factor], src.key, dst.key, nodes,
+                       jumps)[0]
 
     def ladder(factor: int, dst: Element) -> list[Element]:
         """[1, p_1, ..., dst] with every point after 1 restricted-positive.

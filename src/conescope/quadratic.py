@@ -35,31 +35,8 @@ class QuadraticValue:
         if not isinstance(self.p, int) or not isinstance(self.q, int):
             raise TypeError("QuadraticValue components must be integers")
 
-    def sign(self) -> int:
-        return sqrt2_sign(self.p, self.q)
-
     def is_zero(self) -> bool:
         return self.p == 0 and self.q == 0
-
-    def __add__(self, other: "QuadraticValue") -> "QuadraticValue":
-        return QuadraticValue(self.p + other.p, self.q + other.q)
-
-    def __neg__(self) -> "QuadraticValue":
-        return QuadraticValue(-self.p, -self.q)
-
-    def scaled(self, k: int) -> "QuadraticValue":
-        return QuadraticValue(k * self.p, k * self.q)
-
-    def __str__(self) -> str:
-        if self.q == 0:
-            return str(self.p)
-        if self.p == 0:
-            return f"{self.q}*sqrt2"
-        op = "+" if self.q > 0 else "-"
-        return f"{self.p}{op}{abs(self.q)}*sqrt2"
-
-
-ZERO = QuadraticValue(0, 0)
 
 
 def as_quadratic(value) -> QuadraticValue:

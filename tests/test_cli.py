@@ -156,6 +156,11 @@ def test_dfa_verify_and_paths(tmp_path):
               "lambda": 1, "c": 0, "lmax": 8}
     assert run_cli(tmp_path, config, "dfa-qg") == 0
 
+    config = {**config, "lambda": "3/2", "c": "1/4"}
+    assert run_cli(tmp_path, config, "dfa-qg") == 0
+    report = json.loads((tmp_path / "out" / "dfa-qg.report.json").read_text())
+    assert (report["result"]["lambda"], report["result"]["c"]) == ("3/2", "1/4")
+
 
 def test_dfa_from_file(tmp_path):
     (tmp_path / "machine.json").write_text(json.dumps(Z2_LEX_DFA))
@@ -315,6 +320,9 @@ MALFORMED = [
                             "transitions": {"s": {ch: "s" for ch in "aAbB"}}}}),
     # a negative width; width 0 is valid and labels no components
     ("export-dot", {**F2_MAGNUS, "radius": 2, "width": -3}),
+    # exact constants are integers or fraction strings, never a bool or float
+    ("dfa-qg", {**Z2_DFA, "lambda": True}),
+    ("dfa-qg", {**Z2_DFA, "c": 0.1}),
 ]
 
 
@@ -341,11 +349,14 @@ SWAMP_CHECKED_FIRST = [
                 "trailing": {"kind": "magnus"}},
       "width": 1, "radius": 30},
      "the column swamp needs a free factor"),
+    ({**F2XZ_F2_LEADING, "width": -1, "radius": 30},
+     "width must be non-negative"),
 ]
 
 
 @pytest.mark.parametrize("config,message", SWAMP_CHECKED_FIRST,
-                         ids=["search-radius", "width", "free-factor"])
+                         ids=["search-radius", "width", "free-factor",
+                              "column-width"])
 def test_swamp_checks_inputs_before_its_ball(tmp_path, capsys, monkeypatch,
                                              config, message):
     monkeypatch.setenv("CONESCOPE_CAP", "1000")

@@ -133,10 +133,12 @@ def test_components_magnus_disconnected(magnus):
 
 
 def test_components_match_brute_force(magnus, hyper_irr, klein_oracle,
-                                      z_leading):
+                                      z_leading, f2_leading):
     for oracle, r, radius in ((magnus, 1, 4), (magnus, 2, 4),
                               (hyper_irr, 1, 4), (klein_oracle, 1, 4),
-                              (z_leading, 1, 3)):
+                              (z_leading, 1, 3), (f2_leading, 1, 4),
+                              (z_leading, 2, 4), (klein_oracle, 2, 4),
+                              (hyper_irr, 2, 4)):
         mine = cs.r_components(oracle, r, radius)
         brute = brute_force_components(oracle, r, radius)
         assert [list(c) for c in mine.components] == [list(c) for c in brute]
@@ -531,6 +533,28 @@ def test_ball_bounded_diagnostics_order_by_rank(zz_lex, monkeypatch):
         calls.append(self)
         return sort_key(self)
     monkeypatch.setattr(cs.Element, "sort_key", counted)
+    assert [run() for run in runs] == grown
+    assert calls == []
+
+
+def test_r_path_searches_multiply_keys_not_elements(monkeypatch):
+    # once the ball is held, the searches step on keys with model.mul and
+    # make no Element product
+    o = fresh_oracles()
+    cert = product_column_swamp(o["f2_leading"], 1, 5)
+    runs = [
+        lambda: cs.r_components(o["z_leading"], 1, 5),
+        lambda: cs.r_components(o["magnus"], 2, 5, traversal="reverse"),
+        lambda: cs.verify_separation(cert, o["f2_leading"].model, radius=5),
+    ]
+    grown = [run() for run in runs]
+    calls = []
+    multiply = cs.GroupModel.multiply
+
+    def counted(self, g, h):
+        calls.append((g, h))
+        return multiply(self, g, h)
+    monkeypatch.setattr(cs.GroupModel, "multiply", counted)
     assert [run() for run in runs] == grown
     assert calls == []
 

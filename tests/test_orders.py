@@ -21,11 +21,7 @@ def test_sqrt2_sign_cases():
     assert sqrt2_sign(-3, 2) == -1
 
 
-def test_quadratic_value_arithmetic():
-    v = QuadraticValue(1, -1) + QuadraticValue(2, 1)
-    assert v == QuadraticValue(3, 0)
-    assert (-QuadraticValue(1, 2)).sign() == -1
-    assert QuadraticValue(1, 1).scaled(-2) == QuadraticValue(-2, -2)
+def test_quadratic_value_refuses_floats():
     with pytest.raises(TypeError):
         QuadraticValue(1.5, 0)
 
