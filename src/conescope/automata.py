@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .errors import CapExceeded, NotAccepted
@@ -28,35 +28,40 @@ DEFAULT_NODE_CAP = 2_000_000
 DEFAULT_WORD_CAP = 500_000
 
 
-@dataclass(frozen=True)
 class ConeDfa:
     """A total deterministic automaton (states, accepting, initial, alphabet, tau)."""
 
-    states: tuple[str, ...]
-    initial: str
-    accepting: frozenset[str]
-    alphabet: GeneratorAlphabet
-    transitions: dict[str, dict[str, str]]
-
-    def __post_init__(self):
-        if not self.states:
+    def __init__(self, states: tuple[str, ...], initial: str,
+                 accepting: frozenset[str], alphabet: GeneratorAlphabet,
+                 transitions: dict[str, dict[str, str]]):
+        if not states:
             raise ValueError("a DFA needs at least one state")
-        if len(set(self.states)) != len(self.states):
+        if len(set(states)) != len(states):
             raise ValueError("duplicate state names")
-        if self.initial not in self.states:
-            raise ValueError(f"initial state {self.initial!r} unknown")
-        if not self.accepting <= set(self.states):
+        if initial not in states:
+            raise ValueError(f"initial state {initial!r} unknown")
+        if not accepting <= set(states):
             raise ValueError("accepting states must be states")
-        chars = [letter_char(l) for l in self.alphabet.letters]
-        for state in self.states:
-            row = self.transitions.get(state)
+        chars = [letter_char(l) for l in alphabet.letters]
+        for state in states:
+            row = transitions.get(state)
             if row is None:
                 raise ValueError(f"missing transition row for state {state!r}")
             for ch in chars:
                 if ch not in row:
                     raise ValueError(f"transition missing for ({state!r}, {ch!r})")
-                if row[ch] not in self.states:
+                if row[ch] not in states:
                     raise ValueError(f"transition target {row[ch]!r} unknown")
+        self.states, self.initial, self.accepting = states, initial, accepting
+        self.alphabet, self.transitions = alphabet, transitions
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.states, self.initial, self.accepting, self.alphabet.rank,
+                 self.transitions)
+                == (other.states, other.initial, other.accepting,
+                    other.alphabet.rank, other.transitions))
 
     @cached_property
     def table(self) -> dict[str, dict[int, str]]:
@@ -188,13 +193,12 @@ def regular_interpolation(dfa: ConeDfa, model: GroupModel,
     return path
 
 
-@dataclass(frozen=True)
 class LanguageSample:
     """All accepted words up to a length, with their evaluations."""
 
-    model: GroupModel
-    max_length: int
-    words: tuple[Word, ...]
+    def __init__(self, model: GroupModel, max_length: int,
+                 words: tuple[Word, ...]):
+        self.model, self.max_length, self.words = model, max_length, words
 
     @cached_property
     def evaluations(self) -> dict[Element, tuple[Word, ...]]:
@@ -236,15 +240,10 @@ def language_sample(dfa: ConeDfa, model: GroupModel, max_length: int,
                           words=tuple(words))
 
 
-@dataclass(frozen=True)
-class ConeDfaReport:
-    verdict: str  # "PASS" | "FAIL" | "UNKNOWN"
-    radius: int
-    max_length: int
-    in_ball: tuple[Element, ...]
-    unresolved: tuple[Element, ...]
-    counterexamples: tuple
-    unresolved_products: tuple
+class ConeDfaReport(namedtuple("ConeDfaReport", (
+        "verdict radius max_length in_ball unresolved counterexamples "
+        "unresolved_products"))):  # verdict: "PASS" | "FAIL" | "UNKNOWN"
+    __slots__ = ()
 
     def in_set(self) -> set[Element]:
         return set(self.in_ball)
@@ -367,13 +366,10 @@ def verify_cone_dfa(dfa: ConeDfa, model: GroupModel, radius: int,
         unresolved_products=tuple(unresolved_products))
 
 
-@dataclass(frozen=True)
-class QuasigeodesicReport:
-    verdict: str  # "PASS" | "FAIL"
-    lam: object
-    c: object
-    max_length: int
-    violation: tuple | None = None
+class QuasigeodesicReport(namedtuple("QuasigeodesicReport",
+                                     "verdict lam c max_length violation",
+                                     defaults=(None,))):  # verdict: "PASS" | "FAIL"
+    __slots__ = ()
 
     def summary(self) -> str:
         if self.verdict == "PASS":

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import enum
 import random
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from functools import cached_property
 from itertools import islice
 
@@ -47,12 +46,16 @@ class Verdict(enum.Enum):
     NOT_SEPARATING = "not-separating"
 
 
-@dataclass(frozen=True)
 class RPath:
     """A sequence of elements with consecutive word distances <= r."""
 
-    points: tuple[Element, ...]
-    r: int
+    def __init__(self, points: tuple[Element, ...], r: int):
+        self.points, self.r = points, r
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.points, self.r) == (other.points, other.r)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -124,15 +127,10 @@ def max_of_ball(oracle: OrderOracle, n: int,
     return _ball_maxima(oracle, n, cap=cap)[-1]
 
 
-@dataclass(frozen=True)
-class RayReport:
-    oracle_name: str
-    depth: int
-    maxima: tuple[Element, ...]
-    length_failures: tuple
-    successor_failures: tuple
-    geodesic_failures: tuple
-    negativity_failures: tuple
+class RayReport(namedtuple("RayReport", (
+        "oracle_name depth maxima length_failures successor_failures "
+        "geodesic_failures negativity_failures"))):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -199,13 +197,9 @@ def verify_maxima_ray(oracle: OrderOracle, depth: int,
 
 # -- r-components ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComponentReport:
-    oracle_name: str
-    r: int
-    radius: int
-    components: tuple[tuple[Element, ...], ...]
-    representatives: tuple[Element, ...]
+class ComponentReport(namedtuple("ComponentReport",
+                                 "oracle_name r radius components representatives")):
+    __slots__ = ()
 
     @property
     def count(self) -> int:
@@ -286,15 +280,13 @@ def r_components(oracle: OrderOracle, r: int, radius: int,
 
 # -- negative swamps ----------------------------------------------------------
 
-@dataclass(frozen=True)
 class SwampCertificate:
     """A width-r negative set around a center, with positive witnesses."""
 
-    r: int
-    center: Element
-    swamp: frozenset[Element]
-    witnesses: tuple[Element, Element]
-    verdict: Verdict
+    def __init__(self, r: int, center: Element, swamp: frozenset[Element],
+                 witnesses: tuple[Element, Element], verdict: Verdict):
+        self.r, self.center, self.swamp = r, center, swamp
+        self.witnesses, self.verdict = witnesses, verdict
 
     def to_json(self) -> dict:
         model = self.center.model
@@ -422,11 +414,10 @@ def product_column_swamp(oracle: OrderOracle, r: int, radius: int,
                             Verdict.EVIDENCE)
 
 
-@dataclass(frozen=True)
-class SeparationResult:
-    verdict: Verdict
-    avoiding_path: RPath | None = None
-    explored: int = 0
+class SeparationResult(namedtuple("SeparationResult",
+                                  "verdict avoiding_path explored",
+                                  defaults=(None, 0))):
+    __slots__ = ()
 
     def summary(self) -> str:
         text = f"separation: {self.verdict.value} ({self.explored} nodes explored)"
@@ -673,16 +664,10 @@ class SurveyClass(enum.Enum):
     DISCONNECTION_EVIDENCE = "disconnection-evidence"
 
 
-@dataclass(frozen=True)
-class SurveyReport:
-    oracle_name: str
-    r: int
-    radii: tuple[int, ...]
-    counts: tuple[int, ...]
-    stable: bool
-    classification: SurveyClass
-    verdict: str
-    certificate: SwampCertificate | None = None
+class SurveyReport(namedtuple("SurveyReport", (
+        "oracle_name r radii counts stable classification verdict "
+        "certificate"), defaults=(None,))):
+    __slots__ = ()
 
     def summary(self) -> str:
         pairs = ", ".join(f"R={R}:{c}" for R, c in zip(self.radii, self.counts))

@@ -41,7 +41,6 @@ compare the key arithmetic against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, islice
 from operator import add, index, neg
@@ -66,12 +65,22 @@ DEFAULT_CAP = 10**7
 TRAVERSALS = ("forward", "reverse")
 
 
-@dataclass(frozen=True, slots=True)
 class Element:
     """A group element held by its model's key (see the module docs)."""
 
-    model: "GroupModel"
-    key: tuple
+    __slots__ = ("model", "key")
+
+    def __init__(self, model: "GroupModel", key: tuple):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "key", key)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: "
+                             "elements are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: "
+                             "elements are immutable")
 
     def __eq__(self, other: object) -> bool:
         # keys first: the model test is the rare tie-break
@@ -112,24 +121,24 @@ class Element:
         return f"<{format_word(self.word)}>"
 
 
-@dataclass(slots=True)
 class _HeldBall:
     """The ball a model has grown (see the module docs). Growth replaces
     its lists and dict, never changes them."""
 
-    elements: list[Element]
-    ranks: dict[tuple, int]
-    sizes: list[int]
+    __slots__ = ("elements", "ranks", "sizes")
+
+    def __init__(self, elements: list[Element], ranks: dict[tuple, int],
+                 sizes: list[int]):
+        self.elements, self.ranks, self.sizes = elements, ranks, sizes
 
 
-@dataclass(frozen=True, eq=False)
 class Ball:
     """B(radius) around the identity, from GroupModel.ball: a view of the
     first |B(radius)| members of the held ball, in shortlex order; its
     `held.ranks` may also hold keys beyond the radius."""
 
-    radius: int
-    held: _HeldBall
+    def __init__(self, radius: int, held: _HeldBall):
+        self.radius, self.held = radius, held
 
     def __len__(self) -> int:
         return self.held.sizes[self.radius]
@@ -149,9 +158,19 @@ class Ball:
 class GroupModel:
     """Shared machinery; concrete kinds fill in the key operations."""
 
-    # concrete subclasses define: alphabet, descriptor and the key
-    # operations one, key_of, spell, mul, inv, key_length and landing (each
-    # key h with |h| <= reach and |gh| <= out, exactly once)
+    # concrete subclasses define: alphabet, descriptor, `params` (the
+    # constructor arguments) and the key operations one, key_of, spell, mul,
+    # inv, key_length and landing (each key h with |h| <= reach and
+    # |gh| <= out, exactly once)
+
+    def __eq__(self, other: object) -> bool:
+        # a model is a value: one kind with equal parameters
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.params == other.params
+
+    def __hash__(self) -> int:
+        return hash(self.params)
 
     @property
     def alphabet(self) -> GeneratorAlphabet:
@@ -318,14 +337,13 @@ class GroupModel:
         return [miss[2:] for miss in misses]
 
 
-@dataclass(frozen=True)
 class FreeGroup(GroupModel):
-    rank: int
     one = EMPTY
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int):
+        if rank < 1:
             raise ValueError("free group rank must be >= 1")
+        self.rank, self.params = rank, (rank,)
 
     @cached_property
     def alphabet(self) -> GeneratorAlphabet:
@@ -381,13 +399,11 @@ class FreeGroup(GroupModel):
         return {"kind": "free", "rank": self.rank}
 
 
-@dataclass(frozen=True)
 class FreeAbelian(GroupModel):
-    rank: int
-
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int):
+        if rank < 1:
             raise ValueError("free abelian rank must be >= 1")
+        self.rank, self.params = rank, (rank,)
 
     @cached_property
     def alphabet(self) -> GeneratorAlphabet:
@@ -444,11 +460,11 @@ class FreeAbelian(GroupModel):
         return {"kind": "abelian", "rank": self.rank}
 
 
-@dataclass(frozen=True)
 class KleinBottle(GroupModel):
     """<a, b | a b a^-1 = b^-1> with a = letter 1 and b = letter 2."""
 
     one = (0, 0)
+    params = ()
 
     @cached_property
     def alphabet(self) -> GeneratorAlphabet:
@@ -492,15 +508,13 @@ class KleinBottle(GroupModel):
         return {"kind": "klein"}
 
 
-@dataclass(frozen=True)
 class DirectProduct(GroupModel):
     """A x B over the disjoint union of the factor alphabets."""
 
-    factors: tuple[GroupModel, GroupModel]
-
-    def __post_init__(self):
-        if len(self.factors) != 2:
+    def __init__(self, factors: tuple[GroupModel, GroupModel]):
+        if len(factors) != 2:
             raise ValueError("DirectProduct takes exactly two factors")
+        self.factors, self.params = factors, (factors,)
 
     @cached_property
     def alphabet(self) -> GeneratorAlphabet:
@@ -548,6 +562,17 @@ class DirectProduct(GroupModel):
         return [(h1, h2) for (l1, o1), firsts in groups.items()
                 for h2 in second.landing(g[1], out - o1, reach - l1)
                 for h1 in firsts]
+
+    def _landing_groups(self, g: tuple, out: int, reach: int) -> dict:
+        # the factors' groups, with their lengths added: no product formed
+        first, second = self.factors
+        groups: dict[tuple[int, int], list] = {}
+        for (l1, o1), firsts in first._landing_groups(g[0], out, reach).items():
+            for (l2, o2), seconds in second._landing_groups(
+                    g[1], out - o1, reach - l1).items():
+                groups.setdefault((l1 + l2, o1 + o2), []).extend(
+                    [(h1, h2) for h2 in seconds for h1 in firsts])
+        return groups
 
     def project(self, g: Element, index: int) -> Element:
         return Element(self.factors[index], g.key[index])

@@ -18,7 +18,6 @@ letters, and a word in gamma_2 takes one pass over it per further degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import DegreeTooSmall
@@ -28,18 +27,16 @@ Monomial = tuple[int, ...]
 Coefficients = dict[Monomial, int]
 
 
-@dataclass(frozen=True, eq=True)
 class MagnusSeries:
     """An integer polynomial in noncommuting variables, truncated by degree."""
 
-    truncation_degree: int
-    coefficients: Coefficients
-
-    def __post_init__(self):
-        for mono in self.coefficients:
-            if len(mono) > self.truncation_degree:
+    def __init__(self, truncation_degree: int, coefficients: Coefficients):
+        for mono in coefficients:
+            if len(mono) > truncation_degree:
                 raise ValueError(f"monomial {mono} exceeds degree "
-                                 f"{self.truncation_degree}")
+                                 f"{truncation_degree}")
+        self.truncation_degree = truncation_degree
+        self.coefficients = coefficients
 
     def coefficient(self, mono: Monomial) -> int:
         return self.coefficients.get(mono, 0)

@@ -19,7 +19,7 @@ verify_order_axioms checks the cone axioms exhaustively on a ball.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import mul
 from typing import Callable
 
@@ -59,21 +59,19 @@ def _sign_of_int(value: int) -> Sign:
     return Sign.IDENTITY
 
 
-@dataclass
 class OrderOracle:
     """A total sign function on a group model, hence a positive cone."""
 
-    name: str
-    model: GroupModel
-    sign_fn: Callable[[Element], Sign]
-    declared_cofinal_central: Element | None = None
-    _cache: dict[tuple, Sign] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        z = self.declared_cofinal_central
+    def __init__(self, name: str, model: GroupModel,
+                 sign_fn: Callable[[Element], Sign],
+                 declared_cofinal_central: Element | None = None):
+        z = declared_cofinal_central
         if z is not None and any(z * x != x * z
-                                 for x in self.model.generators.values()):
+                                 for x in model.generators.values()):
             raise BrokenOrderError(f"declared generator {z} is not central")
+        self.name, self.model, self.sign_fn = name, model, sign_fn
+        self.declared_cofinal_central = z
+        self._cache: dict[tuple, Sign] = {}
 
     def sign(self, g: Element) -> Sign:
         if g.model is not self.model and g.model != self.model:
@@ -224,14 +222,10 @@ def lex_pair_sign(leading: OrderOracle, trailing: OrderOracle,
 
 # -- axiom verification ------------------------------------------------------
 
-@dataclass(frozen=True)
-class AxiomReport:
-    oracle_name: str
-    radius: int
-    checked: int
-    partition_failures: tuple
-    identity_failures: tuple
-    closure_failures: tuple
+class AxiomReport(namedtuple("AxiomReport", (
+        "oracle_name radius checked partition_failures identity_failures "
+        "closure_failures"))):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

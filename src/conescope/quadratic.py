@@ -6,8 +6,6 @@ hyperplane evaluations never touch floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 def sqrt2_sign(p: int, q: int) -> int:
     """Sign of p + q*sqrt(2) as -1, 0 or +1."""
@@ -24,16 +22,13 @@ def sqrt2_sign(p: int, q: int) -> int:
     return 1 if 2 * q * q > p * p else -1
 
 
-@dataclass(frozen=True)
 class QuadraticValue:
     """p + q*sqrt(2) with exact integer components."""
 
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if not isinstance(self.p, int) or not isinstance(self.q, int):
+    def __init__(self, p: int, q: int):
+        if not isinstance(p, int) or not isinstance(q, int):
             raise TypeError("QuadraticValue components must be integers")
+        self.p, self.q = p, q
 
     def is_zero(self) -> bool:
         return self.p == 0 and self.q == 0

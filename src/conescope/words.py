@@ -9,7 +9,6 @@ for the empty word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import UnknownLetter
@@ -22,15 +21,13 @@ EMPTY: Word = ()
 _MAX_RANK = 26
 
 
-@dataclass(frozen=True)
 class GeneratorAlphabet:
     """A symmetric alphabet x1, x1^-1, ..., xk, xk^-1 with the fixed order."""
 
-    rank: int
-
-    def __post_init__(self):
-        if not 1 <= self.rank <= _MAX_RANK:
-            raise ValueError(f"rank must be in 1..{_MAX_RANK}, got {self.rank}")
+    def __init__(self, rank: int):
+        if not 1 <= rank <= _MAX_RANK:
+            raise ValueError(f"rank must be in 1..{_MAX_RANK}, got {rank}")
+        self.rank = rank
 
     @cached_property
     def letters(self) -> tuple[Letter, ...]:

@@ -266,6 +266,23 @@ def test_landing_is_every_h_that_lands_once(model, data):
                             and length(model.mul(g, h)) <= out}
 
 
+@pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_landing_groups_are_the_landing_by_lengths(model, data):
+    # a direct product builds its groups from its factors' groups; each
+    # group must hold exactly the landing keys with its (|h|, |gh|)
+    keys = [g.key for g in model.ball(4)]
+    g = data.draw(st.sampled_from(keys))
+    out, reach = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    groups = model._landing_groups(g, out, reach)
+    length = model.key_length
+    assert Counter(h for hs in groups.values() for h in hs) == \
+        Counter(model.landing(g, out, reach))
+    assert all((length(h), length(model.mul(g, h))) == lengths
+               for lengths, hs in groups.items() for h in hs)
+
+
 # -- the cone-axiom walk ----------------------------------------------------------
 
 @functools.cache
