@@ -208,9 +208,6 @@ class LanguageSample:
             out.setdefault(self.model.normal_form(word), []).append(word)
         return {e: tuple(ws) for e, ws in out.items()}
 
-    def elements(self) -> set[Element]:
-        return set(self.evaluations)
-
 
 def language_sample(dfa: ConeDfa, model: GroupModel, max_length: int,
                     word_cap: int | None = None) -> LanguageSample:

@@ -17,26 +17,24 @@ def export_dot(oracle: OrderOracle, r: int, radius: int,
     """
     if r < 0:
         raise ValueError("width must be non-negative")
-    model = oracle.model
-    ball = model.ball(radius, cap=cap, traversal=traversal)
+    ball = oracle.model.ball(radius, cap=cap, traversal=traversal)
     comp_index = {}
     if radius >= 1 and r >= 1:
         components = r_components(oracle, r, radius, cap=cap,
                                   traversal=traversal).components
         comp_index = {g.key: i for i, comp in enumerate(components)
                       for g in comp}
-    gens = model.generators.values()
 
     lines = ["graph cayley_ball {"]
     for i, g in enumerate(ball):
         sign = _SIGN_ATTR[oracle.sign(g)]
         comp = comp_index.get(g.key, -1)
         lines.append(f'  n{i} [label="{g}", sign={sign}, comp={comp}];')
-    # node ids are ranks; an edge is met from both ends, written from the lower
-    ranks, size = ball.held.ranks, len(ball)
-    for i, g in enumerate(ball):
-        for x in gens:
-            j = ranks.get((g * x).key, size)
+    # node ids are ranks; an edge is met from both ends, written from the
+    # lower, in letter order from the step table (-1: outside the held ball)
+    step, width, size = ball.held.step, ball.held.width, len(ball)
+    for i in range(size):
+        for j in step[i * width:(i + 1) * width]:
             if i < j < size:
                 lines.append(f"  n{i} -- n{j};")
     lines.append("}")

@@ -10,8 +10,9 @@ The operations come in three groups:
 * connection: explicit positive paths through a cofinal central copy of Z
   and through the factors of a direct product.
 
-One breadth-first search on keys in the held ball answers every r-path
-question: r-classes, S-avoiding paths and paths through factor cones.
+One breadth-first search on ranks in the held ball answers every r-path
+question: r-classes, S-avoiding paths and paths through factor cones. It
+steps through the ball's step table and forms no product.
 
 Coarse connectivity of an infinite set is not finitely decidable, so
 verdicts are stratified: CertifiedTree (structural proof), CertifiedExhaustive
@@ -35,7 +36,7 @@ from .errors import (
     PathNotFound,
     WitnessNotFound,
 )
-from .groups import DirectProduct, Element, FreeGroup, GroupModel
+from .groups import Ball, DirectProduct, Element, FreeGroup, GroupModel
 from .orders import OrderOracle, Sign
 
 
@@ -211,17 +212,16 @@ class ComponentReport(namedtuple("ComponentReport",
                 f"{self.count} class(es) of sizes [{sizes}]")
 
 
-def _search(model: GroupModel, src: tuple, dst: tuple | None, nodes: dict,
-            jumps: list[tuple]) -> tuple[list[Element] | None, dict]:
-    """Breadth-first parent-pointer search on keys from src to dst in nodes.
+def _search(ball: Ball, r: int, src: int, dst: int | None,
+            allowed: set[int]) -> tuple[list[Element] | None, dict]:
+    """Breadth-first parent-pointer search on ranks of the ball from src to dst.
 
-    nodes maps keys to shortlex ranks. A step right-multiplies by a jump,
-    and the new neighbours of a node are queued by rank. Returns the path
-    as elements (None when dst is None or unreachable) and the parents, by
-    key, of every node reached: with dst None, the r-class of src.
+    The neighbours of a node are the allowed ranks within distance r
+    (`Ball.near`), queued in rank order. Returns the path as elements (None
+    when dst is None or unreachable) and the parents, by rank, of every node
+    reached: with dst None, the r-class of src.
     """
-    mul = model.mul
-    parents: dict[tuple, tuple | None] = {src: None}
+    parents: dict[int, int | None] = {src: None}
     queue = deque([src])
     while queue:
         current = queue.popleft()
@@ -229,15 +229,11 @@ def _search(model: GroupModel, src: tuple, dst: tuple | None, nodes: dict,
             path = [current]
             while parents[path[-1]] is not None:
                 path.append(parents[path[-1]])
-            return [Element(model, key) for key in reversed(path)], parents
-        neighbors = {}
-        for jump in jumps:
-            nxt = mul(current, jump)
-            if nxt in nodes and nxt not in parents:
-                neighbors[nodes[nxt]] = nxt
-        for rank in sorted(neighbors):
-            parents[neighbors[rank]] = current
-            queue.append(neighbors[rank])
+            return [ball.held.elements[i] for i in reversed(path)], parents
+        for rank in sorted(ball.near(current, r) & allowed):
+            if rank not in parents:
+                parents[rank] = current
+                queue.append(rank)
     return None, parents
 
 
@@ -254,20 +250,17 @@ def r_components(oracle: OrderOracle, r: int, radius: int,
         raise ValueError("r must be >= 1")
     if r > radius:
         raise ValueError("r must not exceed the ball radius")
-    model = oracle.model
-    ball = model.ball(radius, cap=cap, traversal=traversal)
-    nodes = {g.key: ball.held.ranks[g.key] for g in oracle.positives(ball)}
-    starts = list(nodes)
-    jumps = [g.key for g in islice(model.ball(r, cap=cap, traversal=traversal),
-                                   1, None)]  # rank 0: the identity
+    ball = oracle.model.ball(radius, cap=cap, traversal=traversal)
+    starts = [i for i, g in enumerate(ball) if oracle.is_positive(g)]
+    allowed = set(starts)
     if traversal == "reverse":
         starts.reverse()
-        jumps.reverse()
     classes = []
     for start in starts:
-        if start in nodes:  # each class is popped from nodes once found
-            reached = _search(model, start, None, nodes, jumps)[1]
-            classes.append(sorted(map(nodes.pop, reached)))
+        if start in allowed:  # each class leaves allowed once found
+            reached = _search(ball, r, start, None, allowed)[1]
+            allowed.difference_update(reached)
+            classes.append(sorted(reached))
     components = [[ball.held.elements[i] for i in c] for c in sorted(classes)]
     return ComponentReport(
         oracle_name=oracle.name,
@@ -458,19 +451,21 @@ def verify_separation(cert: SwampCertificate, model: GroupModel,
     if radius is None:
         radius = max(u.length, v.length, cert.center.length) + cert.r + 1
     ball = model.ball(radius, cap=cap)
-    swamp = {s.key for s in cert.swamp}
-    allowed = {g.key: i for i, g in enumerate(ball) if g.key not in swamp}
-    if u.key not in allowed or v.key not in allowed:
+    ranks = ball.held.ranks
+    allowed = set(range(len(ball))).difference(ranks.get(s.key)
+                                               for s in cert.swamp)
+    ends = [ranks.get(u.key), ranks.get(v.key)]
+    if not allowed.issuperset(ends):
         raise ValueError("witnesses must lie inside the search ball and off S")
-    jumps = [g.key for g in islice(model.ball(cert.r, cap=cap), 1, None)]
-    points, parents = _search(model, u.key, v.key, allowed, jumps)
+    points, parents = _search(ball, cert.r, ends[0], ends[1], allowed)
     if points is not None:
         path = RPath(tuple(points), cert.r)
         path.check()
         return SeparationResult(verdict=Verdict.NOT_SEPARATING,
                                 avoiding_path=path, explored=len(parents))
-    escape_cut = radius - cert.r
-    touched_boundary = any(model.key_length(g) > escape_cut for g in parents)
+    escape_cut = radius - cert.r  # ranks from sizes[escape_cut] lie beyond it
+    touched_boundary = (escape_cut < 0
+                        or max(parents) >= ball.held.sizes[escape_cut])
     verdict = Verdict.EVIDENCE if touched_boundary else Verdict.CERTIFIED_EXHAUSTIVE
     return SeparationResult(verdict=verdict, explored=len(parents))
 
@@ -584,30 +579,29 @@ def product_positive_path(oracle: OrderOracle, g: Element, h: Element,
     factor_radius = max(max(a.length for a, _ in coords),
                         max(b.length for _, b in coords), 1) + r + 1
 
-    # one ball per factor serves the gate and every leg: the restricted
-    # positives a, with (a, 1) or (1, a) positive, and the r-jumps
+    # one ball per factor serves the gate and every leg: the ranks of the
+    # restricted positives a, with (a, 1) or (1, a) positive
     cones = []
     for factor, group in enumerate(model.factors):
         ball = group.ball(factor_radius, cap=cap)
-        positives = [a for a in ball
+        positives = [i for i, a in enumerate(ball)
                      if oracle.is_positive(model.embed(a, factor))]
-        nodes = {a.key: ball.held.ranks[a.key] for a in positives}
-        jumps = [a.key for a in islice(group.ball(r, cap=cap), 1, None)]
+        allowed = set(positives)
         # empirical gate: the restricted cone must form one r-class in the
         # ball, so one search from its first positive reaches all of it
-        if not positives or len(_search(group, positives[0].key, None, nodes,
-                                        jumps)[1]) != len(nodes):
+        if not positives or len(_search(ball, r, positives[0], None,
+                                        allowed)[1]) != len(allowed):
             raise FactorNotConnectedAtScale(r, factor_radius, factor)
-        cones.append((positives[:1], nodes, jumps))
+        cones.append(([ball.held.elements[positives[0]]], ball, allowed))
 
     def factor_path(factor: int, src: Element, dst: Element) -> list[Element]:
         """r-path from src to dst through restricted positives."""
-        _, nodes, jumps = cones[factor]
-        if src.key not in nodes or dst.key not in nodes:
+        _, ball, allowed = cones[factor]
+        ends = [ball.held.ranks.get(src.key), ball.held.ranks.get(dst.key)]
+        if not allowed.issuperset(ends):
             raise FactorNotConnectedAtScale(r, factor_radius, factor)
-        # the gate made nodes one r-class, so the search reaches dst
-        return _search(model.factors[factor], src.key, dst.key, nodes,
-                       jumps)[0]
+        # the gate made allowed one r-class, so the search reaches dst
+        return _search(ball, r, ends[0], ends[1], allowed)[0]
 
     def ladder(factor: int, dst: Element) -> list[Element]:
         """[1, p_1, ..., dst] with every point after 1 restricted-positive.

@@ -29,10 +29,23 @@ every smaller ball B(n) with the same exact distances, and in shortlex
 order B(n) is a prefix of B(R), the concatenation of its sorted spheres.
 So each model holds one ball around the identity, the one index of
 shortlex order and membership: `elements` in shortlex order, `ranks`
-(key -> position) and sizes[n] = |B(n)|. `GroupModel.ball(n)` grows it
-sphere by sphere as far as n, enumerating each element once, and returns
-B(n), a view of its first sizes[n] members that copies nothing. A member's
-depth is its `length`, and diagnostics order members by rank.
+(key -> position), sizes[n] = |B(n)| and the step table, with the rank of
+g x at step[rank(g) * |S| + i] for the i-th letter x, or -1 outside the
+held ball. `GroupModel.ball(n)` grows it sphere by sphere as far as n,
+forming each product g x once on keys, and returns B(n), a view of its
+first sizes[n] members that copies nothing. A member's depth is its
+`length`, and diagnostics order members by rank.
+
+A BFS that runs the frontier in shortlex order and the letters in letter
+order finds each sphere in shortlex order when every normal form is the
+shortlex-least geodesic (`shortlex_discovery`; Epstein et al., Word
+Processing in Groups, ch. 2): on F_k, Z^n and their products, not on the
+Klein bottle's b^n a^m, whose spheres are sorted, as are the reverse
+traversal's. Every relator has even length, so no edge joins two members
+of a sphere. Two members of B(R) at distance <= r are joined by a path of
+length <= r inside B(R) (a tree; a grid, as the Klein bottle is in (n, m)
+coordinates; in a product, each factor's length-reducing steps first), so
+`Ball.near` walks the step table alone.
 
 The GroupModel methods product_word and inverse_word normalise the
 concatenation or the inverted word; they are the slow reference the tests
@@ -41,9 +54,10 @@ compare the key arithmetic against.
 
 from __future__ import annotations
 
+from array import array
 from functools import cached_property
 from itertools import count, islice
-from operator import add, index, neg
+from operator import add, neg
 
 from .errors import CapExceeded, ModelMismatch
 from .words import (
@@ -122,14 +136,16 @@ class Element:
 
 
 class _HeldBall:
-    """The ball a model has grown (see the module docs). Growth replaces
-    its lists and dict, never changes them."""
+    """The ball a model has grown (see the module docs), with `width` = |S|
+    entries per row of `step`. Growth replaces its lists, dict and table,
+    never changes them."""
 
-    __slots__ = ("elements", "ranks", "sizes")
+    __slots__ = ("elements", "ranks", "sizes", "step", "width")
 
     def __init__(self, elements: list[Element], ranks: dict[tuple, int],
-                 sizes: list[int]):
+                 sizes: list[int], step: array, width: int):
         self.elements, self.ranks, self.sizes = elements, ranks, sizes
+        self.step, self.width = step, width
 
 
 class Ball:
@@ -153,6 +169,18 @@ class Ball:
     def sorted_elements(self) -> list[Element]:
         """The members in shortlex order, as a list the caller may modify."""
         return self.held.elements[:len(self)]
+
+    def near(self, rank: int, r: int) -> set[int]:
+        """The ranks of the members within distance r of the member of that
+        rank, by walks through the step table inside this ball (exact: see
+        the module docs)."""
+        held = self.held
+        step, width, size = held.step, held.width, held.sizes[self.radius]
+        seen = {rank}
+        for _ in range(r):
+            seen.update([h for g in seen for h in step[g * width:(g + 1) * width]
+                         if 0 <= h < size])
+        return seen
 
 
 class GroupModel:
@@ -252,9 +280,14 @@ class GroupModel:
 
     # -- enumeration ------------------------------------------------------
 
+    # BFS discovery order is shortlex order (see the module docs)
+    shortlex_discovery = False
+
     @cached_property
     def _held(self) -> _HeldBall:
-        return _HeldBall([self.identity()], {self.one: 0}, [1])
+        width = len(self.alphabet)
+        return _HeldBall([self.identity()], {self.one: 0}, [1],
+                         array("i", [-1] * width), width)
 
     def ball(self, radius: int, cap: int | None = None,
              traversal: str = "forward") -> Ball:
@@ -277,37 +310,48 @@ class GroupModel:
         return Ball(radius, held)
 
     def _grow(self, radius: int, cap: int, traversal: str) -> None:
-        """Grow the held ball to the radius by BFS, a sphere at a time.
+        """Grow the held ball to the radius by BFS on keys, a sphere at a time.
 
         Around the identity depth is word length, which shortlex compares
-        first, so each new sphere is sorted once and appended. The held ball
-        is replaced only when every sphere is done: CapExceeded, raised as
-        soon as the ball would hold more than cap nodes, leaves it as it was.
+        first, so each new sphere is appended in shortlex order: as found,
+        or sorted once (see the module docs). Each product h = g x fills
+        step[g][x], and step[h][x^-1] once h has its rank. The held ball is
+        replaced only when every sphere is done: CapExceeded, raised once
+        the ball would hold more than cap nodes, leaves it as it was.
         """
-        letters = self.alphabet.letters
-        if traversal == "reverse":
-            letters = tuple(reversed(letters))
-        gens = [self.generators[l] for l in letters]
-        held = self._held
+        held, mul = self._held, self.mul
+        width = held.width
+        gens = [g.key for g in self.generators.values()]
+        order = range(width)[::-1] if traversal == "reverse" else range(width)
+        resort = traversal == "reverse" or not self.shortlex_discovery
         elements, ranks = list(held.elements), dict(held.ranks)
-        sizes = list(held.sizes)
-        frontier = elements[sizes[-2] if len(sizes) > 1 else 0:]
+        sizes, step = list(held.sizes), array("i", held.step)
         for _ in range(len(sizes), radius + 1):
-            # keyed by Element.key, whose tuple hash runs in C, not in Python
-            sphere: dict[tuple, Element] = {}
-            for g in frontier:
-                for x in gens:
-                    h = g * x
-                    if h.key not in sphere and h.key not in ranks:
-                        sphere[h.key] = h
-                        if len(elements) + len(sphere) > cap:
-                            raise CapExceeded(cap + 1, cap,
-                                              what=f"ball of radius {radius}")
-            frontier = sorted(sphere.values(), key=Element.sort_key)
-            ranks.update(zip((h.key for h in frontier), count(len(elements))))
-            elements += frontier
+            first, start = sizes[-2] if len(sizes) > 1 else 0, len(elements)
+            for g in range(first, start):
+                key = elements[g].key
+                for i in order:  # a new member's rank is its discovery rank
+                    step[g * width + i] = ranks.setdefault(mul(key, gens[i]),
+                                                           len(ranks))
+                if len(ranks) > cap:
+                    raise CapExceeded(cap + 1, cap, what=f"ball of radius {radius}")
+            found = list(islice(ranks, start, None))  # in discovery order
+            sphere = [Element(self, h) for h in found]
+            if resort:
+                sphere.sort(key=Element.sort_key)
+                ranks.update(zip((h.key for h in sphere), count(start)))
+            elements += sphere
             sizes.append(len(elements))
+            step.extend([-1] * (len(sphere) * width))
+            for j in range(first * width, start * width):
+                h = step[j]
+                if h >= start:
+                    if resort:
+                        h = step[j] = ranks[found[h - start]]
+                    # the letter of index i ^ 1 is the inverse of letter i
+                    step[h * width + (j % width ^ 1)] = j // width
         held.elements, held.ranks, held.sizes = elements, ranks, sizes
+        held.step = step
 
     # -- the cone-axiom walk ----------------------------------------------
 
@@ -339,6 +383,7 @@ class GroupModel:
 
 class FreeGroup(GroupModel):
     one = EMPTY
+    shortlex_discovery = True
 
     def __init__(self, rank: int):
         if rank < 1:
@@ -400,6 +445,8 @@ class FreeGroup(GroupModel):
 
 
 class FreeAbelian(GroupModel):
+    shortlex_discovery = True
+
     def __init__(self, rank: int):
         if rank < 1:
             raise ValueError("free abelian rank must be >= 1")
@@ -450,11 +497,6 @@ class FreeAbelian(GroupModel):
 
     def exponents(self, g: Element) -> tuple[int, ...]:
         return g.key
-
-    def from_exponents(self, exps) -> Element:
-        if len(exps) != self.rank:
-            raise ValueError(f"expected {self.rank} exponents, got {len(exps)}")
-        return Element(self, tuple(map(index, exps)))
 
     def descriptor(self) -> dict:
         return {"kind": "abelian", "rank": self.rank}
@@ -515,6 +557,11 @@ class DirectProduct(GroupModel):
         if len(factors) != 2:
             raise ValueError("DirectProduct takes exactly two factors")
         self.factors, self.params = factors, (factors,)
+
+    @property
+    def shortlex_discovery(self) -> bool:
+        # the first factor's letters come first in the letter order
+        return all(f.shortlex_discovery for f in self.factors)
 
     @cached_property
     def alphabet(self) -> GeneratorAlphabet:

@@ -41,10 +41,6 @@ class MagnusSeries:
     def coefficient(self, mono: Monomial) -> int:
         return self.coefficients.get(mono, 0)
 
-    def is_one(self) -> bool:
-        return all(c == 0 for m, c in self.coefficients.items() if m) \
-            and self.coefficient(()) == 1
-
     def terms(self) -> list[tuple[Monomial, int]]:
         nonzero = [(m, c) for m, c in self.coefficients.items() if c != 0]
         return sorted(nonzero, key=lambda mc: deglex_key(mc[0]))

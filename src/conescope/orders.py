@@ -43,13 +43,6 @@ class Sign(enum.Enum):
     NEGATIVE = "negative"
     IDENTITY = "identity"
 
-    def negated(self) -> "Sign":
-        if self is Sign.POSITIVE:
-            return Sign.NEGATIVE
-        if self is Sign.NEGATIVE:
-            return Sign.POSITIVE
-        return Sign.IDENTITY
-
 
 def _sign_of_int(value: int) -> Sign:
     if value > 0:

@@ -165,7 +165,7 @@ def test_interpolation_soundness_all_short_words(zdfa, kdfa, z2, klein):
     for dfa, model in ((zdfa, z2), (kdfa, klein)):
         bound = cs.connectivity_radius(dfa)
         sample = cs.language_sample(dfa, model, 10)
-        membership = sample.elements()
+        membership = set(sample.evaluations)
         for word in sample.words:
             path = cs.regular_interpolation(dfa, model, word)
             assert max(path.gaps(), default=0) <= bound
@@ -315,7 +315,7 @@ def test_verify_cone_unknown_when_language_too_thin(z2):
 def test_reachable_evaluations_matches_language_sample(kdfa, klein):
     reached = cs.reachable_evaluations(kdfa, klein, 6)
     sample = cs.language_sample(kdfa, klein, 6)
-    assert reached == sample.elements()
+    assert reached == set(sample.evaluations)
 
 
 def test_verify_cone_traversal_independent(zdfa, z2):

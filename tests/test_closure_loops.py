@@ -15,6 +15,7 @@ from conescope.words import GeneratorAlphabet
 
 from test_automata import all_accepting_f2_dfa
 from test_groups import KERNEL_IDS, KERNEL_MODELS
+from test_orders import NEGATED
 
 
 # -- references: every pair through Element arithmetic --------------------------
@@ -151,7 +152,7 @@ def flipped_magnus(model):
     antisymmetric (inversion keeps length) but not closed."""
     def sign_fn(g):
         sign = cs.magnus_sign(g.word)
-        return sign.negated() if len(g.key) == 2 else sign
+        return NEGATED[sign] if len(g.key) == 2 else sign
     return cs.OrderOracle(name="flipped-magnus", model=model, sign_fn=sign_fn)
 
 

@@ -1,9 +1,13 @@
+import collections
 import itertools
+import random
 
 import pytest
 
 import conescope as cs
-from conescope.geometry import SwampCertificate, Verdict, product_column_swamp
+from conescope import geometry
+from conescope.geometry import (
+    SwampCertificate, Verdict, _search, product_column_swamp)
 
 from test_cli import F2_MAGNUS, F2XZ_F2_LEADING, run_cli
 from test_groups import bfs_depths
@@ -310,7 +314,7 @@ def test_separation_certified_exhaustive_annulus(z2, hyper_irr):
     annulus = frozenset(g for g, d in bfs_depths(ball).items() if d in (2, 3))
     cert = SwampCertificate(
         r=1, center=z2.element("aa"), swamp=annulus,
-        witnesses=(z2.element("b"), z2.from_exponents((0, 5))),
+        witnesses=(z2.element("b"), z2.element("bbbbb")),
         verdict=Verdict.EVIDENCE)
     result = cs.verify_separation(cert, z2, radius=6)
     assert result.verdict is Verdict.CERTIFIED_EXHAUSTIVE
@@ -362,7 +366,6 @@ def test_cofinal_path_rejects_negative_endpoint(z_leading):
 
 
 def test_cofinal_path_random_pairs(z_leading):
-    import random
     rng = random.Random(4)
     positives = z_leading.positives(z_leading.model.ball(4))
     for _ in range(15):
@@ -411,7 +414,6 @@ def test_product_path_refuses_disconnected_factor(f2_leading, z_leading):
 
 
 def test_product_path_random_pairs(zz_lex):
-    import random
     rng = random.Random(11)
     positives = zz_lex.positives(zz_lex.model.ball(4))
     for _ in range(15):
@@ -537,26 +539,110 @@ def test_ball_bounded_diagnostics_order_by_rank(zz_lex, monkeypatch):
     assert calls == []
 
 
-def test_r_path_searches_multiply_keys_not_elements(monkeypatch):
-    # once the ball is held, the searches step on keys with model.mul and
-    # make no Element product
-    o = fresh_oracles()
-    cert = product_column_swamp(o["f2_leading"], 1, 5)
-    runs = [
-        lambda: cs.r_components(o["z_leading"], 1, 5),
-        lambda: cs.r_components(o["magnus"], 2, 5, traversal="reverse"),
-        lambda: cs.verify_separation(cert, o["f2_leading"].model, radius=5),
-    ]
-    grown = [run() for run in runs]
-    calls = []
-    multiply = cs.GroupModel.multiply
+def reference_search(model, src, dst, nodes, jumps):
+    """The key-level search, the slow reference for the rank search: a step
+    right-multiplies by each key of B(r) \\ {1} with model.mul, and nodes
+    maps the allowed keys to ranks. Returns the path's keys and the parents."""
+    parents = {src: None}
+    queue = collections.deque([src])
+    while queue:
+        current = queue.popleft()
+        if current == dst:
+            path = [current]
+            while parents[path[-1]] is not None:
+                path.append(parents[path[-1]])
+            return path[::-1], parents
+        neighbors = {}
+        for jump in jumps:
+            nxt = model.mul(current, jump)
+            if nxt in nodes and nxt not in parents:
+                neighbors[nodes[nxt]] = nxt
+        for rank in sorted(neighbors):
+            parents[neighbors[rank]] = current
+            queue.append(neighbors[rank])
+    return None, parents
 
-    def counted(self, g, h):
-        calls.append((g, h))
-        return multiply(self, g, h)
-    monkeypatch.setattr(cs.GroupModel, "multiply", counted)
-    assert [run() for run in runs] == grown
-    assert calls == []
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("name, radius", [
+    ("magnus", 5), ("hyper_irr", 6), ("klein_oracle", 6), ("z_leading", 4),
+    ("f2_leading", 4)])
+def test_rank_search_matches_key_reference(request, name, radius, r):
+    oracle = request.getfixturevalue(name)
+    model = oracle.model
+    ball = model.ball(radius)
+    elements = ball.held.elements
+    jumps = [g.key for g in itertools.islice(model.ball(r), 1, None)]
+    positives = [i for i, g in enumerate(ball) if oracle.is_positive(g)]
+    # the r-classes of the positives
+    nodes = {elements[i].key: i for i in positives}
+    left, classes = dict(nodes), []
+    for key in nodes:
+        if key in left:
+            reached = reference_search(model, key, None, left, jumps)[1]
+            classes.append(sorted(map(left.pop, reached)))
+    report = cs.r_components(oracle, r, radius)
+    assert [[ball.held.ranks[g.key] for g in c]
+            for c in report.components] == sorted(classes)
+    # paths, and every node reached, over random allowed sets
+    rng = random.Random(radius * 10 + r)
+    for _ in range(8):
+        allowed = {i for i in range(len(ball)) if rng.random() < 0.8}
+        src, dst = rng.sample(sorted(allowed), 2)
+        path, parents = _search(ball, r, src, dst, allowed)
+        keys = {elements[i].key: i for i in allowed}
+        ref_path, ref_parents = reference_search(
+            model, elements[src].key, elements[dst].key, keys, jumps)
+        assert (None if path is None else [g.key for g in path]) == ref_path
+        assert {elements[c].key: p if p is None else elements[p].key
+                for c, p in parents.items()} == ref_parents
+
+
+def test_r_path_searches_multiply_keys_not_elements(monkeypatch, zz_lex):
+    # once the ball is held, the searches step through the step table and
+    # form no product: no Element product and no key product (model.mul).
+    # The product path's climb and its RPath check form products outside
+    # the search.
+    o = fresh_oracles()
+    M = zz_lex.model
+    cert = product_column_swamp(o["f2_leading"], 1, 5)
+    runs = {
+        "components": lambda: cs.r_components(o["z_leading"], 1, 5),
+        "components-reverse": lambda: cs.r_components(o["magnus"], 2, 5,
+                                                      traversal="reverse"),
+        "separation": lambda: cs.verify_separation(cert, o["f2_leading"].model,
+                                                   radius=5),
+        "export-dot": lambda: cs.export_dot(o["f2_leading"], 2, 4),
+        "product-path": lambda: cs.product_positive_path(
+            zz_lex, M.element("b"), M.element("aBBBBB"), r=1),
+    }
+    grown = {name: run() for name, run in runs.items()}
+    calls, searching = [], [False]  # (kind, made inside the search)
+
+    def counting(kind, fn):
+        def counted(*args):
+            calls.append((kind, searching[0]))
+            return fn(*args)
+        return counted
+
+    def search(*args):
+        searching[0] = True
+        try:
+            return _search(*args)
+        finally:
+            searching[0] = False
+    monkeypatch.setattr(geometry, "_search", search)
+    monkeypatch.setattr(cs.GroupModel, "multiply",
+                        counting("multiply", cs.GroupModel.multiply))
+    for cls in (cs.FreeGroup, cs.FreeAbelian, cs.KleinBottle, cs.DirectProduct):
+        monkeypatch.setattr(cls, "mul", counting("mul", cls.mul))
+    for name, run in runs.items():
+        calls.clear()
+        assert run() == grown[name]
+        if name == "product-path":
+            assert calls and not any(inside for _, inside in calls)
+        else:
+            assert calls == []
 
 
 # -- survey ----------------------------------------------------------------------------------

@@ -182,12 +182,10 @@ def test_element_is_immutable(f2xz):
     assert g == f2xz.element("abc") and hash(g) == hash(g.key)
 
 
-def test_from_exponents_builds_integer_keys(z2):
-    assert z2.from_exponents([2, -1]) == z2.element("aaB")
-    with pytest.raises(ValueError):
-        z2.from_exponents((1,))
-    with pytest.raises(TypeError):
-        z2.from_exponents((0.5, 0))
+def test_abelian_keys_are_integer_exponents(z2):
+    g = z2.element("aaB")
+    assert g.key == z2.exponents(g) == (2, -1)
+    assert all(type(e) is int for e in g.key)
 
 
 @pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
@@ -341,21 +339,51 @@ def test_ball_within_matches_fresh_ball(model, traversal):
 
 @pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
 def test_ball_within_keeps_sorted_parent_order(model, monkeypatch):
-    held = fresh(model)
+    # BFS discovery order is shortlex order except on the Klein bottle, so
+    # forward growth sorts only there; Klein and reverse growth key each new
+    # member once (the identity, sphere 0, is never sorted). Growing in
+    # steps and cutting smaller balls keeps every ball a prefix.
+    assert model.shortlex_discovery is not isinstance(model, cs.KleinBottle)
     keyed = []
     sort_key = cs.Element.sort_key
 
     def counted(self):
         keyed.append(self)
         return sort_key(self)
-    monkeypatch.setattr(cs.Element, "sort_key", counted)
-    # growing in steps and cutting smaller balls sorts each member once
-    # (the identity, sphere 0, is never sorted)
-    balls = [list(held.ball(n)) for n in (2, 0, 4, 1, 3, 4)]
-    monkeypatch.undo()
-    largest = held.ball(4)
-    assert sorted(keyed, key=cs.Element.sort_key) == list(largest)[1:]
-    assert balls == [list(largest)[:len(held.ball(n))] for n in (2, 0, 4, 1, 3, 4)]
+    for traversal in ("forward", "reverse"):
+        held = fresh(model)
+        keyed.clear()
+        monkeypatch.setattr(cs.Element, "sort_key", counted)
+        balls = [list(held.ball(n, traversal=traversal))
+                 for n in (2, 0, 4, 1, 3, 4)]
+        monkeypatch.undo()
+        largest = list(held.ball(4))
+        assert largest == sorted(largest, key=cs.Element.sort_key)
+        sorts = traversal == "reverse" or isinstance(model, cs.KleinBottle)
+        assert (sorted(keyed, key=cs.Element.sort_key)
+                == (largest[1:] if sorts else []))
+        assert balls == [largest[:len(held.ball(n))] for n in (2, 0, 4, 1, 3, 4)]
+
+
+@pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
+def test_step_table_matches_mul(model):
+    # step[rank * |S| + i] is the rank of g x_i, or -1 exactly where the
+    # product leaves the held ball
+    held = fresh(model).ball(4).held
+    letters = [x.key for x in model.generators.values()]
+    width = len(letters)
+    assert held.width == width and len(held.step) == width * len(held.elements)
+    for rank, g in enumerate(held.elements):
+        for i, x in enumerate(letters):
+            h = model.mul(g.key, x)
+            assert held.step[rank * width + i] == held.ranks.get(h, -1)
+            assert (held.step[rank * width + i] == -1) == (model.key_length(h) > 4)
+    # grown in steps, or in the reverse traversal, the table is the same
+    stepped = fresh(model)
+    for n in (2, 0, 4, 1, 3):
+        stepped.ball(n)
+    assert stepped.ball(4).held.step == held.step
+    assert fresh(model).ball(4, traversal="reverse").held.step == held.step
 
 
 @pytest.mark.parametrize("traversal", ["forward", "reverse"])
@@ -425,6 +453,7 @@ def test_cap_hit_in_mid_growth_keeps_no_partial_sphere():
     held = model._held
     assert held.sizes == [1, 5, 17]
     assert len(held.elements) == len(held.ranks) == 17
+    assert held.step == cs.FreeGroup(2).ball(2).held.step
     assert list(model.ball(4)) == list(cs.FreeGroup(2).ball(4))
 
 
