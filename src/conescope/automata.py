@@ -123,13 +123,15 @@ class ConeDfa:
         expected = [chr(ord("a") + i) for i in range(alphabet.rank)]
         if list(data["alphabet"]) != expected:
             raise ValueError(f"alphabet must be {''.join(expected)!r}")
+        transitions = data["transitions"]
+        if not isinstance(transitions, dict):
+            raise ValueError("transitions must be an object of state rows")
         return ConeDfa(
             states=tuple(data["states"]),
             initial=data["initial"],
             accepting=frozenset(data["accepting"]),
             alphabet=alphabet,
-            transitions={s: dict(row)
-                         for s, row in data["transitions"].items()},
+            transitions={s: dict(row) for s, row in transitions.items()},
         )
 
 
@@ -166,7 +168,7 @@ def regular_interpolation(dfa: ConeDfa, model: GroupModel,
     Each prefix is completed to an accepted word by the shortest completion
     of its state; the evaluations of those completions are at most |S| - 1
     away from the prefix evaluation, so consecutive interpolation points are
-    within 2|S| + 1 of each other. One run of the word: the prefix element
+    within 2|S| + 1 of each other. One run of the word: the prefix key
     grows one generator at a time, and each state's completion is
     normalised once.
     """
@@ -174,21 +176,22 @@ def regular_interpolation(dfa: ConeDfa, model: GroupModel,
     if not accepted:
         raise NotAccepted(f"word {format_word(word)} is rejected")
     model.alphabet.check_word(word)
-    table, gens = dfa.table, model.generators
-    ends: dict[str, Element] = {}
-    prefix = model.identity()
-    points = [prefix]
+    table, gens, mul = dfa.table, model.generators, model.mul
+    ends: dict[str, tuple] = {}
+    prefix = model.one
+    keys = [prefix]
     state = dfa.initial
     for i in range(len(word) + 1):
         if state not in ends:
-            ends[state] = model.normal_form(dfa.completions[state])
-        point = prefix * ends[state]
-        if point != points[-1]:
-            points.append(point)
+            ends[state] = model.normal_form(dfa.completions[state]).key
+        point = mul(prefix, ends[state])
+        if point != keys[-1]:
+            keys.append(point)
         if i < len(word):
-            prefix = prefix * gens[word[i]]
+            prefix = mul(prefix, gens[word[i]].key)
             state = table[state][word[i]]
-    path = RPath(tuple(points), connectivity_radius(dfa))
+    path = RPath(tuple(Element(model, k) for k in keys),
+                 connectivity_radius(dfa))
     path.check()
     return path
 
@@ -242,9 +245,6 @@ class ConeDfaReport(namedtuple("ConeDfaReport", (
         "unresolved_products"))):  # verdict: "PASS" | "FAIL" | "UNKNOWN"
     __slots__ = ()
 
-    def in_set(self) -> set[Element]:
-        return set(self.in_ball)
-
     def summary(self) -> str:
         return (f"cone-dfa R={self.radius} Lmax={self.max_length}: {self.verdict} "
                 f"({len(self.in_ball)} in, {len(self.unresolved)} unresolved, "
@@ -268,15 +268,15 @@ def reachable_evaluations(dfa: ConeDfa, model: GroupModel, max_length: int,
     if traversal == "reverse":
         letters = tuple(reversed(letters))
     model.alphabet.check_word(letters)
-    steps = [(letter, model.generators[letter]) for letter in letters]
-    reached: set[Element] = set()
+    steps = [(letter, model.generators[letter].key) for letter in letters]
+    mul, reached = model.mul, set()  # the keys of ev(L)
     if dfa.completions[dfa.initial] is None:
         return reached
-    start = (dfa.initial, model.identity())
+    start = (dfa.initial, model.one)
     visited = {start}
     frontier = [start]
     if dfa.initial in dfa.accepting:
-        reached.add(model.identity())
+        reached.add(model.one)
     for _ in range(max_length):
         extension = []
         for state, g in frontier:
@@ -285,7 +285,7 @@ def reachable_evaluations(dfa: ConeDfa, model: GroupModel, max_length: int,
                 target = row[letter]
                 if dfa.completions[target] is None:
                     continue
-                h = g * gen
+                h = mul(g, gen)
                 pair = (target, h)
                 if pair in visited:
                     continue
@@ -297,7 +297,7 @@ def reachable_evaluations(dfa: ConeDfa, model: GroupModel, max_length: int,
                     reached.add(h)
                 extension.append(pair)
         frontier = extension
-    return reached
+    return {Element(model, h) for h in reached}
 
 
 def verify_cone_dfa(dfa: ConeDfa, model: GroupModel, radius: int,
@@ -396,14 +396,15 @@ def quasigeodesic_check(dfa: ConeDfa, model: GroupModel, lam, c,
     model.alphabet.check_word(dfa.alphabet.letters)
     sample = language_sample(dfa, model, max_length, word_cap=word_cap)
     limit = [math.floor(lam * (d + c)) for d in range(max_length + 1)]
-    gens = model.generators
+    gens = {l: g.key for l, g in model.generators.items()}
+    mul, length = model.mul, model.key_length
     for word in sample.words:
         n = len(word)
         for i in range(n):
-            infix = model.identity()
+            infix = model.one
             for j in range(i + 1, n + 1):
-                infix = infix * gens[word[j - 1]]
-                dist = infix.length
+                infix = mul(infix, gens[word[j - 1]])
+                dist = length(infix)
                 if j - i > limit[dist]:
                     return QuasigeodesicReport(
                         verdict="FAIL", lam=lam, c=c, max_length=max_length,

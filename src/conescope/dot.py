@@ -27,7 +27,7 @@ def export_dot(oracle: OrderOracle, r: int, radius: int,
 
     lines = ["graph cayley_ball {"]
     for i, g in enumerate(ball):
-        sign = _SIGN_ATTR[oracle.sign(g)]
+        sign = _SIGN_ATTR[oracle.sign_key(g.key)]
         comp = comp_index.get(g.key, -1)
         lines.append(f'  n{i} [label="{g}", sign={sign}, comp={comp}];')
     # node ids are ranks; an edge is met from both ends, written from the

@@ -83,8 +83,8 @@ class RPath:
         return [str(p) for p in self.points]
 
 
-def _dedupe(points: list[Element]) -> list[Element]:
-    out: list[Element] = []
+def _dedupe(points: list) -> list:
+    out: list = []
     for p in points:
         if not out or out[-1] != p:
             out.append(p)
@@ -93,11 +93,12 @@ def _dedupe(points: list[Element]) -> list[Element]:
 
 def geodesic_points(g: Element, h: Element) -> list[Element]:
     """A 1-path from g to h spelled by the canonical word of g^-1 h."""
-    word = (g.inverse() * h).word
-    gens = g.model.generators
+    model, key = g.model, g.key
+    gens, mul = model.generators, model.mul
     points = [g]
-    for letter in word:
-        points.append(points[-1] * gens[letter])
+    for letter in model.spell(mul(model.inv(key), h.key)):
+        key = mul(key, gens[letter].key)
+        points.append(Element(model, key))
     return points
 
 
@@ -107,18 +108,20 @@ def _ball_maxima(oracle: OrderOracle, n: int,
                  cap: int | None = None) -> list[Element]:
     """The order-maxima g_0, ..., g_n of B(1, 0), ..., B(1, n): B(k) is a
     prefix of B(n), so one running comparison over B(n) gives every g_k."""
-    held = oracle.model.ball(n, cap=cap).held
-    best = held.elements[0]
-    maxima = [best]
+    model = oracle.model
+    held = model.ball(n, cap=cap).held
+    elements, mul, inv, sign = held.elements, model.mul, model.inv, oracle.sign_key
+    best, back = 0, model.one  # the rank of the running maximum, its inverse
+    maxima = [elements[0]]
     for k in range(1, n + 1):
-        for g in islice(held.elements, held.sizes[k - 1], held.sizes[k]):
-            s = oracle.sign(best.inverse() * g)
-            if s is Sign.IDENTITY and g != best:
-                raise BrokenOrderError(
-                    f"tie between distinct elements {best} and {g}")
+        for rank in range(held.sizes[k - 1], held.sizes[k]):
+            s = sign(mul(back, elements[rank].key))
+            if s is Sign.IDENTITY:  # rank > best: two distinct members tie
+                raise BrokenOrderError(f"tie between distinct elements "
+                                       f"{elements[best]} and {elements[rank]}")
             if s is Sign.POSITIVE:
-                best = g
-        maxima.append(best)
+                best, back = rank, inv(elements[rank].key)
+        maxima.append(elements[best])
     return maxima
 
 
@@ -153,8 +156,10 @@ def verify_maxima_ray(oracle: OrderOracle, depth: int,
     form a geodesic (d(g_n^-1, g_m^-1) = |n - m|), (iii) every element of
     B(g_n^-1, n - 1) is negative.
     """
-    model = oracle.model
+    model, sign = oracle.model, oracle.sign_key
+    mul, inv, length = model.mul, model.inv, model.key_length
     maxima = _ball_maxima(oracle, depth, cap=cap)[1:]
+    keys = [g.key for g in maxima]
 
     length_failures = []
     for n, g in enumerate(maxima, start=1):
@@ -162,17 +167,17 @@ def verify_maxima_ray(oracle: OrderOracle, depth: int,
             length_failures.append((n, str(g), g.length))
 
     successor_failures = []
-    gens = model.generators.values()
-    for n in range(len(maxima) - 1):
-        g, successor = maxima[n], maxima[n + 1]
-        if all(x * g != successor for x in gens):
-            successor_failures.append((n + 2, str(successor), str(g)))
+    gens = [x.key for x in model.generators.values()]
+    for n in range(len(keys) - 1):
+        if all(mul(x, keys[n]) != keys[n + 1] for x in gens):
+            successor_failures.append((n + 2, str(maxima[n + 1]), str(maxima[n])))
 
     geodesic_failures = []
-    inverses = [model.identity()] + [g.inverse() for g in maxima]
+    inverses = [model.one] + [inv(g) for g in keys]
     for n in range(depth + 1):
+        back = inv(inverses[n])
         for m in range(n + 1, depth + 1):
-            d = model.distance(inverses[n], inverses[m])
+            d = length(mul(back, inverses[m]))
             if d != m - n:
                 geodesic_failures.append((n, m, d))
 
@@ -180,10 +185,10 @@ def verify_maxima_ray(oracle: OrderOracle, depth: int,
     for n in range(1, depth + 1):
         center = inverses[n]
         for b in model.ball(n - 1, cap=cap):
-            shifted = center * b
-            if oracle.sign(shifted) is not Sign.NEGATIVE:
+            s = sign(mul(center, b.key))
+            if s is not Sign.NEGATIVE:
                 negativity_failures.append(
-                    (n, str(shifted), oracle.sign(shifted).value))
+                    (n, str(Element(model, mul(center, b.key))), s.value))
 
     return RayReport(
         oracle_name=oracle.name,
@@ -251,7 +256,8 @@ def r_components(oracle: OrderOracle, r: int, radius: int,
     if r > radius:
         raise ValueError("r must not exceed the ball radius")
     ball = oracle.model.ball(radius, cap=cap, traversal=traversal)
-    starts = [i for i, g in enumerate(ball) if oracle.is_positive(g)]
+    sign = oracle.sign_key
+    starts = [i for i, g in enumerate(ball) if sign(g.key) is Sign.POSITIVE]
     allowed = set(starts)
     if traversal == "reverse":
         starts.reverse()
@@ -298,9 +304,9 @@ class SwampCertificate:
                 f"witnesses {u} / {v}, verdict {self.verdict.value}")
 
 
-def _branch_letter(center: Element, g: Element) -> int | None:
-    """First letter of the tree geodesic from the center to g (free groups)."""
-    word = (center.inverse() * g).word
+def _branch_letter(model: FreeGroup, center: tuple, g: tuple) -> int | None:
+    """First letter of the tree geodesic from the center to g, on keys."""
+    word = model.mul(model.inv(center), g)  # a free key is the reduced word
     return word[0] if word else None
 
 
@@ -308,19 +314,20 @@ def _witnesses(oracle: OrderOracle, candidates, letters,
                horizon: int) -> tuple[Element, Element]:
     """The positive witnesses in two branches of a swamp.
 
-    candidates are (branch letter, element) pairs in scan order; the first
+    candidates are (branch letter, key) pairs in scan order; the first
     positive of each branch is kept, and the scan stops once every letter
     has one. Returns the first two in letter order.
     """
-    found: dict[int, Element] = {}
+    found: dict[int, tuple] = {}
     for branch, g in candidates:
-        if branch not in found and oracle.is_positive(g):
+        if branch not in found and oracle.sign_key(g) is Sign.POSITIVE:
             found[branch] = g
             if len(found) == len(letters):
                 break
     if len(found) < 2:
         raise WitnessNotFound(horizon, f"positives found in {len(found)} branch(es)")
-    return tuple([found[l] for l in letters if l in found][:2])
+    return tuple([Element(oracle.model, found[l]) for l in letters
+                  if l in found][:2])
 
 
 def tree_swamp_certificate(oracle: OrderOracle, r: int,
@@ -346,10 +353,11 @@ def tree_swamp_certificate(oracle: OrderOracle, r: int,
     if search_radius <= r + 1:
         raise ValueError("search radius must exceed r + 1")
 
-    center = max_of_ball(oracle, r + 1, cap=cap).inverse()
-    swamp = frozenset(center * b for b in model.ball(r, cap=cap))
+    c = model.inv(max_of_ball(oracle, r + 1, cap=cap).key)
+    swamp = frozenset(Element(model, model.mul(c, b.key))
+                      for b in model.ball(r, cap=cap))
     for s in sorted(swamp, key=Element.sort_key):
-        if oracle.sign(s) is not Sign.NEGATIVE:
+        if oracle.sign_key(s.key) is not Sign.NEGATIVE:
             raise BrokenOrderError(
                 f"swamp element {s} is not negative under {oracle.name}")
 
@@ -358,11 +366,12 @@ def tree_swamp_certificate(oracle: OrderOracle, r: int,
         for k in range(r + 1, search_radius + 1):
             held = model.ball(k, cap=cap).held
             for g in islice(held.elements, held.sizes[k - 1], held.sizes[k]):
-                yield g.key[0], center * g
+                yield g.key[0], model.mul(c, g.key)
 
     witnesses = _witnesses(oracle, candidates(), model.alphabet.letters,
                            search_radius)
-    return SwampCertificate(r, center, swamp, witnesses, Verdict.CERTIFIED_TREE)
+    return SwampCertificate(r, Element(model, c), swamp, witnesses,
+                            Verdict.CERTIFIED_TREE)
 
 
 def product_column_swamp(oracle: OrderOracle, r: int, radius: int,
@@ -390,7 +399,7 @@ def product_column_swamp(oracle: OrderOracle, r: int, radius: int,
     # a free key is the reduced word of c_F^-1 times the free coordinate
     swamp = [g for g in ball if len(free.mul(back, g.key[0])) <= r]
     for s in swamp:
-        if oracle.sign(s) is not Sign.NEGATIVE:
+        if oracle.sign_key(s.key) is not Sign.NEGATIVE:
             raise BrokenOrderError(
                 f"column element {s} is not negative under {oracle.name}")
 
@@ -400,7 +409,7 @@ def product_column_swamp(oracle: OrderOracle, r: int, radius: int,
         for g in ball:
             word = free.mul(back, g.key[0])
             if len(word) > r:
-                yield word[0], g
+                yield word[0], g.key
 
     witnesses = _witnesses(oracle, candidates(), free.alphabet.letters, radius)
     return SwampCertificate(r, center, frozenset(swamp), witnesses,
@@ -435,11 +444,12 @@ def verify_separation(cert: SwampCertificate, model: GroupModel,
     """
     u, v = cert.witnesses
     if isinstance(model, FreeGroup):
-        full_ball = {cert.center * b for b in model.ball(cert.r, cap=cap)}
-        bu = _branch_letter(cert.center, u)
-        bv = _branch_letter(cert.center, v)
+        c = cert.center.key
+        swamp = {s.key for s in cert.swamp}
+        bu = _branch_letter(model, c, u.key)
+        bv = _branch_letter(model, c, v.key)
         structural = (
-            full_ball <= cert.swamp
+            all(model.mul(c, b.key) in swamp for b in model.ball(cert.r, cap=cap))
             and bu is not None and bv is not None and bu != bv
             and model.distance(cert.center, u) > cert.r
             and model.distance(cert.center, v) > cert.r
@@ -511,13 +521,14 @@ def _check_endpoints(oracle: OrderOracle, g: Element, h: Element) -> None:
         raise ValueError("both endpoints must be positive")
 
 
-def _cone_path(oracle: OrderOracle, points: list[Element], r: int,
+def _cone_path(oracle: OrderOracle, keys: list[tuple], r: int,
                kind: str) -> RPath:
-    """The points, repeats dropped, as an r-path checked to stay in the cone."""
-    path = RPath(tuple(_dedupe(points)), r)
+    """The keys, repeats dropped, as an r-path checked to stay in the cone."""
+    model, keys = oracle.model, _dedupe(keys)
+    path = RPath(tuple(Element(model, k) for k in keys), r)
     path.check()
-    for p in path.points:
-        if not oracle.is_positive(p):
+    for k, p in zip(keys, path.points):
+        if oracle.sign_key(k) is not Sign.POSITIVE:
             raise BrokenOrderError(f"{kind} path left the cone at {p}")
     return path
 
@@ -534,28 +545,23 @@ def cofinal_positive_path(oracle: OrderOracle, g: Element, h: Element) -> RPath:
         raise NoDeclaredCofinalCenter(
             f"oracle {oracle.name} declares no cofinal central generator")
     _check_endpoints(oracle, g, h)
-    if oracle.is_negative(z):
-        z = z.inverse()
+    model, sign = oracle.model, oracle.sign_key
+    mul, z = model.mul, z.key
+    if sign(z) is Sign.NEGATIVE:
+        z = model.inv(z)
 
-    base = geodesic_points(g, h)
-    power = oracle.model.identity()
-    s = 0
-    while s <= _POWER_BUDGET:
-        if all(oracle.is_positive(power * p) for p in base):
-            break
-        power = power * z
-        s += 1
-    else:
-        raise PathNotFound(f"no positive translate within budget {_POWER_BUDGET}")
+    base = [p.key for p in geodesic_points(g, h)]
+    powers = [model.one]  # z^0, ..., z^s
+    while not all(sign(mul(powers[-1], p)) is Sign.POSITIVE for p in base):
+        if len(powers) > _POWER_BUDGET:
+            raise PathNotFound(f"no positive translate within budget {_POWER_BUDGET}")
+        powers.append(mul(powers[-1], z))
 
-    up = [g]
-    for _ in range(s):
-        up.append(up[-1] * z)
-    down = [h]
-    for _ in range(s):
-        down.append(down[-1] * z)
-    return _cone_path(oracle, up + [power * p for p in base]
-                      + list(reversed(down)), 1, "cofinal")
+    # z is central, so the ladders g z^j and h z^j are g and h times z^j
+    up = [mul(g.key, p) for p in powers]
+    down = [mul(h.key, p) for p in reversed(powers)]
+    return _cone_path(oracle, up + [mul(powers[-1], p) for p in base] + down,
+                      1, "cofinal")
 
 
 def product_positive_path(oracle: OrderOracle, g: Element, h: Element,
@@ -569,85 +575,76 @@ def product_positive_path(oracle: OrderOracle, g: Element, h: Element,
     Refuses with FactorNotConnectedAtScale when a factor cone is not
     r-connected within the working ball, e.g. for a free-group factor.
     """
-    model = oracle.model
+    model, sign = oracle.model, oracle.sign_key
     if not isinstance(model, DirectProduct):
         raise ModelMismatch("product paths need a DirectProduct model")
     _check_endpoints(oracle, g, h)
+    factors = model.factors
 
-    coords = [(model.project(g, 0), model.project(g, 1)),
-              (model.project(h, 0), model.project(h, 1))]
-    factor_radius = max(max(a.length for a, _ in coords),
-                        max(b.length for _, b in coords), 1) + r + 1
+    def join(factor: int, a: tuple, other: tuple) -> tuple:
+        """The product key with a at the factor and other at the other one."""
+        return (a, other) if factor == 0 else (other, a)
+
+    factor_radius = max([f.key_length(p.key[i]) for p in (g, h)
+                         for i, f in enumerate(factors)] + [1]) + r + 1
 
     # one ball per factor serves the gate and every leg: the ranks of the
     # restricted positives a, with (a, 1) or (1, a) positive
     cones = []
-    for factor, group in enumerate(model.factors):
-        ball = group.ball(factor_radius, cap=cap)
+    for factor, group in enumerate(factors):
+        ball, one = group.ball(factor_radius, cap=cap), factors[1 - factor].one
         positives = [i for i, a in enumerate(ball)
-                     if oracle.is_positive(model.embed(a, factor))]
+                     if sign(join(factor, a.key, one)) is Sign.POSITIVE]
         allowed = set(positives)
         # empirical gate: the restricted cone must form one r-class in the
         # ball, so one search from its first positive reaches all of it
         if not positives or len(_search(ball, r, positives[0], None,
                                         allowed)[1]) != len(allowed):
             raise FactorNotConnectedAtScale(r, factor_radius, factor)
-        cones.append(([ball.held.elements[positives[0]]], ball, allowed))
+        cones.append((ball.held.elements[positives[0]].key, ball, allowed))
 
-    def factor_path(factor: int, src: Element, dst: Element) -> list[Element]:
+    def factor_path(factor: int, src: tuple, dst: tuple) -> list[tuple]:
         """r-path from src to dst through restricted positives."""
         _, ball, allowed = cones[factor]
-        ends = [ball.held.ranks.get(src.key), ball.held.ranks.get(dst.key)]
+        ends = [ball.held.ranks.get(src), ball.held.ranks.get(dst)]
         if not allowed.issuperset(ends):
             raise FactorNotConnectedAtScale(r, factor_radius, factor)
         # the gate made allowed one r-class, so the search reaches dst
-        return _search(ball, r, ends[0], ends[1], allowed)[0]
+        return [p.key for p in _search(ball, r, ends[0], ends[1], allowed)[0]]
 
-    def ladder(factor: int, dst: Element) -> list[Element]:
+    def ladder(factor: int, dst: tuple) -> list[tuple]:
         """[1, p_1, ..., dst] with every point after 1 restricted-positive.
 
         The gate made the restricted cone one r-class, so its first element
         within r of the identity reaches dst exactly when any element does.
         """
-        one = model.factors[factor].identity()
-        if dst.length <= r:
-            return _dedupe([one, dst])
-        near = cones[factor][0]
-        if not near or near[0].length > r:
+        group = factors[factor]
+        if group.key_length(dst) <= r:
+            return _dedupe([group.one, dst])
+        if group.key_length(cones[factor][0]) > r:
             raise FactorNotConnectedAtScale(r, factor_radius, factor)
-        return [one] + factor_path(factor, near[0], dst)
+        return [group.one] + factor_path(factor, cones[factor][0], dst)
 
-    def normalize(point: Element) -> tuple[list[Element], Element]:
-        """Walk both coordinates into the factor cones; returns path + endpoint."""
+    def normalize(point: tuple) -> list[tuple]:
+        """Walk both coordinates into the factor cones; the path ends there."""
         path = [point]
-        for factor in (0, 1):
-            current = path[-1]
-            a = model.project(current, factor)
-            other = model.project(current, 1 - factor)
-            if oracle.is_positive(model.embed(a, factor)):
+        for factor, group in enumerate(factors):
+            a, other = path[-1][factor], path[-1][1 - factor]
+            first, ball, allowed = cones[factor]
+            if ball.held.ranks.get(a) in allowed:  # a is restricted-positive
                 continue
-            # the climb ends at the shortlex-least restricted positive
-            first = cones[factor][0]
-            if not first or first[0].length > max(r, 1):
+            # the climb ends at the shortlex-least restricted positive, first
+            if group.key_length(first) > max(r, 1):
                 raise FactorNotConnectedAtScale(r, max(r, 1), factor)
-            climb = [model.factors[factor].multiply(a, q)
-                     for q in ladder(factor, a.inverse())] + first
-            for q in climb:
-                pieces = [None, None]
-                pieces[factor] = q
-                pieces[1 - factor] = other
-                path.append(model.pair(pieces[0], pieces[1]))
-        return path, path[-1]
+            climb = [group.mul(a, q) for q in ladder(factor, group.inv(a))]
+            path += [join(factor, q, other) for q in climb + [first]]
+        return path
 
-    up_g, start = normalize(g)
-    up_h, goal = normalize(h)
-    a1, b1 = model.project(start, 0), model.project(start, 1)
-    a2, b2 = model.project(goal, 0), model.project(goal, 1)
-
-    leg_a = [model.pair(y, b1) for y in factor_path(0, a1, a2)]
-    leg_b = [model.pair(a2, z) for z in factor_path(1, b1, b2)]
-    return _cone_path(oracle, up_g + leg_a + leg_b + list(reversed(up_h)), r,
-                      "product")
+    up_g, up_h = normalize(g.key), normalize(h.key)
+    (a1, b1), (a2, b2) = up_g[-1], up_h[-1]
+    leg_a = [(y, b1) for y in factor_path(0, a1, a2)]
+    leg_b = [(a2, z) for z in factor_path(1, b1, b2)]
+    return _cone_path(oracle, up_g + leg_a + leg_b + up_h[::-1], r, "product")
 
 
 # -- survey --------------------------------------------------------------------

@@ -18,9 +18,9 @@ coordinates in which the model computes:
 Each model implements the same key operations: `one`, `key_of` (read any
 word), `spell` (write the canonical word), `mul`, `inv`, `key_length` and
 `landing` (each h with |h| <= reach and |gh| <= out, for the closure checks).
-Products, inverses, distances and lengths compute on keys; words appear
-only at the boundary: parsing, printing, shortlex sorting, Magnus signs
-and spelling geodesics (`Element.word`, computed when read).
+Products, inverses, distances, lengths and signs compute on keys; words
+appear only at the boundary: parsing, printing, shortlex sorting and
+spelling geodesics (`Element.word`, computed when read).
 
 Every normal form is geodesic, so the word length is the length of the
 canonical word. For the Klein bottle: each generator moves |n| + |m| of
@@ -542,10 +542,6 @@ class KleinBottle(GroupModel):
         # |s n1 + n2|: the Z^2 landing of (s n1, m1)
         return FreeAbelian.landing((-g[0], g[1]) if g[1] % 2 else g, out, reach)
 
-    def pair(self, g: Element) -> tuple[int, int]:
-        """(n, m) with g equal to b^n a^m."""
-        return g.key
-
     def descriptor(self) -> dict:
         return {"kind": "klein"}
 
@@ -650,7 +646,7 @@ def _power(generator: int, e: int) -> Word:
 def model_from_descriptor(data: dict) -> GroupModel:
     """Parse the JSON group descriptor (see module docs)."""
     if not isinstance(data, dict) or "kind" not in data:
-        raise ValueError(f"bad group descriptor: {data!r}")
+        raise ValueError(f"not an object with a 'kind': {data!r}")
     kind = data["kind"]
     if kind in ("free", "abelian"):
         if type(data["rank"]) is not int:  # a bool or float is refused

@@ -1,7 +1,9 @@
 """Computable left-order oracles: total sign functions realizing positive cones.
 
-An OrderOracle wraps a sign function Element -> {Positive, Negative,
-Identity} for a fixed group model. Shipped constructors:
+An OrderOracle wraps a sign function on the keys of a fixed group model,
+key -> {Positive, Negative, Identity}; `sign_key` caches it, and
+`sign(g)`, which checks that g lives in the model, is the boundary for
+elements. Shipped constructors:
 
 * magnus_order: bi-invariant order on free groups via the power-series
   expansion compared in deglex monomial order.
@@ -56,7 +58,7 @@ class OrderOracle:
     """A total sign function on a group model, hence a positive cone."""
 
     def __init__(self, name: str, model: GroupModel,
-                 sign_fn: Callable[[Element], Sign],
+                 sign_fn: Callable[[tuple], Sign],
                  declared_cofinal_central: Element | None = None):
         z = declared_cofinal_central
         if z is not None and any(z * x != x * z
@@ -66,14 +68,17 @@ class OrderOracle:
         self.declared_cofinal_central = z
         self._cache: dict[tuple, Sign] = {}
 
+    def sign_key(self, key: tuple) -> Sign:
+        """The sign of the element with this key in the oracle's model."""
+        cached = self._cache.get(key)
+        if cached is None:
+            cached = self._cache[key] = self.sign_fn(key)
+        return cached
+
     def sign(self, g: Element) -> Sign:
         if g.model is not self.model and g.model != self.model:
             raise ModelMismatch(f"element {g} does not live in {self.name}'s model")
-        cached = self._cache.get(g.key)
-        if cached is None:
-            cached = self.sign_fn(g)
-            self._cache[g.key] = cached
-        return cached
+        return self.sign_key(g.key)
 
     def is_positive(self, g: Element) -> bool:
         return self.sign(g) is Sign.POSITIVE
@@ -102,8 +107,8 @@ def magnus_sign(word: Word) -> Sign:
 def magnus_order(model: FreeGroup, name: str = "magnus") -> OrderOracle:
     if not isinstance(model, FreeGroup):
         raise ModelMismatch("the Magnus order lives on free groups")
-    return OrderOracle(name=name, model=model,
-                       sign_fn=lambda g: magnus_sign(g.word))
+    # the key of a free-group element is its reduced word
+    return OrderOracle(name=name, model=model, sign_fn=magnus_sign)
 
 
 # -- free abelian groups: hyperplane orders --------------------------------
@@ -146,7 +151,7 @@ def hyperplane_order(model: FreeAbelian, weights,
     ps, qs = _weight_parts(fixed)
     return OrderOracle(
         name=name, model=model,
-        sign_fn=lambda g: _hyperplane_sign(model.exponents(g), ps, qs))
+        sign_fn=lambda key: _hyperplane_sign(key, ps, qs))
 
 
 def sqrt2_weights(rank: int = 2) -> list[QuadraticValue]:
@@ -160,19 +165,18 @@ def sqrt2_weights(rank: int = 2) -> list[QuadraticValue]:
 
 # -- Klein bottle group -----------------------------------------------------
 
-def klein_cone_sign(g: Element) -> Sign:
-    """The cone generated by a and b: positive iff m > 0 or (m = 0, n > 0)."""
-    if not isinstance(g.model, KleinBottle):
-        raise ModelMismatch("klein_cone_sign expects a Klein bottle element")
-    n, m = g.model.pair(g)
-    if m != 0:
-        return _sign_of_int(m)
-    return _sign_of_int(n)
+def klein_cone_sign(key: tuple[int, int]) -> Sign:
+    """The cone generated by a and b, on the key (n, m) of b^n a^m:
+    positive iff m > 0 or (m = 0, n > 0)."""
+    n, m = key
+    return _sign_of_int(m or n)
 
 
 def klein_order(model: KleinBottle | None = None,
                 name: str = "klein-cone") -> OrderOracle:
     model = model or KleinBottle()
+    if not isinstance(model, KleinBottle):
+        raise ModelMismatch("klein order needs the Klein bottle model")
     return OrderOracle(name=name, model=model, sign_fn=klein_cone_sign)
 
 
@@ -194,12 +198,14 @@ def lex_pair_sign(leading: OrderOracle, trailing: OrderOracle,
     factors[1 - leading_factor] = trailing.model
     product = DirectProduct((factors[0], factors[1]))
 
-    def sign_fn(g: Element) -> Sign:
-        lead_part = product.project(g, leading_factor)
-        lead_sign = leading.sign(lead_part)
-        if lead_sign is not Sign.IDENTITY:
-            return lead_sign
-        return trailing.sign(product.project(g, 1 - leading_factor))
+    lead_sign, trail_sign = leading.sign_key, trailing.sign_key
+
+    def sign_fn(key: tuple) -> Sign:
+        # a product key is the pair of factor keys
+        sign = lead_sign(key[leading_factor])
+        if sign is not Sign.IDENTITY:
+            return sign
+        return trail_sign(key[1 - leading_factor])
 
     declared = None
     lead_model = leading.model
@@ -247,7 +253,7 @@ def verify_order_axioms(oracle: OrderOracle, radius: int,
     model = oracle.model
     ball = model.ball(radius, cap=cap, traversal=traversal)
     # the walk runs on keys; an Element is built only to print a failure
-    signs: dict[tuple, Sign] = {g.key: oracle.sign(g) for g in ball}
+    signs: dict[tuple, Sign] = {g.key: oracle.sign_key(g.key) for g in ball}
     one, positive = model.one, Sign.POSITIVE
 
     def show(key) -> str:
@@ -279,7 +285,7 @@ def verify_order_axioms(oracle: OrderOracle, radius: int,
 def order_from_descriptor(data: dict, model: GroupModel) -> OrderOracle:
     """Parse the JSON order descriptor against a group model."""
     if not isinstance(data, dict) or "kind" not in data:
-        raise ValueError(f"bad order descriptor: {data!r}")
+        raise ValueError(f"not an object with a 'kind': {data!r}")
     kind = data["kind"]
     name = data.get("name")
     if kind == "magnus":
@@ -290,8 +296,6 @@ def order_from_descriptor(data: dict, model: GroupModel) -> OrderOracle:
             raise ValueError("hyperplane descriptor needs weights")
         return hyperplane_order(model, weights, name=name or "hyperplane")
     if kind == "klein":
-        if not isinstance(model, KleinBottle):
-            raise ModelMismatch("klein order needs the Klein bottle model")
         return klein_order(model, name=name or "klein-cone")
     if kind == "lex_pair":
         if not isinstance(model, DirectProduct):

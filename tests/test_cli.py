@@ -323,6 +323,11 @@ MALFORMED = [
     # exact constants are integers or fraction strings, never a bool or float
     ("dfa-qg", {**Z2_DFA, "lambda": True}),
     ("dfa-qg", {**Z2_DFA, "c": 0.1}),
+    # transitions that are not a JSON object, on every command that reads a DFA
+    *[(command, {**Z2_DFA, "radius": 1, "word": "a",
+                 "dfa": {**Z2_LEX_DFA, "transitions": transitions}})
+      for command in ("dfa-verify", "dfa-path", "dfa-qg")
+      for transitions in ([], 0, None, "x", True)],
 ]
 
 
@@ -389,6 +394,30 @@ def test_negative_cap_refused(tmp_path, capsys, monkeypatch):
     # a cap of 0 is valid: dfa-path enumerates no ball
     monkeypatch.setenv("CONESCOPE_CAP", "0")
     assert run_cli(tmp_path, {**Z2_DFA, "word": "ab"}, "dfa-path") == 0
+
+
+def test_non_object_transitions_named(tmp_path, capsys):
+    config = {**Z2_DFA, "radius": 1, "dfa": {**Z2_LEX_DFA, "transitions": []}}
+    assert run_cli(tmp_path, config, "dfa-verify") == 3
+    assert capsys.readouterr().err == ("error: bad DFA description: "
+                                       "transitions must be an object of "
+                                       "state rows\n")
+
+
+# a descriptor that is not an object, nested inside a good one
+NESTED_BAD = [
+    ({**F2XZ_Z_LEADING, "group": {"kind": "product",
+                                  "factors": [5, {"kind": "free", "rank": 2}]}},
+     "error: bad group descriptor: not an object with a 'kind': 5\n"),
+    ({**F2XZ_Z_LEADING, "order": {**F2XZ_Z_LEADING["order"], "leading": 5}},
+     "error: bad order descriptor: not an object with a 'kind': 5\n"),
+]
+
+
+@pytest.mark.parametrize("config,line", NESTED_BAD, ids=["group", "order"])
+def test_bad_descriptor_named_once(tmp_path, capsys, config, line):
+    assert run_cli(tmp_path, {**config, "radius": 2}, "ray") == 3
+    assert capsys.readouterr().err == line
 
 
 def test_all_zero_hyperplane_weights_refused(tmp_path, capsys):

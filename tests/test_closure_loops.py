@@ -118,13 +118,13 @@ def reference_cone_dfa(dfa, model, radius, max_length):
 
 def all_positive_f2():
     return cs.OrderOracle(name="all-positive", model=cs.FreeGroup(2),
-                          sign_fn=lambda g: cs.Sign.POSITIVE)
+                          sign_fn=lambda key: cs.Sign.POSITIVE)
 
 
 def cubic_z2():
     """Antisymmetric on Z^2 (an odd cubic, lex tie-break) but not closed."""
-    def sign_fn(g):
-        x, y = g.key
+    def sign_fn(key):
+        x, y = key
         for value in (x ** 3 - 3 * x * y * y + y, x, y):
             if value:
                 return cs.Sign.POSITIVE if value > 0 else cs.Sign.NEGATIVE
@@ -137,8 +137,8 @@ def twisted_klein():
     """Antisymmetric on the Klein bottle but not closed: the cone of
     klein_order with the sign of b^n a^m flipped for odd m and n > 1 (the
     inverse of b^n a^m keeps n when m is odd)."""
-    def sign_fn(g):
-        n, m = g.key
+    def sign_fn(key):
+        n, m = key
         value = (-m if m % 2 and n > 1 else m) or n
         if value:
             return cs.Sign.POSITIVE if value > 0 else cs.Sign.NEGATIVE
@@ -150,9 +150,9 @@ def twisted_klein():
 def flipped_magnus(model):
     """The Magnus order with the sign of every length-2 word flipped:
     antisymmetric (inversion keeps length) but not closed."""
-    def sign_fn(g):
-        sign = cs.magnus_sign(g.word)
-        return NEGATED[sign] if len(g.key) == 2 else sign
+    def sign_fn(key):
+        sign = cs.magnus_sign(key)  # a free key is the reduced word
+        return NEGATED[sign] if len(key) == 2 else sign
     return cs.OrderOracle(name="flipped-magnus", model=model, sign_fn=sign_fn)
 
 

@@ -59,7 +59,7 @@ def test_max_of_ball_is_maximum(magnus, f2):
 def test_max_of_ball_detects_ties(f2):
     sloppy = cs.OrderOracle(
         name="sloppy", model=f2,
-        sign_fn=lambda g: cs.Sign.IDENTITY)
+        sign_fn=lambda key: cs.Sign.IDENTITY)
     with pytest.raises(cs.BrokenOrderError):
         cs.max_of_ball(sloppy, 1)
 
@@ -87,7 +87,7 @@ def test_ball_maxima_match_brute_force(request, name):
 def test_maxima_ray_detects_ties_like_max_of_ball(f2):
     sloppy = cs.OrderOracle(
         name="sloppy", model=f2,
-        sign_fn=lambda g: cs.Sign.IDENTITY)
+        sign_fn=lambda key: cs.Sign.IDENTITY)
     with pytest.raises(cs.BrokenOrderError) as single:
         cs.max_of_ball(sloppy, 1)
     with pytest.raises(cs.BrokenOrderError) as ray:
@@ -118,8 +118,8 @@ def test_maxima_ray_flags_broken_oracle(f2):
     # reversed identity handling breaks the negativity check
     weird = cs.OrderOracle(
         name="weird", model=f2,
-        sign_fn=lambda g: cs.Sign.IDENTITY if g.is_identity()
-        else (cs.Sign.POSITIVE if len(g.word) % 2 == 0 else cs.Sign.NEGATIVE))
+        sign_fn=lambda key: cs.Sign.IDENTITY if key == f2.one
+        else (cs.Sign.POSITIVE if len(key) % 2 == 0 else cs.Sign.NEGATIVE))
     report = cs.verify_maxima_ray(weird, 3)
     assert not report.passed
 
@@ -643,6 +643,52 @@ def test_r_path_searches_multiply_keys_not_elements(monkeypatch, zz_lex):
             assert calls and not any(inside for _, inside in calls)
         else:
             assert calls == []
+
+
+def test_diagnostics_multiply_keys_not_elements(monkeypatch, zz_lex):
+    # once the ball is held, every diagnostic signs keys (sign_key) and
+    # multiplies them (model.mul); Elements are built only for what it
+    # returns, so no GroupModel.multiply call is made
+    o = {**fresh_oracles(), "klein": cs.klein_order(cs.KleinBottle())}
+    F2, P, M = o["magnus"].model, o["z_leading"].model, zz_lex.model
+    Z2, K = cs.FreeAbelian(2), cs.KleinBottle()
+    z2_dfa, klein_dfa = cs.z2_lex_cone_dfa(), cs.klein_cone_dfa()
+    tree = cs.tree_swamp_certificate(o["magnus"], 1)
+    runs = {
+        "axioms": lambda: cs.verify_order_axioms(o["z_leading"], 3),
+        "max": lambda: cs.max_of_ball(o["hyper_irr"], 4),
+        "ray": lambda: cs.verify_maxima_ray(o["klein"], 5),
+        "ray-free": lambda: cs.verify_maxima_ray(o["magnus"], 4),
+        "components": lambda: cs.r_components(o["f2_leading"], 1, 4),
+        "tree-swamp": lambda: cs.tree_swamp_certificate(o["magnus"], 1).to_json(),
+        "column-swamp": lambda: product_column_swamp(
+            o["f2_leading"], 1, 5).to_json(),
+        "tree-separation": lambda: cs.verify_separation(tree, F2),
+        "geodesic": lambda: cs.geodesic_points(F2.element("ab"),
+                                               F2.element("BA")),
+        "cofinal": lambda: cs.cofinal_positive_path(
+            o["z_leading"], P.element("a"), P.element("c")),
+        "product-path": lambda: cs.product_positive_path(
+            zz_lex, M.element("b"), M.element("aBBBBB"), r=1),
+        "gaps": lambda: cs.RPath(tuple(Z2.ball(2)), 4).gaps(),
+        "export-dot": lambda: cs.export_dot(o["z_leading"], 1, 3),
+        "reachable": lambda: cs.reachable_evaluations(klein_dfa, K, 8),
+        "dfa-verify": lambda: cs.verify_cone_dfa(z2_dfa, Z2, 3),
+        "dfa-path": lambda: cs.regular_interpolation(
+            z2_dfa, Z2, cs.parse_word("aaaBBBB", Z2.alphabet)),
+        "dfa-qg": lambda: cs.quasigeodesic_check(klein_dfa, K, 2, 0, 6),
+    }
+    grown = {name: run() for name, run in runs.items()}
+    calls = []
+
+    def counted(self, g, h):
+        calls.append((g, h))
+        return multiply(self, g, h)
+    multiply = cs.GroupModel.multiply
+    monkeypatch.setattr(cs.GroupModel, "multiply", counted)
+    for name, run in runs.items():
+        assert run() == grown[name], name
+        assert calls == [], name
 
 
 # -- survey ----------------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 import conescope as cs
+from conescope.magnus import deglex_key
 from conescope.quadratic import QuadraticValue, sqrt2_sign
 
 # the sign of g^-1 from the sign of g
@@ -142,7 +143,7 @@ def test_non_central_declaration_is_refused():
     f2 = cs.FreeGroup(2)
     with pytest.raises(cs.BrokenOrderError, match="not central"):
         cs.OrderOracle(name="magnus-a", model=f2,
-                       sign_fn=lambda g: cs.magnus_sign(g.word),
+                       sign_fn=cs.magnus_sign,
                        declared_cofinal_central=f2.generator(1))
 
 
@@ -150,6 +151,67 @@ def test_lex_pair_model_mismatch(magnus, z_natural):
     pair = cs.lex_pair_sign(magnus, z_natural)
     with pytest.raises(cs.ModelMismatch):
         pair.sign(cs.FreeGroup(2).element("a"))
+
+
+# -- key signs against word-level references -------------------------------------------
+
+def _sign_of(value):
+    return (cs.Sign.POSITIVE if value > 0 else
+            cs.Sign.NEGATIVE if value < 0 else cs.Sign.IDENTITY)
+
+
+def magnus_word_sign(word):
+    """The sign of the deglex-least nonconstant term of the full expansion."""
+    series = cs.magnus_expand(word, max(len(word), 1))
+    terms = [(m, c) for m, c in series.coefficients.items() if m and c]
+    if not terms:
+        return cs.Sign.IDENTITY
+    return _sign_of(min(terms, key=lambda mc: deglex_key(mc[0]))[1])
+
+
+def exponent_sums(word, rank):
+    return tuple(word.count(i) - word.count(-i) for i in range(1, rank + 1))
+
+
+# lex pair -> (leading oracle, trailing oracle, leading factor)
+LEX_PAIRS = {"f2_leading": ("magnus", "z_natural", 0),
+             "z_leading": ("z_natural", "magnus", 1)}
+
+
+def reference_sign(request, name, g):
+    """The sign of g from its spelled word, or, for a lex pair, from the
+    factor oracles' signs of the projected elements."""
+    word = g.word
+    if name == "magnus":
+        return magnus_word_sign(word)
+    if name == "hyper_irr":
+        return cs.hyperplane_sign(exponent_sums(word, 2), cs.sqrt2_weights())
+    if name == "hyper_lex":
+        return cs.hyperplane_sign(exponent_sums(word, 2), [(1, 0), (0, 0)])
+    if name == "klein_oracle":
+        m, n = exponent_sums(word, 2)  # the word is b^n a^m, a = letter 1
+        return _sign_of(m or n)
+    leading, trailing, j = LEX_PAIRS[name]
+    sign = request.getfixturevalue(leading).sign(g.model.project(g, j))
+    if sign is cs.Sign.IDENTITY:
+        sign = request.getfixturevalue(trailing).sign(g.model.project(g, 1 - j))
+    return sign
+
+
+@pytest.mark.parametrize("name, radius", [
+    ("magnus", 5), ("hyper_irr", 6), ("hyper_lex", 6), ("klein_oracle", 6),
+    ("f2_leading", 4), ("z_leading", 4)])
+def test_sign_key_matches_word_reference(request, name, radius):
+    # every shipped sign function reads the key; the references read the
+    # spelled word, or the projected factor elements of a lex pair
+    oracle = request.getfixturevalue(name)
+    fresh = cs.OrderOracle(name="fresh", model=oracle.model,
+                           sign_fn=oracle.sign_fn)  # an empty cache
+    for g in oracle.model.ball(radius):
+        expected = reference_sign(request, name, g)
+        assert oracle.sign_key(g.key) is expected, g
+        assert fresh.sign_key(g.key) is expected, g
+        assert oracle.sign(g) is expected, g
 
 
 # -- axiom verification ----------------------------------------------------------------
@@ -164,7 +226,7 @@ def test_axioms_pass_for_shipped_oracles(magnus, hyper_irr, klein_oracle):
 def test_axioms_fail_for_broken_oracle(f2):
     broken = cs.OrderOracle(
         name="broken", model=f2,
-        sign_fn=lambda g: cs.Sign.IDENTITY if g.is_identity()
+        sign_fn=lambda key: cs.Sign.IDENTITY if key == f2.one
         else cs.Sign.POSITIVE)
     report = cs.verify_order_axioms(broken, 1)
     assert not report.passed
@@ -175,7 +237,7 @@ def test_axioms_fail_for_broken_oracle(f2):
 def test_axioms_catch_identity_mislabel(f2):
     warped = cs.OrderOracle(
         name="warped", model=f2,
-        sign_fn=lambda g: cs.Sign.POSITIVE)
+        sign_fn=lambda key: cs.Sign.POSITIVE)
     report = cs.verify_order_axioms(warped, 1)
     assert report.identity_failures
 
