@@ -88,7 +88,6 @@ from .automata import (
     dfa_run,
     klein_cone_dfa,
     language_sample,
-    prefix_completion,
     quasigeodesic_check,
     random_dfa,
     reachable_evaluations,

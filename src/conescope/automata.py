@@ -119,12 +119,20 @@ class ConeDfa:
 
     @staticmethod
     def from_json(data: dict) -> "ConeDfa":
+        for key in ("states", "accepting"):
+            if (not isinstance(data[key], list)
+                    or not all(isinstance(s, str) for s in data[key])):
+                raise ValueError(f"{key} must be a list of strings")
+        for key in ("initial", "alphabet"):
+            if not isinstance(data[key], str):
+                raise ValueError(f"{key} must be a string")
         alphabet = GeneratorAlphabet(len(data["alphabet"]))
-        expected = [chr(ord("a") + i) for i in range(alphabet.rank)]
-        if list(data["alphabet"]) != expected:
-            raise ValueError(f"alphabet must be {''.join(expected)!r}")
+        expected = "".join(chr(ord("a") + i) for i in range(alphabet.rank))
+        if data["alphabet"] != expected:
+            raise ValueError(f"alphabet must be {expected!r}")
         transitions = data["transitions"]
-        if not isinstance(transitions, dict):
+        if (not isinstance(transitions, dict)
+                or not all(isinstance(row, dict) for row in transitions.values())):
             raise ValueError("transitions must be an object of state rows")
         return ConeDfa(
             states=tuple(data["states"]),
@@ -143,17 +151,6 @@ def dfa_run(dfa: ConeDfa, word: Word) -> tuple[str, bool]:
     for letter in word:
         state = table[state][letter]
     return state, state in dfa.accepting
-
-
-def prefix_completion(dfa: ConeDfa, state: str) -> Word | None:
-    """Shortest word from the state to acceptance, ties by the letter order.
-
-    Returns None when no accepting state is reachable. Reads the automaton's
-    completion table (`ConeDfa.completions`).
-    """
-    if state not in dfa.states:
-        raise ValueError(f"unknown state {state!r}")
-    return dfa.completions[state]
 
 
 def connectivity_radius(dfa: ConeDfa) -> int:
@@ -252,8 +249,7 @@ class ConeDfaReport(namedtuple("ConeDfaReport", (
 
 
 def reachable_evaluations(dfa: ConeDfa, model: GroupModel, max_length: int,
-                          node_cap: int | None = None,
-                          traversal: str = "forward") -> set[Element]:
+                          node_cap: int | None = None) -> set[Element]:
     """Elements of ev(L) hit by accepted words of length <= max_length.
 
     Runs a BFS over (state, element) pairs, which classifies exactly the
@@ -265,8 +261,6 @@ def reachable_evaluations(dfa: ConeDfa, model: GroupModel, max_length: int,
         raise ValueError("max_length must be non-negative")
     node_cap = DEFAULT_NODE_CAP if node_cap is None else node_cap
     letters = dfa.alphabet.letters
-    if traversal == "reverse":
-        letters = tuple(reversed(letters))
     model.alphabet.check_word(letters)
     steps = [(letter, model.generators[letter].key) for letter in letters]
     mul, reached = model.mul, set()  # the keys of ev(L)
@@ -302,8 +296,8 @@ def reachable_evaluations(dfa: ConeDfa, model: GroupModel, max_length: int,
 
 def verify_cone_dfa(dfa: ConeDfa, model: GroupModel, radius: int,
                     max_length: int | None = None,
-                    cap: int | None = None, node_cap: int | None = None,
-                    traversal: str = "forward") -> ConeDfaReport:
+                    cap: int | None = None,
+                    node_cap: int | None = None) -> ConeDfaReport:
     """Check ev(L) against the cone axioms on B(1, R), up to the length cutoff.
 
     FAIL on a hard violation: a word evaluating to the identity, both g and
@@ -315,9 +309,8 @@ def verify_cone_dfa(dfa: ConeDfa, model: GroupModel, radius: int,
     """
     if max_length is None:
         max_length = 4 * radius
-    ball = model.ball(radius, cap=cap, traversal=traversal)
-    reached = reachable_evaluations(dfa, model, max_length,
-                                    node_cap=node_cap, traversal=traversal)
+    ball = model.ball(radius, cap=cap)
+    reached = reachable_evaluations(dfa, model, max_length, node_cap=node_cap)
 
     # the walk runs on keys; an Element is built only to print a finding
     reached_keys = {g.key for g in reached}

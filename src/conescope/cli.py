@@ -3,18 +3,19 @@
     conescope --config cfg.json --command ray --out reports/
 
 Every diagnostic is a command; the config is a strict JSON document (unknown
-keys are rejected) naming the group, the order, the automaton and the
-numeric parameters. Reports are written as JSON plus a text summary and are
-byte-identical across repeated runs: they hold no wall times (their
-"timings" key is always null), and there is no flag to record them.
+keys are rejected, as are descriptor keys their kind does not read) naming
+the group, the order, the automaton and the numeric parameters. Reports are
+written as JSON plus a text summary and are byte-identical across repeated
+runs: they hold no wall times (their "timings" key is always null), and
+there is no flag to record them.
 
 Exit codes: 0 pass/certified, 1 fail/not-separating, 2 unknown/evidence,
 3 usage or configuration error (including any ValueError or TypeError raised
 while reading or running the config), 4 internal error.
 
 Environment: CONESCOPE_CAP (a non-negative integer) overrides the
-enumeration cap, CONESCOPE_TRAVERSAL ("forward" or "reverse") flips the
-internal traversal order; outputs must not change with it.
+enumeration cap. Nothing else in the environment changes a report, the
+hash seed (PYTHONHASHSEED) included.
 """
 
 from __future__ import annotations
@@ -145,9 +146,6 @@ class Runner:
         except ValueError:
             raise ConfigError(
                 "CONESCOPE_CAP must be a non-negative integer") from None
-        self.traversal = os.environ.get("CONESCOPE_TRAVERSAL", "forward")
-        if self.traversal not in ("forward", "reverse"):
-            raise ConfigError("CONESCOPE_TRAVERSAL must be forward or reverse")
 
     # -- config pieces ------------------------------------------------------
 
@@ -185,8 +183,7 @@ class Runner:
     def cmd_axioms(self):
         oracle = self.oracle()
         radius = self.int_param("radius")
-        report = verify_order_axioms(oracle, radius, cap=self.cap,
-                                     traversal=self.traversal)
+        report = verify_order_axioms(oracle, radius, cap=self.cap)
         code = EXIT_PASS if report.passed else EXIT_FAIL
         payload = {
             "passed": report.passed,
@@ -216,8 +213,7 @@ class Runner:
         oracle = self.oracle()
         radius = self.int_param("radius")
         width = self.int_param("width", 1)
-        report = r_components(oracle, width, radius, cap=self.cap,
-                              traversal=self.traversal)
+        report = r_components(oracle, width, radius, cap=self.cap)
         payload = {
             "count": report.count,
             "sizes": [len(c) for c in report.components],
@@ -264,8 +260,7 @@ class Runner:
         if (not isinstance(radii, list) or not radii
                 or any(type(R) is not int for R in radii)):
             raise ConfigError("survey needs a non-empty list of integer radii")
-        report = connectivity_survey(oracle, width, radii,
-                                     cap=self.cap, traversal=self.traversal)
+        report = connectivity_survey(oracle, width, radii, cap=self.cap)
         codes = {SurveyClass.PRIETO_CONSISTENT: EXIT_PASS,
                  SurveyClass.HUCHA_CERTIFIED: EXIT_PASS,
                  SurveyClass.DISCONNECTION_EVIDENCE: EXIT_UNKNOWN}
@@ -322,8 +317,7 @@ class Runner:
         dfa = _load_dfa(_require(self.config, "dfa"), self.config_dir)
         radius = self.int_param("radius")
         lmax = self.int_param("lmax", 4 * radius)
-        report = verify_cone_dfa(dfa, model, radius, lmax, cap=self.cap,
-                                 traversal=self.traversal)
+        report = verify_cone_dfa(dfa, model, radius, lmax, cap=self.cap)
         codes = {"PASS": EXIT_PASS, "FAIL": EXIT_FAIL, "UNKNOWN": EXIT_UNKNOWN}
         payload = {
             "verdict": report.verdict,
@@ -366,8 +360,7 @@ class Runner:
         oracle = self.oracle()
         radius = self.int_param("radius")
         width = self.int_param("width", 1)
-        dot = export_dot(oracle, width, radius, cap=self.cap,
-                         traversal=self.traversal)
+        dot = export_dot(oracle, width, radius, cap=self.cap)
         payload = {"dot": dot, "radius": radius, "width": width}
         nodes = dot.count("[label=")
         edges = dot.count(" -- ")

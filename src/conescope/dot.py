@@ -9,7 +9,7 @@ _SIGN_ATTR = {Sign.POSITIVE: "pos", Sign.NEGATIVE: "neg", Sign.IDENTITY: "id"}
 
 
 def export_dot(oracle: OrderOracle, r: int, radius: int,
-               cap: int | None = None, traversal: str = "forward") -> str:
+               cap: int | None = None) -> str:
     """One node per ball element (shortlex order), one edge per adjacency.
 
     Node attributes: label (canonical word), sign in {pos, neg, id}, comp
@@ -17,11 +17,10 @@ def export_dot(oracle: OrderOracle, r: int, radius: int,
     """
     if r < 0:
         raise ValueError("width must be non-negative")
-    ball = oracle.model.ball(radius, cap=cap, traversal=traversal)
+    ball = oracle.model.ball(radius, cap=cap)
     comp_index = {}
     if radius >= 1 and r >= 1:
-        components = r_components(oracle, r, radius, cap=cap,
-                                  traversal=traversal).components
+        components = r_components(oracle, r, radius, cap=cap).components
         comp_index = {g.key: i for i, comp in enumerate(components)
                       for g in comp}
 

@@ -243,8 +243,7 @@ def _search(ball: Ball, r: int, src: int, dst: int | None,
 
 
 def r_components(oracle: OrderOracle, r: int, radius: int,
-                 cap: int | None = None,
-                 traversal: str = "forward") -> ComponentReport:
+                 cap: int | None = None) -> ComponentReport:
     """Partition the positives of B(1, R) into classes joined at distance <= r.
 
     Only pairs of in-ball positive elements are joined, which is the
@@ -255,12 +254,10 @@ def r_components(oracle: OrderOracle, r: int, radius: int,
         raise ValueError("r must be >= 1")
     if r > radius:
         raise ValueError("r must not exceed the ball radius")
-    ball = oracle.model.ball(radius, cap=cap, traversal=traversal)
+    ball = oracle.model.ball(radius, cap=cap)
     sign = oracle.sign_key
     starts = [i for i, g in enumerate(ball) if sign(g.key) is Sign.POSITIVE]
     allowed = set(starts)
-    if traversal == "reverse":
-        starts.reverse()
     classes = []
     for start in starts:
         if start in allowed:  # each class leaves allowed once found
@@ -666,14 +663,12 @@ class SurveyReport(namedtuple("SurveyReport", (
 
 
 def connectivity_survey(oracle: OrderOracle, r: int, radii,
-                        cap: int | None = None,
-                        traversal: str = "forward") -> SurveyReport:
+                        cap: int | None = None) -> SurveyReport:
     """Run r_components over a ladder of radii and classify the outcome."""
     radii = tuple(sorted(radii))
     if not radii:
         raise ValueError("need at least one radius")
-    counts = tuple(r_components(oracle, r, R, cap=cap, traversal=traversal).count
-                   for R in radii)
+    counts = tuple(r_components(oracle, r, R, cap=cap).count for R in radii)
     stable = len(set(counts)) == 1
     certificate = None
     if all(c == 1 for c in counts):

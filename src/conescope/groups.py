@@ -40,12 +40,12 @@ A BFS that runs the frontier in shortlex order and the letters in letter
 order finds each sphere in shortlex order when every normal form is the
 shortlex-least geodesic (`shortlex_discovery`; Epstein et al., Word
 Processing in Groups, ch. 2): on F_k, Z^n and their products, not on the
-Klein bottle's b^n a^m, whose spheres are sorted, as are the reverse
-traversal's. Every relator has even length, so no edge joins two members
-of a sphere. Two members of B(R) at distance <= r are joined by a path of
-length <= r inside B(R) (a tree; a grid, as the Klein bottle is in (n, m)
-coordinates; in a product, each factor's length-reducing steps first), so
-`Ball.near` walks the step table alone.
+Klein bottle's b^n a^m, whose spheres are sorted. Every relator has even
+length, so no edge joins two members of a sphere. Two members of B(R) at
+distance <= r are joined by a path of length <= r inside B(R) (a tree; a
+grid, as the Klein bottle is in (n, m) coordinates; in a product, each
+factor's length-reducing steps first), so `Ball.near` walks the step table
+alone.
 
 The GroupModel methods product_word and inverse_word normalise the
 concatenation or the inverted word; they are the slow reference the tests
@@ -73,10 +73,6 @@ from .words import (
 )
 
 DEFAULT_CAP = 10**7
-
-# Traversal order for ball BFS; "reverse" flips letter expansion only, the
-# returned members must be identical either way.
-TRAVERSALS = ("forward", "reverse")
 
 
 class Element:
@@ -116,9 +112,6 @@ class Element:
 
     def inverse(self) -> "Element":
         return self.model.invert(self)
-
-    def is_identity(self) -> bool:
-        return self.key == self.model.one
 
     def sort_key(self) -> tuple:
         return shortlex_key(self.word, self.model.alphabet)
@@ -289,8 +282,7 @@ class GroupModel:
         return _HeldBall([self.identity()], {self.one: 0}, [1],
                          array("i", [-1] * width), width)
 
-    def ball(self, radius: int, cap: int | None = None,
-             traversal: str = "forward") -> Ball:
+    def ball(self, radius: int, cap: int | None = None) -> Ball:
         """B(radius) around the identity, with exact distances.
 
         The model holds one ball, grown by `_grow`, and B(radius) is a view
@@ -299,17 +291,15 @@ class GroupModel:
         """
         if radius < 0:
             raise ValueError("radius must be non-negative")
-        if traversal not in TRAVERSALS:
-            raise ValueError(f"traversal must be one of {TRAVERSALS}")
         cap = DEFAULT_CAP if cap is None else cap
         held = self._held
         if radius >= len(held.sizes):
-            self._grow(radius, cap, traversal)
+            self._grow(radius, cap)
         if held.sizes[radius] > cap:
             raise CapExceeded(cap + 1, cap, what=f"ball of radius {radius}")
         return Ball(radius, held)
 
-    def _grow(self, radius: int, cap: int, traversal: str) -> None:
+    def _grow(self, radius: int, cap: int) -> None:
         """Grow the held ball to the radius by BFS on keys, a sphere at a time.
 
         Around the identity depth is word length, which shortlex compares
@@ -322,16 +312,15 @@ class GroupModel:
         held, mul = self._held, self.mul
         width = held.width
         gens = [g.key for g in self.generators.values()]
-        order = range(width)[::-1] if traversal == "reverse" else range(width)
-        resort = traversal == "reverse" or not self.shortlex_discovery
+        resort = not self.shortlex_discovery
         elements, ranks = list(held.elements), dict(held.ranks)
         sizes, step = list(held.sizes), array("i", held.step)
         for _ in range(len(sizes), radius + 1):
             first, start = sizes[-2] if len(sizes) > 1 else 0, len(elements)
             for g in range(first, start):
                 key = elements[g].key
-                for i in order:  # a new member's rank is its discovery rank
-                    step[g * width + i] = ranks.setdefault(mul(key, gens[i]),
+                for i, x in enumerate(gens):  # new members ranked as found
+                    step[g * width + i] = ranks.setdefault(mul(key, x),
                                                            len(ranks))
                 if len(ranks) > cap:
                     raise CapExceeded(cap + 1, cap, what=f"ball of radius {radius}")
@@ -643,21 +632,36 @@ def _power(generator: int, e: int) -> Word:
     return (generator,) * e if e >= 0 else (-generator,) * -e
 
 
-def model_from_descriptor(data: dict) -> GroupModel:
-    """Parse the JSON group descriptor (see module docs)."""
+def check_descriptor(data, known: dict[str, tuple], what: str) -> str:
+    """The kind of a descriptor object, refusing an unknown kind and any key
+    that its kind (`known`: kind -> the keys it reads) does not read."""
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError(f"not an object with a 'kind': {data!r}")
     kind = data["kind"]
+    if not isinstance(kind, str) or kind not in known:
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    unknown = set(data) - {"kind", *known[kind]}
+    if unknown:
+        raise ValueError(f"unknown keys for kind {kind!r}: {sorted(unknown)}")
+    return kind
+
+
+_GROUP_KEYS = {"free": ("rank",), "abelian": ("rank",), "klein": (),
+               "product": ("factors",)}
+
+
+def model_from_descriptor(data: dict) -> GroupModel:
+    """Parse the JSON group descriptor: {"kind": "free"|"abelian", "rank": k},
+    {"kind": "klein"} or {"kind": "product", "factors": [d1, d2]}."""
+    kind = check_descriptor(data, _GROUP_KEYS, "group")
     if kind in ("free", "abelian"):
         if type(data["rank"]) is not int:  # a bool or float is refused
             raise ValueError(f"rank must be an integer, got {data['rank']!r}")
         return (FreeGroup if kind == "free" else FreeAbelian)(data["rank"])
     if kind == "klein":
         return KleinBottle()
-    if kind == "product":
-        factors = data.get("factors")
-        if not isinstance(factors, list) or len(factors) != 2:
-            raise ValueError("product descriptor needs exactly two factors")
-        return DirectProduct((model_from_descriptor(factors[0]),
-                              model_from_descriptor(factors[1])))
-    raise ValueError(f"unknown group kind {kind!r}")
+    factors = data.get("factors")  # the kind is "product"
+    if not isinstance(factors, list) or len(factors) != 2:
+        raise ValueError("product descriptor needs exactly two factors")
+    return DirectProduct((model_from_descriptor(factors[0]),
+                          model_from_descriptor(factors[1])))

@@ -34,6 +34,7 @@ from .groups import (
     FreeGroup,
     GroupModel,
     KleinBottle,
+    check_descriptor,
 )
 from .magnus import leading_term
 from .quadratic import QuadraticValue, as_quadratic, sqrt2_sign
@@ -82,13 +83,6 @@ class OrderOracle:
 
     def is_positive(self, g: Element) -> bool:
         return self.sign(g) is Sign.POSITIVE
-
-    def is_negative(self, g: Element) -> bool:
-        return self.sign(g) is Sign.NEGATIVE
-
-    def precedes(self, g: Element, h: Element) -> bool:
-        """g < h in the left-invariant order, i.e. g^-1 h is positive."""
-        return self.is_positive(g.inverse() * h)
 
     def positives(self, ball: Ball) -> list[Element]:
         return [g for g in ball.sorted_elements() if self.is_positive(g)]
@@ -241,8 +235,7 @@ class AxiomReport(namedtuple("AxiomReport", (
 
 
 def verify_order_axioms(oracle: OrderOracle, radius: int,
-                        cap: int | None = None,
-                        traversal: str = "forward") -> AxiomReport:
+                        cap: int | None = None) -> AxiomReport:
     """Exhaustive cone axioms on B(1, R).
 
     (i) for g != 1 exactly one of g, g^-1 is positive (and neither is
@@ -251,7 +244,7 @@ def verify_order_axioms(oracle: OrderOracle, radius: int,
     (`inverse_pairs`, `closure_misses`) finds the pairs and products.
     """
     model = oracle.model
-    ball = model.ball(radius, cap=cap, traversal=traversal)
+    ball = model.ball(radius, cap=cap)
     # the walk runs on keys; an Element is built only to print a failure
     signs: dict[tuple, Sign] = {g.key: oracle.sign_key(g.key) for g in ball}
     one, positive = model.one, Sign.POSITIVE
@@ -282,11 +275,14 @@ def verify_order_axioms(oracle: OrderOracle, radius: int,
 
 # -- descriptors -------------------------------------------------------------
 
+_ORDER_KEYS = {"magnus": ("name",), "hyperplane": ("name", "weights"),
+               "klein": ("name",),
+               "lex_pair": ("name", "leading", "trailing", "leading_factor")}
+
+
 def order_from_descriptor(data: dict, model: GroupModel) -> OrderOracle:
     """Parse the JSON order descriptor against a group model."""
-    if not isinstance(data, dict) or "kind" not in data:
-        raise ValueError(f"not an object with a 'kind': {data!r}")
-    kind = data["kind"]
+    kind = check_descriptor(data, _ORDER_KEYS, "order")
     name = data.get("name")
     if kind == "magnus":
         return magnus_order(model, name=name or "magnus")
@@ -297,20 +293,18 @@ def order_from_descriptor(data: dict, model: GroupModel) -> OrderOracle:
         return hyperplane_order(model, weights, name=name or "hyperplane")
     if kind == "klein":
         return klein_order(model, name=name or "klein-cone")
-    if kind == "lex_pair":
-        if not isinstance(model, DirectProduct):
-            raise ModelMismatch("lex_pair order needs a product model")
-        leading_factor = data.get("leading_factor", 0)
-        if type(leading_factor) is not int or leading_factor not in (0, 1):
-            raise ValueError("leading_factor must be 0 or 1")
-        lead = order_from_descriptor(data["leading"],
-                                     model.factors[leading_factor])
-        trail = order_from_descriptor(data["trailing"],
-                                      model.factors[1 - leading_factor])
-        oracle = lex_pair_sign(lead, trail, leading_factor=leading_factor,
-                               name=name)
-        if oracle.model != model:
-            raise ModelMismatch("lex_pair factors do not match the product model")
-        return oracle
-    raise ValueError(f"unknown order kind {kind!r}")
+    if not isinstance(model, DirectProduct):  # the kind is "lex_pair"
+        raise ModelMismatch("lex_pair order needs a product model")
+    leading_factor = data.get("leading_factor", 0)
+    if type(leading_factor) is not int or leading_factor not in (0, 1):
+        raise ValueError("leading_factor must be 0 or 1")
+    lead = order_from_descriptor(data["leading"],
+                                 model.factors[leading_factor])
+    trail = order_from_descriptor(data["trailing"],
+                                  model.factors[1 - leading_factor])
+    oracle = lex_pair_sign(lead, trail, leading_factor=leading_factor,
+                           name=name)
+    if oracle.model != model:
+        raise ModelMismatch("lex_pair factors do not match the product model")
+    return oracle
 

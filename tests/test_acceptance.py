@@ -254,12 +254,13 @@ def test_criterion_9_determinism(tmp_path, oracles):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     blobs = []
-    for tag, traversal in (("one", None), ("two", None), ("rev", "reverse")):
+    # two plain runs, each under a random hash seed, and one under a set seed
+    for tag, hash_seed in (("one", None), ("two", None), ("seed", "12345")):
         outdir = tmp_path / tag
         env = dict(os.environ)
-        env.pop("CONESCOPE_TRAVERSAL", None)
-        if traversal:
-            env["CONESCOPE_TRAVERSAL"] = traversal
+        env.pop("PYTHONHASHSEED", None)
+        if hash_seed:
+            env["PYTHONHASHSEED"] = hash_seed
         for command in ("components", "export-dot"):
             proc = subprocess.run(
                 [sys.executable, "-m", "conescope.cli", "--config", str(cfg),
@@ -272,20 +273,22 @@ def test_criterion_9_determinism(tmp_path, oracles):
                          "ball.dot")))
     ok = blobs[0] == blobs[1] == blobs[2]
     assert _line(9, "determinism", ok,
-                 "reports byte-identical across two runs and both traversal "
-                 "orders")
+                 "reports byte-identical across two runs and a set hash "
+                 "seed")
     assert ok
 
 
-def test_library_level_determinism(oracles):
-    """Same partition and certificates from both internal traversal orders."""
-    # the reverse calls get models that hold no ball, so their BFS runs
-    magnus = cs.magnus_order(cs.FreeGroup(2))
-    irrational = cs.hyperplane_order(cs.FreeAbelian(2), cs.sqrt2_weights(),
-                                     name="hyperplane-irrational")
-    fwd = cs.r_components(oracles["magnus"], 1, 5, traversal="forward")
-    rev = cs.r_components(magnus, 1, 5, traversal="reverse")
-    assert fwd == rev
-    dot_f = cs.export_dot(oracles["irrational"], 1, 3, traversal="forward")
-    dot_r = cs.export_dot(irrational, 1, 3, traversal="reverse")
-    assert dot_f == dot_r
+def test_library_level_determinism():
+    """Same partition and DOT from a fresh model and one grown in steps."""
+    def oracles():
+        return (cs.magnus_order(cs.FreeGroup(2)),
+                cs.hyperplane_order(cs.FreeAbelian(2), cs.sqrt2_weights(),
+                                    name="hyperplane-irrational"))
+    (magnus, irrational), stepped = oracles(), oracles()
+    for oracle in stepped:
+        for radius in (2, 0, 5):
+            oracle.model.ball(radius)
+    assert (cs.r_components(magnus, 1, 5)
+            == cs.r_components(stepped[0], 1, 5))
+    assert (cs.export_dot(irrational, 1, 3)
+            == cs.export_dot(stepped[1], 1, 3))

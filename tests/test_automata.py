@@ -77,16 +77,16 @@ def test_dfa_run_empty_word_rule():
 # -- completions ------------------------------------------------------------------
 
 def test_prefix_completion_examples(zdfa):
-    assert cs.prefix_completion(zdfa, "sx") == ()
+    assert zdfa.completions["sx"] == ()
     # BFS with the fixed letter order: "x" is the first shortest completion
-    assert cs.prefix_completion(zdfa, "s0") == (1,)
-    assert cs.prefix_completion(zdfa, "sink") is None
+    assert zdfa.completions["s0"] == (1,)
+    assert zdfa.completions["sink"] is None
 
 
 def test_prefix_completion_length_bound(zdfa, kdfa):
     for dfa in (zdfa, kdfa, backtracking_dfa(), all_accepting_f2_dfa()):
         for state in dfa.states:
-            completion = cs.prefix_completion(dfa, state)
+            completion = dfa.completions[state]
             if completion is not None:
                 assert len(completion) <= dfa.size() - 1
 
@@ -99,7 +99,7 @@ def test_prefix_completion_tie_break_by_letter_order():
         transitions={"s": {"a": "t", "A": "u"},
                      "t": {"a": "t", "A": "t"},
                      "u": {"a": "u", "A": "u"}})
-    assert cs.prefix_completion(dfa, "s") == (1,)
+    assert dfa.completions["s"] == (1,)
 
 
 def brute_completion(dfa, state):
@@ -121,7 +121,7 @@ def brute_completion(dfa, state):
 def test_prefix_completion_matches_brute_force(seed, max_states, rank):
     dfa = cs.random_dfa(random.Random(seed), max_states=max_states, rank=rank)
     for state in dfa.states:
-        assert cs.prefix_completion(dfa, state) == brute_completion(dfa, state)
+        assert dfa.completions[state] == brute_completion(dfa, state)
 
 
 # -- connectivity radius -------------------------------------------------------------
@@ -316,12 +316,6 @@ def test_reachable_evaluations_matches_language_sample(kdfa, klein):
     reached = cs.reachable_evaluations(kdfa, klein, 6)
     sample = cs.language_sample(kdfa, klein, 6)
     assert reached == set(sample.evaluations)
-
-
-def test_verify_cone_traversal_independent(zdfa, z2):
-    fwd = cs.verify_cone_dfa(zdfa, z2, 3, 12, traversal="forward")
-    rev = cs.verify_cone_dfa(zdfa, z2, 3, 12, traversal="reverse")
-    assert fwd == rev
 
 
 def test_verify_cone_node_cap(f2):

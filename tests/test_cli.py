@@ -206,23 +206,32 @@ def test_flag_overrides_config(tmp_path):
     assert len(report["result"]["maxima"]) == 4
 
 
-def test_reports_byte_identical_across_runs_and_traversals(tmp_path):
-    cfg = write_config(tmp_path, {**F2_MAGNUS, "radius": 3, "width": 1})
+def test_reports_byte_identical_across_runs_and_hash_seeds(tmp_path):
+    # the Klein automaton's state names are strings, so an order that
+    # followed string hashes would differ between the seeds
+    runs = {"export-dot": write_config(
+                tmp_path, {**F2_MAGNUS, "radius": 3, "width": 1}, "dot.json"),
+            "dfa-verify": write_config(
+                tmp_path, {"group": {"kind": "klein"}, "radius": 4,
+                           "dfa": klein_cone_dfa().to_json()}, "dfa.json")}
     blobs = {}
-    for tag, env_traversal in (("r1", None), ("r2", None), ("rev", "reverse")):
+    # two plain runs, each under a random hash seed, and one under a set seed
+    for tag, hash_seed in (("r1", None), ("r2", None), ("seed", "12345")):
         outdir = tmp_path / tag
         env = dict(os.environ)
-        env.pop("CONESCOPE_TRAVERSAL", None)
-        if env_traversal:
-            env["CONESCOPE_TRAVERSAL"] = env_traversal
-        proc = subprocess.run(
-            [sys.executable, "-m", "conescope.cli", "--config", cfg,
-             "--command", "export-dot", "--out", str(outdir)],
-            env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        blobs[tag] = ((outdir / "export-dot.report.json").read_bytes(),
-                      (outdir / "ball.dot").read_bytes())
-    assert blobs["r1"] == blobs["r2"] == blobs["rev"]
+        env.pop("PYTHONHASHSEED", None)
+        if hash_seed:
+            env["PYTHONHASHSEED"] = hash_seed
+        for command, cfg in runs.items():
+            proc = subprocess.run(
+                [sys.executable, "-m", "conescope.cli", "--config", cfg,
+                 "--command", command, "--out", str(outdir)],
+                env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+        blobs[tag] = [(outdir / name).read_bytes()
+                      for name in ("export-dot.report.json", "ball.dot",
+                                   "dfa-verify.report.json")]
+    assert blobs["r1"] == blobs["r2"] == blobs["seed"]
 
 
 def test_cap_env_variable(tmp_path):
@@ -253,6 +262,15 @@ def test_ray_klein_radius_12_under_default_cap(tmp_path, monkeypatch):
 
 
 Z2_DFA = {"group": {"kind": "abelian", "rank": 2}, "dfa": Z2_LEX_DFA}
+# every non-trivial element is accepted: a valid automaton, not a cone
+PQ_DFA = {"states": ["p", "q"], "initial": "p", "accepting": ["q"],
+          "alphabet": "ab",
+          "transitions": {s: {ch: "q" for ch in "aAbB"} for s in "pq"}}
+ZZ = {"kind": "product",
+      "factors": [{"kind": "abelian", "rank": 1}, {"kind": "abelian", "rank": 1}]}
+ZZ_LEX = {"kind": "lex_pair", "leading_factor": 1,
+          "leading": {"kind": "hyperplane", "weights": [[1, 0]]},
+          "trailing": {"kind": "hyperplane", "weights": [[1, 0]]}}
 
 MALFORMED = [
     ("axioms", {**F2_MAGNUS, "radius": -1}),
@@ -328,6 +346,35 @@ MALFORMED = [
                  "dfa": {**Z2_LEX_DFA, "transitions": transitions}})
       for command in ("dfa-verify", "dfa-path", "dfa-qg")
       for transitions in ([], 0, None, "x", True)],
+    # a descriptor key that its kind does not read; "leading_facter" would
+    # otherwise run leading factor 0
+    ("ray", {"group": ZZ, "radius": 3,
+             "order": {**ZZ_LEX, "leading_facter": 1}}),
+    ("ray", {**F2_MAGNUS, "group": {"kind": "free", "rank": 2, "factors": []},
+             "radius": 2}),
+    ("axioms", {**Z2_IRR, "group": {"kind": "abelian", "rank": 2, "rnak": 3},
+                "radius": 2}),
+    ("ray", {"group": {"kind": "klein", "rank": 2}, "order": {"kind": "klein"},
+             "radius": 2}),
+    ("components", {**F2XZ_Z_LEADING, "group": {**F2XZ, "rank": 3},
+                    "radius": 2}),
+    ("ray", {**F2_MAGNUS, "order": {"kind": "magnus", "weights": [[1, 0]]},
+             "radius": 2}),
+    ("ray", {**Z2_IRR, "order": {**Z2_IRR["order"], "leading": {}},
+             "radius": 2}),
+    ("ray", {"group": {"kind": "klein"},
+             "order": {"kind": "klein", "name": "k", "flip": True}, "radius": 2}),
+    ("components", {**F2XZ_Z_LEADING, "radius": 2,
+                    "order": {**F2XZ_Z_LEADING["order"],
+                              "trailing": {"kind": "magnus", "wieghts": []}}}),
+    # DFA fields of the wrong JSON type: "pq" is no list of the states p and
+    # q, and a list of two-letter strings is no transition row
+    *[("dfa-verify", {"group": {"kind": "abelian", "rank": 2}, "radius": 2,
+                      "dfa": {**PQ_DFA, key: value}})
+      for key, value in (("states", "pq"), ("accepting", "q"),
+                         ("initial", ["p"]), ("alphabet", ["a", "b"]),
+                         ("transitions", {**PQ_DFA["transitions"],
+                                          "q": ["aq", "Aq", "bq", "Bq"]}))],
 ]
 
 
@@ -336,8 +383,23 @@ MALFORMED = [
 def test_malformed_config_exit_3(tmp_path, capsys, command, config):
     assert run_cli(tmp_path, config, command) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_unknown_descriptor_key_is_named(tmp_path, capsys):
+    config = {"group": ZZ, "radius": 3,
+              "order": {**ZZ_LEX, "leading_facter": 1}}
+    assert run_cli(tmp_path, config, "ray") == 3
+    assert capsys.readouterr().err == (
+        "error: bad order descriptor: unknown keys for kind 'lex_pair': "
+        "['leading_facter']\n")
+    config = {**F2_MAGNUS, "group": {"kind": "free", "rank": 2, "rnak": 2},
+              "radius": 2}
+    assert run_cli(tmp_path, config, "ray") == 3
+    assert capsys.readouterr().err == (
+        "error: bad group descriptor: unknown keys for kind 'free': "
+        "['rnak']\n")
 
 
 Z_F2 = {"kind": "product",
@@ -501,7 +563,6 @@ def _kernel_reports(tmp_path, tag):
 def test_reports_identical_under_reference_kernel(tmp_path, monkeypatch):
     import conescope as cs
     monkeypatch.delenv("CONESCOPE_CAP", raising=False)
-    monkeypatch.delenv("CONESCOPE_TRAVERSAL", raising=False)
     fast = _kernel_reports(tmp_path, "fast")
     assert {code for code, _ in fast.values()} >= {0, 2}
 

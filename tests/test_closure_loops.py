@@ -36,7 +36,7 @@ def reference_order_axioms(oracle, radius):
 
     seen = set()
     for g in ball.sorted_elements():
-        if g.is_identity() or g in seen:
+        if g.key == oracle.model.one or g in seen:
             continue
         inv = g.inverse()
         seen.add(g)
@@ -72,11 +72,11 @@ def reference_cone_dfa(dfa, model, radius, max_length):
         counterexamples.append(("identity-in", str(identity)))
 
     in_ball = [g for g in ball.sorted_elements()
-               if not g.is_identity() and g in reached]
+               if not g.key == model.one and g in reached]
     unresolved = []
     seen = set()
     for g in ball.sorted_elements():
-        if g.is_identity() or g in seen:
+        if g.key == model.one or g in seen:
             continue
         inv = g.inverse()
         seen.add(g)
@@ -93,7 +93,7 @@ def reference_cone_dfa(dfa, model, radius, max_length):
             product = g * h
             if product not in ball:
                 continue
-            if product.is_identity():
+            if product.key == model.one:
                 continue
             if product.inverse() in reached and product not in reached:
                 counterexamples.append(

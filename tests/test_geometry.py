@@ -53,7 +53,7 @@ def test_max_of_ball_is_maximum(magnus, f2):
     top = cs.max_of_ball(magnus, 3)
     for g in f2.ball(3).sorted_elements():
         if g != top:
-            assert magnus.precedes(g, top)
+            assert magnus.is_positive(g.inverse() * top)
 
 
 def test_max_of_ball_detects_ties(f2):
@@ -71,7 +71,7 @@ SHIPPED_ORDERS = ["magnus", "hyper_irr", "hyper_lex", "klein_oracle",
 @pytest.mark.parametrize("name", SHIPPED_ORDERS)
 def test_ball_maxima_match_brute_force(request, name):
     # the one maxima scan against the definition: g_n is the member of B(n)
-    # that every other member precedes
+    # that every other member precedes: h < top iff h^-1 top is positive
     oracle = request.getfixturevalue(name)
     depth = 4
     expected = []
@@ -79,7 +79,8 @@ def test_ball_maxima_match_brute_force(request, name):
         top = cs.max_of_ball(oracle, n)
         members = oracle.model.ball(n).sorted_elements()
         assert top in members
-        assert all(oracle.precedes(h, top) for h in members if h != top)
+        assert all(oracle.is_positive(h.inverse() * top)
+                   for h in members if h != top)
         expected.append(top)
     assert cs.verify_maxima_ray(oracle, depth).maxima == tuple(expected[1:])
 
@@ -156,14 +157,6 @@ def test_components_radius_one_bound(magnus, f2):
     assert sum(sizes) == len(magnus.positives(f2.ball(1)))
 
 
-def test_components_traversal_independent(magnus, z_leading):
-    for oracle, r, radius in ((magnus, 1, 5), (z_leading, 1, 4)):
-        fwd = cs.r_components(oracle, r, radius, traversal="forward")
-        rev = cs.r_components(oracle, r, radius, traversal="reverse")
-        assert fwd.components == rev.components
-        assert fwd.representatives == rev.representatives
-
-
 def test_components_refine_as_r_grows(magnus):
     fine = cs.r_components(magnus, 1, 5)
     coarse = cs.r_components(magnus, 2, 5)
@@ -195,7 +188,7 @@ def test_tree_swamp_sizes(magnus, f2):
         assert len(f2.ball(r)) == size
         assert cert.verdict is Verdict.CERTIFIED_TREE
         for s in cert.swamp:
-            assert magnus.is_negative(s)
+            assert magnus.sign(s) is cs.Sign.NEGATIVE
         u, v = cert.witnesses
         assert magnus.is_positive(u) and magnus.is_positive(v)
         assert f2.distance(cert.center, u) > r
@@ -322,7 +315,7 @@ def test_separation_certified_exhaustive_annulus(z2, hyper_irr):
 
 def test_separation_product_column_evidence(f2_leading):
     cert = product_column_swamp(f2_leading, 1, 5)
-    assert all(f2_leading.is_negative(s) for s in cert.swamp)
+    assert all(f2_leading.sign(s) is cs.Sign.NEGATIVE for s in cert.swamp)
     result = cs.verify_separation(cert, f2_leading.model, radius=5)
     assert result.verdict is Verdict.EVIDENCE
 
@@ -349,7 +342,7 @@ def test_cofinal_path_inside_z_line(z_leading):
     P = z_leading.model
     path = cs.cofinal_positive_path(z_leading, P.element("c"), P.element("ccc"))
     for p in path.points:
-        assert P.project(p, 0).is_identity()
+        assert P.project(p, 0).key == P.factors[0].one
         assert z_leading.is_positive(p)
 
 
@@ -520,7 +513,7 @@ def test_ball_bounded_diagnostics_order_by_rank(zz_lex, monkeypatch):
     M = zz_lex.model
     runs = [
         lambda: cs.r_components(o["magnus"], 2, 4),
-        lambda: cs.r_components(o["z_leading"], 1, 4, traversal="reverse"),
+        lambda: cs.r_components(o["z_leading"], 1, 4),
         lambda: cs.export_dot(o["f2_leading"], 1, 3),
         lambda: cs.verify_separation(product_column_swamp(o["f2_leading"], 1, 5),
                                      o["f2_leading"].model, radius=5),
@@ -608,8 +601,7 @@ def test_r_path_searches_multiply_keys_not_elements(monkeypatch, zz_lex):
     cert = product_column_swamp(o["f2_leading"], 1, 5)
     runs = {
         "components": lambda: cs.r_components(o["z_leading"], 1, 5),
-        "components-reverse": lambda: cs.r_components(o["magnus"], 2, 5,
-                                                      traversal="reverse"),
+        "components-width-2": lambda: cs.r_components(o["magnus"], 2, 5),
         "separation": lambda: cs.verify_separation(cert, o["f2_leading"].model,
                                                    radius=5),
         "export-dot": lambda: cs.export_dot(o["f2_leading"], 2, 4),

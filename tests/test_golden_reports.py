@@ -71,8 +71,7 @@ def prepare(name: str, seed: int, reduced: bool, directory: Path,
     """The workload, with its inputs written and its environment set."""
     workload = workloads.build(name, seed, reduced=reduced)
     workloads.write_inputs(workload, directory / "inputs")
-    for var in ("CONESCOPE_CAP", "CONESCOPE_TRAVERSAL"):
-        mp.delenv(var, raising=False)
+    mp.delenv("CONESCOPE_CAP", raising=False)
     for var, value in workload.env.items():
         mp.setenv(var, value)
     return workload
