@@ -257,6 +257,13 @@ def reachable_evaluations(dfa: ConeDfa, model: GroupModel, max_length: int,
     Pairs whose state cannot reach acceptance are pruned: they contribute
     nothing to ev(L).
     """
+    return {Element(model, h)
+            for h in _reachable_keys(dfa, model, max_length, node_cap)}
+
+
+def _reachable_keys(dfa: ConeDfa, model: GroupModel, max_length: int,
+                    node_cap: int | None) -> set[tuple]:
+    """The keys of `reachable_evaluations`."""
     if max_length < 0:
         raise ValueError("max_length must be non-negative")
     node_cap = DEFAULT_NODE_CAP if node_cap is None else node_cap
@@ -291,7 +298,7 @@ def reachable_evaluations(dfa: ConeDfa, model: GroupModel, max_length: int,
                     reached.add(h)
                 extension.append(pair)
         frontier = extension
-    return {Element(model, h) for h in reached}
+    return reached
 
 
 def verify_cone_dfa(dfa: ConeDfa, model: GroupModel, radius: int,
@@ -310,10 +317,8 @@ def verify_cone_dfa(dfa: ConeDfa, model: GroupModel, radius: int,
     if max_length is None:
         max_length = 4 * radius
     ball = model.ball(radius, cap=cap)
-    reached = reachable_evaluations(dfa, model, max_length, node_cap=node_cap)
-
     # the walk runs on keys; an Element is built only to print a finding
-    reached_keys = {g.key for g in reached}
+    reached_keys = _reachable_keys(dfa, model, max_length, node_cap)
     one = model.one
 
     def show(key) -> str:

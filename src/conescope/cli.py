@@ -13,6 +13,8 @@ Exit codes: 0 pass/certified, 1 fail/not-separating, 2 unknown/evidence,
 3 usage or configuration error (including any ValueError or TypeError raised
 while reading or running the config), 4 internal error.
 
+Flags are written in full, as `--flag value` or `--flag=value`.
+
 Environment: CONESCOPE_CAP (a non-negative integer) overrides the
 enumeration cap. Nothing else in the environment changes a report, the
 hash seed (PYTHONHASHSEED) included.
@@ -20,7 +22,6 @@ hash seed (PYTHONHASHSEED) included.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import random
@@ -73,6 +74,12 @@ EXIT_FAIL = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
 EXIT_INTERNAL = 4
+
+USAGE = ("usage: conescope [-h] --config CONFIG --command COMMAND [--out OUT] "
+         "[--radius RADIUS] [--width WIDTH] [--lmax LMAX]")
+# flag -> the type of its value; --config and --command are required
+FLAGS = {"--config": str, "--command": str, "--out": str, "--radius": int,
+         "--width": int, "--lmax": int}
 
 
 def _require(config: dict, key: str):
@@ -134,10 +141,7 @@ class Runner:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         self.command = command
-        self.config = dict(config)
-        for key, value in overrides.items():
-            if value is not None:
-                self.config[key] = value
+        self.config = {**config, **overrides}
         self.config_dir = config_dir
         try:
             self.cap = int(os.environ.get("CONESCOPE_CAP", DEFAULT_CAP))
@@ -397,38 +401,56 @@ def _write_reports(out_dir: Path, command: str, code: int, payload: dict,
             fh.write("\n")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="conescope",
-        description="run positive-cone experiments from a JSON config")
-    parser.add_argument("--config", required=True, help="path to the JSON config")
-    parser.add_argument("--command", required=True,
-                        help="one of: " + ", ".join(COMMANDS))
-    parser.add_argument("--out", default=".", help="report directory")
-    parser.add_argument("--radius", type=int, default=None,
-                        help="override the config radius (R or N)")
-    parser.add_argument("--width", type=int, default=None,
-                        help="override the config width (r)")
-    parser.add_argument("--lmax", type=int, default=None,
-                        help="override the language length cutoff")
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code == 0 else EXIT_USAGE
+def _parse_args(argv: list[str]) -> dict | None:
+    """The flags given, by name ("config", "radius", ...), or None for help.
+    A usage error raises ConfigError."""
+    values, args = {}, iter(argv)
+    for arg in args:
+        if arg in ("-h", "--help"):
+            return None
+        flag, eq, value = arg.partition("=")
+        if flag not in FLAGS:
+            raise ConfigError(f"unrecognized argument: {arg}")
+        value = value if eq else next(args, "-")
+        # a flag, or nothing, is no value; a negative number is one
+        if not eq and value.startswith("-") and not value[1:].isdigit():
+            raise ConfigError(f"argument {flag}: expected one argument")
+        try:
+            values[flag[2:]] = FLAGS[flag](value)
+        except ValueError:
+            raise ConfigError(f"argument {flag}: invalid int value: "
+                              f"{value!r}") from None
+    missing = ", ".join(f for f in ("--config", "--command")
+                        if f[2:] not in values)
+    if missing:
+        raise ConfigError(f"the following arguments are required: {missing}")
+    return values
 
+
+def main(argv=None) -> int:
     try:
-        config = _load_config(args.config)
-        runner = Runner(config, args.command,
-                        overrides={"radius": args.radius, "width": args.width,
-                                   "lmax": args.lmax},
-                        config_dir=Path(args.config).resolve().parent)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+    except ConfigError as exc:
+        print(f"{USAGE}\nconescope: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if args is None:
+        print(f"{USAGE}\ncommands: {', '.join(COMMANDS)}")
+        return EXIT_PASS
+
+    # what is left in args are the overrides of the config
+    path, command = args.pop("config"), args.pop("command")
+    out = args.pop("out", ".")
+    try:
+        config = _load_config(path)
+        runner = Runner(config, command, overrides=args,
+                        config_dir=Path(path).resolve().parent)
         code, payload, summary = runner.run()
         try:
-            _write_reports(Path(args.out), args.command, code, payload,
-                           summary, runner.config)
+            _write_reports(Path(out), command, code, payload, summary,
+                           runner.config)
         except OSError as exc:
             raise ConfigError(
-                f"cannot write reports to {args.out}: {exc}") from exc
+                f"cannot write reports to {out}: {exc}") from exc
     except (ConescopeError, ValueError, TypeError) as exc:
         # malformed input, whichever layer notices it
         print(f"error: {exc}", file=sys.stderr)
@@ -441,5 +463,17 @@ def main(argv=None) -> int:
     return code
 
 
+def entry() -> None:
+    """Run `main` and leave without interpreter teardown (reports are closed
+    and no exit handler is registered); sys.exit reports a failed flush."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -305,9 +305,10 @@ class GroupModel:
         Around the identity depth is word length, which shortlex compares
         first, so each new sphere is appended in shortlex order: as found,
         or sorted once (see the module docs). Each product h = g x fills
-        step[g][x], and step[h][x^-1] once h has its rank. The held ball is
-        replaced only when every sphere is done: CapExceeded, raised once
-        the ball would hold more than cap nodes, leaves it as it was.
+        step[g][x], and step[h][x^-1] once h has its rank, so a member forms
+        only its products into the next sphere. The held ball is replaced
+        only when every sphere is done: CapExceeded, raised once the ball
+        would hold more than cap nodes, leaves it as it was.
         """
         held, mul = self._held, self.mul
         width = held.width
@@ -318,10 +319,11 @@ class GroupModel:
         for _ in range(len(sizes), radius + 1):
             first, start = sizes[-2] if len(sizes) > 1 else 0, len(elements)
             for g in range(first, start):
-                key = elements[g].key
+                key, row = elements[g].key, g * width
                 for i, x in enumerate(gens):  # new members ranked as found
-                    step[g * width + i] = ranks.setdefault(mul(key, x),
-                                                           len(ranks))
+                    if step[row + i] < 0:  # else a step back, set when g was found
+                        step[row + i] = ranks.setdefault(mul(key, x),
+                                                         len(ranks))
                 if len(ranks) > cap:
                     raise CapExceeded(cap + 1, cap, what=f"ball of radius {radius}")
             found = list(islice(ranks, start, None))  # in discovery order
@@ -632,9 +634,11 @@ def _power(generator: int, e: int) -> Word:
     return (generator,) * e if e >= 0 else (-generator,) * -e
 
 
-def check_descriptor(data, known: dict[str, tuple], what: str) -> str:
+def check_descriptor(data, known: dict[str, tuple], what: str,
+                     optional: tuple = ()) -> str:
     """The kind of a descriptor object, refusing an unknown kind and any key
-    that its kind (`known`: kind -> the keys it reads) does not read."""
+    that its kind (`known`: kind -> the keys it reads) does not read or,
+    unless `optional`, misses or sets to null."""
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError(f"not an object with a 'kind': {data!r}")
     kind = data["kind"]
@@ -643,6 +647,10 @@ def check_descriptor(data, known: dict[str, tuple], what: str) -> str:
     unknown = set(data) - {"kind", *known[kind]}
     if unknown:
         raise ValueError(f"unknown keys for kind {kind!r}: {sorted(unknown)}")
+    missing = [k for k in known[kind]
+               if data.get(k) is None and k not in optional]
+    if missing:
+        raise ValueError(f"missing keys for kind {kind!r}: {missing}")
     return kind
 
 

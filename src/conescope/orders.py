@@ -101,8 +101,17 @@ def magnus_sign(word: Word) -> Sign:
 def magnus_order(model: FreeGroup, name: str = "magnus") -> OrderOracle:
     if not isinstance(model, FreeGroup):
         raise ModelMismatch("the Magnus order lives on free groups")
-    # the key of a free-group element is its reduced word
-    return OrderOracle(name=name, model=model, sign_fn=magnus_sign)
+    generators = range(1, model.rank + 1)
+
+    def sign_fn(key: Word) -> Sign:
+        # a key is the reduced word, whose exponent sums are its degree-1
+        # coefficients: only a word in [F, F] needs `magnus_sign`
+        for i in generators:
+            total = key.count(i) - key.count(-i)
+            if total:
+                return _sign_of_int(total)
+        return magnus_sign(key)
+    return OrderOracle(name=name, model=model, sign_fn=sign_fn)
 
 
 # -- free abelian groups: hyperplane orders --------------------------------
@@ -282,15 +291,16 @@ _ORDER_KEYS = {"magnus": ("name",), "hyperplane": ("name", "weights"),
 
 def order_from_descriptor(data: dict, model: GroupModel) -> OrderOracle:
     """Parse the JSON order descriptor against a group model."""
-    kind = check_descriptor(data, _ORDER_KEYS, "order")
+    kind = check_descriptor(data, _ORDER_KEYS, "order",
+                            optional=("name", "leading_factor"))
     name = data.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ValueError(f"'name' must be a string, got {name!r}")
     if kind == "magnus":
         return magnus_order(model, name=name or "magnus")
     if kind == "hyperplane":
-        weights = data.get("weights")
-        if weights is None:
-            raise ValueError("hyperplane descriptor needs weights")
-        return hyperplane_order(model, weights, name=name or "hyperplane")
+        return hyperplane_order(model, data["weights"],
+                                name=name or "hyperplane")
     if kind == "klein":
         return klein_order(model, name=name or "klein-cone")
     if not isinstance(model, DirectProduct):  # the kind is "lex_pair"

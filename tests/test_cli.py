@@ -2,11 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conescope import klein_cone_dfa
 from conescope.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 F2_MAGNUS = {"group": {"kind": "free", "rank": 2}, "order": {"kind": "magnus"}}
 F2XZ = {"kind": "product",
@@ -206,6 +209,91 @@ def test_flag_overrides_config(tmp_path):
     assert len(report["result"]["maxima"]) == 4
 
 
+def test_flag_forms_agree(tmp_path):
+    # `--flag value` and `--flag=value` read alike, a negative number is a
+    # value, and no flag may be abbreviated
+    cfg = write_config(tmp_path, {**F2_MAGNUS, "radius": 2})
+    spaced = ["--config", cfg, "--command", "ray", "--out",
+              str(tmp_path / "spaced"), "--radius", "4", "--width", "-1"]
+    joined = [f"--config={cfg}", "--command=ray",
+              f"--out={tmp_path / 'joined'}", "--radius=4", "--width=-1"]
+    assert main(spaced) == main(joined) == 0
+    assert ((tmp_path / "spaced" / "ray.report.json").read_bytes()
+            == (tmp_path / "joined" / "ray.report.json").read_bytes())
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_exit_0(capsys, flag):
+    assert main(["--command", "ray", flag]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: conescope ") and err == ""
+
+
+USAGE_ERRORS = {
+    "unknown-flag": ["--config", "c.json", "--command", "ray", "--verbose"],
+    "abbreviation": ["--conf", "c.json", "--command", "ray"],
+    "single-dash": ["-c", "c.json", "--command", "ray"],
+    "positional": ["--config", "c.json", "--command", "ray", "extra"],
+    "no-value-at-end": ["--command", "ray", "--config"],
+    "flag-as-value": ["--config", "--command", "ray"],
+    "radius-not-int": ["--config", "c.json", "--command", "ray",
+                       "--radius", "x"],
+    "width-not-int": ["--config", "c.json", "--command", "ray",
+                      "--width=1.5"],
+    "lmax-empty": ["--config", "c.json", "--command", "ray", "--lmax="],
+    "no-config": ["--command", "ray"],
+    "no-command": ["--config", "c.json"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_errors_exit_3(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 3
+    out, err = capsys.readouterr()
+    usage, error = err.splitlines()
+    assert out == "" and usage.startswith("usage: conescope ")
+    assert error.startswith("conescope: error: ")
+    assert not (tmp_path / "out").exists()
+
+
+ONE_SHOT = {
+    "pass": ({**F2_MAGNUS, "radius": 5}, "ray", ()),
+    "evidence": ({**F2XZ_F2_LEADING, "width": 1, "radii": [3, 4]}, "survey",
+                 ()),
+    "config-error": (dict(F2_MAGNUS), "ray", ()),
+    "usage-error": ({**F2_MAGNUS, "radius": 2}, "ray", ("--radius", "x")),
+}
+
+
+@pytest.mark.parametrize("config,command,extra", ONE_SHOT.values(),
+                         ids=ONE_SHOT)
+def test_one_shot_process_matches_main(tmp_path, capsys, config, command,
+                                       extra):
+    # the process leaves without interpreter teardown; with its output
+    # piped, hence block-buffered, only the flush before it delivers stdout
+    cfg = write_config(tmp_path, config)
+
+    def argv(out):
+        return ["--config", cfg, "--command", command,
+                "--out", str(tmp_path / out), *extra]
+    code = main(argv("main"))
+    expected = capsys.readouterr()
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(SRC)  # and no PYTHONUNBUFFERED
+    proc = subprocess.run([sys.executable, "-m", "conescope.cli",
+                           *argv("process")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code
+    assert (proc.stdout, proc.stderr) == (expected.out, expected.err)
+    if code != 3:
+        assert proc.stdout.startswith(command)
+    reports = {out: [(f.name, f.read_bytes())
+                     for f in sorted((tmp_path / out).glob("*"))]
+               for out in ("main", "process")}
+    assert reports["main"] == reports["process"]
+    assert len(reports["main"]) == (0 if code == 3 else 2)
+
+
 def test_reports_byte_identical_across_runs_and_hash_seeds(tmp_path):
     # the Klein automaton's state names are strings, so an order that
     # followed string hashes would differ between the seeds
@@ -375,6 +463,23 @@ MALFORMED = [
                          ("initial", ["p"]), ("alphabet", ["a", "b"]),
                          ("transitions", {**PQ_DFA["transitions"],
                                           "q": ["aq", "Aq", "bq", "Bq"]}))],
+    # an order name that is no string would label the report with it
+    ("ray", {**F2_MAGNUS, "order": {"kind": "magnus", "name": 5},
+             "radius": 2}),
+    ("components", {**F2XZ_Z_LEADING, "radius": 2,
+                    "order": {**F2XZ_Z_LEADING["order"],
+                              "trailing": {"kind": "magnus", "name": ["m"]}}}),
+    # a required descriptor key that is missing
+    ("ray", {**F2_MAGNUS, "group": {"kind": "free"}, "radius": 2}),
+    ("axioms", {**Z2_IRR, "group": {"kind": "abelian"}, "radius": 2}),
+    ("ray", {**Z2_IRR, "order": {"kind": "hyperplane"}, "radius": 2}),
+    ("ray", {**Z2_IRR, "order": {"kind": "hyperplane", "weights": None},
+             "radius": 2}),
+    ("components", {**F2XZ_Z_LEADING, "radius": 2,
+                    "order": {"kind": "lex_pair",
+                              "trailing": {"kind": "magnus"}}}),
+    ("components", {**F2XZ_Z_LEADING, "radius": 2,
+                    "group": {"kind": "product"}}),
 ]
 
 
@@ -400,6 +505,19 @@ def test_unknown_descriptor_key_is_named(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: bad group descriptor: unknown keys for kind 'free': "
         "['rnak']\n")
+
+
+@pytest.mark.parametrize("config,message", [
+    ({**F2_MAGNUS, "group": {"kind": "free"}},
+     "bad group descriptor: missing keys for kind 'free': ['rank']"),
+    ({**Z2_IRR, "order": {"kind": "lex_pair", "trailing": {"kind": "magnus"}}},
+     "bad order descriptor: missing keys for kind 'lex_pair': ['leading']"),
+    ({**F2_MAGNUS, "order": {"kind": "magnus", "name": 5}},
+     "bad order descriptor: 'name' must be a string, got 5"),
+], ids=["group-key", "order-key", "name"])
+def test_descriptor_error_names_the_key(tmp_path, capsys, config, message):
+    assert run_cli(tmp_path, {**config, "radius": 2}, "ray") == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 Z_F2 = {"kind": "product",

@@ -379,6 +379,19 @@ def test_step_table_matches_mul(model):
     assert stepped.ball(4).held.step == held.step
 
 
+def test_growth_forms_only_the_unknown_steps():
+    # a member's steps back into the previous sphere are filled when it is
+    # found, so on F2 growth forms one product per member beyond the
+    # identity: |B(6)| - 1 = 1,456, grown at once or in steps
+    for requests in ((6,), (2, 0, 4, 1, 6)):
+        model, calls = cs.FreeGroup(2), []
+        mul = model.mul
+        model.mul = lambda u, v: calls.append(1) or mul(u, v)
+        for n in requests:
+            model.ball(n)
+        assert len(calls) == len(model.ball(6)) - 1 == 1456
+
+
 @REQUESTS
 @pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
 def test_held_index_matches_sorted_reference_bfs(model, requests):

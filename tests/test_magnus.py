@@ -199,3 +199,35 @@ def test_leading_term_keeps_unreduced_input_and_rank():
     assert leading_term((3, -3, 1, 2, -1, -2)) == ((1, 2), 1)
     assert leading_term((2, 3, -2, -3)) == ((2, 3), 1)
     assert leading_term((-3, 2, 3, -2)) == ((2, 3), 1)
+
+
+# -- the order's sign: exponent sums first ------------------------------------------------
+
+@pytest.mark.parametrize("rank, radius", [(2, 7), (3, 5)])
+def test_magnus_order_sign_matches_magnus_sign_on_ball(monkeypatch, rank,
+                                                       radius):
+    # the order decides by the exponent sums and asks `magnus_sign` only
+    # for the identity and the words of [F, F]
+    import conescope.orders as orders
+    model = cs.FreeGroup(rank)
+    sign_fn = cs.magnus_order(model).sign_fn
+    calls = []
+    monkeypatch.setattr(orders, "magnus_sign",
+                        lambda word: calls.append(word) or cs.magnus_sign(word))
+    keys = [g.key for g in model.ball(radius)]
+    assert [sign_fn(key) for key in keys] == [cs.magnus_sign(key)
+                                              for key in keys]
+    in_commutator = [key for key in keys
+                     if all(key.count(i) == key.count(-i)
+                            for i in range(1, rank + 1))]
+    assert calls == in_commutator
+
+
+@settings(max_examples=200)
+@given(words_strategy(rank=3, max_size=14), words_strategy(rank=3, max_size=4),
+       words_strategy(rank=3, max_size=4))
+def test_magnus_order_sign_matches_magnus_sign_on_drawn_words(word, u, v):
+    sign_fn = cs.magnus_order(cs.FreeGroup(3)).sign_fn
+    for key in (free_reduce(word), commutator(u, v),
+                commutator(commutator(u, v), free_reduce(word))):
+        assert sign_fn(key) is cs.magnus_sign(key), key

@@ -1,7 +1,8 @@
 """Every command starts in a fresh interpreter, so what `import
 conescope.cli` loads is paid once per verdict. The modules below cost
 milliseconds each: `dataclasses` pulls in `inspect`, `ast`, `dis` and
-`tokenize`, and `fractions` loads `decimal`, which raises peak RSS."""
+`tokenize`, `fractions` loads `decimal`, which raises peak RSS, and
+`argparse` loads `gettext`."""
 
 import json
 import os
@@ -11,7 +12,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "fractions")
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "fractions",
+         "argparse", "gettext")
 
 PROBE = "import json, sys\n{}\nprint(json.dumps(sorted(sys.modules)))"
 
