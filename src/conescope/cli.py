@@ -9,14 +9,24 @@ written as JSON plus a text summary and are byte-identical across repeated
 runs: they hold no wall times (their "timings" key is always null), and
 there is no flag to record them.
 
-Exit codes: 0 pass/certified, 1 fail/not-separating, 2 unknown/evidence,
-3 usage or configuration error (including any ValueError or TypeError raised
-while reading or running the config), 4 internal error.
+Exit codes, from the table EXIT_CODES (the README's table lists the same):
+0  certified-tree, certified-exhaustive, hucha-certified; or a pass bounded
+   by what was checked: pass on B(R) (axioms, ray; also components,
+   export-dot and a path built), PASS up to lmax (dfa-verify, dfa-qg),
+   prieto-consistent on the radii surveyed
+1  fail, FAIL, not-separating, NotAccepted
+2  UNKNOWN, evidence, disconnection-evidence, WitnessNotFound,
+   NoDeclaredCofinalCenter, PathNotFound
+3  usage or configuration error (any ValueError or TypeError raised while
+   reading or running the config included), or an exceeded cap
+4  internal error
 
 Flags are written in full, as `--flag value` or `--flag=value`.
 
-Environment: CONESCOPE_CAP (a non-negative integer) overrides the
-enumeration cap. Nothing else in the environment changes a report, the
+Environment: CONESCOPE_CAP (a non-negative integer, default 10^7) bounds the
+nodes of every ball. Two caps are fixed: the language sample of dfa-qg
+(500,000 words) and the reachability search of dfa-verify (2,000,000
+state-element pairs). Nothing else in the environment changes a report, the
 hash seed (PYTHONHASHSEED) included.
 """
 
@@ -40,15 +50,12 @@ from .dot import export_dot
 from .errors import (
     ConescopeError,
     ConfigError,
-    FactorNotConnectedAtScale,
     NoDeclaredCofinalCenter,
     NotAccepted,
     PathNotFound,
     WitnessNotFound,
 )
 from .geometry import (
-    SurveyClass,
-    Verdict,
     cofinal_positive_path,
     connectivity_survey,
     product_column_swamp,
@@ -69,11 +76,19 @@ KNOWN_KEYS = {"group", "order", "name", "dfa", "radius", "width", "radii",
               "search_radius", "lmax", "lambda", "c", "word", "pair",
               "pairs", "seed"}
 
-EXIT_PASS = 0
-EXIT_FAIL = 1
-EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
 EXIT_INTERNAL = 4
+
+# every outcome of a command: a verdict value that reports serialize, or an
+# error that ends the command with a report
+EXIT_CODES = {
+    "certified-tree": 0, "certified-exhaustive": 0, "hucha-certified": 0,
+    "pass": 0, "PASS": 0, "prieto-consistent": 0,
+    "fail": 1, "FAIL": 1, "not-separating": 1, NotAccepted: 1,
+    "UNKNOWN": 2, "evidence": 2, "disconnection-evidence": 2,
+    WitnessNotFound: 2, NoDeclaredCofinalCenter: 2, PathNotFound: 2,
+}
+OUTCOME_ERRORS = tuple(k for k in EXIT_CODES if isinstance(k, type))
 
 USAGE = ("usage: conescope [-h] --config CONFIG --command COMMAND [--out OUT] "
          "[--radius RADIUS] [--width WIDTH] [--lmax LMAX]")
@@ -181,14 +196,20 @@ class Runner:
     # -- dispatch ------------------------------------------------------------
 
     def run(self) -> tuple[int, dict, str]:
+        """The exit code, payload and summary of the command. A handler
+        returns its outcome, a key of EXIT_CODES, with the other two."""
         handler = getattr(self, "cmd_" + self.command.replace("-", "_"))
-        return handler()
+        try:
+            outcome, payload, summary = handler()
+        except OUTCOME_ERRORS as exc:
+            outcome, payload = type(exc), {"error": str(exc)}
+            summary = f"{self.command}: {exc}"
+        return EXIT_CODES[outcome], payload, summary
 
     def cmd_axioms(self):
         oracle = self.oracle()
         radius = self.int_param("radius")
         report = verify_order_axioms(oracle, radius, cap=self.cap)
-        code = EXIT_PASS if report.passed else EXIT_FAIL
         payload = {
             "passed": report.passed,
             "checked": report.checked,
@@ -196,13 +217,12 @@ class Runner:
             "identity_failures": list(report.identity_failures),
             "closure_failures": list(report.closure_failures),
         }
-        return code, payload, report.summary()
+        return "pass" if report.passed else "fail", payload, report.summary()
 
     def cmd_ray(self):
         oracle = self.oracle()
         depth = self.int_param("radius")
         report = verify_maxima_ray(oracle, depth, cap=self.cap)
-        code = EXIT_PASS if report.passed else EXIT_FAIL
         payload = {
             "passed": report.passed,
             "maxima": [str(g) for g in report.maxima],
@@ -211,7 +231,7 @@ class Runner:
             "geodesic_failures": list(report.geodesic_failures),
             "negativity_failures": list(report.negativity_failures),
         }
-        return code, payload, report.summary()
+        return "pass" if report.passed else "fail", payload, report.summary()
 
     def cmd_components(self):
         oracle = self.oracle()
@@ -223,39 +243,30 @@ class Runner:
             "sizes": [len(c) for c in report.components],
             "representatives": [str(g) for g in report.representatives],
         }
-        return EXIT_PASS, payload, report.summary()
+        return "pass", payload, report.summary()
 
     def cmd_swamp(self):
         oracle = self.oracle()
         width = self.int_param("width", 1)
         model = oracle.model
-        try:
-            if isinstance(model, FreeGroup):
-                search = self.int_param("search_radius", width + 8)
-                radius = None
-                cert = tree_swamp_certificate(oracle, width,
-                                              search_radius=search,
-                                              cap=self.cap)
-            elif isinstance(model, DirectProduct):
-                radius = self.int_param("radius", width + 4)
-                cert = product_column_swamp(oracle, width, radius, cap=self.cap)
-            else:
-                raise ConfigError(
-                    "swamp construction needs a free group or a product model")
-            result = verify_separation(cert, model, radius=radius,
-                                       cap=self.cap)
-        except WitnessNotFound as exc:
-            return EXIT_UNKNOWN, {"error": str(exc)}, f"swamp: {exc}"
-        codes = {Verdict.CERTIFIED_TREE: EXIT_PASS,
-                 Verdict.CERTIFIED_EXHAUSTIVE: EXIT_PASS,
-                 Verdict.EVIDENCE: EXIT_UNKNOWN,
-                 Verdict.NOT_SEPARATING: EXIT_FAIL}
+        if isinstance(model, FreeGroup):
+            search = self.int_param("search_radius", width + 8)
+            radius = None
+            cert = tree_swamp_certificate(oracle, width, search_radius=search,
+                                          cap=self.cap)
+        elif isinstance(model, DirectProduct):
+            radius = self.int_param("radius", width + 4)
+            cert = product_column_swamp(oracle, width, radius, cap=self.cap)
+        else:
+            raise ConfigError(
+                "swamp construction needs a free group or a product model")
+        result = verify_separation(cert, model, radius=radius, cap=self.cap)
         payload = cert.to_json()
         payload["separation"] = result.verdict.value
         if result.avoiding_path is not None:
             payload["avoiding_path"] = result.avoiding_path.words()
         summary = cert.summary() + "; " + result.summary()
-        return codes[result.verdict], payload, summary
+        return result.verdict.value, payload, summary
 
     def cmd_survey(self):
         oracle = self.oracle()
@@ -265,9 +276,6 @@ class Runner:
                 or any(type(R) is not int for R in radii)):
             raise ConfigError("survey needs a non-empty list of integer radii")
         report = connectivity_survey(oracle, width, radii, cap=self.cap)
-        codes = {SurveyClass.PRIETO_CONSISTENT: EXIT_PASS,
-                 SurveyClass.HUCHA_CERTIFIED: EXIT_PASS,
-                 SurveyClass.DISCONNECTION_EVIDENCE: EXIT_UNKNOWN}
         payload = {
             "radii": list(report.radii),
             "counts": list(report.counts),
@@ -277,7 +285,7 @@ class Runner:
         }
         if report.certificate is not None:
             payload["certificate"] = report.certificate.to_json()
-        return codes[report.classification], payload, report.summary()
+        return report.classification.value, payload, report.summary()
 
     def cmd_cofinal_path(self):
         oracle = self.oracle()
@@ -305,16 +313,11 @@ class Runner:
                 pairs.append((rng.choice(positives), rng.choice(positives)))
         else:
             raise ConfigError("cofinal-path needs 'pair' or 'pairs'")
-        results = []
-        try:
-            for g, h in pairs:
-                path = cofinal_positive_path(oracle, g, h)
-                results.append({"from": str(g), "to": str(h),
-                                "points": path.words()})
-        except (NoDeclaredCofinalCenter, PathNotFound) as exc:
-            return EXIT_UNKNOWN, {"error": str(exc)}, f"cofinal-path: {exc}"
+        results = [{"from": str(g), "to": str(h),
+                    "points": cofinal_positive_path(oracle, g, h).words()}
+                   for g, h in pairs]
         summary = f"cofinal-path: {len(results)} positive path(s) constructed"
-        return EXIT_PASS, {"paths": results}, summary
+        return "pass", {"paths": results}, summary
 
     def cmd_dfa_verify(self):
         model = self.model()
@@ -322,29 +325,25 @@ class Runner:
         radius = self.int_param("radius")
         lmax = self.int_param("lmax", 4 * radius)
         report = verify_cone_dfa(dfa, model, radius, lmax, cap=self.cap)
-        codes = {"PASS": EXIT_PASS, "FAIL": EXIT_FAIL, "UNKNOWN": EXIT_UNKNOWN}
         payload = {
             "verdict": report.verdict,
             "in_ball": [str(g) for g in report.in_ball],
             "unresolved": [str(g) for g in report.unresolved],
             "counterexamples": list(report.counterexamples),
         }
-        return codes[report.verdict], payload, report.summary()
+        return report.verdict, payload, report.summary()
 
     def cmd_dfa_path(self):
         model = self.model()
         dfa = _load_dfa(_require(self.config, "dfa"), self.config_dir)
         word = parse_word(str(_require(self.config, "word")), model.alphabet)
-        try:
-            path = regular_interpolation(dfa, model, word)
-        except NotAccepted as exc:
-            return EXIT_FAIL, {"error": str(exc)}, f"dfa-path: {exc}"
+        path = regular_interpolation(dfa, model, word)
         gaps = path.gaps()
         bound = connectivity_radius(dfa)
         payload = {"points": path.words(), "gaps": gaps, "bound": bound}
         summary = (f"dfa-path: {len(path.points)} points, max gap "
                    f"{max(gaps, default=0)} <= {bound}")
-        return EXIT_PASS, payload, summary
+        return "pass", payload, summary
 
     def cmd_dfa_qg(self):
         model = self.model()
@@ -353,12 +352,11 @@ class Runner:
         c = _fraction(self.config, "c", 0)
         lmax = self.int_param("lmax", 8)
         report = quasigeodesic_check(dfa, model, lam, c, lmax)
-        code = EXIT_PASS if report.verdict == "PASS" else EXIT_FAIL
         payload = {"verdict": report.verdict, "lambda": str(report.lam),
                    "c": str(report.c)}
         if report.violation is not None:
             payload["violation"] = list(report.violation)
-        return code, payload, report.summary()
+        return report.verdict, payload, report.summary()
 
     def cmd_export_dot(self):
         oracle = self.oracle()
@@ -368,7 +366,7 @@ class Runner:
         payload = {"dot": dot, "radius": radius, "width": width}
         nodes = dot.count("[label=")
         edges = dot.count(" -- ")
-        return EXIT_PASS, payload, f"export-dot: {nodes} nodes, {edges} edges"
+        return "pass", payload, f"export-dot: {nodes} nodes, {edges} edges"
 
 
 def _write_reports(out_dir: Path, command: str, code: int, payload: dict,
@@ -393,7 +391,7 @@ def _write_reports(out_dir: Path, command: str, code: int, payload: dict,
     if command == "export-dot":
         with open(out_dir / "ball.dot", "w", encoding="utf-8") as fh:
             fh.write(payload["dot"])
-    if command == "swamp":
+    if command == "swamp" and "error" not in payload:
         cert = {k: v for k, v in payload.items()
                 if k not in ("separation", "avoiding_path")}
         with open(out_dir / "certificate.json", "w", encoding="utf-8") as fh:
@@ -435,7 +433,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     if args is None:
         print(f"{USAGE}\ncommands: {', '.join(COMMANDS)}")
-        return EXIT_PASS
+        return 0
 
     # what is left in args are the overrides of the config
     path, command = args.pop("config"), args.pop("command")

@@ -397,7 +397,8 @@ def product_column_swamp(oracle: OrderOracle, r: int, radius: int,
     swamp = [g for g in ball if len(free.mul(back, g.key[0])) <= r]
     for s in swamp:
         if oracle.sign_key(s.key) is not Sign.NEGATIVE:
-            raise BrokenOrderError(
+            raise ModelMismatch(
+                f"the column swamp needs the free factor to lead the order: "
                 f"column element {s} is not negative under {oracle.name}")
 
     def candidates():

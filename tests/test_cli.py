@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from conescope import klein_cone_dfa
+from conescope import (NoDeclaredCofinalCenter, NotAccepted, PathNotFound,
+                       WitnessNotFound, klein_cone_dfa)
 from conescope.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -120,6 +121,106 @@ def test_components_and_survey(tmp_path):
 def test_survey_evidence_exit_2(tmp_path):
     config = {**F2XZ_F2_LEADING, "width": 1, "radii": [3, 4]}
     assert run_cli(tmp_path, config, "survey") == 2
+
+
+# a one-state automaton that accepts every word, and one that accepts a^n,
+# n >= 1
+ALL_WORDS_DFA = {"states": ["s"], "initial": "s", "accepting": ["s"],
+                 "alphabet": "ab",
+                 "transitions": {"s": {ch: "s" for ch in "aAbB"}}}
+POWERS_OF_A_DFA = {
+    "states": ["s0", "s", "sink"], "initial": "s0", "accepting": ["s"],
+    "alphabet": "ab",
+    "transitions": {"s0": {"a": "s", "A": "sink", "b": "sink", "B": "sink"},
+                    "s": {"a": "s", "A": "sink", "b": "sink", "B": "sink"},
+                    "sink": {ch: "sink" for ch in "aAbB"}}}
+Z2_GROUP = {"kind": "abelian", "rank": 2}
+NO_WITNESSES = ("no witnesses within search radius 3; enlarge the horizon "
+                "(positives found in 1 branch(es))")
+NO_CENTRE = ("oracle lex(magnus,hyperplane) declares no cofinal central "
+             "generator")
+
+# outcomes that the golden reports do not reach:
+# command, config, exit code, report result, stdout summary
+OUTCOMES = {
+    "dfa-verify-fail": (
+        "dfa-verify", {"group": Z2_GROUP, "dfa": ALL_WORDS_DFA, "radius": 1,
+                       "lmax": 2}, 1,
+        {"verdict": "FAIL", "in_ball": ["a", "A", "b", "B"], "unresolved": [],
+         "counterexamples": [["identity-in", "1"], ["both-in", "a", "A"],
+                             ["both-in", "b", "B"]]},
+        "cone-dfa R=1 Lmax=2: FAIL (4 in, 0 unresolved, 3 violations)"),
+    "dfa-verify-unknown": (
+        "dfa-verify", {"group": Z2_GROUP, "dfa": POWERS_OF_A_DFA, "radius": 1,
+                       "lmax": 2}, 2,
+        {"verdict": "UNKNOWN", "in_ball": ["a"], "unresolved": ["b"],
+         "counterexamples": []},
+        "cone-dfa R=1 Lmax=2: UNKNOWN (1 in, 1 unresolved, 0 violations)"),
+    "dfa-qg-fail": (
+        "dfa-qg", {"group": Z2_GROUP, "dfa": ALL_WORDS_DFA, "lmax": 3}, 1,
+        {"verdict": "FAIL", "lambda": "1", "c": "0",
+         "violation": ["aA", 0, 2, 0]},
+        "quasigeodesic lambda=1 c=0: FAIL at word aA prefixes (0,2), "
+        "distance 0"),
+    "dfa-path-rejected": (
+        "dfa-path", {"group": Z2_GROUP, "dfa": POWERS_OF_A_DFA, "word": "b"}, 1,
+        {"error": "word b is rejected"}, "dfa-path: word b is rejected"),
+    # F1 = Z: every positive lies in the one branch towards a
+    "swamp-tree-no-witnesses": (
+        "swamp", {"group": {"kind": "free", "rank": 1},
+                  "order": {"kind": "magnus"}, "search_radius": 3}, 2,
+        {"error": NO_WITNESSES}, f"swamp: {NO_WITNESSES}"),
+    "swamp-column-no-witnesses": (
+        "swamp", {**F2XZ_F2_LEADING, "width": 1, "radius": 3}, 2,
+        {"error": NO_WITNESSES}, f"swamp: {NO_WITNESSES}"),
+    "cofinal-path-no-centre": (
+        "cofinal-path", {**F2XZ_F2_LEADING, "pair": ["a", "b"]}, 2,
+        {"error": NO_CENTRE}, f"cofinal-path: {NO_CENTRE}"),
+}
+
+
+@pytest.mark.parametrize("command,config,code,result,summary",
+                         OUTCOMES.values(), ids=OUTCOMES)
+def test_outcome_reaches_exit_code(tmp_path, capsys, command, config, code,
+                                   result, summary):
+    assert run_cli(tmp_path, config, command) == code
+    assert capsys.readouterr() == (summary + "\n", "")
+    out = tmp_path / "out"
+    report = json.loads((out / f"{command}.report.json").read_text())
+    assert (report["exit_code"], report["result"]) == (code, result)
+    # no certificate.json without a certificate
+    assert sorted(f.name for f in out.iterdir()) == [
+        f"{command}.report.json", f"{command}.report.txt"]
+
+
+def test_exit_codes_match_readme_table():
+    # every verdict value and outcome error has an exit code, and the README
+    # lists it in the row of that code and in no other
+    from conescope.cli import EXIT_CODES
+    from conescope.geometry import SurveyClass, Verdict
+    rows = {}
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    for line in readme.splitlines():
+        code, bar, meaning = line.removeprefix("| ").partition(" | ")
+        if bar and code.isdigit():
+            rows[int(code)] = meaning
+    outcomes = [*(v.value for v in Verdict), *(c.value for c in SurveyClass),
+                "PASS", "FAIL", "UNKNOWN", "pass", "fail", NotAccepted,
+                WitnessNotFound, NoDeclaredCofinalCenter, PathNotFound]
+    assert set(EXIT_CODES) == set(outcomes)
+    for outcome in outcomes:
+        name = f"`{getattr(outcome, '__name__', outcome)}`"
+        assert [c for c, row in rows.items() if name in row] == [
+            EXIT_CODES[outcome]], name
+
+
+def test_swamp_column_needs_the_free_factor_to_lead(tmp_path, capsys):
+    # the z-leading order is sound; the column construction does not apply
+    config = {**F2XZ_Z_LEADING, "width": 1, "radius": 3}
+    assert run_cli(tmp_path, config, "swamp") == 3
+    assert capsys.readouterr().err == (
+        "error: the column swamp needs the free factor to lead the order: "
+        "column element 1 is not negative under lex(hyperplane,magnus)\n")
 
 
 def test_dfa_path_measures_each_gap_once(tmp_path, monkeypatch):
