@@ -166,14 +166,15 @@ def regular_interpolation(dfa: ConeDfa, model: GroupModel,
     of its state; the evaluations of those completions are at most |S| - 1
     away from the prefix evaluation, so consecutive interpolation points are
     within 2|S| + 1 of each other. One run of the word: the prefix key
-    grows one generator at a time, and each state's completion is
+    grows one letter step at a time, and each state's completion is
     normalised once.
     """
     _, accepted = dfa_run(dfa, word)
     if not accepted:
         raise NotAccepted(f"word {format_word(word)} is rejected")
     model.alphabet.check_word(word)
-    table, gens, mul = dfa.table, model.generators, model.mul
+    table, mul = dfa.table, model.mul
+    steps = dict(zip(model.alphabet.letters, model.letter_steps))
     ends: dict[str, tuple] = {}
     prefix = model.one
     keys = [prefix]
@@ -185,7 +186,7 @@ def regular_interpolation(dfa: ConeDfa, model: GroupModel,
         if point != keys[-1]:
             keys.append(point)
         if i < len(word):
-            prefix = mul(prefix, gens[word[i]].key)
+            prefix = steps[word[i]](prefix)
             state = table[state][word[i]]
     path = RPath(tuple(Element(model, k) for k in keys),
                  connectivity_radius(dfa))

@@ -313,9 +313,15 @@ class Runner:
                 pairs.append((rng.choice(positives), rng.choice(positives)))
         else:
             raise ConfigError("cofinal-path needs 'pair' or 'pairs'")
-        results = [{"from": str(g), "to": str(h),
-                    "points": cofinal_positive_path(oracle, g, h).words()}
-                   for g, h in pairs]
+        spelled: dict[tuple, str] = {}  # the paths share most points
+        results = []
+        for g, h in pairs:  # a path runs from g to h
+            points = cofinal_positive_path(oracle, g, h).points
+            for p in points:
+                if p.key not in spelled:
+                    spelled[p.key] = str(p)
+            words = [spelled[p.key] for p in points]
+            results.append({"from": words[0], "to": words[-1], "points": words})
         summary = f"cofinal-path: {len(results)} positive path(s) constructed"
         return "pass", {"paths": results}, summary
 

@@ -10,9 +10,10 @@ The operations come in three groups:
 * connection: explicit positive paths through a cofinal central copy of Z
   and through the factors of a direct product.
 
-One breadth-first search on ranks in the held ball answers every r-path
-question: r-classes, S-avoiding paths and paths through factor cones. It
-steps through the ball's step table and forms no product.
+The r-classes of the positives in every B(R) come from one union-find
+pass over the ranks of the held ball, in rank order. One breadth-first
+search on ranks serves the paths: S-avoiding paths and paths through
+factor cones. Both step through the step table and form no product.
 
 Coarse connectivity of an infinite set is not finitely decidable, so
 verdicts are stratified: CertifiedTree (structural proof), CertifiedExhaustive
@@ -75,9 +76,8 @@ class RPath:
     @cached_property
     def _gaps(self) -> tuple[int, ...]:
         # the points never change, so each gap is measured once
-        model = self.points[0].model
-        return tuple(model.distance(u, v)
-                     for u, v in zip(self.points, self.points[1:]))
+        keys = [p.key for p in self.points]
+        return tuple(map(self.points[0].model.key_distance, keys, keys[1:]))
 
     def words(self) -> list[str]:
         return [str(p) for p in self.points]
@@ -91,15 +91,19 @@ def _dedupe(points: list) -> list:
     return out
 
 
+def _geodesic_keys(model: GroupModel, g: tuple, h: tuple) -> list[tuple]:
+    """The keys of a 1-path from g to h spelled by the canonical word of
+    g^-1 h, one letter step at a time."""
+    steps = dict(zip(model.alphabet.letters, model.letter_steps))
+    keys = [g]
+    for letter in model.spell(model.mul(model.inv(g), h)):
+        keys.append(steps[letter](keys[-1]))
+    return keys
+
+
 def geodesic_points(g: Element, h: Element) -> list[Element]:
     """A 1-path from g to h spelled by the canonical word of g^-1 h."""
-    model, key = g.model, g.key
-    gens, mul = model.generators, model.mul
-    points = [g]
-    for letter in model.spell(mul(model.inv(key), h.key)):
-        key = mul(key, gens[letter].key)
-        points.append(Element(model, key))
-    return points
+    return [Element(g.model, k) for k in _geodesic_keys(g.model, g.key, h.key)]
 
 
 # -- ball maxima -------------------------------------------------------------
@@ -157,7 +161,7 @@ def verify_maxima_ray(oracle: OrderOracle, depth: int,
     B(g_n^-1, n - 1) is negative.
     """
     model, sign = oracle.model, oracle.sign_key
-    mul, inv, length = model.mul, model.inv, model.key_length
+    mul, inv, distance = model.mul, model.inv, model.key_distance
     maxima = _ball_maxima(oracle, depth, cap=cap)[1:]
     keys = [g.key for g in maxima]
 
@@ -175,9 +179,8 @@ def verify_maxima_ray(oracle: OrderOracle, depth: int,
     geodesic_failures = []
     inverses = [model.one] + [inv(g) for g in keys]
     for n in range(depth + 1):
-        back = inv(inverses[n])
         for m in range(n + 1, depth + 1):
-            d = length(mul(back, inverses[m]))
+            d = distance(inverses[n], inverses[m])
             if d != m - n:
                 geodesic_failures.append((n, m, d))
 
@@ -242,6 +245,47 @@ def _search(ball: Ball, r: int, src: int, dst: int | None,
     return None, parents
 
 
+def _r_classes(oracle: OrderOracle, r: int, radii: tuple[int, ...],
+               cap: int | None) -> tuple[Ball, dict[int, int], list[int]]:
+    """Union-find over the ranks of B(max radii), in rank order, each
+    positive rank joined to those below it in `Ball.near`. Each B(R) is a
+    rank prefix joined inside itself (see the groups module docs), so its
+    classes are complete at its last rank. Returns B(max radii), each
+    positive rank's root, the least rank of its class, and the class count
+    of each B(R)."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    if r > min(radii):
+        raise ValueError("r must not exceed the ball radius")
+    for R in sorted(radii):  # smallest first: a cap stops at the first beyond it
+        ball = oracle.model.ball(R, cap=cap)
+    held, sign = ball.held, oracle.sign_key
+    step, width, elements = held.step, held.width, held.elements
+    root: dict[int, int] = {}
+
+    def find(g: int) -> int:
+        while root[g] != g:
+            root[g] = g = root[root[g]]  # halve the path
+        return g
+
+    classes, counts = 0, []  # the class count after each rank
+    for g in range(len(ball)):
+        if sign(elements[g].key) is Sign.POSITIVE:
+            root[g] = top = g  # top: the root of g's class
+            classes += 1
+            # the ranks within r; for r = 1, the step row
+            near = step[g * width:(g + 1) * width] if r == 1 else ball.near(g, r)
+            for h in near:  # root holds the positive ranks up to g
+                if h in root and (h := find(h)) != top:
+                    if h > top:  # the larger root joins the smaller
+                        h, top = top, h
+                    root[top] = top = h
+                    classes -= 1
+        counts.append(classes)
+    return (ball, {g: find(g) for g in root},
+            [counts[held.sizes[R] - 1] for R in radii])
+
+
 def r_components(oracle: OrderOracle, r: int, radius: int,
                  cap: int | None = None) -> ComponentReport:
     """Partition the positives of B(1, R) into classes joined at distance <= r.
@@ -250,21 +294,11 @@ def r_components(oracle: OrderOracle, r: int, radius: int,
     ball-restricted stand-in for coarse connectivity. Output is canonical:
     classes sorted by their shortlex-least representative.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if r > radius:
-        raise ValueError("r must not exceed the ball radius")
-    ball = oracle.model.ball(radius, cap=cap)
-    sign = oracle.sign_key
-    starts = [i for i, g in enumerate(ball) if sign(g.key) is Sign.POSITIVE]
-    allowed = set(starts)
-    classes = []
-    for start in starts:
-        if start in allowed:  # each class leaves allowed once found
-            reached = _search(ball, r, start, None, allowed)[1]
-            allowed.difference_update(reached)
-            classes.append(sorted(reached))
-    components = [[ball.held.elements[i] for i in c] for c in sorted(classes)]
+    ball, root, _ = _r_classes(oracle, r, (radius,), cap)
+    components: dict[int, list[Element]] = {}
+    for g, least in root.items():
+        components.setdefault(least, []).append(ball.held.elements[g])
+    components = list(components.values())
     return ComponentReport(
         oracle_name=oracle.name,
         r=r,
@@ -392,14 +426,16 @@ def product_column_swamp(oracle: OrderOracle, r: int, radius: int,
         raise ValueError("width must be non-negative")
     center = max_of_ball(oracle, r + 1, cap=cap).inverse()
     back = free.inv(center.key[0])
-    ball = model.ball(radius, cap=cap)
-    # a free key is the reduced word of c_F^-1 times the free coordinate
-    swamp = [g for g in ball if len(free.mul(back, g.key[0])) <= r]
-    for s in swamp:
-        if oracle.sign_key(s.key) is not Sign.NEGATIVE:
-            raise ModelMismatch(
-                f"the column swamp needs the free factor to lead the order: "
-                f"column element {s} is not negative under {oracle.name}")
+    # B(r + 1), held for the center, first: a refusal grows no larger ball
+    for R in (min(r + 1, radius), radius):
+        ball = model.ball(R, cap=cap)
+        # a free key is the reduced word of c_F^-1 times the free coordinate
+        swamp = [g for g in ball if len(free.mul(back, g.key[0])) <= r]
+        for s in swamp:
+            if oracle.sign_key(s.key) is not Sign.NEGATIVE:
+                raise ModelMismatch(
+                    f"the column swamp needs the free factor to lead the order: "
+                    f"column element {s} is not negative under {oracle.name}")
 
     def candidates():
         # each free coordinate beyond distance r of c_F (never c_F itself),
@@ -548,18 +584,18 @@ def cofinal_positive_path(oracle: OrderOracle, g: Element, h: Element) -> RPath:
     if sign(z) is Sign.NEGATIVE:
         z = model.inv(z)
 
-    base = [p.key for p in geodesic_points(g, h)]
-    powers = [model.one]  # z^0, ..., z^s
-    while not all(sign(mul(powers[-1], p)) is Sign.POSITIVE for p in base):
+    base = _geodesic_keys(model, g.key, h.key)
+    powers, translate = [model.one], base  # z^0, ..., z^s; z^s times base
+    while not all(sign(p) is Sign.POSITIVE for p in translate):
         if len(powers) > _POWER_BUDGET:
             raise PathNotFound(f"no positive translate within budget {_POWER_BUDGET}")
         powers.append(mul(powers[-1], z))
+        translate = [mul(powers[-1], p) for p in base]
 
     # z is central, so the ladders g z^j and h z^j are g and h times z^j
     up = [mul(g.key, p) for p in powers]
     down = [mul(h.key, p) for p in reversed(powers)]
-    return _cone_path(oracle, up + [mul(powers[-1], p) for p in base] + down,
-                      1, "cofinal")
+    return _cone_path(oracle, up + translate + down, 1, "cofinal")
 
 
 def product_positive_path(oracle: OrderOracle, g: Element, h: Element,
@@ -665,11 +701,11 @@ class SurveyReport(namedtuple("SurveyReport", (
 
 def connectivity_survey(oracle: OrderOracle, r: int, radii,
                         cap: int | None = None) -> SurveyReport:
-    """Run r_components over a ladder of radii and classify the outcome."""
+    """Count the r-classes over a ladder of radii and classify the outcome."""
     radii = tuple(sorted(radii))
     if not radii:
         raise ValueError("need at least one radius")
-    counts = tuple(r_components(oracle, r, R, cap=cap).count for R in radii)
+    counts = tuple(_r_classes(oracle, r, radii, cap)[2])
     stable = len(set(counts)) == 1
     certificate = None
     if all(c == 1 for c in counts):

@@ -18,6 +18,9 @@ coordinates in which the model computes:
 Each model implements the same key operations: `one`, `key_of` (read any
 word), `spell` (write the canonical word), `mul`, `inv`, `key_length` and
 `landing` (each h with |h| <= reach and |gh| <= out, for the closure checks).
+Two more have defaults built from these, which the models override with
+arithmetic that forms no product: `letter_steps` (per letter x, in letter
+order, the map k -> k x) and `key_distance` (|u^-1 v|).
 Products, inverses, distances, lengths and signs compute on keys; words
 appear only at the boundary: parsing, printing, shortlex sorting and
 spelling geodesics (`Element.word`, computed when read).
@@ -32,7 +35,7 @@ shortlex order and membership: `elements` in shortlex order, `ranks`
 (key -> position), sizes[n] = |B(n)| and the step table, with the rank of
 g x at step[rank(g) * |S| + i] for the i-th letter x, or -1 outside the
 held ball. `GroupModel.ball(n)` grows it sphere by sphere as far as n,
-forming each product g x once on keys, and returns B(n), a view of its
+taking each letter step g x once on keys, and returns B(n), a view of its
 first sizes[n] members that copies nothing. A member's depth is its
 `length`, and diagnostics order members by rank.
 
@@ -57,7 +60,7 @@ from __future__ import annotations
 from array import array
 from functools import cached_property
 from itertools import count, islice
-from operator import add, neg
+from operator import add, neg, sub
 
 from .errors import CapExceeded, ModelMismatch
 from .words import (
@@ -234,6 +237,12 @@ class GroupModel:
         """Letter -> the generator or inverse it spells, in the letter order."""
         return {l: self.normal_form((l,)) for l in self.alphabet.letters}
 
+    @cached_property
+    def letter_steps(self) -> list:
+        """Per letter x, in letter order, the map from a key k to k x."""
+        return [lambda k, x=x.key, mul=self.mul: mul(k, x)
+                for x in self.generators.values()]
+
     def generator(self, index: int) -> Element:
         """The index-th generator (1-based) as an element."""
         return self.normal_form((index,))
@@ -269,7 +278,11 @@ class GroupModel:
         if ((g.model is not self and g.model != self)
                 or (h.model is not self and h.model != self)):
             raise ModelMismatch("operands belong to different models")
-        return self.key_length(self.mul(self.inv(g.key), h.key))
+        return self.key_distance(g.key, h.key)
+
+    def key_distance(self, u: tuple, v: tuple) -> int:
+        """|u^-1 v|, the word distance between the keys."""
+        return self.key_length(self.mul(self.inv(u), v))
 
     # -- enumeration ------------------------------------------------------
 
@@ -304,15 +317,14 @@ class GroupModel:
 
         Around the identity depth is word length, which shortlex compares
         first, so each new sphere is appended in shortlex order: as found,
-        or sorted once (see the module docs). Each product h = g x fills
-        step[g][x], and step[h][x^-1] once h has its rank, so a member forms
-        only its products into the next sphere. The held ball is replaced
+        or sorted once (see the module docs). Each letter step h = g x fills
+        step[g][x], and step[h][x^-1] once h has its rank, so a member takes
+        only its steps into the next sphere. The held ball is replaced
         only when every sphere is done: CapExceeded, raised once the ball
         would hold more than cap nodes, leaves it as it was.
         """
-        held, mul = self._held, self.mul
+        held, steps = self._held, self.letter_steps
         width = held.width
-        gens = [g.key for g in self.generators.values()]
         resort = not self.shortlex_discovery
         elements, ranks = list(held.elements), dict(held.ranks)
         sizes, step = list(held.sizes), array("i", held.step)
@@ -320,10 +332,9 @@ class GroupModel:
             first, start = sizes[-2] if len(sizes) > 1 else 0, len(elements)
             for g in range(first, start):
                 key, row = elements[g].key, g * width
-                for i, x in enumerate(gens):  # new members ranked as found
+                for i, letter in enumerate(steps):  # new members ranked as found
                     if step[row + i] < 0:  # else a step back, set when g was found
-                        step[row + i] = ranks.setdefault(mul(key, x),
-                                                         len(ranks))
+                        step[row + i] = ranks.setdefault(letter(key), len(ranks))
                 if len(ranks) > cap:
                     raise CapExceeded(cap + 1, cap, what=f"ball of radius {radius}")
             found = list(islice(ranks, start, None))  # in discovery order
@@ -403,8 +414,20 @@ class FreeGroup(GroupModel):
     def inv(self, u: Word) -> Word:
         return inverse_word(u)
 
+    @cached_property
+    def letter_steps(self) -> list:  # append x, or cancel a last x^-1
+        return [lambda k, x=x: k[:-1] if k and k[-1] == -x else k + (x,)
+                for x in self.alphabet.letters]
+
     def key_length(self, key: Word) -> int:
         return len(key)
+
+    def key_distance(self, u: Word, v: Word) -> int:
+        # u^-1 v cancels exactly the common prefix of the reduced words
+        common, n = 0, min(len(u), len(v))
+        while common < n and u[common] == v[common]:
+            common += 1
+        return len(u) + len(v) - 2 * common
 
     def landing(self, g: Word, out: int, reach: int) -> list:
         groups = self._landing_groups(g, out, reach).values()
@@ -469,8 +492,16 @@ class FreeAbelian(GroupModel):
     def inv(self, a: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(map(neg, a))
 
+    @cached_property
+    def letter_steps(self) -> list:  # letter +-(i + 1) adds +-1 at index i
+        return [lambda k, i=i, e=e: k[:i] + (k[i] + e,) + k[i + 1:]
+                for i in range(self.rank) for e in (1, -1)]
+
     def key_length(self, key: tuple[int, ...]) -> int:
         return sum(map(abs, key))
+
+    def key_distance(self, u: tuple[int, ...], v: tuple[int, ...]) -> int:
+        return sum(map(abs, map(sub, u, v)))
 
     @staticmethod
     def landing(g: tuple[int, ...], out: int, reach: int) -> list:
@@ -584,9 +615,19 @@ class DirectProduct(GroupModel):
     def inv(self, u: tuple) -> tuple:
         return self.factors[0].inv(u[0]), self.factors[1].inv(u[1])
 
+    @cached_property
+    def letter_steps(self) -> list:  # only the letter's own factor steps
+        first, second = (f.letter_steps for f in self.factors)
+        return ([lambda k, f=f: (f(k[0]), k[1]) for f in first]
+                + [lambda k, f=f: (k[0], f(k[1])) for f in second])
+
     def key_length(self, key: tuple) -> int:
         return (self.factors[0].key_length(key[0])
                 + self.factors[1].key_length(key[1]))
+
+    def key_distance(self, u: tuple, v: tuple) -> int:
+        return (self.factors[0].key_distance(u[0], v[0])
+                + self.factors[1].key_distance(u[1], v[1]))
 
     def landing(self, g: tuple, out: int, reach: int) -> list:
         # lengths add: per group of first-factor lengths, one second-factor

@@ -226,12 +226,12 @@ def test_swamp_column_needs_the_free_factor_to_lead(tmp_path, capsys):
 def test_dfa_path_measures_each_gap_once(tmp_path, monkeypatch):
     import conescope as cs
     pairs = []
-    distance = cs.GroupModel.distance
+    distance = cs.FreeAbelian.key_distance
 
-    def counted_distance(self, g, h):
-        pairs.append((g, h))
-        return distance(self, g, h)
-    monkeypatch.setattr(cs.GroupModel, "distance", counted_distance)
+    def counted_distance(self, u, v):
+        pairs.append((u, v))
+        return distance(self, u, v)
+    monkeypatch.setattr(cs.FreeAbelian, "key_distance", counted_distance)
     config = {"group": {"kind": "abelian", "rank": 2}, "dfa": Z2_LEX_DFA,
               "word": "aaaaaaBBBBBB"}
     assert run_cli(tmp_path, config, "dfa-path") == 0
@@ -786,7 +786,8 @@ def test_reports_identical_under_reference_kernel(tmp_path, monkeypatch):
     assert {code for code, _ in fast.values()} >= {0, 2}
 
     # key arithmetic replaced by normalising the concatenated or inverted
-    # canonical words
+    # canonical words; letter steps and key distances fall back to the
+    # defaults, which go through mul and inv
     def mul(self, a, b):
         return self.key_of(self.product_word(self.spell(a), self.spell(b)))
 
@@ -795,5 +796,7 @@ def test_reports_identical_under_reference_kernel(tmp_path, monkeypatch):
     for cls in (cs.FreeGroup, cs.FreeAbelian, cs.KleinBottle, cs.DirectProduct):
         monkeypatch.setattr(cls, "mul", mul)
         monkeypatch.setattr(cls, "inv", inv)
+        monkeypatch.setattr(cls, "letter_steps", cs.GroupModel.letter_steps)
+        monkeypatch.setattr(cls, "key_distance", cs.GroupModel.key_distance)
     reference = _kernel_reports(tmp_path, "reference")
     assert fast == reference

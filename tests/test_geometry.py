@@ -3,6 +3,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import conescope as cs
 from conescope import geometry
@@ -167,6 +168,59 @@ def test_components_refine_as_r_grows(magnus):
         assert len(targets) == 1
 
 
+def reference_r_classes(oracle, r, radius):
+    """The r-classes of the positives of B(radius) as sorted rank lists, by
+    one breadth-first search per class: the slow reference for the one
+    union-find pass of r_components and connectivity_survey."""
+    ball = oracle.model.ball(radius)
+    starts = [i for i, g in enumerate(ball) if oracle.is_positive(g)]
+    allowed = set(starts)
+    classes = []
+    for start in starts:
+        if start in allowed:  # each class leaves allowed once found
+            reached = _search(ball, r, start, None, allowed)[1]
+            allowed.difference_update(reached)
+            classes.append(sorted(reached))
+    return sorted(classes)
+
+
+# every model kind with its shipped orders: F2, Z^2, the Klein bottle, F2 x Z
+# and Z
+CLASS_ORDERS = ["magnus", "hyper_irr", "hyper_lex", "klein_oracle",
+                "z_leading", "f2_leading", "z_natural"]
+_REFERENCE_CLASSES = {}
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("name", CLASS_ORDERS)
+@settings(max_examples=12, deadline=None)
+@given(radii=st.lists(st.integers(1, 6), min_size=1, max_size=4))
+def test_r_classes_match_search_reference(request, name, r, radii):
+    # radii r..6, unsorted and repeated; for r >= 2, Ball.near walks beyond
+    # B(R) inside the held ball, which the one pass reads as a rank prefix
+    oracle = request.getfixturevalue(name)
+    radii = [max(R, r) for R in radii]
+    for R in radii:
+        if (name, r, R) not in _REFERENCE_CLASSES:
+            _REFERENCE_CLASSES[name, r, R] = reference_r_classes(oracle, r, R)
+    ranks = oracle.model.ball(max(radii)).held.ranks
+    for R in radii:
+        report = cs.r_components(oracle, r, R)
+        assert [[ranks[g.key] for g in c] for c in report.components] == \
+            _REFERENCE_CLASSES[name, r, R]
+    survey = cs.connectivity_survey(oracle, r, radii)
+    assert survey.counts == tuple(len(_REFERENCE_CLASSES[name, r, R])
+                                  for R in sorted(radii))
+
+
+def test_survey_refuses_widths_as_r_components_does(magnus):
+    for r, radii, message in ((0, [3], "r must be >= 1"),
+                              (3, [4, 2], "r must not exceed the ball radius"),
+                              (1, [-1, 3], "r must not exceed the ball radius")):
+        with pytest.raises(ValueError, match=message):
+            cs.connectivity_survey(magnus, r, radii)
+
+
 def test_components_z_leading_boundary_strands(z_leading):
     # the Z-leading cone on F2 x Z leaves isolated positives at the ball
     # boundary at width 1 (their only shorter neighbor is negative); at
@@ -250,6 +304,18 @@ def test_column_swamp_scan_matches_full_ball_scan(f2_leading):
         cert = product_column_swamp(f2_leading, r, radius)
         assert model.project(cert.center, 0) == center_free
         assert cert.witnesses == (ordered[0], ordered[1])
+
+
+def test_column_swamp_refusal_grows_no_larger_ball():
+    # the z-leading order fails the column check inside B(r + 1), held for
+    # the center, so the refusal comes before B(radius) is grown
+    oracle = cs.lex_pair_sign(
+        cs.hyperplane_order(cs.FreeAbelian(1), [(1, 0)], name="z-natural"),
+        cs.magnus_order(cs.FreeGroup(2)), leading_factor=1, name="z-leading")
+    r = 1
+    with pytest.raises(cs.ModelMismatch, match="column element 1 is not negative"):
+        product_column_swamp(oracle, r, 9)
+    assert len(oracle.model.ball(0).held.sizes) - 1 <= r + 1
 
 
 def test_tree_swamp_witness_scan_honours_cap(magnus):

@@ -173,6 +173,19 @@ def test_keys_round_trip_through_canonical_words(model, data):
     assert model.key_length(key) == len(model.spell(key))
 
 
+@pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
+def test_letter_steps_and_key_distance_match_mul(model):
+    # the overrides against their defaults: k x by mul, and |u^-1 v|
+    keys = [g.key for g in fresh(model).ball(3)]
+    gens = [x.key for x in model.generators.values()]
+    for k in keys:
+        assert [step(k) for step in model.letter_steps] == \
+            [model.mul(k, x) for x in gens]
+    for u, v in itertools.product(keys, keys):
+        assert model.key_distance(u, v) == \
+            model.key_length(model.mul(model.inv(u), v))
+
+
 def test_element_is_immutable(f2xz):
     g = f2xz.element("abc")
     for attr in ("key", "model"):
@@ -381,12 +394,12 @@ def test_step_table_matches_mul(model):
 
 def test_growth_forms_only_the_unknown_steps():
     # a member's steps back into the previous sphere are filled when it is
-    # found, so on F2 growth forms one product per member beyond the
+    # found, so on F2 growth takes one letter step per member beyond the
     # identity: |B(6)| - 1 = 1,456, grown at once or in steps
     for requests in ((6,), (2, 0, 4, 1, 6)):
         model, calls = cs.FreeGroup(2), []
-        mul = model.mul
-        model.mul = lambda u, v: calls.append(1) or mul(u, v)
+        model.letter_steps = [lambda k, f=f: calls.append(1) or f(k)
+                              for f in model.letter_steps]
         for n in requests:
             model.ball(n)
         assert len(calls) == len(model.ball(6)) - 1 == 1456
