@@ -41,14 +41,13 @@ from .groups import (
     KleinBottle,
     model_from_descriptor,
 )
-from .quadratic import QuadraticValue, sqrt2_sign
+from .quadratic import sqrt2_sign
 from .magnus import MagnusSeries, magnus_expand
 from .orders import (
     AxiomReport,
     OrderOracle,
     Sign,
     hyperplane_order,
-    hyperplane_sign,
     klein_cone_sign,
     klein_order,
     lex_pair_sign,

@@ -55,14 +55,6 @@ class ConeDfa:
         self.states, self.initial, self.accepting = states, initial, accepting
         self.alphabet, self.transitions = alphabet, transitions
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.states, self.initial, self.accepting, self.alphabet.rank,
-                 self.transitions)
-                == (other.states, other.initial, other.accepting,
-                    other.alphabet.rank, other.transitions))
-
     @cached_property
     def table(self) -> dict[str, dict[int, str]]:
         """state -> letter -> target, built once; callers validate letters."""
@@ -98,10 +90,6 @@ class ConeDfa:
                     end = table[end][letter]
                 assert end in self.accepting and len(word) < self.size()
         return out
-
-    def step(self, state: str, letter: int) -> str:
-        self.alphabet.check_letter(letter)
-        return self.table[state][letter]
 
     def size(self) -> int:
         return len(self.states)
@@ -250,21 +238,15 @@ class ConeDfaReport(namedtuple("ConeDfaReport", (
 
 
 def reachable_evaluations(dfa: ConeDfa, model: GroupModel, max_length: int,
-                          node_cap: int | None = None) -> set[Element]:
-    """Elements of ev(L) hit by accepted words of length <= max_length.
+                          node_cap: int | None = None) -> set[tuple]:
+    """The keys of the elements of ev(L) hit by accepted words of length
+    <= max_length.
 
-    Runs a BFS over (state, element) pairs, which classifies exactly the
-    same elements as enumerating the language but without the word blowup.
+    Runs a BFS over (state, key) pairs, which classifies exactly the same
+    elements as enumerating the language but without the word blowup.
     Pairs whose state cannot reach acceptance are pruned: they contribute
     nothing to ev(L).
     """
-    return {Element(model, h)
-            for h in _reachable_keys(dfa, model, max_length, node_cap)}
-
-
-def _reachable_keys(dfa: ConeDfa, model: GroupModel, max_length: int,
-                    node_cap: int | None) -> set[tuple]:
-    """The keys of `reachable_evaluations`."""
     if max_length < 0:
         raise ValueError("max_length must be non-negative")
     node_cap = DEFAULT_NODE_CAP if node_cap is None else node_cap
@@ -319,7 +301,7 @@ def verify_cone_dfa(dfa: ConeDfa, model: GroupModel, radius: int,
         max_length = 4 * radius
     ball = model.ball(radius, cap=cap)
     # the walk runs on keys; an Element is built only to print a finding
-    reached_keys = _reachable_keys(dfa, model, max_length, node_cap)
+    reached_keys = reachable_evaluations(dfa, model, max_length, node_cap)
     one = model.one
 
     def show(key) -> str:

@@ -72,9 +72,9 @@ COMMANDS = ("axioms", "ray", "components", "swamp", "survey", "cofinal-path",
             "dfa-verify", "dfa-path", "dfa-qg", "export-dot")
 
 # one config document serves every command; commands read what they need
-KNOWN_KEYS = {"group", "order", "name", "dfa", "radius", "width", "radii",
-              "search_radius", "lmax", "lambda", "c", "word", "pair",
-              "pairs", "seed"}
+KNOWN_KEYS = {"group", "order", "dfa", "radius", "width", "radii",
+              "search_radius", "lmax", "lambda", "c", "word", "pair", "pairs",
+              "seed"}
 
 EXIT_USAGE = 3
 EXIT_INTERNAL = 4
@@ -386,23 +386,21 @@ def _write_reports(out_dir: Path, command: str, code: int, payload: dict,
         "result": payload,
         "timings": None,  # kept, always null, for stable report bytes
     }
-    json_path = out_dir / f"{command}.report.json"
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    text_path = out_dir / f"{command}.report.txt"
-    with open(text_path, "w", encoding="utf-8") as fh:
-        fh.write(f"conescope {__version__} :: {command}\n{summary}\n"
-                 f"exit code {code}\n")
+    files = {f"{command}.report.json": _json_text(report),
+             f"{command}.report.txt": (f"conescope {__version__} :: {command}\n"
+                                       f"{summary}\nexit code {code}\n")}
     if command == "export-dot":
-        with open(out_dir / "ball.dot", "w", encoding="utf-8") as fh:
-            fh.write(payload["dot"])
+        files["ball.dot"] = payload["dot"]
     if command == "swamp" and "error" not in payload:
-        cert = {k: v for k, v in payload.items()
-                if k not in ("separation", "avoiding_path")}
-        with open(out_dir / "certificate.json", "w", encoding="utf-8") as fh:
-            json.dump(cert, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        files["certificate.json"] = _json_text(
+            {k: v for k, v in payload.items()
+             if k not in ("separation", "avoiding_path")})
+    for name, text in files.items():
+        (out_dir / name).write_text(text, encoding="utf-8")
+
+
+def _json_text(obj: dict) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _parse_args(argv: list[str]) -> dict | None:

@@ -31,7 +31,7 @@ def export_dot(oracle: OrderOracle, r: int, radius: int,
         lines.append(f'  n{i} [label="{g}", sign={sign}, comp={comp}];')
     # node ids are ranks; an edge is met from both ends, written from the
     # lower, in letter order from the step table (-1: outside the held ball)
-    step, width, size = ball.held.step, ball.held.width, len(ball)
+    step, width, size = ball.step, ball.width, len(ball)
     for i in range(size):
         for j in step[i * width:(i + 1) * width]:
             if i < j < size:

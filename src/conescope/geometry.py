@@ -113,12 +113,12 @@ def _ball_maxima(oracle: OrderOracle, n: int,
     """The order-maxima g_0, ..., g_n of B(1, 0), ..., B(1, n): B(k) is a
     prefix of B(n), so one running comparison over B(n) gives every g_k."""
     model = oracle.model
-    held = model.ball(n, cap=cap).held
-    elements, mul, inv, sign = held.elements, model.mul, model.inv, oracle.sign_key
+    ball = model.ball(n, cap=cap)
+    elements, mul, inv, sign = ball.elements, model.mul, model.inv, oracle.sign_key
     best, back = 0, model.one  # the rank of the running maximum, its inverse
     maxima = [elements[0]]
     for k in range(1, n + 1):
-        for rank in range(held.sizes[k - 1], held.sizes[k]):
+        for rank in range(ball.sizes[k - 1], ball.sizes[k]):
             s = sign(mul(back, elements[rank].key))
             if s is Sign.IDENTITY:  # rank > best: two distinct members tie
                 raise BrokenOrderError(f"tie between distinct elements "
@@ -237,7 +237,7 @@ def _search(ball: Ball, r: int, src: int, dst: int | None,
             path = [current]
             while parents[path[-1]] is not None:
                 path.append(parents[path[-1]])
-            return [ball.held.elements[i] for i in reversed(path)], parents
+            return [ball.elements[i] for i in reversed(path)], parents
         for rank in sorted(ball.near(current, r) & allowed):
             if rank not in parents:
                 parents[rank] = current
@@ -259,8 +259,8 @@ def _r_classes(oracle: OrderOracle, r: int, radii: tuple[int, ...],
         raise ValueError("r must not exceed the ball radius")
     for R in sorted(radii):  # smallest first: a cap stops at the first beyond it
         ball = oracle.model.ball(R, cap=cap)
-    held, sign = ball.held, oracle.sign_key
-    step, width, elements = held.step, held.width, held.elements
+    step, width, elements = ball.step, ball.width, ball.elements
+    sign = oracle.sign_key
     root: dict[int, int] = {}
 
     def find(g: int) -> int:
@@ -283,7 +283,7 @@ def _r_classes(oracle: OrderOracle, r: int, radii: tuple[int, ...],
                     classes -= 1
         counts.append(classes)
     return (ball, {g: find(g) for g in root},
-            [counts[held.sizes[R] - 1] for R in radii])
+            [counts[ball.sizes[R] - 1] for R in radii])
 
 
 def r_components(oracle: OrderOracle, r: int, radius: int,
@@ -297,7 +297,7 @@ def r_components(oracle: OrderOracle, r: int, radius: int,
     ball, root, _ = _r_classes(oracle, r, (radius,), cap)
     components: dict[int, list[Element]] = {}
     for g, least in root.items():
-        components.setdefault(least, []).append(ball.held.elements[g])
+        components.setdefault(least, []).append(ball.elements[g])
     components = list(components.values())
     return ComponentReport(
         oracle_name=oracle.name,
@@ -395,8 +395,8 @@ def tree_swamp_certificate(oracle: OrderOracle, r: int,
     def candidates():
         # the key of a free-group element is its reduced word
         for k in range(r + 1, search_radius + 1):
-            held = model.ball(k, cap=cap).held
-            for g in islice(held.elements, held.sizes[k - 1], held.sizes[k]):
+            ball = model.ball(k, cap=cap)
+            for g in islice(ball.elements, ball.sizes[k - 1], ball.sizes[k]):
                 yield g.key[0], model.mul(c, g.key)
 
     witnesses = _witnesses(oracle, candidates(), model.alphabet.letters,
@@ -495,7 +495,7 @@ def verify_separation(cert: SwampCertificate, model: GroupModel,
     if radius is None:
         radius = max(u.length, v.length, cert.center.length) + cert.r + 1
     ball = model.ball(radius, cap=cap)
-    ranks = ball.held.ranks
+    ranks = ball.ranks
     allowed = set(range(len(ball))).difference(ranks.get(s.key)
                                                for s in cert.swamp)
     ends = [ranks.get(u.key), ranks.get(v.key)]
@@ -509,7 +509,7 @@ def verify_separation(cert: SwampCertificate, model: GroupModel,
                                 avoiding_path=path, explored=len(parents))
     escape_cut = radius - cert.r  # ranks from sizes[escape_cut] lie beyond it
     touched_boundary = (escape_cut < 0
-                        or max(parents) >= ball.held.sizes[escape_cut])
+                        or max(parents) >= ball.sizes[escape_cut])
     verdict = Verdict.EVIDENCE if touched_boundary else Verdict.CERTIFIED_EXHAUSTIVE
     return SeparationResult(verdict=verdict, explored=len(parents))
 
@@ -635,12 +635,12 @@ def product_positive_path(oracle: OrderOracle, g: Element, h: Element,
         if not positives or len(_search(ball, r, positives[0], None,
                                         allowed)[1]) != len(allowed):
             raise FactorNotConnectedAtScale(r, factor_radius, factor)
-        cones.append((ball.held.elements[positives[0]].key, ball, allowed))
+        cones.append((ball.elements[positives[0]].key, ball, allowed))
 
     def factor_path(factor: int, src: tuple, dst: tuple) -> list[tuple]:
         """r-path from src to dst through restricted positives."""
         _, ball, allowed = cones[factor]
-        ends = [ball.held.ranks.get(src), ball.held.ranks.get(dst)]
+        ends = [ball.ranks.get(src), ball.ranks.get(dst)]
         if not allowed.issuperset(ends):
             raise FactorNotConnectedAtScale(r, factor_radius, factor)
         # the gate made allowed one r-class, so the search reaches dst
@@ -665,7 +665,7 @@ def product_positive_path(oracle: OrderOracle, g: Element, h: Element,
         for factor, group in enumerate(factors):
             a, other = path[-1][factor], path[-1][1 - factor]
             first, ball, allowed = cones[factor]
-            if ball.held.ranks.get(a) in allowed:  # a is restricted-positive
+            if ball.ranks.get(a) in allowed:  # a is restricted-positive
                 continue
             # the climb ends at the shortlex-least restricted positive, first
             if group.key_length(first) > max(r, 1):
@@ -715,7 +715,7 @@ def connectivity_survey(oracle: OrderOracle, r: int, radii,
         if isinstance(oracle.model, FreeGroup):
             try:
                 certificate = tree_swamp_certificate(oracle, r, cap=cap)
-            except (WitnessNotFound, ModelMismatch):
+            except WitnessNotFound:
                 certificate = None
         if certificate is not None:
             classification = SurveyClass.HUCHA_CERTIFIED

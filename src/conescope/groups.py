@@ -131,47 +131,41 @@ class Element:
         return f"<{format_word(self.word)}>"
 
 
-class _HeldBall:
-    """The ball a model has grown (see the module docs), with `width` = |S|
-    entries per row of `step`. Growth replaces its lists, dict and table,
-    never changes them."""
-
-    __slots__ = ("elements", "ranks", "sizes", "step", "width")
-
-    def __init__(self, elements: list[Element], ranks: dict[tuple, int],
-                 sizes: list[int], step: array, width: int):
-        self.elements, self.ranks, self.sizes = elements, ranks, sizes
-        self.step, self.width = step, width
-
-
 class Ball:
-    """B(radius) around the identity, from GroupModel.ball: a view of the
-    first |B(radius)| members of the held ball, in shortlex order; its
-    `held.ranks` may also hold keys beyond the radius."""
+    """B(radius) around the identity: the first sizes[radius] members of
+    `elements`, in shortlex order. The model keeps the largest Ball it has
+    grown (see the module docs), and `GroupModel.ball` returns a Ball that
+    shares its lists, dict and table, so `ranks` may also hold keys beyond
+    the radius. Each row of `step` has `width` = |S| entries. Growth
+    replaces the lists, dict and table, never changes them."""
 
-    def __init__(self, radius: int, held: _HeldBall):
-        self.radius, self.held = radius, held
+    __slots__ = ("radius", "elements", "ranks", "sizes", "step", "width")
+
+    def __init__(self, radius: int, elements: list[Element],
+                 ranks: dict[tuple, int], sizes: list[int], step: array,
+                 width: int):
+        self.radius, self.elements, self.ranks = radius, elements, ranks
+        self.sizes, self.step, self.width = sizes, step, width
 
     def __len__(self) -> int:
-        return self.held.sizes[self.radius]
+        return self.sizes[self.radius]
 
     def __contains__(self, g: Element) -> bool:
-        rank = self.held.ranks.get(g.key, len(self))
-        return rank < len(self) and self.held.elements[rank] == g
+        rank = self.ranks.get(g.key, len(self))
+        return rank < len(self) and self.elements[rank] == g
 
     def __iter__(self):
-        return islice(self.held.elements, len(self))
+        return islice(self.elements, len(self))
 
     def sorted_elements(self) -> list[Element]:
         """The members in shortlex order, as a list the caller may modify."""
-        return self.held.elements[:len(self)]
+        return self.elements[:len(self)]
 
     def near(self, rank: int, r: int) -> set[int]:
         """The ranks of the members within distance r of the member of that
         rank, by walks through the step table inside this ball (exact: see
         the module docs)."""
-        held = self.held
-        step, width, size = held.step, held.width, held.sizes[self.radius]
+        step, width, size = self.step, self.width, len(self)
         seen = {rank}
         for _ in range(r):
             seen.update([h for g in seen for h in step[g * width:(g + 1) * width]
@@ -290,27 +284,29 @@ class GroupModel:
     shortlex_discovery = False
 
     @cached_property
-    def _held(self) -> _HeldBall:
+    def _held(self) -> Ball:
+        """The largest ball grown; `_grow` replaces it."""
         width = len(self.alphabet)
-        return _HeldBall([self.identity()], {self.one: 0}, [1],
-                         array("i", [-1] * width), width)
+        return Ball(0, [self.identity()], {self.one: 0}, [1],
+                    array("i", [-1] * width), width)
 
     def ball(self, radius: int, cap: int | None = None) -> Ball:
         """B(radius) around the identity, with exact distances.
 
-        The model holds one ball, grown by `_grow`, and B(radius) is a view
-        of its first |B(radius)| members. Raises CapExceeded when B(radius)
-        holds more than cap nodes.
+        The model holds one ball, grown by `_grow`, and B(radius) shares
+        its lists: a view of its first |B(radius)| members. Raises
+        CapExceeded when B(radius) holds more than cap nodes.
         """
         if radius < 0:
             raise ValueError("radius must be non-negative")
         cap = DEFAULT_CAP if cap is None else cap
-        held = self._held
-        if radius >= len(held.sizes):
+        if radius > self._held.radius:
             self._grow(radius, cap)
+        held = self._held
         if held.sizes[radius] > cap:
             raise CapExceeded(cap + 1, cap, what=f"ball of radius {radius}")
-        return Ball(radius, held)
+        return Ball(radius, held.elements, held.ranks, held.sizes, held.step,
+                    held.width)
 
     def _grow(self, radius: int, cap: int) -> None:
         """Grow the held ball to the radius by BFS on keys, a sphere at a time.
@@ -352,15 +348,14 @@ class GroupModel:
                         h = step[j] = ranks[found[h - start]]
                     # the letter of index i ^ 1 is the inverse of letter i
                     step[h * width + (j % width ^ 1)] = j // width
-        held.elements, held.ranks, held.sizes = elements, ranks, sizes
-        held.step = step
+        self._held = Ball(radius, elements, ranks, sizes, step, width)
 
     # -- the cone-axiom walk ----------------------------------------------
 
     def inverse_pairs(self, ball: Ball) -> list[tuple[tuple, tuple]]:
         """The keys (g, g^-1) once per pair of non-identity members, in
         ball order: g is the member of the pair met first."""
-        ranks, inv = ball.held.ranks, self.inv
+        ranks, inv = ball.ranks, self.inv
         keys = [g.key for g in islice(ball, 1, None)]  # rank 0: the identity
         return [(g, h) for rank, g, h in zip(count(1), keys, map(inv, keys))
                 if rank <= ranks[h]]
@@ -659,11 +654,6 @@ class DirectProduct(GroupModel):
         parts = [self.factors[0].one, self.factors[1].one]
         parts[index] = g.key
         return Element(self, tuple(parts))
-
-    def pair(self, first: Element, second: Element) -> Element:
-        if first.model != self.factors[0] or second.model != self.factors[1]:
-            raise ModelMismatch("pair components do not match the factor models")
-        return Element(self, (first.key, second.key))
 
     def descriptor(self) -> dict:
         return {"kind": "product",

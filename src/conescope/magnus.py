@@ -45,13 +45,6 @@ class MagnusSeries:
         nonzero = [(m, c) for m, c in self.coefficients.items() if c != 0]
         return sorted(nonzero, key=lambda mc: deglex_key(mc[0]))
 
-    def __str__(self) -> str:
-        parts = []
-        for mono, coeff in self.terms():
-            name = "1" if not mono else "".join(f"X{i}" for i in mono)
-            parts.append(f"{coeff:+d}*{name}")
-        return " ".join(parts) if parts else "0"
-
 
 def deglex_key(mono: Monomial) -> tuple:
     """Degree first, then lexicographic on the index sequence."""

@@ -37,7 +37,7 @@ from .groups import (
     check_descriptor,
 )
 from .magnus import leading_term
-from .quadratic import QuadraticValue, as_quadratic, sqrt2_sign
+from .quadratic import as_quadratic, sqrt2_sign
 from .words import Word
 
 
@@ -128,21 +128,6 @@ def _hyperplane_sign(vector, ps, qs) -> Sign:
     return Sign.IDENTITY
 
 
-def _weight_parts(weights) -> tuple[list[int], list[int]]:
-    """The p and q parts of a weight row, refusing an all-zero row."""
-    if all(w.is_zero() for w in weights):
-        raise AllZeroWeights("hyperplane weights are all zero")
-    return [w.p for w in weights], [w.q for w in weights]
-
-
-def hyperplane_sign(vector, weights) -> Sign:
-    """Sign of sum(v_i * w_i); exact ties fall back to lex on the vector."""
-    weights = [as_quadratic(w) for w in weights]
-    if len(weights) != len(vector):
-        raise ValueError(f"{len(vector)} coordinates but {len(weights)} weights")
-    return _hyperplane_sign(vector, *_weight_parts(weights))
-
-
 def hyperplane_order(model: FreeAbelian, weights,
                      name: str = "hyperplane") -> OrderOracle:
     """The hyperplane order; its weights are checked once, here."""
@@ -151,18 +136,20 @@ def hyperplane_order(model: FreeAbelian, weights,
     fixed = tuple(as_quadratic(w) for w in weights)
     if len(fixed) != model.rank:
         raise ValueError(f"need {model.rank} weights, got {len(fixed)}")
-    ps, qs = _weight_parts(fixed)
+    if all(w == (0, 0) for w in fixed):
+        raise AllZeroWeights("hyperplane weights are all zero")
+    ps, qs = zip(*fixed)
     return OrderOracle(
         name=name, model=model,
         sign_fn=lambda key: _hyperplane_sign(key, ps, qs))
 
 
-def sqrt2_weights(rank: int = 2) -> list[QuadraticValue]:
+def sqrt2_weights(rank: int = 2) -> list[tuple[int, int]]:
     """The irrational weight row (1, sqrt2, sqrt2^...) used in the demos."""
     if rank == 1:
-        return [QuadraticValue(1, 0)]
+        return [(1, 0)]
     if rank == 2:
-        return [QuadraticValue(1, 0), QuadraticValue(0, 1)]
+        return [(1, 0), (0, 1)]
     raise ValueError("sqrt2 weights are provided for rank <= 2")
 
 

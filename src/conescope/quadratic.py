@@ -22,25 +22,11 @@ def sqrt2_sign(p: int, q: int) -> int:
     return 1 if 2 * q * q > p * p else -1
 
 
-class QuadraticValue:
-    """p + q*sqrt(2) with exact integer components."""
-
-    def __init__(self, p: int, q: int):
-        if not isinstance(p, int) or not isinstance(q, int):
-            raise TypeError("QuadraticValue components must be integers")
-        self.p, self.q = p, q
-
-    def is_zero(self) -> bool:
-        return self.p == 0 and self.q == 0
-
-
-def as_quadratic(value) -> QuadraticValue:
-    """Coerce an int, (p, q) pair of ints or QuadraticValue; never a float."""
-    if isinstance(value, QuadraticValue):
-        return value
+def as_quadratic(value) -> tuple[int, int]:
+    """The (p, q) pair of an int or a pair of ints; never a float or a bool."""
     if type(value) is int:
-        return QuadraticValue(value, 0)
+        return value, 0
     if (isinstance(value, (tuple, list)) and len(value) == 2
             and all(type(c) is int for c in value)):
-        return QuadraticValue(*value)
+        return tuple(value)
     raise TypeError(f"cannot interpret {value!r} as p + q*sqrt(2)")

@@ -615,7 +615,9 @@ def test_unknown_descriptor_key_is_named(tmp_path, capsys):
      "bad order descriptor: missing keys for kind 'lex_pair': ['leading']"),
     ({**F2_MAGNUS, "order": {"kind": "magnus", "name": 5}},
      "bad order descriptor: 'name' must be a string, got 5"),
-], ids=["group-key", "order-key", "name"])
+    # no command reads a top-level name
+    ({**F2_MAGNUS, "name": "anything"}, "unknown config keys: ['name']"),
+], ids=["group-key", "order-key", "name", "top-level-name"])
 def test_descriptor_error_names_the_key(tmp_path, capsys, config, message):
     assert run_cli(tmp_path, {**config, "radius": 2}, "ray") == 3
     assert capsys.readouterr().err == f"error: {message}\n"

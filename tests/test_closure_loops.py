@@ -64,7 +64,8 @@ def reference_order_axioms(oracle, radius):
 
 def reference_cone_dfa(dfa, model, radius, max_length):
     ball = model.ball(radius)
-    reached = cs.reachable_evaluations(dfa, model, max_length)
+    reached = {cs.Element(model, k)
+               for k in cs.reachable_evaluations(dfa, model, max_length)}
 
     counterexamples = []
     identity = model.identity()

@@ -203,7 +203,7 @@ def test_r_classes_match_search_reference(request, name, r, radii):
     for R in radii:
         if (name, r, R) not in _REFERENCE_CLASSES:
             _REFERENCE_CLASSES[name, r, R] = reference_r_classes(oracle, r, R)
-    ranks = oracle.model.ball(max(radii)).held.ranks
+    ranks = oracle.model.ball(max(radii)).ranks
     for R in radii:
         report = cs.r_components(oracle, r, R)
         assert [[ranks[g.key] for g in c] for c in report.components] == \
@@ -315,7 +315,7 @@ def test_column_swamp_refusal_grows_no_larger_ball():
     r = 1
     with pytest.raises(cs.ModelMismatch, match="column element 1 is not negative"):
         product_column_swamp(oracle, r, 9)
-    assert len(oracle.model.ball(0).held.sizes) - 1 <= r + 1
+    assert len(oracle.model.ball(0).sizes) - 1 <= r + 1
 
 
 def test_tree_swamp_witness_scan_honours_cap(magnus):
@@ -630,7 +630,7 @@ def test_rank_search_matches_key_reference(request, name, radius, r):
     oracle = request.getfixturevalue(name)
     model = oracle.model
     ball = model.ball(radius)
-    elements = ball.held.elements
+    elements = ball.elements
     jumps = [g.key for g in itertools.islice(model.ball(r), 1, None)]
     positives = [i for i, g in enumerate(ball) if oracle.is_positive(g)]
     # the r-classes of the positives
@@ -641,7 +641,7 @@ def test_rank_search_matches_key_reference(request, name, radius, r):
             reached = reference_search(model, key, None, left, jumps)[1]
             classes.append(sorted(map(left.pop, reached)))
     report = cs.r_components(oracle, r, radius)
-    assert [[ball.held.ranks[g.key] for g in c]
+    assert [[ball.ranks[g.key] for g in c]
             for c in report.components] == sorted(classes)
     # paths, and every node reached, over random allowed sets
     rng = random.Random(radius * 10 + r)

@@ -242,7 +242,7 @@ def test_multiplication_associative_on_samples(klein):
 
 def bfs_depths(ball):
     """Member -> the BFS sphere that found it, read off the held sizes."""
-    sizes = ball.held.sizes
+    sizes = ball.sizes
     return {g: bisect_right(sizes, i) for i, g in enumerate(ball)}
 
 
@@ -376,20 +376,20 @@ def test_ball_within_keeps_sorted_parent_order(model, monkeypatch):
 def test_step_table_matches_mul(model):
     # step[rank * |S| + i] is the rank of g x_i, or -1 exactly where the
     # product leaves the held ball
-    held = fresh(model).ball(4).held
+    ball = fresh(model).ball(4)
     letters = [x.key for x in model.generators.values()]
     width = len(letters)
-    assert held.width == width and len(held.step) == width * len(held.elements)
-    for rank, g in enumerate(held.elements):
+    assert ball.width == width and len(ball.step) == width * len(ball.elements)
+    for rank, g in enumerate(ball.elements):
         for i, x in enumerate(letters):
             h = model.mul(g.key, x)
-            assert held.step[rank * width + i] == held.ranks.get(h, -1)
-            assert (held.step[rank * width + i] == -1) == (model.key_length(h) > 4)
+            assert ball.step[rank * width + i] == ball.ranks.get(h, -1)
+            assert (ball.step[rank * width + i] == -1) == (model.key_length(h) > 4)
     # grown in steps, the table is the same
     stepped = fresh(model)
     for n in (2, 0, 4, 1, 3):
         stepped.ball(n)
-    assert stepped.ball(4).held.step == held.step
+    assert stepped.ball(4).step == ball.step
 
 
 def test_growth_forms_only_the_unknown_steps():
@@ -418,10 +418,10 @@ def test_held_index_matches_sorted_reference_bfs(model, requests):
         reference = reference_bfs(model, n)
         assert list(ball) == sorted(reference, key=cs.Element.sort_key)
         assert bfs_depths(ball) == reference
-        assert all(ball.held.ranks[g.key] == i for i, g in enumerate(ball))
-        sizes = ball.held.sizes
+        assert all(ball.ranks[g.key] == i for i, g in enumerate(ball))
+        sizes = ball.sizes
         for m in range(1, n + 1):
-            sphere = ball.held.elements[sizes[m - 1]:sizes[m]]
+            sphere = ball.elements[sizes[m - 1]:sizes[m]]
             assert all(g.length == m for g in sphere)
     # a Ball taken before the growth keeps its length, members and membership
     beyond = held.ball(4).sorted_elements()[len(early_members):]
@@ -438,7 +438,7 @@ def test_held_index_matches_sorted_reference_bfs(model, requests):
 @given(data=st.data())
 def test_rank_order_is_shortlex_order(model, data):
     ball = model.ball(3)
-    ranks = ball.held.ranks
+    ranks = ball.ranks
     subset = data.draw(st.lists(st.sampled_from(ball.sorted_elements()),
                                 unique_by=lambda g: g.key))
     assert (sorted(subset, key=lambda g: ranks[g.key])
@@ -472,7 +472,7 @@ def test_cap_hit_in_mid_growth_keeps_no_partial_sphere():
     held = model._held
     assert held.sizes == [1, 5, 17]
     assert len(held.elements) == len(held.ranks) == 17
-    assert held.step == cs.FreeGroup(2).ball(2).held.step
+    assert held.step == cs.FreeGroup(2).ball(2).step
     assert list(model.ball(4)) == list(cs.FreeGroup(2).ball(4))
 
 
@@ -526,7 +526,7 @@ def test_product_embed_project_round_trip(f2xz):
     assert f2xz.project(embedded, 0) == free_part
     assert f2xz.project(embedded, 1).key == f2xz.factors[1].one
     z = f2xz.factors[1].generator(1)
-    pair = f2xz.pair(free_part, z)
+    pair = f2xz.embed(free_part, 0) * f2xz.embed(z, 1)
     assert str(pair) == "aBc"
 
 
