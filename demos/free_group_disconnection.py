@@ -21,13 +21,13 @@ def main():
     print("\nwidth-r swamp certificates (S = negative ball around the center):")
     for r in (1, 2, 3):
         cert = cs.tree_swamp_certificate(order, r)
-        sep = cs.verify_separation(cert, f2)
+        sep = cs.verify_separation(cert)
         u, v = cert.witnesses
         print(f"  r={r}: center {cert.center}, |S| = {len(cert.swamp)}, "
               f"witnesses {u} | {v}, verdict {sep.verdict.value}")
 
     cert = cs.tree_swamp_certificate(order, 2)
-    paths = cs.sample_tree_paths(cert, f2, 100, seed=20260808)
+    paths = cs.sample_tree_paths(cert, 100, seed=20260808)
     hits = sum(1 for p in paths if any(q in cert.swamp for q in p.points))
     print(f"\n100 random width-2 paths between the witnesses: {hits} meet S")
 

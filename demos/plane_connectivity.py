@@ -41,7 +41,7 @@ def main():
         r=1, center=center, swamp=frozenset({center}),
         witnesses=(z2.element("b"), z2.element("aa")),
         verdict=cs.Verdict.EVIDENCE)
-    result = cs.verify_separation(cert, z2, radius=3)
+    result = cs.verify_separation(cert, radius=3)
     print(f"  verdict {result.verdict.value}: "
           + " -> ".join(result.avoiding_path.words()))
 

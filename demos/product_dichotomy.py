@@ -39,7 +39,7 @@ def main():
     survey = cs.connectivity_survey(f2_leading, 1, [3, 4, 5])
     print(f"  counts {survey.counts} -> {survey.verdict}")
     cert = cs.product_column_swamp(f2_leading, 1, 5)
-    result = cs.verify_separation(cert, model, radius=5)
+    result = cs.verify_separation(cert, radius=5)
     print(f"  column swamp |S| = {len(cert.swamp)} around {cert.center}, "
           f"witnesses {cert.witnesses[0]} | {cert.witnesses[1]}: "
           f"verdict {result.verdict.value}")

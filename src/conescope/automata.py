@@ -198,12 +198,11 @@ class LanguageSample:
         return {e: tuple(ws) for e, ws in out.items()}
 
 
-def language_sample(dfa: ConeDfa, model: GroupModel, max_length: int,
-                    word_cap: int | None = None) -> LanguageSample:
+def language_sample(dfa: ConeDfa, model: GroupModel,
+                    max_length: int) -> LanguageSample:
     """Enumerate the accepted words of length <= max_length (dead-state pruned)."""
     if max_length < 0:
         raise ValueError("max_length must be non-negative")
-    word_cap = DEFAULT_WORD_CAP if word_cap is None else word_cap
     words: list[Word] = []
     frontier: list[tuple[Word, str]] = [((), dfa.initial)]
     if dfa.initial in dfa.accepting:
@@ -217,8 +216,8 @@ def language_sample(dfa: ConeDfa, model: GroupModel, max_length: int,
                 grown = word + (letter,)
                 if target in dfa.accepting:
                     words.append(grown)
-                    if len(words) > word_cap:
-                        raise CapExceeded(len(words), word_cap,
+                    if len(words) > DEFAULT_WORD_CAP:
+                        raise CapExceeded(len(words), DEFAULT_WORD_CAP,
                                           what="language enumeration")
                 extension.append((grown, target))
         frontier = extension
@@ -237,19 +236,18 @@ class ConeDfaReport(namedtuple("ConeDfaReport", (
                 f"{len(self.counterexamples)} violations)")
 
 
-def reachable_evaluations(dfa: ConeDfa, model: GroupModel, max_length: int,
-                          node_cap: int | None = None) -> set[tuple]:
+def reachable_evaluations(dfa: ConeDfa, model: GroupModel,
+                          max_length: int) -> set[tuple]:
     """The keys of the elements of ev(L) hit by accepted words of length
     <= max_length.
 
     Runs a BFS over (state, key) pairs, which classifies exactly the same
     elements as enumerating the language but without the word blowup.
     Pairs whose state cannot reach acceptance are pruned: they contribute
-    nothing to ev(L).
+    nothing to ev(L). At most DEFAULT_NODE_CAP pairs are visited.
     """
     if max_length < 0:
         raise ValueError("max_length must be non-negative")
-    node_cap = DEFAULT_NODE_CAP if node_cap is None else node_cap
     letters = dfa.alphabet.letters
     model.alphabet.check_word(letters)
     steps = [(letter, model.generators[letter].key) for letter in letters]
@@ -274,8 +272,8 @@ def reachable_evaluations(dfa: ConeDfa, model: GroupModel, max_length: int,
                 if pair in visited:
                     continue
                 visited.add(pair)
-                if len(visited) > node_cap:
-                    raise CapExceeded(len(visited), node_cap,
+                if len(visited) > DEFAULT_NODE_CAP:
+                    raise CapExceeded(len(visited), DEFAULT_NODE_CAP,
                                       what="state-element reachability")
                 if target in dfa.accepting:
                     reached.add(h)
@@ -285,9 +283,7 @@ def reachable_evaluations(dfa: ConeDfa, model: GroupModel, max_length: int,
 
 
 def verify_cone_dfa(dfa: ConeDfa, model: GroupModel, radius: int,
-                    max_length: int | None = None,
-                    cap: int | None = None,
-                    node_cap: int | None = None) -> ConeDfaReport:
+                    max_length: int | None = None) -> ConeDfaReport:
     """Check ev(L) against the cone axioms on B(1, R), up to the length cutoff.
 
     FAIL on a hard violation: a word evaluating to the identity, both g and
@@ -299,9 +295,9 @@ def verify_cone_dfa(dfa: ConeDfa, model: GroupModel, radius: int,
     """
     if max_length is None:
         max_length = 4 * radius
-    ball = model.ball(radius, cap=cap)
+    ball = model.ball(radius)
     # the walk runs on keys; an Element is built only to print a finding
-    reached_keys = reachable_evaluations(dfa, model, max_length, node_cap)
+    reached_keys = reachable_evaluations(dfa, model, max_length)
     one = model.one
 
     def show(key) -> str:
@@ -359,8 +355,7 @@ class QuasigeodesicReport(namedtuple("QuasigeodesicReport",
 
 
 def quasigeodesic_check(dfa: ConeDfa, model: GroupModel, lam, c,
-                        max_length: int,
-                        word_cap: int | None = None) -> QuasigeodesicReport:
+                        max_length: int) -> QuasigeodesicReport:
     """Check (j - i)/lambda - c <= d(ev(w_i), ev(w_j)) on all accepted words.
 
     The distance is the length of the infix w[i:j], grown one generator at
@@ -375,7 +370,7 @@ def quasigeodesic_check(dfa: ConeDfa, model: GroupModel, lam, c,
     if lam < 1 or c < 0:
         raise ValueError("need lambda >= 1 and c >= 0")
     model.alphabet.check_word(dfa.alphabet.letters)
-    sample = language_sample(dfa, model, max_length, word_cap=word_cap)
+    sample = language_sample(dfa, model, max_length)
     limit = [math.floor(lam * (d + c)) for d in range(max_length + 1)]
     gens = {l: g.key for l, g in model.generators.items()}
     mul, length = model.mul, model.key_length

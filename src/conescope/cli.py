@@ -23,11 +23,12 @@ Exit codes, from the table EXIT_CODES (the README's table lists the same):
 
 Flags are written in full, as `--flag value` or `--flag=value`.
 
-Environment: CONESCOPE_CAP (a non-negative integer, default 10^7) bounds the
-nodes of every ball. Two caps are fixed: the language sample of dfa-qg
-(500,000 words) and the reachability search of dfa-verify (2,000,000
-state-element pairs). Nothing else in the environment changes a report, the
-hash seed (PYTHONHASHSEED) included.
+Environment: CONESCOPE_CAP (a non-negative integer, default 10^7) is put on
+the model a command runs on as its `cap`, which bounds the nodes of every
+ball. Two caps are fixed: the language sample of dfa-qg (500,000 words) and
+the reachability search of dfa-verify (2,000,000 state-element pairs).
+Nothing else in the environment changes a report, the hash seed
+(PYTHONHASHSEED) included.
 """
 
 from __future__ import annotations
@@ -170,22 +171,27 @@ class Runner:
 
     def model(self):
         try:
-            return model_from_descriptor(_require(self.config, "group"))
+            model = model_from_descriptor(_require(self.config, "group"))
         except (ValueError, TypeError, KeyError) as exc:
             raise ConfigError(f"bad group descriptor: {exc}") from exc
+        model.cap = self.cap
+        return model
 
     def oracle(self):
         model = self.model()
         try:
-            return order_from_descriptor(_require(self.config, "order"), model)
+            oracle = order_from_descriptor(_require(self.config, "order"), model)
         except (ValueError, TypeError, KeyError, ConescopeError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"bad order descriptor: {exc}") from exc
+        oracle.model.cap = self.cap  # a lex_pair order builds its own product
+        return oracle
 
-    def int_param(self, key: str, default=None) -> int:
+    def int_param(self, key: str, default=...) -> int:
+        """The integer at the key; with no default (...) the key is required."""
         if key not in self.config:
-            if default is None:
+            if default is ...:
                 raise ConfigError(f"config key {key!r} is required")
             return default
         value = self.config[key]
@@ -209,7 +215,7 @@ class Runner:
     def cmd_axioms(self):
         oracle = self.oracle()
         radius = self.int_param("radius")
-        report = verify_order_axioms(oracle, radius, cap=self.cap)
+        report = verify_order_axioms(oracle, radius)
         payload = {
             "passed": report.passed,
             "checked": report.checked,
@@ -222,7 +228,7 @@ class Runner:
     def cmd_ray(self):
         oracle = self.oracle()
         depth = self.int_param("radius")
-        report = verify_maxima_ray(oracle, depth, cap=self.cap)
+        report = verify_maxima_ray(oracle, depth)
         payload = {
             "passed": report.passed,
             "maxima": [str(g) for g in report.maxima],
@@ -237,7 +243,7 @@ class Runner:
         oracle = self.oracle()
         radius = self.int_param("radius")
         width = self.int_param("width", 1)
-        report = r_components(oracle, width, radius, cap=self.cap)
+        report = r_components(oracle, width, radius)
         payload = {
             "count": report.count,
             "sizes": [len(c) for c in report.components],
@@ -250,17 +256,16 @@ class Runner:
         width = self.int_param("width", 1)
         model = oracle.model
         if isinstance(model, FreeGroup):
-            search = self.int_param("search_radius", width + 8)
+            search = self.int_param("search_radius", None)
             radius = None
-            cert = tree_swamp_certificate(oracle, width, search_radius=search,
-                                          cap=self.cap)
+            cert = tree_swamp_certificate(oracle, width, search_radius=search)
         elif isinstance(model, DirectProduct):
             radius = self.int_param("radius", width + 4)
-            cert = product_column_swamp(oracle, width, radius, cap=self.cap)
+            cert = product_column_swamp(oracle, width, radius)
         else:
             raise ConfigError(
                 "swamp construction needs a free group or a product model")
-        result = verify_separation(cert, model, radius=radius, cap=self.cap)
+        result = verify_separation(cert, radius=radius)
         payload = cert.to_json()
         payload["separation"] = result.verdict.value
         if result.avoiding_path is not None:
@@ -275,7 +280,7 @@ class Runner:
         if (not isinstance(radii, list) or not radii
                 or any(type(R) is not int for R in radii)):
             raise ConfigError("survey needs a non-empty list of integer radii")
-        report = connectivity_survey(oracle, width, radii, cap=self.cap)
+        report = connectivity_survey(oracle, width, radii)
         payload = {
             "radii": list(report.radii),
             "counts": list(report.counts),
@@ -306,7 +311,7 @@ class Runner:
             radius = self.int_param("radius", 4)
             seed = self.int_param("seed", 2026)
             rng = random.Random(seed)
-            positives = oracle.positives(model.ball(radius, cap=self.cap))
+            positives = oracle.positives(model.ball(radius))
             if len(positives) < 2:
                 raise ConfigError("not enough positive elements to sample")
             for _ in range(count):
@@ -329,8 +334,8 @@ class Runner:
         model = self.model()
         dfa = _load_dfa(_require(self.config, "dfa"), self.config_dir)
         radius = self.int_param("radius")
-        lmax = self.int_param("lmax", 4 * radius)
-        report = verify_cone_dfa(dfa, model, radius, lmax, cap=self.cap)
+        lmax = self.int_param("lmax", None)
+        report = verify_cone_dfa(dfa, model, radius, lmax)
         payload = {
             "verdict": report.verdict,
             "in_ball": [str(g) for g in report.in_ball],
@@ -368,7 +373,7 @@ class Runner:
         oracle = self.oracle()
         radius = self.int_param("radius")
         width = self.int_param("width", 1)
-        dot = export_dot(oracle, width, radius, cap=self.cap)
+        dot = export_dot(oracle, width, radius)
         payload = {"dot": dot, "radius": radius, "width": width}
         nodes = dot.count("[label=")
         edges = dot.count(" -- ")
@@ -386,21 +391,22 @@ def _write_reports(out_dir: Path, command: str, code: int, payload: dict,
         "result": payload,
         "timings": None,  # kept, always null, for stable report bytes
     }
-    files = {f"{command}.report.json": _json_text(report),
+    # a dict is JSON, streamed chunk by chunk: the report is never one string
+    files = {f"{command}.report.json": report,
              f"{command}.report.txt": (f"conescope {__version__} :: {command}\n"
                                        f"{summary}\nexit code {code}\n")}
     if command == "export-dot":
         files["ball.dot"] = payload["dot"]
     if command == "swamp" and "error" not in payload:
-        files["certificate.json"] = _json_text(
-            {k: v for k, v in payload.items()
-             if k not in ("separation", "avoiding_path")})
-    for name, text in files.items():
-        (out_dir / name).write_text(text, encoding="utf-8")
-
-
-def _json_text(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        files["certificate.json"] = {k: v for k, v in payload.items()
+                                     if k not in ("separation", "avoiding_path")}
+    encoder = json.JSONEncoder(indent=2, sort_keys=True)
+    for name, content in files.items():
+        with open(out_dir / name, "w", encoding="utf-8") as fh:
+            if isinstance(content, dict):
+                fh.writelines(encoder.iterencode(content))
+                content = "\n"
+            fh.write(content)
 
 
 def _parse_args(argv: list[str]) -> dict | None:

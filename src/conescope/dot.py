@@ -8,8 +8,7 @@ from .orders import OrderOracle, Sign
 _SIGN_ATTR = {Sign.POSITIVE: "pos", Sign.NEGATIVE: "neg", Sign.IDENTITY: "id"}
 
 
-def export_dot(oracle: OrderOracle, r: int, radius: int,
-               cap: int | None = None) -> str:
+def export_dot(oracle: OrderOracle, r: int, radius: int) -> str:
     """One node per ball element (shortlex order), one edge per adjacency.
 
     Node attributes: label (canonical word), sign in {pos, neg, id}, comp
@@ -17,10 +16,10 @@ def export_dot(oracle: OrderOracle, r: int, radius: int,
     """
     if r < 0:
         raise ValueError("width must be non-negative")
-    ball = oracle.model.ball(radius, cap=cap)
+    ball = oracle.model.ball(radius)
     comp_index = {}
     if radius >= 1 and r >= 1:
-        components = r_components(oracle, r, radius, cap=cap).components
+        components = r_components(oracle, r, radius).components
         comp_index = {g.key: i for i, comp in enumerate(components)
                       for g in comp}
 

@@ -108,12 +108,11 @@ def geodesic_points(g: Element, h: Element) -> list[Element]:
 
 # -- ball maxima -------------------------------------------------------------
 
-def _ball_maxima(oracle: OrderOracle, n: int,
-                 cap: int | None = None) -> list[Element]:
+def _ball_maxima(oracle: OrderOracle, n: int) -> list[Element]:
     """The order-maxima g_0, ..., g_n of B(1, 0), ..., B(1, n): B(k) is a
     prefix of B(n), so one running comparison over B(n) gives every g_k."""
     model = oracle.model
-    ball = model.ball(n, cap=cap)
+    ball = model.ball(n)
     elements, mul, inv, sign = ball.elements, model.mul, model.inv, oracle.sign_key
     best, back = 0, model.one  # the rank of the running maximum, its inverse
     maxima = [elements[0]]
@@ -129,10 +128,9 @@ def _ball_maxima(oracle: OrderOracle, n: int,
     return maxima
 
 
-def max_of_ball(oracle: OrderOracle, n: int,
-                cap: int | None = None) -> Element:
+def max_of_ball(oracle: OrderOracle, n: int) -> Element:
     """The unique order-maximum of B(1, n), by pairwise sign comparison."""
-    return _ball_maxima(oracle, n, cap=cap)[-1]
+    return _ball_maxima(oracle, n)[-1]
 
 
 class RayReport(namedtuple("RayReport", (
@@ -152,8 +150,7 @@ class RayReport(namedtuple("RayReport", (
                 f"(maxima: {words or '-'})")
 
 
-def verify_maxima_ray(oracle: OrderOracle, depth: int,
-                      cap: int | None = None) -> RayReport:
+def verify_maxima_ray(oracle: OrderOracle, depth: int) -> RayReport:
     """Compute g_1..g_N and check the maxima-ray properties exactly.
 
     (i) |g_n| = n and g_{n+1} = x g_n for a generator x, (ii) the inverses
@@ -162,7 +159,7 @@ def verify_maxima_ray(oracle: OrderOracle, depth: int,
     """
     model, sign = oracle.model, oracle.sign_key
     mul, inv, distance = model.mul, model.inv, model.key_distance
-    maxima = _ball_maxima(oracle, depth, cap=cap)[1:]
+    maxima = _ball_maxima(oracle, depth)[1:]
     keys = [g.key for g in maxima]
 
     length_failures = []
@@ -187,7 +184,7 @@ def verify_maxima_ray(oracle: OrderOracle, depth: int,
     negativity_failures = []
     for n in range(1, depth + 1):
         center = inverses[n]
-        for b in model.ball(n - 1, cap=cap):
+        for b in model.ball(n - 1):
             s = sign(mul(center, b.key))
             if s is not Sign.NEGATIVE:
                 negativity_failures.append(
@@ -245,8 +242,8 @@ def _search(ball: Ball, r: int, src: int, dst: int | None,
     return None, parents
 
 
-def _r_classes(oracle: OrderOracle, r: int, radii: tuple[int, ...],
-               cap: int | None) -> tuple[Ball, dict[int, int], list[int]]:
+def _r_classes(oracle: OrderOracle, r: int,
+               radii: tuple[int, ...]) -> tuple[Ball, dict[int, int], list[int]]:
     """Union-find over the ranks of B(max radii), in rank order, each
     positive rank joined to those below it in `Ball.near`. Each B(R) is a
     rank prefix joined inside itself (see the groups module docs), so its
@@ -258,7 +255,7 @@ def _r_classes(oracle: OrderOracle, r: int, radii: tuple[int, ...],
     if r > min(radii):
         raise ValueError("r must not exceed the ball radius")
     for R in sorted(radii):  # smallest first: a cap stops at the first beyond it
-        ball = oracle.model.ball(R, cap=cap)
+        ball = oracle.model.ball(R)
     step, width, elements = ball.step, ball.width, ball.elements
     sign = oracle.sign_key
     root: dict[int, int] = {}
@@ -286,15 +283,14 @@ def _r_classes(oracle: OrderOracle, r: int, radii: tuple[int, ...],
             [counts[ball.sizes[R] - 1] for R in radii])
 
 
-def r_components(oracle: OrderOracle, r: int, radius: int,
-                 cap: int | None = None) -> ComponentReport:
+def r_components(oracle: OrderOracle, r: int, radius: int) -> ComponentReport:
     """Partition the positives of B(1, R) into classes joined at distance <= r.
 
     Only pairs of in-ball positive elements are joined, which is the
     ball-restricted stand-in for coarse connectivity. Output is canonical:
     classes sorted by their shortlex-least representative.
     """
-    ball, root, _ = _r_classes(oracle, r, (radius,), cap)
+    ball, root, _ = _r_classes(oracle, r, (radius,))
     components: dict[int, list[Element]] = {}
     for g, least in root.items():
         components.setdefault(least, []).append(ball.elements[g])
@@ -362,8 +358,7 @@ def _witnesses(oracle: OrderOracle, candidates, letters,
 
 
 def tree_swamp_certificate(oracle: OrderOracle, r: int,
-                           search_radius: int | None = None,
-                           cap: int | None = None) -> SwampCertificate:
+                           search_radius: int | None = None) -> SwampCertificate:
     """The exact free-group swamp: S = g_{r+1}^-1 B(1, r).
 
     The center is the inverse of the radius-(r+1) ball maximum, so S is a
@@ -384,9 +379,9 @@ def tree_swamp_certificate(oracle: OrderOracle, r: int,
     if search_radius <= r + 1:
         raise ValueError("search radius must exceed r + 1")
 
-    c = model.inv(max_of_ball(oracle, r + 1, cap=cap).key)
+    c = model.inv(max_of_ball(oracle, r + 1).key)
     swamp = frozenset(Element(model, model.mul(c, b.key))
-                      for b in model.ball(r, cap=cap))
+                      for b in model.ball(r))
     for s in sorted(swamp, key=Element.sort_key):
         if oracle.sign_key(s.key) is not Sign.NEGATIVE:
             raise BrokenOrderError(
@@ -395,7 +390,7 @@ def tree_swamp_certificate(oracle: OrderOracle, r: int,
     def candidates():
         # the key of a free-group element is its reduced word
         for k in range(r + 1, search_radius + 1):
-            ball = model.ball(k, cap=cap)
+            ball = model.ball(k)
             for g in islice(ball.elements, ball.sizes[k - 1], ball.sizes[k]):
                 yield g.key[0], model.mul(c, g.key)
 
@@ -405,8 +400,8 @@ def tree_swamp_certificate(oracle: OrderOracle, r: int,
                             Verdict.CERTIFIED_TREE)
 
 
-def product_column_swamp(oracle: OrderOracle, r: int, radius: int,
-                         cap: int | None = None) -> SwampCertificate:
+def product_column_swamp(oracle: OrderOracle, r: int,
+                         radius: int) -> SwampCertificate:
     """Negative column swamp in a product with a free first factor.
 
     The maxima-ray center has the free coordinate c_F carrying a negative
@@ -424,11 +419,11 @@ def product_column_swamp(oracle: OrderOracle, r: int, radius: int,
         raise ModelMismatch("the column swamp needs a free factor")
     if r < 0:
         raise ValueError("width must be non-negative")
-    center = max_of_ball(oracle, r + 1, cap=cap).inverse()
+    center = max_of_ball(oracle, r + 1).inverse()
     back = free.inv(center.key[0])
     # B(r + 1), held for the center, first: a refusal grows no larger ball
     for R in (min(r + 1, radius), radius):
-        ball = model.ball(R, cap=cap)
+        ball = model.ball(R)
         # a free key is the reduced word of c_F^-1 times the free coordinate
         swamp = [g for g in ball if len(free.mul(back, g.key[0])) <= r]
         for s in swamp:
@@ -462,10 +457,10 @@ class SeparationResult(namedtuple("SeparationResult",
         return text
 
 
-def verify_separation(cert: SwampCertificate, model: GroupModel,
-                      radius: int | None = None,
-                      cap: int | None = None) -> SeparationResult:
-    """Decide whether the swamp separates the witnesses.
+def verify_separation(cert: SwampCertificate,
+                      radius: int | None = None) -> SeparationResult:
+    """Decide whether the swamp separates the witnesses, in the model of the
+    certificate's center.
 
     Free-group model: structural tree-cut argument; any r-path between two
     distinct branches at the center passes within distance r of it, hence
@@ -476,14 +471,14 @@ def verify_separation(cert: SwampCertificate, model: GroupModel,
     of the ball boundary, so no path could continue outside; otherwise the
     search is only Evidence.
     """
-    u, v = cert.witnesses
+    model, (u, v) = cert.center.model, cert.witnesses
     if isinstance(model, FreeGroup):
         c = cert.center.key
         swamp = {s.key for s in cert.swamp}
         bu = _branch_letter(model, c, u.key)
         bv = _branch_letter(model, c, v.key)
         structural = (
-            all(model.mul(c, b.key) in swamp for b in model.ball(cert.r, cap=cap))
+            all(model.mul(c, b.key) in swamp for b in model.ball(cert.r))
             and bu is not None and bv is not None and bu != bv
             and model.distance(cert.center, u) > cert.r
             and model.distance(cert.center, v) > cert.r
@@ -494,7 +489,7 @@ def verify_separation(cert: SwampCertificate, model: GroupModel,
 
     if radius is None:
         radius = max(u.length, v.length, cert.center.length) + cert.r + 1
-    ball = model.ball(radius, cap=cap)
+    ball = model.ball(radius)
     ranks = ball.ranks
     allowed = set(range(len(ball))).difference(ranks.get(s.key)
                                                for s in cert.swamp)
@@ -514,8 +509,7 @@ def verify_separation(cert: SwampCertificate, model: GroupModel,
     return SeparationResult(verdict=verdict, explored=len(parents))
 
 
-def sample_tree_paths(cert: SwampCertificate, model: FreeGroup, count: int,
-                      seed: int, cap: int | None = None) -> list[RPath]:
+def sample_tree_paths(cert: SwampCertificate, count: int, seed: int) -> list[RPath]:
     """Random r-paths between the witnesses through B(center, R_search).
 
     Used to probe swamp soundness: every sampled path must meet S. Paths
@@ -523,9 +517,9 @@ def sample_tree_paths(cert: SwampCertificate, model: FreeGroup, count: int,
     (for r = 0 they are full vertex chains).
     """
     rng = random.Random(seed)
-    u, v = cert.witnesses
+    model, (u, v) = cert.center.model, cert.witnesses
     reach = max(model.distance(cert.center, u), model.distance(cert.center, v))
-    pool = sorted((cert.center * b for b in model.ball(reach, cap=cap)),
+    pool = sorted((cert.center * b for b in model.ball(reach)),
                   key=Element.sort_key)
     step = max(cert.r, 1)
     paths = []
@@ -599,7 +593,7 @@ def cofinal_positive_path(oracle: OrderOracle, g: Element, h: Element) -> RPath:
 
 
 def product_positive_path(oracle: OrderOracle, g: Element, h: Element,
-                          r: int = 1, cap: int | None = None) -> RPath:
+                          r: int = 1) -> RPath:
     """Three-leg positive path in a direct product whose factor cones connect.
 
     First both endpoints are normalized so that each coordinate is positive
@@ -626,7 +620,7 @@ def product_positive_path(oracle: OrderOracle, g: Element, h: Element,
     # restricted positives a, with (a, 1) or (1, a) positive
     cones = []
     for factor, group in enumerate(factors):
-        ball, one = group.ball(factor_radius, cap=cap), factors[1 - factor].one
+        ball, one = group.ball(factor_radius), factors[1 - factor].one
         positives = [i for i, a in enumerate(ball)
                      if sign(join(factor, a.key, one)) is Sign.POSITIVE]
         allowed = set(positives)
@@ -699,13 +693,12 @@ class SurveyReport(namedtuple("SurveyReport", (
         return f"survey[{self.oracle_name}] r={self.r}: {pairs} -> {self.verdict}"
 
 
-def connectivity_survey(oracle: OrderOracle, r: int, radii,
-                        cap: int | None = None) -> SurveyReport:
+def connectivity_survey(oracle: OrderOracle, r: int, radii) -> SurveyReport:
     """Count the r-classes over a ladder of radii and classify the outcome."""
     radii = tuple(sorted(radii))
     if not radii:
         raise ValueError("need at least one radius")
-    counts = tuple(_r_classes(oracle, r, radii, cap)[2])
+    counts = tuple(_r_classes(oracle, r, radii)[2])
     stable = len(set(counts)) == 1
     certificate = None
     if all(c == 1 for c in counts):
@@ -714,7 +707,7 @@ def connectivity_survey(oracle: OrderOracle, r: int, radii,
     else:
         if isinstance(oracle.model, FreeGroup):
             try:
-                certificate = tree_swamp_certificate(oracle, r, cap=cap)
+                certificate = tree_swamp_certificate(oracle, r)
             except WitnessNotFound:
                 certificate = None
         if certificate is not None:

@@ -282,6 +282,8 @@ class GroupModel:
 
     # BFS discovery order is shortlex order (see the module docs)
     shortlex_discovery = False
+    # the most nodes a ball may hold; a model may set its own
+    cap = DEFAULT_CAP
 
     @cached_property
     def _held(self) -> Ball:
@@ -290,25 +292,24 @@ class GroupModel:
         return Ball(0, [self.identity()], {self.one: 0}, [1],
                     array("i", [-1] * width), width)
 
-    def ball(self, radius: int, cap: int | None = None) -> Ball:
+    def ball(self, radius: int) -> Ball:
         """B(radius) around the identity, with exact distances.
 
         The model holds one ball, grown by `_grow`, and B(radius) shares
         its lists: a view of its first |B(radius)| members. Raises
-        CapExceeded when B(radius) holds more than cap nodes.
+        CapExceeded when B(radius) holds more than `cap` nodes.
         """
         if radius < 0:
             raise ValueError("radius must be non-negative")
-        cap = DEFAULT_CAP if cap is None else cap
         if radius > self._held.radius:
-            self._grow(radius, cap)
-        held = self._held
+            self._grow(radius)
+        held, cap = self._held, self.cap
         if held.sizes[radius] > cap:
             raise CapExceeded(cap + 1, cap, what=f"ball of radius {radius}")
         return Ball(radius, held.elements, held.ranks, held.sizes, held.step,
                     held.width)
 
-    def _grow(self, radius: int, cap: int) -> None:
+    def _grow(self, radius: int) -> None:
         """Grow the held ball to the radius by BFS on keys, a sphere at a time.
 
         Around the identity depth is word length, which shortlex compares
@@ -317,9 +318,9 @@ class GroupModel:
         step[g][x], and step[h][x^-1] once h has its rank, so a member takes
         only its steps into the next sphere. The held ball is replaced
         only when every sphere is done: CapExceeded, raised once the ball
-        would hold more than cap nodes, leaves it as it was.
+        would hold more than `cap` nodes, leaves it as it was.
         """
-        held, steps = self._held, self.letter_steps
+        held, steps, cap = self._held, self.letter_steps, self.cap
         width = held.width
         resort = not self.shortlex_discovery
         elements, ranks = list(held.elements), dict(held.ranks)

@@ -144,13 +144,9 @@ def hyperplane_order(model: FreeAbelian, weights,
         sign_fn=lambda key: _hyperplane_sign(key, ps, qs))
 
 
-def sqrt2_weights(rank: int = 2) -> list[tuple[int, int]]:
-    """The irrational weight row (1, sqrt2, sqrt2^...) used in the demos."""
-    if rank == 1:
-        return [(1, 0)]
-    if rank == 2:
-        return [(1, 0), (0, 1)]
-    raise ValueError("sqrt2 weights are provided for rank <= 2")
+def sqrt2_weights() -> list[tuple[int, int]]:
+    """The irrational weight row (1, sqrt2) on Z^2 used in the demos."""
+    return [(1, 0), (0, 1)]
 
 
 # -- Klein bottle group -----------------------------------------------------
@@ -230,8 +226,7 @@ class AxiomReport(namedtuple("AxiomReport", (
                 f"{len(self.closure_failures)} closure failures)")
 
 
-def verify_order_axioms(oracle: OrderOracle, radius: int,
-                        cap: int | None = None) -> AxiomReport:
+def verify_order_axioms(oracle: OrderOracle, radius: int) -> AxiomReport:
     """Exhaustive cone axioms on B(1, R).
 
     (i) for g != 1 exactly one of g, g^-1 is positive (and neither is
@@ -240,7 +235,7 @@ def verify_order_axioms(oracle: OrderOracle, radius: int,
     (`inverse_pairs`, `closure_misses`) finds the pairs and products.
     """
     model = oracle.model
-    ball = model.ball(radius, cap=cap)
+    ball = model.ball(radius)
     # the walk runs on keys; an Element is built only to print a failure
     signs: dict[tuple, Sign] = {g.key: oracle.sign_key(g.key) for g in ball}
     one, positive = model.one, Sign.POSITIVE

@@ -92,9 +92,9 @@ def test_criterion_3_hucha_certificates(oracles):
         assert cert.verdict is Verdict.CERTIFIED_TREE
         assert len(cert.swamp) == size
         assert len(f2.ball(r)) == size     # BFS cross-check
-        result = cs.verify_separation(cert, f2)
+        result = cs.verify_separation(cert)
         assert result.verdict is Verdict.CERTIFIED_TREE
-        paths = cs.sample_tree_paths(cert, f2, 100, seed=2026_03 + r)
+        paths = cs.sample_tree_paths(cert, 100, seed=2026_03 + r)
         hits = sum(1 for path in paths
                    if any(p in cert.swamp for p in path.points))
         details.append(f"r={r}:|S|={size},paths {hits}/100")

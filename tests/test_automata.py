@@ -253,10 +253,10 @@ def test_language_sample_evaluations(kdfa, klein):
             assert cs.dfa_run(kdfa, word)[1]
 
 
-def test_language_sample_cap(kdfa, klein):
+def test_language_sample_cap(monkeypatch):
+    monkeypatch.setattr(automata, "DEFAULT_WORD_CAP", 100)
     with pytest.raises(cs.CapExceeded):
-        cs.language_sample(all_accepting_f2_dfa(), cs.FreeGroup(2), 10,
-                           word_cap=100)
+        cs.language_sample(all_accepting_f2_dfa(), cs.FreeGroup(2), 10)
 
 
 # -- cone verification ------------------------------------------------------------------------
@@ -332,9 +332,10 @@ def test_verify_cone_calls_reachable_evaluations_once(kdfa, klein, monkeypatch):
     assert report.in_ball and {g.key for g in report.in_ball} <= results[0]
 
 
-def test_verify_cone_node_cap(f2):
+def test_verify_cone_node_cap(f2, monkeypatch):
+    monkeypatch.setattr(automata, "DEFAULT_NODE_CAP", 50)
     with pytest.raises(cs.CapExceeded):
-        cs.verify_cone_dfa(all_accepting_f2_dfa(), f2, 2, 8, node_cap=50)
+        cs.verify_cone_dfa(all_accepting_f2_dfa(), f2, 2, 8)
 
 
 # -- quasigeodesic checks -----------------------------------------------------------------------

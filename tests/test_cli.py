@@ -435,6 +435,15 @@ def test_cap_env_variable(tmp_path):
     assert "exceeds cap" in proc.stderr
 
 
+def test_cap_env_variable_reaches_a_lex_pair_product(tmp_path, capsys,
+                                                     monkeypatch):
+    # a lex_pair order builds its own product model; |B(4)| = 313 on F2 x Z
+    monkeypatch.setenv("CONESCOPE_CAP", "100")
+    code = run_cli(tmp_path, {**F2XZ_F2_LEADING, "radius": 4}, "components")
+    assert code == 3
+    assert "exceeds cap 100" in capsys.readouterr().err
+
+
 def test_axioms_z2_radius_12_under_default_cap(tmp_path, monkeypatch):
     # 313 elements; the cap counts nodes, not the 4^12 words of length 12
     monkeypatch.delenv("CONESCOPE_CAP", raising=False)

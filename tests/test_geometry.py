@@ -318,9 +318,11 @@ def test_column_swamp_refusal_grows_no_larger_ball():
     assert len(oracle.model.ball(0).sizes) - 1 <= r + 1
 
 
-def test_tree_swamp_witness_scan_honours_cap(magnus):
+def test_tree_swamp_witness_scan_honours_cap():
+    order = cs.magnus_order(cs.FreeGroup(2))
+    order.model.cap = 200
     with pytest.raises(cs.CapExceeded):
-        cs.tree_swamp_certificate(magnus, 1, cap=200)
+        cs.tree_swamp_certificate(order, 1)
 
 
 def test_tree_swamp_witness_not_found_on_line():
@@ -333,7 +335,7 @@ def test_tree_swamp_witness_not_found_on_line():
 
 def test_tree_swamp_sampled_paths_all_meet_s(magnus, f2):
     cert = cs.tree_swamp_certificate(magnus, 2)
-    paths = cs.sample_tree_paths(cert, f2, 25, seed=99)
+    paths = cs.sample_tree_paths(cert, 25, seed=99)
     # the seed fixes the paths, as the waypoint pool keeps shortlex order
     assert [len(p) for p in paths[:10]] == [24, 11, 10, 6, 18, 25, 24, 18, 10, 24]
     for path in paths:
@@ -347,7 +349,7 @@ def test_tree_swamp_sampled_paths_all_meet_s(magnus, f2):
 def test_separation_tree_certificates(magnus, f2):
     for r in (1, 2):
         cert = cs.tree_swamp_certificate(magnus, r)
-        result = cs.verify_separation(cert, f2)
+        result = cs.verify_separation(cert)
         assert result.verdict is Verdict.CERTIFIED_TREE
 
 
@@ -358,7 +360,7 @@ def test_separation_not_separating_in_plane(z2, hyper_irr):
         r=1, center=center, swamp=frozenset({center}),
         witnesses=(z2.element("b"), z2.element("aa")),
         verdict=Verdict.EVIDENCE)
-    result = cs.verify_separation(cert, z2, radius=3)
+    result = cs.verify_separation(cert, radius=3)
     assert result.verdict is Verdict.NOT_SEPARATING
     path = result.avoiding_path
     assert path.points[0] == z2.element("b")
@@ -375,14 +377,14 @@ def test_separation_certified_exhaustive_annulus(z2, hyper_irr):
         r=1, center=z2.element("aa"), swamp=annulus,
         witnesses=(z2.element("b"), z2.element("bbbbb")),
         verdict=Verdict.EVIDENCE)
-    result = cs.verify_separation(cert, z2, radius=6)
+    result = cs.verify_separation(cert, radius=6)
     assert result.verdict is Verdict.CERTIFIED_EXHAUSTIVE
 
 
 def test_separation_product_column_evidence(f2_leading):
     cert = product_column_swamp(f2_leading, 1, 5)
     assert all(f2_leading.sign(s) is cs.Sign.NEGATIVE for s in cert.swamp)
-    result = cs.verify_separation(cert, f2_leading.model, radius=5)
+    result = cs.verify_separation(cert, radius=5)
     assert result.verdict is Verdict.EVIDENCE
 
 
@@ -537,8 +539,8 @@ ONE_BALL_RUNS = {
                           ("product", 959)),
     # the certificate's ball serves the separation check
     "separation": (lambda o: cs.verify_separation(
-        product_column_swamp(o["f2_leading"], 1, 5), o["f2_leading"].model,
-        radius=5), ("product", 959)),
+        product_column_swamp(o["f2_leading"], 1, 5), radius=5),
+        ("product", 959)),
     "cli-swamp-free": (lambda o: run_cli(
         o["tmp_path"], {**F2_MAGNUS, "width": 1}, "swamp"), ("free", 485)),
     "cli-swamp-product": (lambda o: run_cli(
@@ -572,6 +574,50 @@ def test_product_path_builds_one_ball_per_factor(enumerated):
     assert enumerated() == [("abelian", 15), ("abelian", 15)]
 
 
+# every diagnostic that reads a ball, on balls of more than 4 nodes; "tree"
+# and "column" are swamp certificates, and a product path reads the balls
+# of its factors
+CAPPED_RUNS = {
+    "ball": lambda o: o["magnus"].model.ball(1),
+    "max_of_ball": lambda o: cs.max_of_ball(o["magnus"], 1),
+    "verify_maxima_ray": lambda o: cs.verify_maxima_ray(o["hyper_irr"], 2),
+    "r_components": lambda o: cs.r_components(o["magnus"], 1, 2),
+    "connectivity_survey": lambda o: cs.connectivity_survey(o["hyper_irr"], 1,
+                                                            [1, 2]),
+    "tree_swamp_certificate": lambda o: cs.tree_swamp_certificate(o["magnus"], 1),
+    "product_column_swamp": lambda o: product_column_swamp(o["f2_leading"], 1, 5),
+    "verify_separation-tree": lambda o: cs.verify_separation(o["tree"]),
+    "verify_separation-search": lambda o: cs.verify_separation(o["column"],
+                                                               radius=5),
+    "sample_tree_paths": lambda o: cs.sample_tree_paths(o["tree"], 1, seed=1),
+    "product_positive_path": lambda o: cs.product_positive_path(
+        o["zz_lex"], o["zz_lex"].model.element("b"),
+        o["zz_lex"].model.element("aBBBBB"), r=1),
+    "verify_order_axioms": lambda o: cs.verify_order_axioms(o["z_leading"], 1),
+    "verify_cone_dfa": lambda o: cs.verify_cone_dfa(
+        cs.z2_lex_cone_dfa(), o["hyper_irr"].model, 2),
+    "export_dot": lambda o: cs.export_dot(o["z_leading"], 1, 1),
+}
+
+
+@pytest.mark.parametrize("name", CAPPED_RUNS)
+def test_diagnostic_reads_the_model_cap(name):
+    # fresh models: setting the cap on a shared fixture would leak
+    o = fresh_oracles()
+    o["tree"] = cs.tree_swamp_certificate(o["magnus"], 1)
+    o["column"] = product_column_swamp(o["f2_leading"], 1, 5)
+    lead, trail = (cs.hyperplane_order(cs.FreeAbelian(1), [(1, 0)], name=n)
+                   for n in ("lead", "trail"))
+    o["zz_lex"] = cs.lex_pair_sign(lead, trail, leading_factor=0, name="zz-lex")
+    run = CAPPED_RUNS[name]
+    run(o)  # passes under the default cap
+    for oracle in (v for v in o.values() if isinstance(v, cs.OrderOracle)):
+        for model in (oracle.model, *getattr(oracle.model, "factors", ())):
+            model.cap = 4
+    with pytest.raises(cs.CapExceeded, match="exceeds cap 4$"):
+        run(o)
+
+
 def test_ball_bounded_diagnostics_order_by_rank(zz_lex, monkeypatch):
     # once the ball is grown they read the held ball's ranks, and spell no
     # word to put members in shortlex order
@@ -582,7 +628,7 @@ def test_ball_bounded_diagnostics_order_by_rank(zz_lex, monkeypatch):
         lambda: cs.r_components(o["z_leading"], 1, 4),
         lambda: cs.export_dot(o["f2_leading"], 1, 3),
         lambda: cs.verify_separation(product_column_swamp(o["f2_leading"], 1, 5),
-                                     o["f2_leading"].model, radius=5),
+                                     radius=5),
         lambda: cs.product_positive_path(zz_lex, M.element("b"),
                                          M.element("aBBBBB"), r=1),
     ]
@@ -668,8 +714,7 @@ def test_r_path_searches_multiply_keys_not_elements(monkeypatch, zz_lex):
     runs = {
         "components": lambda: cs.r_components(o["z_leading"], 1, 5),
         "components-width-2": lambda: cs.r_components(o["magnus"], 2, 5),
-        "separation": lambda: cs.verify_separation(cert, o["f2_leading"].model,
-                                                   radius=5),
+        "separation": lambda: cs.verify_separation(cert, radius=5),
         "export-dot": lambda: cs.export_dot(o["f2_leading"], 2, 4),
         "product-path": lambda: cs.product_positive_path(
             zz_lex, M.element("b"), M.element("aBBBBB"), r=1),
@@ -721,7 +766,7 @@ def test_diagnostics_multiply_keys_not_elements(monkeypatch, zz_lex):
         "tree-swamp": lambda: cs.tree_swamp_certificate(o["magnus"], 1).to_json(),
         "column-swamp": lambda: product_column_swamp(
             o["f2_leading"], 1, 5).to_json(),
-        "tree-separation": lambda: cs.verify_separation(tree, F2),
+        "tree-separation": lambda: cs.verify_separation(tree),
         "geodesic": lambda: cs.geodesic_points(F2.element("ab"),
                                                F2.element("BA")),
         "cofinal": lambda: cs.cofinal_positive_path(

@@ -445,9 +445,11 @@ def test_rank_order_is_shortlex_order(model, data):
             == sorted(subset, key=cs.Element.sort_key))
 
 
-def test_ball_cap(f2):
+def test_ball_cap():
+    model = cs.FreeGroup(2)
+    model.cap = 100
     with pytest.raises(cs.CapExceeded) as err:
-        f2.ball(4, cap=100)
+        model.ball(4)
     # the guard counts the nodes the BFS holds, stopping at the first over
     assert err.value.reached == 101
 
@@ -456,23 +458,27 @@ def test_ball_cap_holds_for_a_grown_ball():
     model = cs.FreeGroup(2)
     model.ball(4)
     # |B(3)| = 53: a grown ball is refused exactly as a fresh BFS refuses it
+    model.cap = 52
     for radius in (3, 4, 5):
         with pytest.raises(cs.CapExceeded) as err:
-            model.ball(radius, cap=52)
+            model.ball(radius)
         assert (err.value.reached, err.value.cap) == (53, 52)
-    assert len(model.ball(3, cap=53)) == 53
+    model.cap = 53
+    assert len(model.ball(3)) == 53
 
 
 def test_cap_hit_in_mid_growth_keeps_no_partial_sphere():
     model = cs.FreeGroup(2)
     model.ball(2)
+    model.cap = 100  # |B(3)| = 53 fits, |B(4)| = 161 does not
     with pytest.raises(cs.CapExceeded) as err:
-        model.ball(4, cap=100)  # |B(3)| = 53 fits, |B(4)| = 161 does not
+        model.ball(4)
     assert err.value.reached == 101
     held = model._held
     assert held.sizes == [1, 5, 17]
     assert len(held.elements) == len(held.ranks) == 17
     assert held.step == cs.FreeGroup(2).ball(2).step
+    model.cap = 161  # |B(4)| exactly
     assert list(model.ball(4)) == list(cs.FreeGroup(2).ball(4))
 
 
