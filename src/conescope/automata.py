@@ -1,11 +1,12 @@
 """Deterministic finite automata over group generators: candidate regular cones.
 
 A ConeDfa reads words over the doubled alphabet (lowercase generator,
-uppercase inverse) with a total transition function. The evaluation set
-ev(L) of its language is a candidate positive cone; regular sets are always
-(2|S|+1)-connected in the Cayley graph, interpolated through shortest
-accepting completions of each prefix: one table per automaton
-(`ConeDfa.completions`, None for a dead state), which pruning also reads.
+uppercase inverse) with a total transition function, one table keyed by
+letter. The evaluation set ev(L) of its language is a candidate positive
+cone; regular sets are always (2|S|+1)-connected in the Cayley graph,
+interpolated through shortest accepting completions of each prefix: one
+table per automaton (`ConeDfa.completions`, None for a dead state), which
+pruning also reads. The group reads its words by `GroupModel.letter_steps`.
 
 Membership of a group element in ev(L) is only semi-decidable by length
 enumeration, so cone verification reports PASS / FAIL / UNKNOWN against a
@@ -29,7 +30,8 @@ DEFAULT_WORD_CAP = 500_000
 
 
 class ConeDfa:
-    """A total deterministic automaton (states, accepting, initial, alphabet, tau)."""
+    """A total deterministic automaton (states, accepting, initial, alphabet,
+    tau): one row per state, each over exactly the alphabet's letters."""
 
     def __init__(self, states: tuple[str, ...], initial: str,
                  accepting: frozenset[str], alphabet: GeneratorAlphabet,
@@ -42,25 +44,22 @@ class ConeDfa:
             raise ValueError(f"initial state {initial!r} unknown")
         if not accepting <= set(states):
             raise ValueError("accepting states must be states")
-        chars = [letter_char(l) for l in alphabet.letters]
+        if transitions.keys() != set(states):
+            raise ValueError(f"transition rows {sorted(transitions)} are not "
+                             f"the states {sorted(states)}")
+        chars = {letter_char(l): l for l in alphabet.letters}
+        self.table: dict[str, dict[int, str]] = {}  # state -> letter -> target
         for state in states:
-            row = transitions.get(state)
-            if row is None:
-                raise ValueError(f"missing transition row for state {state!r}")
-            for ch in chars:
-                if ch not in row:
-                    raise ValueError(f"transition missing for ({state!r}, {ch!r})")
-                if row[ch] not in states:
-                    raise ValueError(f"transition target {row[ch]!r} unknown")
+            row = transitions[state]
+            if row.keys() != chars.keys():
+                raise ValueError(f"the row of state {state!r} reads "
+                                 f"{sorted(row)}, not the letters {list(chars)}")
+            for target in row.values():
+                if target not in states:
+                    raise ValueError(f"transition target {target!r} unknown")
+            self.table[state] = {l: row[ch] for ch, l in chars.items()}
         self.states, self.initial, self.accepting = states, initial, accepting
-        self.alphabet, self.transitions = alphabet, transitions
-
-    @cached_property
-    def table(self) -> dict[str, dict[int, str]]:
-        """state -> letter -> target, built once; callers validate letters."""
-        return {state: {l: self.transitions[state][letter_char(l)]
-                         for l in self.alphabet.letters}
-                for state in self.states}
+        self.alphabet = alphabet
 
     @cached_property
     def completions(self) -> dict[str, Word | None]:
@@ -101,12 +100,16 @@ class ConeDfa:
             "accepting": sorted(self.accepting),
             "alphabet": "".join(chr(ord("a") + i)
                                 for i in range(self.alphabet.rank)),
-            "transitions": {s: dict(sorted(row.items()))
-                            for s, row in sorted(self.transitions.items())},
+            "transitions": {s: dict(sorted(zip(map(letter_char, row), row.values())))
+                            for s, row in sorted(self.table.items())},
         }
 
     @staticmethod
     def from_json(data: dict) -> "ConeDfa":
+        unknown = set(data) - {"states", "initial", "accepting", "alphabet",
+                               "transitions"}
+        if unknown:
+            raise ValueError(f"unknown keys: {sorted(unknown)}")
         for key in ("states", "accepting"):
             if (not isinstance(data[key], list)
                     or not all(isinstance(s, str) for s in data[key])):
@@ -127,7 +130,7 @@ class ConeDfa:
             initial=data["initial"],
             accepting=frozenset(data["accepting"]),
             alphabet=alphabet,
-            transitions={s: dict(row) for s, row in transitions.items()},
+            transitions=transitions,
         )
 
 
@@ -157,12 +160,11 @@ def regular_interpolation(dfa: ConeDfa, model: GroupModel,
     grows one letter step at a time, and each state's completion is
     normalised once.
     """
+    model.alphabet.check_word(dfa.alphabet.letters)
     _, accepted = dfa_run(dfa, word)
     if not accepted:
         raise NotAccepted(f"word {format_word(word)} is rejected")
-    model.alphabet.check_word(word)
-    table, mul = dfa.table, model.mul
-    steps = dict(zip(model.alphabet.letters, model.letter_steps))
+    table, mul, steps = dfa.table, model.mul, model.letter_steps
     ends: dict[str, tuple] = {}
     prefix = model.one
     keys = [prefix]
@@ -248,10 +250,8 @@ def reachable_evaluations(dfa: ConeDfa, model: GroupModel,
     """
     if max_length < 0:
         raise ValueError("max_length must be non-negative")
-    letters = dfa.alphabet.letters
-    model.alphabet.check_word(letters)
-    steps = [(letter, model.generators[letter].key) for letter in letters]
-    mul, reached = model.mul, set()  # the keys of ev(L)
+    model.alphabet.check_word(dfa.alphabet.letters)
+    steps, reached = model.letter_steps, set()  # reached: the keys of ev(L)
     if dfa.completions[dfa.initial] is None:
         return reached
     start = (dfa.initial, model.one)
@@ -262,12 +262,10 @@ def reachable_evaluations(dfa: ConeDfa, model: GroupModel,
     for _ in range(max_length):
         extension = []
         for state, g in frontier:
-            row = dfa.table[state]
-            for letter, gen in steps:
-                target = row[letter]
+            for letter, target in dfa.table[state].items():
                 if dfa.completions[target] is None:
                     continue
-                h = mul(g, gen)
+                h = steps[letter](g)
                 pair = (target, h)
                 if pair in visited:
                     continue
@@ -358,8 +356,8 @@ def quasigeodesic_check(dfa: ConeDfa, model: GroupModel, lam, c,
                         max_length: int) -> QuasigeodesicReport:
     """Check (j - i)/lambda - c <= d(ev(w_i), ev(w_j)) on all accepted words.
 
-    The distance is the length of the infix w[i:j], grown one generator at
-    a time: every normal form is geodesic. lambda and c are exact
+    The distance is the length of the infix w[i:j], grown one letter step
+    at a time: every normal form is geodesic. lambda and c are exact
     fractions; as j - i is an integer, the test is
     j - i > floor(lambda (d + c)), one threshold per distance d.
     """
@@ -372,14 +370,13 @@ def quasigeodesic_check(dfa: ConeDfa, model: GroupModel, lam, c,
     model.alphabet.check_word(dfa.alphabet.letters)
     sample = language_sample(dfa, model, max_length)
     limit = [math.floor(lam * (d + c)) for d in range(max_length + 1)]
-    gens = {l: g.key for l, g in model.generators.items()}
-    mul, length = model.mul, model.key_length
+    steps, length = model.letter_steps, model.key_length
     for word in sample.words:
         n = len(word)
         for i in range(n):
             infix = model.one
             for j in range(i + 1, n + 1):
-                infix = mul(infix, gens[word[j - 1]])
+                infix = steps[word[j - 1]](infix)
                 dist = length(infix)
                 if j - i > limit[dist]:
                     return QuasigeodesicReport(

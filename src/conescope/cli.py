@@ -298,9 +298,11 @@ class Runner:
         pairs = []
         if "pair" in self.config:
             raw = self.config["pair"]
-            if not isinstance(raw, list) or len(raw) != 2:
-                raise ConfigError("pair must be a two-element list of words")
-            g, h = model.element(str(raw[0])), model.element(str(raw[1]))
+            if (not isinstance(raw, list) or len(raw) != 2
+                    or not all(isinstance(w, str) for w in raw)):
+                raise ConfigError("config key 'pair' must be a list of two "
+                                  "word strings")
+            g, h = model.element(raw[0]), model.element(raw[1])
             if not (oracle.is_positive(g) and oracle.is_positive(h)):
                 raise ConfigError("pair: both endpoints must be positive")
             pairs.append((g, h))
@@ -347,7 +349,9 @@ class Runner:
     def cmd_dfa_path(self):
         model = self.model()
         dfa = _load_dfa(_require(self.config, "dfa"), self.config_dir)
-        word = parse_word(str(_require(self.config, "word")), model.alphabet)
+        if not isinstance(word := _require(self.config, "word"), str):
+            raise ConfigError("config key 'word' must be a string")
+        word = parse_word(word, model.alphabet)
         path = regular_interpolation(dfa, model, word)
         gaps = path.gaps()
         bound = connectivity_radius(dfa)

@@ -94,8 +94,7 @@ def _dedupe(points: list) -> list:
 def _geodesic_keys(model: GroupModel, g: tuple, h: tuple) -> list[tuple]:
     """The keys of a 1-path from g to h spelled by the canonical word of
     g^-1 h, one letter step at a time."""
-    steps = dict(zip(model.alphabet.letters, model.letter_steps))
-    keys = [g]
+    steps, keys = model.letter_steps, [g]
     for letter in model.spell(model.mul(model.inv(g), h)):
         keys.append(steps[letter](keys[-1]))
     return keys
@@ -160,26 +159,22 @@ def verify_maxima_ray(oracle: OrderOracle, depth: int) -> RayReport:
     model, sign = oracle.model, oracle.sign_key
     mul, inv, distance = model.mul, model.inv, model.key_distance
     maxima = _ball_maxima(oracle, depth)[1:]
-    keys = [g.key for g in maxima]
 
     length_failures = []
     for n, g in enumerate(maxima, start=1):
         if g.length != n:
             length_failures.append((n, str(g), g.length))
 
-    successor_failures = []
-    gens = [x.key for x in model.generators.values()]
-    for n in range(len(keys) - 1):
-        if all(mul(x, keys[n]) != keys[n + 1] for x in gens):
-            successor_failures.append((n + 2, str(maxima[n + 1]), str(maxima[n])))
-
-    geodesic_failures = []
-    inverses = [model.one] + [inv(g) for g in keys]
+    successor_failures, geodesic_failures = [], []
+    inverses = [model.one] + [inv(g.key) for g in maxima]
     for n in range(depth + 1):
         for m in range(n + 1, depth + 1):
             d = distance(inverses[n], inverses[m])
             if d != m - n:
                 geodesic_failures.append((n, m, d))
+            # g_m = x g_n for a generator x exactly when d = |g_n g_m^-1| = 1
+            if m == n + 1 > 1 and d != 1:
+                successor_failures.append((m, str(maxima[n]), str(maxima[n - 1])))
 
     negativity_failures = []
     for n in range(1, depth + 1):

@@ -19,8 +19,9 @@ Each model implements the same key operations: `one`, `key_of` (read any
 word), `spell` (write the canonical word), `mul`, `inv`, `key_length` and
 `landing` (each h with |h| <= reach and |gh| <= out, for the closure checks).
 Two more have defaults built from these, which the models override with
-arithmetic that forms no product: `letter_steps` (per letter x, in letter
-order, the map k -> k x) and `key_distance` (|u^-1 v|).
+arithmetic that forms no product: `letter_steps` (letter x -> the map
+k -> k x, in letter order: the one way a key is multiplied by a generator
+on the right) and `key_distance` (|u^-1 v|).
 Products, inverses, distances, lengths and signs compute on keys; words
 appear only at the boundary: parsing, printing, shortlex sorting and
 spelling geodesics (`Element.word`, computed when read).
@@ -35,9 +36,9 @@ shortlex order and membership: `elements` in shortlex order, `ranks`
 (key -> position), sizes[n] = |B(n)| and the step table, with the rank of
 g x at step[rank(g) * |S| + i] for the i-th letter x, or -1 outside the
 held ball. `GroupModel.ball(n)` grows it sphere by sphere as far as n,
-taking each letter step g x once on keys, and returns B(n), a view of its
-first sizes[n] members that copies nothing. A member's depth is its
-`length`, and diagnostics order members by rank.
+taking each letter step g x once on keys and appending in place, and
+returns B(n), a view of its first sizes[n] members that copies nothing.
+A member's depth is its `length`, and diagnostics order members by rank.
 
 A BFS that runs the frontier in shortlex order and the letters in letter
 order finds each sphere in shortlex order when every normal form is the
@@ -136,8 +137,9 @@ class Ball:
     `elements`, in shortlex order. The model keeps the largest Ball it has
     grown (see the module docs), and `GroupModel.ball` returns a Ball that
     shares its lists, dict and table, so `ranks` may also hold keys beyond
-    the radius. Each row of `step` has `width` = |S| entries. Growth
-    replaces the lists, dict and table, never changes them."""
+    the radius. Each row of `step` has `width` = |S| entries. Growth only
+    appends: the first sizes[radius] members and their ranks never change,
+    and a step of theirs that read -1 may come to name a rank beyond them."""
 
     __slots__ = ("radius", "elements", "ranks", "sizes", "step", "width")
 
@@ -232,10 +234,10 @@ class GroupModel:
         return {l: self.normal_form((l,)) for l in self.alphabet.letters}
 
     @cached_property
-    def letter_steps(self) -> list:
-        """Per letter x, in letter order, the map from a key k to k x."""
-        return [lambda k, x=x.key, mul=self.mul: mul(k, x)
-                for x in self.generators.values()]
+    def letter_steps(self) -> dict:
+        """Letter x -> the map from a key k to k x, in letter order."""
+        return {l: lambda k, x=x.key, mul=self.mul: mul(k, x)
+                for l, x in self.generators.items()}
 
     def generator(self, index: int) -> Element:
         """The index-th generator (1-based) as an element."""
@@ -287,7 +289,7 @@ class GroupModel:
 
     @cached_property
     def _held(self) -> Ball:
-        """The largest ball grown; `_grow` replaces it."""
+        """The largest ball grown; `_grow` extends it in place."""
         width = len(self.alphabet)
         return Ball(0, [self.identity()], {self.one: 0}, [1],
                     array("i", [-1] * width), width)
@@ -316,16 +318,17 @@ class GroupModel:
         first, so each new sphere is appended in shortlex order: as found,
         or sorted once (see the module docs). Each letter step h = g x fills
         step[g][x], and step[h][x^-1] once h has its rank, so a member takes
-        only its steps into the next sphere. The held ball is replaced
-        only when every sphere is done: CapExceeded, raised once the ball
-        would hold more than `cap` nodes, leaves it as it was.
+        only its steps into the next sphere. Each finished sphere is
+        appended to the held ball in place. CapExceeded, raised once the
+        ball would hold more than `cap` nodes, leaves a sphere part-found:
+        its keys sit in `ranks` past the last member, where no view reads,
+        and the next growth resumes it in the same discovery order.
         """
-        held, steps, cap = self._held, self.letter_steps, self.cap
-        width = held.width
+        held, steps, cap = self._held, self.letter_steps.values(), self.cap
+        elements, ranks, sizes, step, width = (
+            held.elements, held.ranks, held.sizes, held.step, held.width)
         resort = not self.shortlex_discovery
-        elements, ranks = list(held.elements), dict(held.ranks)
-        sizes, step = list(held.sizes), array("i", held.step)
-        for _ in range(len(sizes), radius + 1):
+        for n in range(len(sizes), radius + 1):
             first, start = sizes[-2] if len(sizes) > 1 else 0, len(elements)
             for g in range(first, start):
                 key, row = elements[g].key, g * width
@@ -349,7 +352,7 @@ class GroupModel:
                         h = step[j] = ranks[found[h - start]]
                     # the letter of index i ^ 1 is the inverse of letter i
                     step[h * width + (j % width ^ 1)] = j // width
-        self._held = Ball(radius, elements, ranks, sizes, step, width)
+            held.radius = n
 
     # -- the cone-axiom walk ----------------------------------------------
 
@@ -411,9 +414,9 @@ class FreeGroup(GroupModel):
         return inverse_word(u)
 
     @cached_property
-    def letter_steps(self) -> list:  # append x, or cancel a last x^-1
-        return [lambda k, x=x: k[:-1] if k and k[-1] == -x else k + (x,)
-                for x in self.alphabet.letters]
+    def letter_steps(self) -> dict:  # append x, or cancel a last x^-1
+        return {x: lambda k, x=x: k[:-1] if k and k[-1] == -x else k + (x,)
+                for x in self.alphabet.letters}
 
     def key_length(self, key: Word) -> int:
         return len(key)
@@ -489,9 +492,9 @@ class FreeAbelian(GroupModel):
         return tuple(map(neg, a))
 
     @cached_property
-    def letter_steps(self) -> list:  # letter +-(i + 1) adds +-1 at index i
-        return [lambda k, i=i, e=e: k[:i] + (k[i] + e,) + k[i + 1:]
-                for i in range(self.rank) for e in (1, -1)]
+    def letter_steps(self) -> dict:  # letter +-(i + 1) adds +-1 at index i
+        return {e * (i + 1): lambda k, i=i, e=e: k[:i] + (k[i] + e,) + k[i + 1:]
+                for i in range(self.rank) for e in (1, -1)}
 
     def key_length(self, key: tuple[int, ...]) -> int:
         return sum(map(abs, key))
@@ -612,10 +615,10 @@ class DirectProduct(GroupModel):
         return self.factors[0].inv(u[0]), self.factors[1].inv(u[1])
 
     @cached_property
-    def letter_steps(self) -> list:  # only the letter's own factor steps
-        first, second = (f.letter_steps for f in self.factors)
-        return ([lambda k, f=f: (f(k[0]), k[1]) for f in first]
-                + [lambda k, f=f: (k[0], f(k[1])) for f in second])
+    def letter_steps(self) -> dict:  # only the letter's own factor steps
+        first, second = (f.letter_steps.items() for f in self.factors)
+        return {**{l: lambda k, f=f: (f(k[0]), k[1]) for l, f in first},
+                **{self._up[l]: lambda k, f=f: (k[0], f(k[1])) for l, f in second}}
 
     def key_length(self, key: tuple) -> int:
         return (self.factors[0].key_length(key[0])
@@ -633,17 +636,6 @@ class DirectProduct(GroupModel):
         return [(h1, h2) for (l1, o1), firsts in groups.items()
                 for h2 in second.landing(g[1], out - o1, reach - l1)
                 for h1 in firsts]
-
-    def _landing_groups(self, g: tuple, out: int, reach: int) -> dict:
-        # the factors' groups, with their lengths added: no product formed
-        first, second = self.factors
-        groups: dict[tuple[int, int], list] = {}
-        for (l1, o1), firsts in first._landing_groups(g[0], out, reach).items():
-            for (l2, o2), seconds in second._landing_groups(
-                    g[1], out - o1, reach - l1).items():
-                groups.setdefault((l1 + l2, o1 + o2), []).extend(
-                    [(h1, h2) for h2 in seconds for h1 in firsts])
-        return groups
 
     def project(self, g: Element, index: int) -> Element:
         return Element(self.factors[index], g.key[index])

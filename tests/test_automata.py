@@ -211,7 +211,7 @@ def test_interpolation_matches_definition(data, model, dfa):
 
 
 def test_interpolation_runs_the_word_once(zdfa, monkeypatch):
-    model = cs.FreeAbelian(2)  # fresh, so its generator table is built here
+    model = cs.FreeAbelian(2)  # fresh, so nothing is normalised before
     word = (1,) * 100 + (-2,) * 100
     runs, forms = [], []
     run, normal_form = automata.dfa_run, cs.GroupModel.normal_form
@@ -366,7 +366,7 @@ def test_quasigeodesic_loose_constants_pass(f2):
 
 
 def test_quasigeodesic_normalises_no_sampled_word(zdfa, monkeypatch):
-    model = cs.FreeAbelian(2)  # fresh, so its generator table is built here
+    model = cs.FreeAbelian(2)  # fresh, so nothing is normalised before
     forms = []
     normal_form = cs.GroupModel.normal_form
 
@@ -376,8 +376,8 @@ def test_quasigeodesic_normalises_no_sampled_word(zdfa, monkeypatch):
     monkeypatch.setattr(cs.GroupModel, "normal_form", counted_normal_form)
     report = cs.quasigeodesic_check(zdfa, model, 1, 0, 8)
     assert report.verdict == "PASS"
-    # the generator table only: the infixes grow by multiplication
-    assert sorted(forms) == sorted((l,) for l in model.alphabet.letters)
+    # the infixes grow by letter steps, which Z^2 takes on exponents
+    assert forms == []
 
 
 def cubic_quasigeodesic(dfa, model, lam, c, max_length):
@@ -444,6 +444,35 @@ def test_dfa_json_rejects_bad_alphabet(zdfa):
     data["alphabet"] = "xy"
     with pytest.raises(ValueError):
         cs.ConeDfa.from_json(data)
+
+
+@pytest.mark.parametrize("edit,message", [
+    # a row for no state, and an entry for no letter, used to be kept and
+    # echoed by to_json
+    (lambda d: d["transitions"].update(ghost=dict(d["transitions"]["s0"])),
+     "transition rows .* are not the states"),
+    (lambda d: d["transitions"]["s0"].update(z="nowhere"),
+     r"the row of state 's0' reads \['A', 'B', 'a', 'b', 'z'\]"),
+    (lambda d: d["transitions"].pop("sink"),
+     "transition rows .* are not the states"),
+    (lambda d: d["transitions"]["sx"].pop("B"),
+     r"the row of state 'sx' reads \['A', 'a', 'b'\]"),
+    (lambda d: d.update(inital="s0"), r"unknown keys: \['inital'\]"),
+], ids=["ghost-row", "extra-letter", "missing-row", "missing-letter",
+        "unknown-key"])
+def test_dfa_json_reads_exactly_the_states_and_letters(zdfa, edit, message):
+    data = zdfa.to_json()
+    edit(data)
+    with pytest.raises(ValueError, match=message):
+        cs.ConeDfa.from_json(data)
+
+
+def test_dfa_keeps_one_letter_table(kdfa):
+    # the rows are read into one table keyed by letter; JSON spells them back
+    assert not hasattr(kdfa, "transitions")
+    assert kdfa.table["s0"] == {1: "sa", -1: "sink", 2: "sb+", -2: "sb-"}
+    assert list(kdfa.to_json()["transitions"]["s0"].items()) == \
+        [("A", "sink"), ("B", "sb-"), ("a", "sa"), ("b", "sb+")]
 
 
 # -- random DFA demonstration ------------------------------------------------------------------

@@ -696,6 +696,55 @@ def test_non_object_transitions_named(tmp_path, capsys):
                                        "state rows\n")
 
 
+GHOST_ROW = {**Z2_LEX_DFA["transitions"], "ghost": {ch: "s0" for ch in "aAbB"}}
+EXTRA_LETTER = {**Z2_LEX_DFA["transitions"],
+                "s0": {**Z2_LEX_DFA["transitions"]["s0"], "z": "nowhere"}}
+
+
+@pytest.mark.parametrize("command", ["dfa-verify", "dfa-path", "dfa-qg"])
+@pytest.mark.parametrize("dfa,message", [
+    ({**Z2_LEX_DFA, "transitions": GHOST_ROW},
+     "transition rows ['ghost', 's0', 'sink', 'sx', 'sy+', 'sy-'] are not the "
+     "states ['s0', 'sink', 'sx', 'sy+', 'sy-']"),
+    ({**Z2_LEX_DFA, "transitions": EXTRA_LETTER},
+     "the row of state 's0' reads ['A', 'B', 'a', 'b', 'z'], not the letters "
+     "['a', 'A', 'b', 'B']"),
+    ({**Z2_LEX_DFA, "initail": "s0"}, "unknown keys: ['initail']"),
+], ids=["ghost-row", "extra-letter", "unknown-key"])
+def test_dfa_keeps_only_what_it_reads(tmp_path, capsys, command, dfa, message):
+    config = {**Z2_DFA, "radius": 1, "word": "a", "dfa": dfa}
+    assert run_cli(tmp_path, config, command) == 3
+    assert capsys.readouterr().err == f"error: bad DFA description: {message}\n"
+
+
+@pytest.mark.parametrize("word", [1, True, None, ["a"]])
+def test_dfa_path_word_must_be_a_string(tmp_path, capsys, word):
+    # str() would read 1 as the empty word "1", true as "True", null as "None"
+    config = {**Z2_DFA, "dfa": ALL_WORDS_DFA, "word": word}
+    assert run_cli(tmp_path, config, "dfa-path") == 3
+    assert capsys.readouterr().err == (
+        "error: config key 'word' must be a string\n")
+
+
+@pytest.mark.parametrize("pair", [[1, "a"], ["a", True], [None, "a"],
+                                  [["a"], "a"]])
+def test_cofinal_path_pair_must_hold_strings(tmp_path, capsys, pair):
+    assert run_cli(tmp_path, {**F2XZ_Z_LEADING, "pair": pair},
+                   "cofinal-path") == 3
+    assert capsys.readouterr().err == (
+        "error: config key 'pair' must be a list of two word strings\n")
+
+
+@pytest.mark.parametrize("command", ["dfa-verify", "dfa-path", "dfa-qg"])
+def test_dfa_letters_checked_against_the_group(tmp_path, capsys, command):
+    # the Z^2 automaton reads b, which Z has not, even where the word is "a"
+    config = {**Z2_DFA, "group": {"kind": "abelian", "rank": 1}, "radius": 1,
+              "word": "a"}
+    assert run_cli(tmp_path, config, command) == 3
+    assert capsys.readouterr().err == (
+        "error: letter 2 outside alphabet of rank 1\n")
+
+
 # a descriptor that is not an object, nested inside a good one
 NESTED_BAD = [
     ({**F2XZ_Z_LEADING, "group": {"kind": "product",

@@ -272,7 +272,8 @@ def test_landing_is_every_h_that_lands_once(model, data):
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_landing_groups_are_the_landing_by_lengths(model, data):
-    # a direct product builds its groups from its factors' groups; each
+    # a direct product builds its landing from its first factor's groups
+    # (the generic grouping of `landing` when that factor is a product); each
     # group must hold exactly the landing keys with its (|h|, |gh|)
     keys = [g.key for g in model.ball(4)]
     g = data.draw(st.sampled_from(keys))

@@ -126,6 +126,29 @@ def test_maxima_ray_flags_broken_oracle(f2):
     assert not report.passed
 
 
+def test_maxima_ray_successor_failures_match_brute_force(f2, z2, klein, f2xz):
+    # successor failures are read from d(g_n^-1, g_{n+1}^-1) != 1; the
+    # reference tries every generator x for x g_n = g_{n+1}. Random sign
+    # functions are no orders, so their rays break.
+    failing = 0
+    for model, seed in itertools.product((f2, z2, klein, f2xz), range(6)):
+        def sign(key, model=model, seed=seed):
+            if key == model.one:
+                return cs.Sign.IDENTITY
+            coin = random.Random(f"{seed} {key}").random() < 0.5
+            return cs.Sign.POSITIVE if coin else cs.Sign.NEGATIVE
+        oracle = cs.OrderOracle(name="random", model=model, sign_fn=sign)
+        report = cs.verify_maxima_ray(oracle, 5)
+        maxima = report.maxima
+        expected = [(n + 1, str(maxima[n]), str(maxima[n - 1]))
+                    for n in range(1, len(maxima))
+                    if all(x * maxima[n - 1] != maxima[n]
+                           for x in model.generators.values())]
+        assert list(report.successor_failures) == expected
+        failing += bool(expected)
+    assert failing > 0
+
+
 # -- r-components ------------------------------------------------------------------
 
 def test_components_hyperplane_connected(hyper_irr):

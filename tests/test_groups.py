@@ -177,10 +177,10 @@ def test_keys_round_trip_through_canonical_words(model, data):
 def test_letter_steps_and_key_distance_match_mul(model):
     # the overrides against their defaults: k x by mul, and |u^-1 v|
     keys = [g.key for g in fresh(model).ball(3)]
-    gens = [x.key for x in model.generators.values()]
+    assert list(model.letter_steps) == list(model.alphabet.letters)
     for k in keys:
-        assert [step(k) for step in model.letter_steps] == \
-            [model.mul(k, x) for x in gens]
+        assert {l: step(k) for l, step in model.letter_steps.items()} == \
+            {l: model.mul(k, x.key) for l, x in model.generators.items()}
     for u, v in itertools.product(keys, keys):
         assert model.key_distance(u, v) == \
             model.key_length(model.mul(model.inv(u), v))
@@ -398,8 +398,8 @@ def test_growth_forms_only_the_unknown_steps():
     # identity: |B(6)| - 1 = 1,456, grown at once or in steps
     for requests in ((6,), (2, 0, 4, 1, 6)):
         model, calls = cs.FreeGroup(2), []
-        model.letter_steps = [lambda k, f=f: calls.append(1) or f(k)
-                              for f in model.letter_steps]
+        model.letter_steps = {l: lambda k, f=f: calls.append(1) or f(k)
+                              for l, f in model.letter_steps.items()}
         for n in requests:
             model.ball(n)
         assert len(calls) == len(model.ball(6)) - 1 == 1456
@@ -468,18 +468,50 @@ def test_ball_cap_holds_for_a_grown_ball():
 
 
 def test_cap_hit_in_mid_growth_keeps_no_partial_sphere():
-    model = cs.FreeGroup(2)
-    model.ball(2)
-    model.cap = 100  # |B(3)| = 53 fits, |B(4)| = 161 does not
+    # growth appends in place; a sphere cut short by the cap stays past the
+    # last member, where no view of a held radius reads
+    for model in KERNEL_MODELS:
+        check_cap_hit_in_mid_growth(fresh(model), fresh(model).ball(4))
+
+
+def check_cap_hit_in_mid_growth(model, reference):
+    sizes = reference.sizes
+    views = {n: model.ball(n) for n in range(3)}
+    before = {n: (list(view), len(view)) for n, view in views.items()}
+    model.cap = (sizes[3] + sizes[4]) // 2  # B(3) fits, B(4) does not
     with pytest.raises(cs.CapExceeded) as err:
         model.ball(4)
-    assert err.value.reached == 101
+    assert err.value.reached == model.cap + 1
     held = model._held
-    assert held.sizes == [1, 5, 17]
-    assert len(held.elements) == len(held.ranks) == 17
-    assert held.step == cs.FreeGroup(2).ball(2).step
-    model.cap = 161  # |B(4)| exactly
-    assert list(model.ball(4)) == list(cs.FreeGroup(2).ball(4))
+    assert held.radius == 3 and held.sizes == sizes[:4]
+    assert len(held.elements) == sizes[3] < len(held.ranks)
+    assert len(held.step) == sizes[3] * held.width
+    partial = [k for k in held.ranks if held.ranks[k] >= sizes[3]]
+    for n, view in {**views, 3: model.ball(3)}.items():
+        if n in before:
+            assert (list(view), len(view)) == before[n]
+        assert list(view) == list(reference)[:sizes[n]]
+        assert not any(cs.Element(model, k) in view for k in partial)
+        # every step a view follows stays inside it
+        for rank in range(len(view)):
+            assert view.near(rank, 1) <= set(range(len(view)))
+    model.cap = sizes[4]  # |B(4)| exactly
+    assert list(model.ball(4)) == list(reference)
+    assert model.ball(4).step == reference.step
+    assert model.ball(4).ranks == reference.ranks
+
+
+@pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
+def test_growth_keeps_one_held_ball(model):
+    # growing a sphere at a time extends the held lists and table in place
+    model = fresh(model)
+    held = model._held
+    elements, step = held.elements, held.step
+    for k in range(1, 10 if model.alphabet.rank == 2 else 6):  # small balls
+        ball = model.ball(k)
+        assert model._held is held and held.radius == k
+        assert ball.elements is elements and ball.step is step
+    assert list(model.ball(k)) == list(fresh(model).ball(k))
 
 
 # -- distances -------------------------------------------------------------------
