@@ -106,10 +106,11 @@ class ConeDfa:
 
     @staticmethod
     def from_json(data: dict) -> "ConeDfa":
-        unknown = set(data) - {"states", "initial", "accepting", "alphabet",
-                               "transitions"}
-        if unknown:
-            raise ValueError(f"unknown keys: {sorted(unknown)}")
+        fields = ("states", "initial", "accepting", "alphabet", "transitions")
+        for what, keys in (("unknown", sorted(set(data) - set(fields))),
+                           ("missing", [k for k in fields if k not in data])):
+            if keys:
+                raise ValueError(f"{what} keys: {keys}")
         for key in ("states", "accepting"):
             if (not isinstance(data[key], list)
                     or not all(isinstance(s, str) for s in data[key])):
@@ -305,7 +306,8 @@ def verify_cone_dfa(dfa: ConeDfa, model: GroupModel, radius: int,
     if one in reached_keys:
         counterexamples.append(("identity-in", show(one)))
 
-    in_ball = [g for g in ball if g.key != one and g.key in reached_keys]
+    in_ball = [Element(model, g) for g in ball.keys[:len(ball)]
+               if g != one and g in reached_keys]
     unresolved = []
     for g, g_inv in model.inverse_pairs(ball):
         gin, iin = g in reached_keys, g_inv in reached_keys

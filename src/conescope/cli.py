@@ -144,7 +144,7 @@ def _load_dfa(spec, config_dir: Path) -> ConeDfa:
         raise ConfigError("dfa must be an inline object or a file path")
     try:
         return ConeDfa.from_json(spec)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad DFA description: {exc}") from exc
 
 

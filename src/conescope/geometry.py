@@ -27,7 +27,6 @@ import enum
 import random
 from collections import deque, namedtuple
 from functools import cached_property
-from itertools import islice
 
 from .errors import (
     BrokenOrderError,
@@ -110,21 +109,21 @@ def geodesic_points(g: Element, h: Element) -> list[Element]:
 def _ball_maxima(oracle: OrderOracle, n: int) -> list[Element]:
     """The order-maxima g_0, ..., g_n of B(1, 0), ..., B(1, n): B(k) is a
     prefix of B(n), so one running comparison over B(n) gives every g_k."""
-    model = oracle.model
-    ball = model.ball(n)
-    elements, mul, inv, sign = ball.elements, model.mul, model.inv, oracle.sign_key
+    model, ball = oracle.model, oracle.model.ball(n)
+    keys, mul, inv, sign = ball.keys, model.mul, model.inv, oracle.sign_key
     best, back = 0, model.one  # the rank of the running maximum, its inverse
-    maxima = [elements[0]]
+    maxima = [best]
     for k in range(1, n + 1):
         for rank in range(ball.sizes[k - 1], ball.sizes[k]):
-            s = sign(mul(back, elements[rank].key))
+            s = sign(mul(back, keys[rank]))
             if s is Sign.IDENTITY:  # rank > best: two distinct members tie
-                raise BrokenOrderError(f"tie between distinct elements "
-                                       f"{elements[best]} and {elements[rank]}")
+                raise BrokenOrderError(
+                    f"tie between distinct elements {Element(model, keys[best])} "
+                    f"and {Element(model, keys[rank])}")
             if s is Sign.POSITIVE:
-                best, back = rank, inv(elements[rank].key)
-        maxima.append(elements[best])
-    return maxima
+                best, back = rank, inv(keys[rank])
+        maxima.append(best)
+    return [Element(model, keys[g]) for g in maxima]
 
 
 def max_of_ball(oracle: OrderOracle, n: int) -> Element:
@@ -160,10 +159,8 @@ def verify_maxima_ray(oracle: OrderOracle, depth: int) -> RayReport:
     mul, inv, distance = model.mul, model.inv, model.key_distance
     maxima = _ball_maxima(oracle, depth)[1:]
 
-    length_failures = []
-    for n, g in enumerate(maxima, start=1):
-        if g.length != n:
-            length_failures.append((n, str(g), g.length))
+    length_failures = [(n, str(g), g.length)
+                       for n, g in enumerate(maxima, start=1) if g.length != n]
 
     successor_failures, geodesic_failures = [], []
     inverses = [model.one] + [inv(g.key) for g in maxima]
@@ -178,12 +175,12 @@ def verify_maxima_ray(oracle: OrderOracle, depth: int) -> RayReport:
 
     negativity_failures = []
     for n in range(1, depth + 1):
-        center = inverses[n]
-        for b in model.ball(n - 1):
-            s = sign(mul(center, b.key))
+        center, ball = inverses[n], model.ball(n - 1)
+        for b in ball.keys[:len(ball)]:
+            s = sign(mul(center, b))
             if s is not Sign.NEGATIVE:
                 negativity_failures.append(
-                    (n, str(Element(model, mul(center, b.key))), s.value))
+                    (n, str(Element(model, mul(center, b))), s.value))
 
     return RayReport(
         oracle_name=oracle.name,
@@ -213,11 +210,11 @@ class ComponentReport(namedtuple("ComponentReport",
 
 
 def _search(ball: Ball, r: int, src: int, dst: int | None,
-            allowed: set[int]) -> tuple[list[Element] | None, dict]:
+            allowed: set[int]) -> tuple[list[int] | None, dict]:
     """Breadth-first parent-pointer search on ranks of the ball from src to dst.
 
     The neighbours of a node are the allowed ranks within distance r
-    (`Ball.near`), queued in rank order. Returns the path as elements (None
+    (`Ball.near`), queued in rank order. Returns the path as ranks (None
     when dst is None or unreachable) and the parents, by rank, of every node
     reached: with dst None, the r-class of src.
     """
@@ -229,7 +226,7 @@ def _search(ball: Ball, r: int, src: int, dst: int | None,
             path = [current]
             while parents[path[-1]] is not None:
                 path.append(parents[path[-1]])
-            return [ball.elements[i] for i in reversed(path)], parents
+            return path[::-1], parents
         for rank in sorted(ball.near(current, r) & allowed):
             if rank not in parents:
                 parents[rank] = current
@@ -245,14 +242,15 @@ def _r_classes(oracle: OrderOracle, r: int,
     classes are complete at its last rank. Returns B(max radii), each
     positive rank's root, the least rank of its class, and the class count
     of each B(R)."""
+    if min(radii) < 0:
+        raise ValueError("radius must be non-negative")
     if r < 1:
         raise ValueError("r must be >= 1")
     if r > min(radii):
         raise ValueError("r must not exceed the ball radius")
     for R in sorted(radii):  # smallest first: a cap stops at the first beyond it
         ball = oracle.model.ball(R)
-    step, width, elements = ball.step, ball.width, ball.elements
-    sign = oracle.sign_key
+    step, width, keys, sign = ball.step, ball.width, ball.keys, oracle.sign_key
     root: dict[int, int] = {}
 
     def find(g: int) -> int:
@@ -262,7 +260,7 @@ def _r_classes(oracle: OrderOracle, r: int,
 
     classes, counts = 0, []  # the class count after each rank
     for g in range(len(ball)):
-        if sign(elements[g].key) is Sign.POSITIVE:
+        if sign(keys[g]) is Sign.POSITIVE:
             root[g] = top = g  # top: the root of g's class
             classes += 1
             # the ranks within r; for r = 1, the step row
@@ -288,7 +286,7 @@ def r_components(oracle: OrderOracle, r: int, radius: int) -> ComponentReport:
     ball, root, _ = _r_classes(oracle, r, (radius,))
     components: dict[int, list[Element]] = {}
     for g, least in root.items():
-        components.setdefault(least, []).append(ball.elements[g])
+        components.setdefault(least, []).append(Element(ball.model, ball.keys[g]))
     components = list(components.values())
     return ComponentReport(
         oracle_name=oracle.name,
@@ -374,9 +372,8 @@ def tree_swamp_certificate(oracle: OrderOracle, r: int,
     if search_radius <= r + 1:
         raise ValueError("search radius must exceed r + 1")
 
-    c = model.inv(max_of_ball(oracle, r + 1).key)
-    swamp = frozenset(Element(model, model.mul(c, b.key))
-                      for b in model.ball(r))
+    c, ball = model.inv(max_of_ball(oracle, r + 1).key), model.ball(r)
+    swamp = frozenset(Element(model, model.mul(c, b)) for b in ball.keys[:len(ball)])
     for s in sorted(swamp, key=Element.sort_key):
         if oracle.sign_key(s.key) is not Sign.NEGATIVE:
             raise BrokenOrderError(
@@ -386,8 +383,8 @@ def tree_swamp_certificate(oracle: OrderOracle, r: int,
         # the key of a free-group element is its reduced word
         for k in range(r + 1, search_radius + 1):
             ball = model.ball(k)
-            for g in islice(ball.elements, ball.sizes[k - 1], ball.sizes[k]):
-                yield g.key[0], model.mul(c, g.key)
+            for g in ball.keys[ball.sizes[k - 1]:ball.sizes[k]]:
+                yield g[0], model.mul(c, g)
 
     witnesses = _witnesses(oracle, candidates(), model.alphabet.letters,
                            search_radius)
@@ -420,7 +417,8 @@ def product_column_swamp(oracle: OrderOracle, r: int,
     for R in (min(r + 1, radius), radius):
         ball = model.ball(R)
         # a free key is the reduced word of c_F^-1 times the free coordinate
-        swamp = [g for g in ball if len(free.mul(back, g.key[0])) <= r]
+        swamp = [Element(model, g) for g in ball.keys[:len(ball)]
+                 if len(free.mul(back, g[0])) <= r]
         for s in swamp:
             if oracle.sign_key(s.key) is not Sign.NEGATIVE:
                 raise ModelMismatch(
@@ -430,10 +428,10 @@ def product_column_swamp(oracle: OrderOracle, r: int,
     def candidates():
         # each free coordinate beyond distance r of c_F (never c_F itself),
         # by the first letter of its reduced word seen from c_F
-        for g in ball:
-            word = free.mul(back, g.key[0])
+        for g in ball.keys[:len(ball)]:
+            word = free.mul(back, g[0])
             if len(word) > r:
-                yield word[0], g.key
+                yield word[0], g
 
     witnesses = _witnesses(oracle, candidates(), free.alphabet.letters, radius)
     return SwampCertificate(r, center, frozenset(swamp), witnesses,
@@ -468,12 +466,12 @@ def verify_separation(cert: SwampCertificate,
     """
     model, (u, v) = cert.center.model, cert.witnesses
     if isinstance(model, FreeGroup):
-        c = cert.center.key
+        c, ball = cert.center.key, model.ball(cert.r)
         swamp = {s.key for s in cert.swamp}
         bu = _branch_letter(model, c, u.key)
         bv = _branch_letter(model, c, v.key)
         structural = (
-            all(model.mul(c, b.key) in swamp for b in model.ball(cert.r))
+            all(model.mul(c, b) in swamp for b in ball.keys[:len(ball)])
             and bu is not None and bv is not None and bu != bv
             and model.distance(cert.center, u) > cert.r
             and model.distance(cert.center, v) > cert.r
@@ -493,7 +491,7 @@ def verify_separation(cert: SwampCertificate,
         raise ValueError("witnesses must lie inside the search ball and off S")
     points, parents = _search(ball, cert.r, ends[0], ends[1], allowed)
     if points is not None:
-        path = RPath(tuple(points), cert.r)
+        path = RPath(tuple(Element(model, ball.keys[i]) for i in points), cert.r)
         path.check()
         return SeparationResult(verdict=Verdict.NOT_SEPARATING,
                                 avoiding_path=path, explored=len(parents))
@@ -616,15 +614,15 @@ def product_positive_path(oracle: OrderOracle, g: Element, h: Element,
     cones = []
     for factor, group in enumerate(factors):
         ball, one = group.ball(factor_radius), factors[1 - factor].one
-        positives = [i for i, a in enumerate(ball)
-                     if sign(join(factor, a.key, one)) is Sign.POSITIVE]
+        positives = [i for i, a in enumerate(ball.keys[:len(ball)])
+                     if sign(join(factor, a, one)) is Sign.POSITIVE]
         allowed = set(positives)
         # empirical gate: the restricted cone must form one r-class in the
         # ball, so one search from its first positive reaches all of it
         if not positives or len(_search(ball, r, positives[0], None,
                                         allowed)[1]) != len(allowed):
             raise FactorNotConnectedAtScale(r, factor_radius, factor)
-        cones.append((ball.elements[positives[0]].key, ball, allowed))
+        cones.append((ball.keys[positives[0]], ball, allowed))
 
     def factor_path(factor: int, src: tuple, dst: tuple) -> list[tuple]:
         """r-path from src to dst through restricted positives."""
@@ -633,7 +631,7 @@ def product_positive_path(oracle: OrderOracle, g: Element, h: Element,
         if not allowed.issuperset(ends):
             raise FactorNotConnectedAtScale(r, factor_radius, factor)
         # the gate made allowed one r-class, so the search reaches dst
-        return [p.key for p in _search(ball, r, ends[0], ends[1], allowed)[0]]
+        return [ball.keys[i] for i in _search(ball, r, ends[0], ends[1], allowed)[0]]
 
     def ladder(factor: int, dst: tuple) -> list[tuple]:
         """[1, p_1, ..., dst] with every point after 1 restricted-positive.

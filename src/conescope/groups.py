@@ -32,13 +32,14 @@ b^n a^m by at most one, and b^n a^m spells it. Hence a BFS ball B(R) holds
 every smaller ball B(n) with the same exact distances, and in shortlex
 order B(n) is a prefix of B(R), the concatenation of its sorted spheres.
 So each model holds one ball around the identity, the one index of
-shortlex order and membership: `elements` in shortlex order, `ranks`
-(key -> position), sizes[n] = |B(n)| and the step table, with the rank of
-g x at step[rank(g) * |S| + i] for the i-th letter x, or -1 outside the
-held ball. `GroupModel.ball(n)` grows it sphere by sphere as far as n,
-taking each letter step g x once on keys and appending in place, and
-returns B(n), a view of its first sizes[n] members that copies nothing.
-A member's depth is its `length`, and diagnostics order members by rank.
+shortlex order and membership. It holds keys only: the member `keys` in
+shortlex order, `ranks` (key -> position), sizes[n] = |B(n)| and the step
+table, with the rank of g x at step[rank(g) * |S| + i] for the i-th letter
+x, or -1 outside the held ball. `GroupModel.ball(n)` grows it sphere by
+sphere as far as n, taking each letter step g x once on keys and appending
+in place, and returns B(n), a view of its first sizes[n] members that
+copies nothing. Diagnostics read `keys` by rank; a member becomes an
+`Element` only when read as one (iteration, `sorted_elements`).
 
 A BFS that runs the frontier in shortlex order and the letters in letter
 order finds each sphere in shortlex order when every normal form is the
@@ -59,7 +60,7 @@ compare the key arithmetic against.
 from __future__ import annotations
 
 from array import array
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import count, islice
 from operator import add, neg, sub
 
@@ -133,35 +134,35 @@ class Element:
 
 
 class Ball:
-    """B(radius) around the identity: the first sizes[radius] members of
-    `elements`, in shortlex order. The model keeps the largest Ball it has
-    grown (see the module docs), and `GroupModel.ball` returns a Ball that
-    shares its lists, dict and table, so `ranks` may also hold keys beyond
-    the radius. Each row of `step` has `width` = |S| entries. Growth only
-    appends: the first sizes[radius] members and their ranks never change,
-    and a step of theirs that read -1 may come to name a rank beyond them."""
+    """B(radius) around the identity: the first sizes[radius] `keys`, in
+    shortlex order, of elements of `model`. It shares the lists, dict and
+    table of the model's held ball (see the module docs), which grows only by
+    appending: `keys` and `ranks` may run past the radius, and a step that
+    read -1 may come to name a rank beyond it. Each row of `step` has
+    `width` = |S| entries."""
 
-    __slots__ = ("radius", "elements", "ranks", "sizes", "step", "width")
+    __slots__ = ("model", "radius", "keys", "ranks", "sizes", "step", "width")
 
-    def __init__(self, radius: int, elements: list[Element],
+    def __init__(self, model: "GroupModel", radius: int, keys: list[tuple],
                  ranks: dict[tuple, int], sizes: list[int], step: array,
                  width: int):
-        self.radius, self.elements, self.ranks = radius, elements, ranks
+        self.model, self.radius, self.keys, self.ranks = model, radius, keys, ranks
         self.sizes, self.step, self.width = sizes, step, width
 
     def __len__(self) -> int:
         return self.sizes[self.radius]
 
     def __contains__(self, g: Element) -> bool:
-        rank = self.ranks.get(g.key, len(self))
-        return rank < len(self) and self.elements[rank] == g
+        # the model test of Element equality; a rank below len holds g.key
+        return (self.ranks.get(g.key, len(self)) < len(self)
+                and (g.model is self.model or g.model == self.model))
 
     def __iter__(self):
-        return islice(self.elements, len(self))
+        return map(partial(Element, self.model), islice(self.keys, len(self)))
 
     def sorted_elements(self) -> list[Element]:
         """The members in shortlex order, as a list the caller may modify."""
-        return self.elements[:len(self)]
+        return list(self)
 
     def near(self, rank: int, r: int) -> set[int]:
         """The ranks of the members within distance r of the member of that
@@ -236,8 +237,8 @@ class GroupModel:
     @cached_property
     def letter_steps(self) -> dict:
         """Letter x -> the map from a key k to k x, in letter order."""
-        return {l: lambda k, x=x.key, mul=self.mul: mul(k, x)
-                for l, x in self.generators.items()}
+        return {l: lambda k, x=self.key_of((l,)), mul=self.mul: mul(k, x)
+                for l in self.alphabet.letters}
 
     def generator(self, index: int) -> Element:
         """The index-th generator (1-based) as an element."""
@@ -291,7 +292,7 @@ class GroupModel:
     def _held(self) -> Ball:
         """The largest ball grown; `_grow` extends it in place."""
         width = len(self.alphabet)
-        return Ball(0, [self.identity()], {self.one: 0}, [1],
+        return Ball(self, 0, [self.one], {self.one: 0}, [1],
                     array("i", [-1] * width), width)
 
     def ball(self, radius: int) -> Ball:
@@ -308,7 +309,7 @@ class GroupModel:
         held, cap = self._held, self.cap
         if held.sizes[radius] > cap:
             raise CapExceeded(cap + 1, cap, what=f"ball of radius {radius}")
-        return Ball(radius, held.elements, held.ranks, held.sizes, held.step,
+        return Ball(self, radius, held.keys, held.ranks, held.sizes, held.step,
                     held.width)
 
     def _grow(self, radius: int) -> None:
@@ -318,33 +319,32 @@ class GroupModel:
         first, so each new sphere is appended in shortlex order: as found,
         or sorted once (see the module docs). Each letter step h = g x fills
         step[g][x], and step[h][x^-1] once h has its rank, so a member takes
-        only its steps into the next sphere. Each finished sphere is
-        appended to the held ball in place. CapExceeded, raised once the
+        only its steps into the next sphere. CapExceeded, raised once the
         ball would hold more than `cap` nodes, leaves a sphere part-found:
         its keys sit in `ranks` past the last member, where no view reads,
         and the next growth resumes it in the same discovery order.
         """
         held, steps, cap = self._held, self.letter_steps.values(), self.cap
-        elements, ranks, sizes, step, width = (
-            held.elements, held.ranks, held.sizes, held.step, held.width)
+        keys, ranks, sizes, step, width = (
+            held.keys, held.ranks, held.sizes, held.step, held.width)
+        spell, alphabet = self.spell, self.alphabet
         resort = not self.shortlex_discovery
         for n in range(len(sizes), radius + 1):
-            first, start = sizes[-2] if len(sizes) > 1 else 0, len(elements)
+            first, start = sizes[-2] if len(sizes) > 1 else 0, len(keys)
             for g in range(first, start):
-                key, row = elements[g].key, g * width
+                key, row = keys[g], g * width
                 for i, letter in enumerate(steps):  # new members ranked as found
                     if step[row + i] < 0:  # else a step back, set when g was found
                         step[row + i] = ranks.setdefault(letter(key), len(ranks))
                 if len(ranks) > cap:
                     raise CapExceeded(cap + 1, cap, what=f"ball of radius {radius}")
             found = list(islice(ranks, start, None))  # in discovery order
-            sphere = [Element(self, h) for h in found]
+            keys += (sorted(found, key=lambda h: shortlex_key(spell(h), alphabet))
+                     if resort else found)  # in the order of Element.sort_key
             if resort:
-                sphere.sort(key=Element.sort_key)
-                ranks.update(zip((h.key for h in sphere), count(start)))
-            elements += sphere
-            sizes.append(len(elements))
-            step.extend([-1] * (len(sphere) * width))
+                ranks.update(zip(islice(keys, start, None), count(start)))
+            sizes.append(len(keys))
+            step.extend([-1] * (len(found) * width))
             for j in range(first * width, start * width):
                 h = step[j]
                 if h >= start:
@@ -360,7 +360,7 @@ class GroupModel:
         """The keys (g, g^-1) once per pair of non-identity members, in
         ball order: g is the member of the pair met first."""
         ranks, inv = ball.ranks, self.inv
-        keys = [g.key for g in islice(ball, 1, None)]  # rank 0: the identity
+        keys = ball.keys[1:len(ball)]  # rank 0: the identity
         return [(g, h) for rank, g, h in zip(count(1), keys, map(inv, keys))
                 if rank <= ranks[h]]
 

@@ -237,7 +237,7 @@ def verify_order_axioms(oracle: OrderOracle, radius: int) -> AxiomReport:
     model = oracle.model
     ball = model.ball(radius)
     # the walk runs on keys; an Element is built only to print a failure
-    signs: dict[tuple, Sign] = {g.key: oracle.sign_key(g.key) for g in ball}
+    signs = {g: oracle.sign_key(g) for g in ball.keys[:len(ball)]}
     one, positive = model.one, Sign.POSITIVE
 
     def show(key) -> str:

@@ -696,6 +696,24 @@ def test_non_object_transitions_named(tmp_path, capsys):
                                        "state rows\n")
 
 
+def test_missing_dfa_keys_named(tmp_path, capsys):
+    dfa = {k: v for k, v in Z2_LEX_DFA.items() if k not in ("transitions", "states")}
+    config = {**Z2_DFA, "radius": 1, "dfa": dfa}
+    assert run_cli(tmp_path, config, "dfa-verify") == 3
+    assert capsys.readouterr().err == ("error: bad DFA description: missing "
+                                       "keys: ['states', 'transitions']\n")
+
+
+@pytest.mark.parametrize("command,config", [
+    ("components", {**F2_MAGNUS, "radius": -1}),
+    ("survey", {**F2_MAGNUS, "radii": [-1, 3]}),
+])
+def test_negative_radius_named_before_width(tmp_path, capsys, command, config):
+    # as every other command names it, not as a width above the radius
+    assert run_cli(tmp_path, config, command) == 3
+    assert capsys.readouterr().err == "error: radius must be non-negative\n"
+
+
 GHOST_ROW = {**Z2_LEX_DFA["transitions"], "ghost": {ch: "s0" for ch in "aAbB"}}
 EXTRA_LETTER = {**Z2_LEX_DFA["transitions"],
                 "s0": {**Z2_LEX_DFA["transitions"]["s0"], "z": "nowhere"}}

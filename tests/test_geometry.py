@@ -239,7 +239,7 @@ def test_r_classes_match_search_reference(request, name, r, radii):
 def test_survey_refuses_widths_as_r_components_does(magnus):
     for r, radii, message in ((0, [3], "r must be >= 1"),
                               (3, [4, 2], "r must not exceed the ball radius"),
-                              (1, [-1, 3], "r must not exceed the ball radius")):
+                              (1, [-1, 3], "radius must be non-negative")):
         with pytest.raises(ValueError, match=message):
             cs.connectivity_survey(magnus, r, radii)
 
@@ -699,11 +699,11 @@ def test_rank_search_matches_key_reference(request, name, radius, r):
     oracle = request.getfixturevalue(name)
     model = oracle.model
     ball = model.ball(radius)
-    elements = ball.elements
+    keys = ball.keys
     jumps = [g.key for g in itertools.islice(model.ball(r), 1, None)]
     positives = [i for i, g in enumerate(ball) if oracle.is_positive(g)]
     # the r-classes of the positives
-    nodes = {elements[i].key: i for i in positives}
+    nodes = {keys[i]: i for i in positives}
     left, classes = dict(nodes), []
     for key in nodes:
         if key in left:
@@ -718,11 +718,11 @@ def test_rank_search_matches_key_reference(request, name, radius, r):
         allowed = {i for i in range(len(ball)) if rng.random() < 0.8}
         src, dst = rng.sample(sorted(allowed), 2)
         path, parents = _search(ball, r, src, dst, allowed)
-        keys = {elements[i].key: i for i in allowed}
+        nodes = {keys[i]: i for i in allowed}
         ref_path, ref_parents = reference_search(
-            model, elements[src].key, elements[dst].key, keys, jumps)
-        assert (None if path is None else [g.key for g in path]) == ref_path
-        assert {elements[c].key: p if p is None else elements[p].key
+            model, keys[src], keys[dst], nodes, jumps)
+        assert (None if path is None else [keys[i] for i in path]) == ref_path
+        assert {keys[c]: p if p is None else keys[p]
                 for c, p in parents.items()} == ref_parents
 
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conescope as cs
-from conescope.words import parse_word
+from conescope import groups
+from conescope.words import parse_word, shortlex_key
 
 from test_words import words_strategy
 
@@ -350,25 +351,24 @@ def test_ball_within_matches_fresh_ball(model, requests):
 @pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
 def test_ball_within_keeps_sorted_parent_order(model, monkeypatch):
     # BFS discovery order is shortlex order except on the Klein bottle, so
-    # growth sorts only there, keying each new member once (the identity,
-    # sphere 0, is never sorted). Growing in steps and cutting smaller balls
-    # keeps every ball a prefix.
+    # growth sorts only there, keying each new member's word once (the
+    # identity, sphere 0, is never sorted). Growing in steps and cutting
+    # smaller balls keeps every ball a prefix.
     assert model.shortlex_discovery is not isinstance(model, cs.KleinBottle)
     keyed = []
-    sort_key = cs.Element.sort_key
 
-    def counted(self):
-        keyed.append(self)
-        return sort_key(self)
+    def counted(word, alphabet):
+        keyed.append(word)
+        return shortlex_key(word, alphabet)
     held = fresh(model)
-    monkeypatch.setattr(cs.Element, "sort_key", counted)
+    monkeypatch.setattr(groups, "shortlex_key", counted)
     balls = [list(held.ball(n)) for n in (2, 0, 4, 1, 3, 4)]
     monkeypatch.undo()
     largest = list(held.ball(4))
     assert largest == sorted(largest, key=cs.Element.sort_key)
     sorts = isinstance(model, cs.KleinBottle)
-    assert (sorted(keyed, key=cs.Element.sort_key)
-            == (largest[1:] if sorts else []))
+    assert (sorted(keyed, key=lambda w: shortlex_key(w, model.alphabet))
+            == ([g.word for g in largest[1:]] if sorts else []))
     assert balls == [largest[:len(held.ball(n))] for n in (2, 0, 4, 1, 3, 4)]
 
 
@@ -379,10 +379,10 @@ def test_step_table_matches_mul(model):
     ball = fresh(model).ball(4)
     letters = [x.key for x in model.generators.values()]
     width = len(letters)
-    assert ball.width == width and len(ball.step) == width * len(ball.elements)
-    for rank, g in enumerate(ball.elements):
+    assert ball.width == width and len(ball.step) == width * len(ball.keys)
+    for rank, g in enumerate(ball.keys):
         for i, x in enumerate(letters):
-            h = model.mul(g.key, x)
+            h = model.mul(g, x)
             assert ball.step[rank * width + i] == ball.ranks.get(h, -1)
             assert (ball.step[rank * width + i] == -1) == (model.key_length(h) > 4)
     # grown in steps, the table is the same
@@ -421,8 +421,8 @@ def test_held_index_matches_sorted_reference_bfs(model, requests):
         assert all(ball.ranks[g.key] == i for i, g in enumerate(ball))
         sizes = ball.sizes
         for m in range(1, n + 1):
-            sphere = ball.elements[sizes[m - 1]:sizes[m]]
-            assert all(g.length == m for g in sphere)
+            sphere = ball.keys[sizes[m - 1]:sizes[m]]
+            assert all(model.key_length(g) == m for g in sphere)
     # a Ball taken before the growth keeps its length, members and membership
     beyond = held.ball(4).sorted_elements()[len(early_members):]
     assert len(early) == len(early_members) and list(early) == early_members
@@ -484,7 +484,7 @@ def check_cap_hit_in_mid_growth(model, reference):
     assert err.value.reached == model.cap + 1
     held = model._held
     assert held.radius == 3 and held.sizes == sizes[:4]
-    assert len(held.elements) == sizes[3] < len(held.ranks)
+    assert len(held.keys) == sizes[3] < len(held.ranks)
     assert len(held.step) == sizes[3] * held.width
     partial = [k for k in held.ranks if held.ranks[k] >= sizes[3]]
     for n, view in {**views, 3: model.ball(3)}.items():
@@ -506,12 +506,50 @@ def test_growth_keeps_one_held_ball(model):
     # growing a sphere at a time extends the held lists and table in place
     model = fresh(model)
     held = model._held
-    elements, step = held.elements, held.step
+    keys, step = held.keys, held.step
     for k in range(1, 10 if model.alphabet.rank == 2 else 6):  # small balls
         ball = model.ball(k)
         assert model._held is held and held.radius == k
-        assert ball.elements is elements and ball.step is step
+        assert ball.keys is keys and ball.step is step
     assert list(model.ball(k)) == list(fresh(model).ball(k))
+
+
+def test_growth_builds_no_element(monkeypatch):
+    # the held ball holds keys: an Element is built only when a member is read
+    built = []
+    init = cs.Element.__init__
+
+    def counted(self, model, key):
+        built.append(key)
+        init(self, model, key)
+    monkeypatch.setattr(cs.Element, "__init__", counted)
+    for model, radius in ((cs.FreeGroup(2), 6), (cs.FreeAbelian(2), 12),
+                          (cs.KleinBottle(), 12),
+                          (cs.DirectProduct((cs.FreeGroup(2), cs.FreeAbelian(1))), 5)):
+        ball = model.ball(radius)
+        assert built == [] and len(ball) > 1
+        assert list(ball) == [cs.Element(model, k) for k in ball.keys[:len(ball)]]
+        assert len(built) == 2 * len(ball)
+        built.clear()
+
+
+@pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
+def test_iteration_reads_keys_in_rank_order(model):
+    ball = fresh(model).ball(3)
+    members = list(ball)
+    assert [g.key for g in members] == ball.keys[:len(ball)]
+    assert all(g.model is ball.model for g in members)
+    assert [ball.ranks[g.key] for g in members] == list(range(len(ball)))
+    assert ball.sorted_elements() == members
+
+
+def test_membership_compares_models():
+    # the key (1, 0) is a in Z^2 and b in the Klein bottle
+    z2, klein = cs.FreeAbelian(2), cs.KleinBottle()
+    ball = klein.ball(2)
+    assert klein.element("b") in ball and (1, 0) in ball.ranks
+    assert cs.Element(z2, (1, 0)) not in ball
+    assert cs.Element(cs.KleinBottle(), (1, 0)) in ball  # an equal model
 
 
 # -- distances -------------------------------------------------------------------
