@@ -68,7 +68,6 @@ from .geometry import (
     Verdict,
     cofinal_positive_path,
     connectivity_survey,
-    geodesic_points,
     max_of_ball,
     product_column_swamp,
     product_positive_path,

@@ -158,29 +158,26 @@ def regular_interpolation(dfa: ConeDfa, model: GroupModel,
     of its state; the evaluations of those completions are at most |S| - 1
     away from the prefix evaluation, so consecutive interpolation points are
     within 2|S| + 1 of each other. One run of the word: the prefix key
-    grows one letter step at a time, and each state's completion is
-    normalised once.
+    grows one letter step at a time, through live states only (the word is
+    accepted), and each live state's completion is read once.
     """
     model.alphabet.check_word(dfa.alphabet.letters)
     _, accepted = dfa_run(dfa, word)
     if not accepted:
         raise NotAccepted(f"word {format_word(word)} is rejected")
     table, mul, steps = dfa.table, model.mul, model.letter_steps
-    ends: dict[str, tuple] = {}
+    ends = {s: model.key_of(w) for s, w in dfa.completions.items() if w is not None}
     prefix = model.one
     keys = [prefix]
     state = dfa.initial
     for i in range(len(word) + 1):
-        if state not in ends:
-            ends[state] = model.normal_form(dfa.completions[state]).key
         point = mul(prefix, ends[state])
         if point != keys[-1]:
             keys.append(point)
         if i < len(word):
             prefix = steps[word[i]](prefix)
             state = table[state][word[i]]
-    path = RPath(tuple(Element(model, k) for k in keys),
-                 connectivity_radius(dfa))
+    path = RPath(model, tuple(keys), connectivity_radius(dfa))
     path.check()
     return path
 

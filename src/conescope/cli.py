@@ -67,7 +67,7 @@ from .geometry import (
 )
 from .groups import DEFAULT_CAP, DirectProduct, FreeGroup, model_from_descriptor
 from .orders import order_from_descriptor, verify_order_axioms
-from .words import parse_word
+from .words import format_word, parse_word
 
 COMMANDS = ("axioms", "ray", "components", "swamp", "survey", "cofinal-path",
             "dfa-verify", "dfa-path", "dfa-qg", "export-dot")
@@ -126,7 +126,7 @@ def _load_config(path: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -140,6 +140,8 @@ def _load_dfa(spec, config_dir: Path) -> ConeDfa:
                 spec = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read DFA file {spec}: {exc}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"DFA file {spec} is not valid JSON: {exc}") from exc
     if not isinstance(spec, dict):
         raise ConfigError("dfa must be an inline object or a file path")
     try:
@@ -323,11 +325,10 @@ class Runner:
         spelled: dict[tuple, str] = {}  # the paths share most points
         results = []
         for g, h in pairs:  # a path runs from g to h
-            points = cofinal_positive_path(oracle, g, h).points
-            for p in points:
-                if p.key not in spelled:
-                    spelled[p.key] = str(p)
-            words = [spelled[p.key] for p in points]
+            keys = cofinal_positive_path(oracle, g, h).keys
+            for k in set(keys).difference(spelled):
+                spelled[k] = format_word(model.spell(k))
+            words = [spelled[k] for k in keys]
             results.append({"from": words[0], "to": words[-1], "points": words})
         summary = f"cofinal-path: {len(results)} positive path(s) constructed"
         return "pass", {"paths": results}, summary
@@ -356,7 +357,7 @@ class Runner:
         gaps = path.gaps()
         bound = connectivity_radius(dfa)
         payload = {"points": path.words(), "gaps": gaps, "bound": bound}
-        summary = (f"dfa-path: {len(path.points)} points, max gap "
+        summary = (f"dfa-path: {len(path)} points, max gap "
                    f"{max(gaps, default=0)} <= {bound}")
         return "pass", payload, summary
 

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from .geometry import r_components
+from .geometry import _r_classes
 from .orders import OrderOracle, Sign
+from .words import format_word
 
 _SIGN_ATTR = {Sign.POSITIVE: "pos", Sign.NEGATIVE: "neg", Sign.IDENTITY: "id"}
 
@@ -17,17 +18,16 @@ def export_dot(oracle: OrderOracle, r: int, radius: int) -> str:
     if r < 0:
         raise ValueError("width must be non-negative")
     ball = oracle.model.ball(radius)
-    comp_index = {}
-    if radius >= 1 and r >= 1:
-        components = r_components(oracle, r, radius).components
-        comp_index = {g.key: i for i, comp in enumerate(components)
-                      for g in comp}
+    # rank -> its class's least rank, which numbers classes as r_components does
+    least = _r_classes(oracle, r, (radius,))[1] if radius >= 1 and r >= 1 else {}
+    index = {g: i for i, g in enumerate(sorted(set(least.values())))}
 
+    spell, sign = oracle.model.spell, oracle.sign_key
     lines = ["graph cayley_ball {"]
-    for i, g in enumerate(ball):
-        sign = _SIGN_ATTR[oracle.sign_key(g.key)]
-        comp = comp_index.get(g.key, -1)
-        lines.append(f'  n{i} [label="{g}", sign={sign}, comp={comp}];')
+    for i, key in enumerate(ball.keys[:len(ball)]):
+        comp = index[least[i]] if i in least else -1
+        lines.append(f'  n{i} [label="{format_word(spell(key))}", '
+                     f'sign={_SIGN_ATTR[sign(key)]}, comp={comp}];')
     # node ids are ranks; an edge is met from both ends, written from the
     # lower, in letter order from the step table (-1: outside the held ball)
     step, width, size = ball.step, ball.width, len(ball)

@@ -13,7 +13,8 @@ The operations come in three groups:
 The r-classes of the positives in every B(R) come from one union-find
 pass over the ranks of the held ball, in rank order. One breadth-first
 search on ranks serves the paths: S-avoiding paths and paths through
-factor cones. Both step through the step table and form no product.
+factor cones. Both step through the step table and form no product. An
+RPath holds the keys of its points and builds Elements when they are read.
 
 Coarse connectivity of an infinite set is not finitely decidable, so
 verdicts are stratified: CertifiedTree (structural proof), CertifiedExhaustive
@@ -26,7 +27,7 @@ from __future__ import annotations
 import enum
 import random
 from collections import deque, namedtuple
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import (
     BrokenOrderError,
@@ -38,6 +39,7 @@ from .errors import (
 )
 from .groups import Ball, DirectProduct, Element, FreeGroup, GroupModel
 from .orders import OrderOracle, Sign
+from .words import format_word, shortlex_key
 
 
 class Verdict(enum.Enum):
@@ -48,38 +50,41 @@ class Verdict(enum.Enum):
 
 
 class RPath:
-    """A sequence of elements with consecutive word distances <= r."""
+    """Points of `model` held by their `keys`, consecutive ones at distance <= r."""
 
-    def __init__(self, points: tuple[Element, ...], r: int):
-        self.points, self.r = points, r
+    def __init__(self, model: GroupModel, keys: tuple, r: int):
+        self.model, self.keys, self.r = model, keys, r
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.points, self.r) == (other.points, other.r)
+        return (self.keys, self.r, self.model) == (other.keys, other.r, other.model)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.keys)
+
+    @property
+    def points(self) -> tuple[Element, ...]:
+        return tuple(map(partial(Element, self.model), self.keys))
 
     def check(self) -> None:
-        if not self.points:
+        if not self.keys:
             raise ValueError("an r-path needs at least one point")
         for i, d in enumerate(self._gaps):
             if d > self.r:
-                raise ValueError(f"gap {d} > r={self.r} between "
-                                 f"{self.points[i]} and {self.points[i + 1]}")
+                a, b = map(partial(Element, self.model), self.keys[i:i + 2])
+                raise ValueError(f"gap {d} > r={self.r} between {a} and {b}")
 
     def gaps(self) -> list[int]:
         return list(self._gaps)
 
     @cached_property
     def _gaps(self) -> tuple[int, ...]:
-        # the points never change, so each gap is measured once
-        keys = [p.key for p in self.points]
-        return tuple(map(self.points[0].model.key_distance, keys, keys[1:]))
+        # the keys never change, so each gap is measured once
+        return tuple(map(self.model.key_distance, self.keys, self.keys[1:]))
 
     def words(self) -> list[str]:
-        return [str(p) for p in self.points]
+        return [format_word(self.model.spell(k)) for k in self.keys]
 
 
 def _dedupe(points: list) -> list:
@@ -97,11 +102,6 @@ def _geodesic_keys(model: GroupModel, g: tuple, h: tuple) -> list[tuple]:
     for letter in model.spell(model.mul(model.inv(g), h)):
         keys.append(steps[letter](keys[-1]))
     return keys
-
-
-def geodesic_points(g: Element, h: Element) -> list[Element]:
-    """A 1-path from g to h spelled by the canonical word of g^-1 h."""
-    return [Element(g.model, k) for k in _geodesic_keys(g.model, g.key, h.key)]
 
 
 # -- ball maxima -------------------------------------------------------------
@@ -489,9 +489,9 @@ def verify_separation(cert: SwampCertificate,
     ends = [ranks.get(u.key), ranks.get(v.key)]
     if not allowed.issuperset(ends):
         raise ValueError("witnesses must lie inside the search ball and off S")
-    points, parents = _search(ball, cert.r, ends[0], ends[1], allowed)
-    if points is not None:
-        path = RPath(tuple(Element(model, ball.keys[i]) for i in points), cert.r)
+    found, parents = _search(ball, cert.r, ends[0], ends[1], allowed)
+    if found is not None:
+        path = RPath(model, tuple(ball.keys[i] for i in found), cert.r)
         path.check()
         return SeparationResult(verdict=Verdict.NOT_SEPARATING,
                                 avoiding_path=path, explored=len(parents))
@@ -510,20 +510,20 @@ def sample_tree_paths(cert: SwampCertificate, count: int, seed: int) -> list[RPa
     (for r = 0 they are full vertex chains).
     """
     rng = random.Random(seed)
-    model, (u, v) = cert.center.model, cert.witnesses
-    reach = max(model.distance(cert.center, u), model.distance(cert.center, v))
-    pool = sorted((cert.center * b for b in model.ball(reach)),
-                  key=Element.sort_key)
+    model, c = cert.center.model, cert.center.key
+    u, v = (w.key for w in cert.witnesses)
+    ball = model.ball(max(model.key_distance(c, u), model.key_distance(c, v)))
+    # the keys c b, in the order of Element.sort_key
+    pool = sorted((model.mul(c, b) for b in ball.keys[:len(ball)]),
+                  key=lambda k: shortlex_key(model.spell(k), model.alphabet))
     step = max(cert.r, 1)
     paths = []
     for _ in range(count):
         waypoints = [u] + [rng.choice(pool) for _ in range(rng.randint(0, 4))] + [v]
-        chain: list[Element] = []
+        chain: list[tuple] = []  # each leg without its last point
         for a, b in zip(waypoints, waypoints[1:]):
-            chain.extend(geodesic_points(a, b)[:-1])
-        chain.append(v)
-        points = _dedupe(chain[::step] + [v])
-        path = RPath(tuple(points), step)
+            chain.extend(_geodesic_keys(model, a, b)[:-1])
+        path = RPath(model, tuple(_dedupe(chain[::step] + [v])), step)
         path.check()
         paths.append(path)
     return paths
@@ -545,12 +545,12 @@ def _check_endpoints(oracle: OrderOracle, g: Element, h: Element) -> None:
 def _cone_path(oracle: OrderOracle, keys: list[tuple], r: int,
                kind: str) -> RPath:
     """The keys, repeats dropped, as an r-path checked to stay in the cone."""
-    model, keys = oracle.model, _dedupe(keys)
-    path = RPath(tuple(Element(model, k) for k in keys), r)
+    path = RPath(oracle.model, tuple(_dedupe(keys)), r)
     path.check()
-    for k, p in zip(keys, path.points):
+    for k in path.keys:
         if oracle.sign_key(k) is not Sign.POSITIVE:
-            raise BrokenOrderError(f"{kind} path left the cone at {p}")
+            raise BrokenOrderError(
+                f"{kind} path left the cone at {Element(path.model, k)}")
     return path
 
 

@@ -85,7 +85,10 @@ class OrderOracle:
         return self.sign(g) is Sign.POSITIVE
 
     def positives(self, ball: Ball) -> list[Element]:
-        return [g for g in ball.sorted_elements() if self.is_positive(g)]
+        if ball.model is not self.model and ball.model != self.model:
+            raise ModelMismatch(f"ball does not live in {self.name}'s model")
+        return [Element(ball.model, k) for k in ball.keys[:len(ball)]
+                if self.sign_key(k) is Sign.POSITIVE]
 
 
 # -- free groups: Magnus order ---------------------------------------------

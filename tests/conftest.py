@@ -62,3 +62,16 @@ def z_leading(magnus, z_natural):
     """F2 x Z with the Z factor leading (cofinal central cone)."""
     return cs.lex_pair_sign(z_natural, magnus, leading_factor=1,
                             name="z-leading")
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The keys of the Elements built while the test runs, in order."""
+    keys = []
+    init = cs.Element.__init__
+
+    def counted(self, model, key):
+        keys.append(key)
+        init(self, model, key)
+    monkeypatch.setattr(cs.Element, "__init__", counted)
+    return keys

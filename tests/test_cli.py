@@ -273,6 +273,26 @@ def test_dfa_from_file(tmp_path):
     assert run_cli(tmp_path, config, "dfa-verify") == 0
 
 
+@pytest.mark.parametrize("text,reason", [
+    (b"{oops", "Expecting property name enclosed in double quotes: "
+               "line 1 column 2 (char 1)"),
+    (b"\xff{", "'utf-8' codec can't decode byte 0xff in position 0: "
+               "invalid start byte"),
+], ids=["not-json", "not-utf8"])
+def test_unreadable_json_file_is_named(tmp_path, capsys, text, reason):
+    (tmp_path / "machine.json").write_bytes(text)
+    config = {"group": {"kind": "abelian", "rank": 2}, "dfa": "machine.json",
+              "radius": 2, "lmax": 8}
+    assert run_cli(tmp_path, config, "dfa-verify") == 3
+    assert capsys.readouterr().err == (
+        f"error: DFA file machine.json is not valid JSON: {reason}\n")
+    (tmp_path / "cfg.json").write_bytes(text)
+    assert main(["--config", str(tmp_path / "cfg.json"), "--command", "ray",
+                 "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        f"error: config {tmp_path / 'cfg.json'} is not valid JSON: {reason}\n")
+
+
 def test_cofinal_path_command(tmp_path):
     config = {**F2XZ_Z_LEADING, "pair": ["Ac", "bc"]}
     assert run_cli(tmp_path, config, "cofinal-path") == 0

@@ -1,4 +1,5 @@
 import collections
+import copy
 import itertools
 import random
 
@@ -776,7 +777,7 @@ def test_diagnostics_multiply_keys_not_elements(monkeypatch, zz_lex):
     # multiplies them (model.mul); Elements are built only for what it
     # returns, so no GroupModel.multiply call is made
     o = {**fresh_oracles(), "klein": cs.klein_order(cs.KleinBottle())}
-    F2, P, M = o["magnus"].model, o["z_leading"].model, zz_lex.model
+    P, M = o["z_leading"].model, zz_lex.model
     Z2, K = cs.FreeAbelian(2), cs.KleinBottle()
     z2_dfa, klein_dfa = cs.z2_lex_cone_dfa(), cs.klein_cone_dfa()
     tree = cs.tree_swamp_certificate(o["magnus"], 1)
@@ -790,13 +791,11 @@ def test_diagnostics_multiply_keys_not_elements(monkeypatch, zz_lex):
         "column-swamp": lambda: product_column_swamp(
             o["f2_leading"], 1, 5).to_json(),
         "tree-separation": lambda: cs.verify_separation(tree),
-        "geodesic": lambda: cs.geodesic_points(F2.element("ab"),
-                                               F2.element("BA")),
         "cofinal": lambda: cs.cofinal_positive_path(
             o["z_leading"], P.element("a"), P.element("c")),
         "product-path": lambda: cs.product_positive_path(
             zz_lex, M.element("b"), M.element("aBBBBB"), r=1),
-        "gaps": lambda: cs.RPath(tuple(Z2.ball(2)), 4).gaps(),
+        "gaps": lambda: cs.RPath(Z2, tuple(g.key for g in Z2.ball(2)), 4).gaps(),
         "export-dot": lambda: cs.export_dot(o["z_leading"], 1, 3),
         "reachable": lambda: cs.reachable_evaluations(klein_dfa, K, 8),
         "dfa-verify": lambda: cs.verify_cone_dfa(z2_dfa, Z2, 3),
@@ -844,10 +843,50 @@ def test_survey_disconnection_evidence(f2_leading):
 # -- RPath invariants --------------------------------------------------------------------------
 
 def test_rpath_validation(f2):
-    good = cs.RPath((f2.element("a"), f2.element("ab")), 1)
+    good = cs.RPath(f2, (f2.key_of((1,)), f2.key_of((1, 2))), 1)
     good.check()
-    bad = cs.RPath((f2.element("a"), f2.element("bbb")), 1)
-    with pytest.raises(ValueError):
+    bad = cs.RPath(f2, (f2.key_of((1,)), f2.key_of((2, 2, 2))), 1)
+    with pytest.raises(ValueError, match="gap 4 > r=1 between a and bbb"):
         bad.check()
     with pytest.raises(ValueError):
-        cs.RPath((), 1).check()
+        cs.RPath(f2, (), 1).check()
+
+
+def test_paths_build_no_element(built, z_leading, zz_lex, magnus, z2):
+    # a path holds keys: each constructor hands over the keys it holds, and
+    # an Element is built only when `points` is read
+    P, M = z_leading.model, zz_lex.model
+    g, h, x, y = P.element("Ac"), P.element("bc"), M.element("b"), M.element("aBBBBB")
+    center = z2.element("a")
+    plane = SwampCertificate(r=1, center=center, swamp=frozenset({center}),
+                             witnesses=(z2.element("b"), z2.element("aa")),
+                             verdict=Verdict.EVIDENCE)
+    tree, dfa = cs.tree_swamp_certificate(magnus, 2), cs.z2_lex_cone_dfa()
+    word = cs.parse_word("aaaBBBB", z2.alphabet)
+    built.clear()  # the endpoints and certificates above
+    runs = {
+        "cofinal": lambda: [cs.cofinal_positive_path(z_leading, g, h)],
+        "product": lambda: [cs.product_positive_path(zz_lex, x, y, r=1)],
+        "avoiding": lambda: [cs.verify_separation(plane, radius=3).avoiding_path],
+        "dfa-path": lambda: [cs.regular_interpolation(dfa, z2, word)],
+        "sampled": lambda: cs.sample_tree_paths(tree, 5, seed=99),
+    }
+    for name, run in runs.items():
+        paths = run()
+        assert built == [] and paths and None not in paths, name
+        for path in paths:
+            points = path.points
+            assert len(built) == len(path) == len(points) > 1, name
+            built.clear()
+            # the Element-based reading of the same path
+            model = path.model
+            assert points == tuple(cs.Element(model, k) for k in path.keys)
+            assert path.words() == [str(p) for p in points]
+            assert path.gaps() == [model.distance(p, q)
+                                   for p, q in zip(points, points[1:])]
+            for other in (cs.RPath(copy.copy(model), path.keys, path.r),
+                          cs.RPath(model, path.keys, path.r + 1),
+                          cs.RPath(model, path.keys[:-1], path.r)):
+                assert (path == other) == (
+                    (points, path.r) == (other.points, other.r)), name
+            built.clear()

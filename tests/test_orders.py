@@ -97,6 +97,24 @@ def test_klein_cone_examples(klein, klein_oracle):
     assert klein_oracle.sign(klein.identity()) is cs.Sign.IDENTITY
 
 
+def test_positives_read_keys_and_check_the_model(built, magnus, klein_oracle,
+                                                 z_leading):
+    # the members are signed by key; only the positives become Elements
+    for oracle, radius in ((magnus, 3), (klein_oracle, 4), (z_leading, 2)):
+        ball = oracle.model.ball(radius)
+        positives = oracle.positives(ball)
+        assert built == [g.key for g in positives]
+        assert positives == [g for g in ball if oracle.is_positive(g)]
+        built.clear()
+    # a ball of an equal model is read, one of another model is refused
+    assert magnus.positives(cs.FreeGroup(2).ball(2)) == magnus.positives(
+        magnus.model.ball(2))
+    with pytest.raises(cs.ModelMismatch):
+        magnus.positives(cs.FreeGroup(3).ball(1))
+    with pytest.raises(cs.ModelMismatch):
+        klein_oracle.positives(cs.FreeAbelian(2).ball(2))
+
+
 def test_klein_cone_is_generated_semigroup(klein, klein_oracle):
     # every positive in B(4) is a product of a's and b's: check by closure
     ball = klein.ball(4)

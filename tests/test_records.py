@@ -124,11 +124,13 @@ def test_report_record_defaults():
 
 def test_paths_compare_by_points_and_width(f2):
     other = cs.FreeGroup(2)  # equal to f2, not the same object
-    path = cs.RPath((f2.element("a"), f2.element("ab")), 1)
-    again = cs.RPath((other.element("a"), other.element("ab")), 1)
+    keys = (f2.key_of((1,)), f2.key_of((1, 2)))
+    path, again = cs.RPath(f2, keys, 1), cs.RPath(other, keys, 1)
     assert path == again and not path != again
-    assert path != cs.RPath(path.points, 2)
-    assert path != cs.RPath(path.points[:1], 1)
+    assert path != cs.RPath(f2, keys, 2)
+    assert path != cs.RPath(f2, keys[:1], 1)
+    # the same keys spell a and ab in F3
+    assert path != cs.RPath(cs.FreeGroup(3), keys, 1)
     # a separation result compares its path
     found = cs.SeparationResult(Verdict.NOT_SEPARATING, path, 3)
     assert found == cs.SeparationResult(Verdict.NOT_SEPARATING, again, 3)
