@@ -138,10 +138,10 @@ def _load_dfa(spec, config_dir: Path) -> ConeDfa:
         try:
             with open(config_dir / spec, "r", encoding="utf-8") as fh:
                 spec = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read DFA file {spec}: {exc}") from exc
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"DFA file {spec} is not valid JSON: {exc}") from exc
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+            raise ConfigError(f"cannot read DFA file {spec}: {exc}") from exc
     if not isinstance(spec, dict):
         raise ConfigError("dfa must be an inline object or a file path")
     try:

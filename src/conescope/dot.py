@@ -18,16 +18,18 @@ def export_dot(oracle: OrderOracle, r: int, radius: int) -> str:
     if r < 0:
         raise ValueError("width must be non-negative")
     ball = oracle.model.ball(radius)
-    # rank -> its class's least rank, which numbers classes as r_components does
-    least = _r_classes(oracle, r, (radius,))[1] if radius >= 1 and r >= 1 else {}
-    index = {g: i for i, g in enumerate(sorted(set(least.values())))}
-
-    spell, sign = oracle.model.spell, oracle.sign_key
+    if radius >= 1 and r >= 1:  # least: rank -> its class's least rank, or -1
+        _, signs, least, _ = _r_classes(oracle, r, (radius,))
+    else:
+        signs, least = oracle.signs(ball), [-1] * len(ball)
+    # a class is numbered at its least rank, in the order of r_components
+    spell, number = oracle.model.spell, {-1: -1}
     lines = ["graph cayley_ball {"]
-    for i, key in enumerate(ball.keys[:len(ball)]):
-        comp = index[least[i]] if i in least else -1
+    for i, (key, sign, top) in enumerate(zip(ball.keys, signs, least)):
+        if top == i:
+            number[i] = len(number) - 1
         lines.append(f'  n{i} [label="{format_word(spell(key))}", '
-                     f'sign={_SIGN_ATTR[sign(key)]}, comp={comp}];')
+                     f'sign={_SIGN_ATTR[sign]}, comp={number[top]}];')
     # node ids are ranks; an edge is met from both ends, written from the
     # lower, in letter order from the step table (-1: outside the held ball)
     step, width, size = ball.step, ball.width, len(ball)

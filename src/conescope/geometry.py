@@ -10,8 +10,8 @@ The operations come in three groups:
 * connection: explicit positive paths through a cofinal central copy of Z
   and through the factors of a direct product.
 
-The r-classes of the positives in every B(R) come from one union-find
-pass over the ranks of the held ball, in rank order. One breadth-first
+The r-classes of the positives in every B(R) come from one sign pass and
+one union-find pass over the held ball's ranks, in order. One breadth-first
 search on ranks serves the paths: S-avoiding paths and paths through
 factor cones. Both step through the step table and form no product. An
 RPath holds the keys of its points and builds Elements when they are read.
@@ -106,9 +106,9 @@ def _geodesic_keys(model: GroupModel, g: tuple, h: tuple) -> list[tuple]:
 
 # -- ball maxima -------------------------------------------------------------
 
-def _ball_maxima(oracle: OrderOracle, n: int) -> list[Element]:
-    """The order-maxima g_0, ..., g_n of B(1, 0), ..., B(1, n): B(k) is a
-    prefix of B(n), so one running comparison over B(n) gives every g_k."""
+def _ball_maxima(oracle: OrderOracle, n: int) -> list[tuple]:
+    """The keys of the maxima g_0, ..., g_n of B(1, 0), ..., B(1, n): B(k) is
+    a prefix of B(n), so one running comparison over B(n) gives every g_k."""
     model, ball = oracle.model, oracle.model.ball(n)
     keys, mul, inv, sign = ball.keys, model.mul, model.inv, oracle.sign_key
     best, back = 0, model.one  # the rank of the running maximum, its inverse
@@ -123,12 +123,12 @@ def _ball_maxima(oracle: OrderOracle, n: int) -> list[Element]:
             if s is Sign.POSITIVE:
                 best, back = rank, inv(keys[rank])
         maxima.append(best)
-    return [Element(model, keys[g]) for g in maxima]
+    return [keys[g] for g in maxima]
 
 
 def max_of_ball(oracle: OrderOracle, n: int) -> Element:
     """The unique order-maximum of B(1, n), by pairwise sign comparison."""
-    return _ball_maxima(oracle, n)[-1]
+    return Element(oracle.model, _ball_maxima(oracle, n)[-1])
 
 
 class RayReport(namedtuple("RayReport", (
@@ -156,14 +156,15 @@ def verify_maxima_ray(oracle: OrderOracle, depth: int) -> RayReport:
     B(g_n^-1, n - 1) is negative.
     """
     model, sign = oracle.model, oracle.sign_key
-    mul, inv, distance = model.mul, model.inv, model.key_distance
-    maxima = _ball_maxima(oracle, depth)[1:]
+    mul, distance, length = model.mul, model.key_distance, model.key_length
+    keys = _ball_maxima(oracle, depth)
+    maxima = tuple(map(partial(Element, model), keys[1:]))  # g_1, ..., g_N
 
-    length_failures = [(n, str(g), g.length)
-                       for n, g in enumerate(maxima, start=1) if g.length != n]
+    length_failures = [(n, str(maxima[n - 1]), length(keys[n]))
+                       for n in range(1, depth + 1) if length(keys[n]) != n]
 
     successor_failures, geodesic_failures = [], []
-    inverses = [model.one] + [inv(g.key) for g in maxima]
+    inverses = list(map(model.inv, keys))  # g_0 is the identity
     for n in range(depth + 1):
         for m in range(n + 1, depth + 1):
             d = distance(inverses[n], inverses[m])
@@ -185,7 +186,7 @@ def verify_maxima_ray(oracle: OrderOracle, depth: int) -> RayReport:
     return RayReport(
         oracle_name=oracle.name,
         depth=depth,
-        maxima=tuple(maxima),
+        maxima=maxima,
         length_failures=tuple(length_failures),
         successor_failures=tuple(successor_failures),
         geodesic_failures=tuple(geodesic_failures),
@@ -234,14 +235,13 @@ def _search(ball: Ball, r: int, src: int, dst: int | None,
     return None, parents
 
 
-def _r_classes(oracle: OrderOracle, r: int,
-               radii: tuple[int, ...]) -> tuple[Ball, dict[int, int], list[int]]:
+def _r_classes(oracle: OrderOracle, r: int, radii: tuple[int, ...]
+               ) -> tuple[Ball, list[Sign], list[int], list[int]]:
     """Union-find over the ranks of B(max radii), in rank order, each
     positive rank joined to those below it in `Ball.near`. Each B(R) is a
     rank prefix joined inside itself (see the groups module docs), so its
-    classes are complete at its last rank. Returns B(max radii), each
-    positive rank's root, the least rank of its class, and the class count
-    of each B(R)."""
+    classes are complete at its last rank. Returns B(max radii), its signs,
+    each rank's class's least rank (-1 off the cone) and each B(R)'s count."""
     if min(radii) < 0:
         raise ValueError("radius must be non-negative")
     if r < 1:
@@ -250,30 +250,27 @@ def _r_classes(oracle: OrderOracle, r: int,
         raise ValueError("r must not exceed the ball radius")
     for R in sorted(radii):  # smallest first: a cap stops at the first beyond it
         ball = oracle.model.ball(R)
-    step, width, keys, sign = ball.step, ball.width, ball.keys, oracle.sign_key
-    root: dict[int, int] = {}
-
-    def find(g: int) -> int:
-        while root[g] != g:
-            root[g] = g = root[root[g]]  # halve the path
-        return g
-
+    step, width, signs = ball.step, ball.width, oracle.signs(ball)
+    root = [-1] * len(signs)  # by rank; -1 outside the cone
     classes, counts = 0, []  # the class count after each rank
-    for g in range(len(ball)):
-        if sign(keys[g]) is Sign.POSITIVE:
+    for g, s in enumerate(signs):
+        if s is Sign.POSITIVE:
             root[g] = top = g  # top: the root of g's class
             classes += 1
-            # the ranks within r; for r = 1, the step row
+            # the ranks within r; for r = 1, the step row (-1 off the ball)
             near = step[g * width:(g + 1) * width] if r == 1 else ball.near(g, r)
-            for h in near:  # root holds the positive ranks up to g
-                if h in root and (h := find(h)) != top:
-                    if h > top:  # the larger root joins the smaller
-                        h, top = top, h
-                    root[top] = top = h
-                    classes -= 1
+            for h in near:  # root holds the positive ranks below g
+                if -1 < h < g and root[h] > -1:
+                    while root[h] != h:
+                        root[h] = h = root[root[h]]  # halve the path
+                    if h != top:  # the larger root joins the smaller
+                        root[max(h, top)] = top = min(h, top)
+                        classes -= 1
         counts.append(classes)
-    return (ball, {g: find(g) for g in root},
-            [counts[ball.sizes[R] - 1] for R in radii])
+    for g, top in enumerate(root):  # a root is never above its rank
+        if top > -1:
+            root[g] = root[top]
+    return ball, signs, root, [counts[ball.sizes[R] - 1] for R in radii]
 
 
 def r_components(oracle: OrderOracle, r: int, radius: int) -> ComponentReport:
@@ -283,10 +280,11 @@ def r_components(oracle: OrderOracle, r: int, radius: int) -> ComponentReport:
     ball-restricted stand-in for coarse connectivity. Output is canonical:
     classes sorted by their shortlex-least representative.
     """
-    ball, root, _ = _r_classes(oracle, r, (radius,))
+    ball, _, root, _ = _r_classes(oracle, r, (radius,))
     components: dict[int, list[Element]] = {}
-    for g, least in root.items():
-        components.setdefault(least, []).append(Element(ball.model, ball.keys[g]))
+    for g, least in enumerate(root):
+        if least > -1:
+            components.setdefault(least, []).append(Element(ball.model, ball.keys[g]))
     components = list(components.values())
     return ComponentReport(
         oracle_name=oracle.name,
@@ -372,7 +370,7 @@ def tree_swamp_certificate(oracle: OrderOracle, r: int,
     if search_radius <= r + 1:
         raise ValueError("search radius must exceed r + 1")
 
-    c, ball = model.inv(max_of_ball(oracle, r + 1).key), model.ball(r)
+    c, ball = model.inv(_ball_maxima(oracle, r + 1)[-1]), model.ball(r)
     swamp = frozenset(Element(model, model.mul(c, b)) for b in ball.keys[:len(ball)])
     for s in sorted(swamp, key=Element.sort_key):
         if oracle.sign_key(s.key) is not Sign.NEGATIVE:
@@ -411,8 +409,8 @@ def product_column_swamp(oracle: OrderOracle, r: int,
         raise ModelMismatch("the column swamp needs a free factor")
     if r < 0:
         raise ValueError("width must be non-negative")
-    center = max_of_ball(oracle, r + 1).inverse()
-    back = free.inv(center.key[0])
+    center = model.inv(_ball_maxima(oracle, r + 1)[-1])
+    back = free.inv(center[0])
     # B(r + 1), held for the center, first: a refusal grows no larger ball
     for R in (min(r + 1, radius), radius):
         ball = model.ball(R)
@@ -434,8 +432,8 @@ def product_column_swamp(oracle: OrderOracle, r: int,
                 yield word[0], g
 
     witnesses = _witnesses(oracle, candidates(), free.alphabet.letters, radius)
-    return SwampCertificate(r, center, frozenset(swamp), witnesses,
-                            Verdict.EVIDENCE)
+    return SwampCertificate(r, Element(model, center), frozenset(swamp),
+                            witnesses, Verdict.EVIDENCE)
 
 
 class SeparationResult(namedtuple("SeparationResult",
@@ -691,7 +689,7 @@ def connectivity_survey(oracle: OrderOracle, r: int, radii) -> SurveyReport:
     radii = tuple(sorted(radii))
     if not radii:
         raise ValueError("need at least one radius")
-    counts = tuple(_r_classes(oracle, r, radii)[2])
+    counts = tuple(_r_classes(oracle, r, radii)[3])
     stable = len(set(counts)) == 1
     certificate = None
     if all(c == 1 for c in counts):

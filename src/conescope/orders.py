@@ -1,9 +1,9 @@
 """Computable left-order oracles: total sign functions realizing positive cones.
 
 An OrderOracle wraps a sign function on the keys of a fixed group model,
-key -> {Positive, Negative, Identity}; `sign_key` caches it, and
-`sign(g)`, which checks that g lives in the model, is the boundary for
-elements. Shipped constructors:
+key -> {Positive, Negative, Identity}: `signs` reads a whole ball in rank
+order, `sign_key` a point through a cache, and `sign(g)`, which checks that
+g lives in the model, is the boundary for elements. Shipped constructors:
 
 * magnus_order: bi-invariant order on free groups via the power-series
   expansion compared in deglex monomial order.
@@ -84,11 +84,15 @@ class OrderOracle:
     def is_positive(self, g: Element) -> bool:
         return self.sign(g) is Sign.POSITIVE
 
-    def positives(self, ball: Ball) -> list[Element]:
+    def signs(self, ball: Ball) -> list[Sign]:
+        """The members' signs by rank: one `sign_fn` pass, past the cache."""
         if ball.model is not self.model and ball.model != self.model:
             raise ModelMismatch(f"ball does not live in {self.name}'s model")
-        return [Element(ball.model, k) for k in ball.keys[:len(ball)]
-                if self.sign_key(k) is Sign.POSITIVE]
+        return list(map(self.sign_fn, ball.keys[:len(ball)]))
+
+    def positives(self, ball: Ball) -> list[Element]:
+        return [Element(ball.model, k)
+                for k, s in zip(ball.keys, self.signs(ball)) if s is Sign.POSITIVE]
 
 
 # -- free groups: Magnus order ---------------------------------------------
@@ -237,27 +241,23 @@ def verify_order_axioms(oracle: OrderOracle, radius: int) -> AxiomReport:
     |gh| <= R have a positive product. The model's cone-axiom walk
     (`inverse_pairs`, `closure_misses`) finds the pairs and products.
     """
-    model = oracle.model
-    ball = model.ball(radius)
+    model, ball = oracle.model, oracle.model.ball(radius)
     # the walk runs on keys; an Element is built only to print a failure
-    signs = {g: oracle.sign_key(g) for g in ball.keys[:len(ball)]}
-    one, positive = model.one, Sign.POSITIVE
+    signs, ranks, positive = oracle.signs(ball), ball.ranks, Sign.POSITIVE
 
     def show(key) -> str:
         return str(Element(model, key))
 
     identity_failures = []
-    if signs[one] is not Sign.IDENTITY:
-        identity_failures.append((show(one), signs[one].value))
+    if signs[0] is not Sign.IDENTITY:  # rank 0: the identity
+        identity_failures.append((show(model.one), signs[0].value))
     partition_failures = [
-        (show(g), signs[g].value, show(h), signs[h].value)
+        (show(g), s.value, show(h), t.value)
         for g, h in model.inverse_pairs(ball)
-        if ((signs[g] is positive) == (signs[h] is positive)
-            or Sign.IDENTITY in (signs[g], signs[h]))]
-    # signs is in ball order, so a key's index there is its rank
-    positives = {g: rank for rank, (g, s) in enumerate(signs.items())
-                 if s is positive}
-    closure_failures = [(show(g), show(h), show(gh), signs[gh].value)
+        for s, t in [(signs[ranks[g]], signs[ranks[h]])]
+        if (s is positive) == (t is positive) or Sign.IDENTITY in (s, t)]
+    positives = {ball.keys[g]: g for g, s in enumerate(signs) if s is positive}
+    closure_failures = [(show(g), show(h), show(gh), signs[ranks[gh]].value)
                         for g, h, gh in model.closure_misses(positives, radius)]
 
     return AxiomReport(

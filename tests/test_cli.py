@@ -293,6 +293,15 @@ def test_unreadable_json_file_is_named(tmp_path, capsys, text, reason):
         f"error: config {tmp_path / 'cfg.json'} is not valid JSON: {reason}\n")
 
 
+def test_dfa_path_with_nul_is_named(tmp_path, capsys):
+    # open() refuses a NUL in a path with ValueError, not OSError
+    config = {"group": {"kind": "abelian", "rank": 2}, "dfa": "a\u0000b.json",
+              "radius": 2, "lmax": 8}
+    assert run_cli(tmp_path, config, "dfa-verify") == 3
+    assert capsys.readouterr().err == (
+        "error: cannot read DFA file a\u0000b.json: embedded null byte\n")
+
+
 def test_cofinal_path_command(tmp_path):
     config = {**F2XZ_Z_LEADING, "pair": ["Ac", "bc"]}
     assert run_cli(tmp_path, config, "cofinal-path") == 0

@@ -117,6 +117,18 @@ def test_maxima_ray_vacuous(magnus):
     assert report.passed and report.maxima == ()
 
 
+def test_maxima_are_built_once(built, magnus, klein_oracle):
+    # the maxima stay keys inside the library: the ray builds the maxima it
+    # reports, once, and max_of_ball builds its one Element
+    for oracle, depth in ((magnus, 5), (klein_oracle, 6)):
+        report = cs.verify_maxima_ray(oracle, depth)
+        assert report.passed and built == [g.key for g in report.maxima]
+        built.clear()
+        top = cs.max_of_ball(oracle, depth)
+        assert built == [top.key]
+        built.clear()
+
+
 def test_maxima_ray_flags_broken_oracle(f2):
     # reversed identity handling breaks the negativity check
     weird = cs.OrderOracle(

@@ -240,6 +240,71 @@ def test_sign_key_matches_word_reference(request, name, radius):
         assert oracle.sign(g) is expected, g
 
 
+# -- whole-ball sign passes --------------------------------------------------------------
+
+@pytest.mark.parametrize("name, radius", [
+    ("magnus", 4), ("hyper_irr", 5), ("hyper_lex", 5), ("klein_oracle", 5),
+    ("z_leading", 3), ("f2_leading", 3)])
+def test_signs_match_sign_key(request, name, radius):
+    # one pass of sign_fn in rank order, on a model that holds B(radius): a
+    # ball below the held radius, one at it, and one of an equal model
+    shipped = request.getfixturevalue(name)
+    model = cs.model_from_descriptor(shipped.model.descriptor())
+    oracle = cs.OrderOracle(name=name, model=model, sign_fn=shipped.sign_fn)
+    held = model.ball(radius)
+    equal = cs.model_from_descriptor(model.descriptor())
+    balls = [model.ball(radius - 1), held, equal.ball(radius - 1)]
+    signs = [oracle.signs(ball) for ball in balls]
+    assert not oracle._cache  # the pass goes past the point cache
+    for ball, ball_signs in zip(balls, signs):
+        assert ball_signs == [oracle.sign_key(k) for k in ball.keys[:len(ball)]]
+    assert len(signs[1]) == len(held) > len(signs[0]) == len(signs[2])
+    other = cs.KleinBottle() if name != "klein_oracle" else cs.FreeAbelian(2)
+    with pytest.raises(cs.ModelMismatch):
+        oracle.signs(other.ball(1))
+
+
+WHOLE_BALL_RUNS = {
+    "components": lambda o, R: cs.r_components(o, 1, R),
+    "survey": lambda o, R: cs.connectivity_survey(o, 1, [R - 1, R]),
+    "export-dot": lambda o, R: cs.export_dot(o, 1, R),
+    "export-dot-r0": lambda o, R: cs.export_dot(o, 0, R),
+    "axioms": lambda o, R: cs.verify_order_axioms(o, R),
+    "positives": lambda o, R: o.positives(o.model.ball(R)),
+}
+
+
+@pytest.mark.parametrize("run", WHOLE_BALL_RUNS)
+@pytest.mark.parametrize("config, radius", [
+    ({"group": {"kind": "free", "rank": 2}, "order": {"kind": "magnus"}}, 4),
+    ({"group": {"kind": "product", "factors": [{"kind": "free", "rank": 2},
+                                               {"kind": "abelian", "rank": 1}]},
+      "order": {"kind": "lex_pair", "leading_factor": 1,
+                "leading": {"kind": "hyperplane", "weights": [[1, 0]]},
+                "trailing": {"kind": "magnus"}}}, 3),
+], ids=["f2-magnus", "f2xz-z-leading"])
+def test_whole_ball_diagnostics_sign_each_member_once(run, config, radius):
+    # sign_fn is wrapped after the oracle is built, so `signs` must read it
+    # when called; a lex pair's factor oracles are not counted
+    model = cs.model_from_descriptor(config["group"])
+    oracle = cs.order_from_descriptor(config["order"], model)
+    calls = []
+    sign_fn = oracle.sign_fn
+
+    def counted(key):
+        calls.append(key)
+        return sign_fn(key)
+    oracle.sign_fn = counted
+    WHOLE_BALL_RUNS[run](oracle, radius)
+    ball = oracle.model.ball(radius)
+    # the ball is signed once; a point query (the survey's tree swamp on F2)
+    # misses the cache once per key it signs
+    assert calls[:len(ball)] == ball.keys[:len(ball)]
+    assert len(calls) == len(ball) + len(oracle._cache)
+    tree_swamp = run == "survey" and isinstance(model, cs.FreeGroup)
+    assert bool(oracle._cache) == tree_swamp
+
+
 # -- axiom verification ----------------------------------------------------------------
 
 def test_axioms_pass_for_shipped_oracles(magnus, hyper_irr, klein_oracle):
