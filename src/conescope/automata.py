@@ -292,33 +292,32 @@ def verify_cone_dfa(dfa: ConeDfa, model: GroupModel, radius: int,
     if max_length is None:
         max_length = 4 * radius
     ball = model.ball(radius)
-    # the walk runs on keys; an Element is built only to print a finding
+    # the walk runs on ranks; an Element is built only to print a finding
     reached_keys = reachable_evaluations(dfa, model, max_length)
-    one = model.one
+    keys = ball.keys
 
-    def show(key) -> str:
-        return str(Element(model, key))
+    def show(rank: int) -> str:
+        return str(Element(model, keys[rank]))
 
     counterexamples = []
-    if one in reached_keys:
-        counterexamples.append(("identity-in", show(one)))
+    if model.one in reached_keys:
+        counterexamples.append(("identity-in", show(0)))
 
-    in_ball = [Element(model, g) for g in ball.keys[:len(ball)]
-               if g != one and g in reached_keys]
+    inside = [g in reached_keys for g in keys[:len(ball)]]
+    inside[0] = False  # rank 0, the identity, is reported as identity-in
+    in_ball = [Element(model, keys[g]) for g, flag in enumerate(inside) if flag]
     unresolved = []
-    for g, g_inv in model.inverse_pairs(ball):
-        gin, iin = g in reached_keys, g_inv in reached_keys
-        if gin and iin:
-            counterexamples.append(("both-in", show(g), show(g_inv)))
-        elif not gin and not iin:
-            unresolved.append(Element(model, g))
+    for g, h in model.inverse_pairs(ball):
+        if inside[g] and inside[h]:
+            counterexamples.append(("both-in", show(g), show(h)))
+        elif not (inside[g] or inside[h]):
+            unresolved.append(Element(model, keys[g]))
 
     unresolved_products = []
-    members = {g.key: rank for rank, g in enumerate(in_ball)}
-    for g, h, gh in model.closure_misses(members, radius):
-        if gh == one:  # already reported as both-in
+    for g, h, gh in model.closure_misses(ball, inside):
+        if gh == 0:  # the identity: already reported as both-in
             continue
-        if model.inv(gh) in reached_keys:
+        if model.inv(keys[gh]) in reached_keys:
             counterexamples.append(
                 ("product-negative", show(g), show(h), show(gh)))
         else:

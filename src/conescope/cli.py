@@ -182,13 +182,11 @@ class Runner:
     def oracle(self):
         model = self.model()
         try:
-            oracle = order_from_descriptor(_require(self.config, "order"), model)
+            return order_from_descriptor(_require(self.config, "order"), model)
         except (ValueError, TypeError, KeyError, ConescopeError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"bad order descriptor: {exc}") from exc
-        oracle.model.cap = self.cap  # a lex_pair order builds its own product
-        return oracle
 
     def int_param(self, key: str, default=...) -> int:
         """The integer at the key; with no default (...) the key is required."""
@@ -298,6 +296,8 @@ class Runner:
         oracle = self.oracle()
         model = oracle.model
         pairs = []
+        if "pair" in self.config and "pairs" in self.config:
+            raise ConfigError("cofinal-path takes 'pair' or 'pairs', not both")
         if "pair" in self.config:
             raw = self.config["pair"]
             if (not isinstance(raw, list) or len(raw) != 2

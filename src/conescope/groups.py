@@ -356,20 +356,21 @@ class GroupModel:
 
     # -- the cone-axiom walk ----------------------------------------------
 
-    def inverse_pairs(self, ball: Ball) -> list[tuple[tuple, tuple]]:
-        """The keys (g, g^-1) once per pair of non-identity members, in
-        ball order: g is the member of the pair met first."""
+    def inverse_pairs(self, ball: Ball) -> list[tuple[int, int]]:
+        """The ranks (g, h) of each pair h = g^-1 of non-identity members,
+        once, in ball order: 1 <= g <= h."""
         ranks, inv = ball.ranks, self.inv
-        keys = ball.keys[1:len(ball)]  # rank 0: the identity
-        return [(g, h) for rank, g, h in zip(count(1), keys, map(inv, keys))
-                if rank <= ranks[h]]
+        keys = islice(ball.keys, 1, len(ball))  # rank 0: the identity
+        inverses = map(ranks.__getitem__, map(inv, keys))
+        return [(g, h) for g, h in zip(count(1), inverses) if g <= h]
 
-    def closure_misses(self, members: dict[tuple, int],
-                       radius: int) -> list[tuple[tuple, tuple, tuple]]:
-        """Each (g, h, gh) of keys with g and h in `members` (keys of
-        B(radius) -> rank) and gh in B(radius) but not in `members`, in
-        (rank g, rank h) order. Only the `landing` products are formed and
-        only the misses are sorted."""
+    def closure_misses(self, ball: Ball,
+                       inside: list[bool]) -> list[tuple[int, int, int]]:
+        """The sorted rank triples (g, h, gh) with g and h inside (one flag
+        per rank of the ball) and gh in the ball but not inside. Only the
+        `landing` products are formed, tested on a dict of inside keys."""
+        keys, ranks, radius = ball.keys, ball.ranks, ball.radius
+        members = {keys[g]: g for g, flag in enumerate(inside) if flag}
         mul, landing = self.mul, self.landing
         misses = []
         for g, rank in members.items():
@@ -377,9 +378,9 @@ class GroupModel:
                 if h in members:
                     gh = mul(g, h)
                     if gh not in members:
-                        misses.append((rank, members[h], g, h, gh))
-        misses.sort()  # the (rank g, rank h) pairs are distinct
-        return [miss[2:] for miss in misses]
+                        misses.append((rank, members[h], ranks[gh]))
+        misses.sort()  # the (g, h) rank pairs are distinct
+        return misses
 
 
 class FreeGroup(GroupModel):

@@ -186,11 +186,15 @@ def lex_pair_sign(leading: OrderOracle, trailing: OrderOracle,
     """
     if leading_factor not in (0, 1):
         raise ValueError("leading_factor must be 0 or 1")
-    factors = [None, None]
-    factors[leading_factor] = leading.model
-    factors[1 - leading_factor] = trailing.model
-    product = DirectProduct((factors[0], factors[1]))
+    factors = (leading.model, trailing.model)
+    product = DirectProduct(factors[::-1] if leading_factor else factors)
+    return _lex_pair(product, leading, trailing, leading_factor, name)
 
+
+def _lex_pair(product: DirectProduct, leading: OrderOracle,
+              trailing: OrderOracle, leading_factor: int,
+              name: str | None) -> OrderOracle:
+    """The lex pair order on the product whose factors the oracles read."""
     lead_sign, trail_sign = leading.sign_key, trailing.sign_key
 
     def sign_fn(key: tuple) -> Sign:
@@ -242,23 +246,23 @@ def verify_order_axioms(oracle: OrderOracle, radius: int) -> AxiomReport:
     (`inverse_pairs`, `closure_misses`) finds the pairs and products.
     """
     model, ball = oracle.model, oracle.model.ball(radius)
-    # the walk runs on keys; an Element is built only to print a failure
-    signs, ranks, positive = oracle.signs(ball), ball.ranks, Sign.POSITIVE
+    # the walk runs on ranks; an Element is built only to print a failure
+    signs, keys, positive = oracle.signs(ball), ball.keys, Sign.POSITIVE
 
-    def show(key) -> str:
-        return str(Element(model, key))
+    def show(rank: int) -> str:
+        return str(Element(model, keys[rank]))
 
     identity_failures = []
     if signs[0] is not Sign.IDENTITY:  # rank 0: the identity
-        identity_failures.append((show(model.one), signs[0].value))
+        identity_failures.append((show(0), signs[0].value))
     partition_failures = [
         (show(g), s.value, show(h), t.value)
         for g, h in model.inverse_pairs(ball)
-        for s, t in [(signs[ranks[g]], signs[ranks[h]])]
+        for s, t in [(signs[g], signs[h])]
         if (s is positive) == (t is positive) or Sign.IDENTITY in (s, t)]
-    positives = {ball.keys[g]: g for g, s in enumerate(signs) if s is positive}
-    closure_failures = [(show(g), show(h), show(gh), signs[ranks[gh]].value)
-                        for g, h, gh in model.closure_misses(positives, radius)]
+    inside = [s is positive for s in signs]
+    closure_failures = [(show(g), show(h), show(gh), signs[gh].value)
+                        for g, h, gh in model.closure_misses(ball, inside)]
 
     return AxiomReport(
         oracle_name=oracle.name, radius=radius, checked=len(ball),
@@ -297,9 +301,5 @@ def order_from_descriptor(data: dict, model: GroupModel) -> OrderOracle:
                                  model.factors[leading_factor])
     trail = order_from_descriptor(data["trailing"],
                                   model.factors[1 - leading_factor])
-    oracle = lex_pair_sign(lead, trail, leading_factor=leading_factor,
-                           name=name)
-    if oracle.model != model:
-        raise ModelMismatch("lex_pair factors do not match the product model")
-    return oracle
+    return _lex_pair(model, lead, trail, leading_factor, name)
 

@@ -466,7 +466,8 @@ def test_cap_env_variable(tmp_path):
 
 def test_cap_env_variable_reaches_a_lex_pair_product(tmp_path, capsys,
                                                      monkeypatch):
-    # a lex_pair order builds its own product model; |B(4)| = 313 on F2 x Z
+    # a lex_pair order lives on the config's product model; |B(4)| = 313
+    # on F2 x Z
     monkeypatch.setenv("CONESCOPE_CAP", "100")
     code = run_cli(tmp_path, {**F2XZ_F2_LEADING, "radius": 4}, "components")
     assert code == 3
@@ -780,6 +781,15 @@ def test_cofinal_path_pair_must_hold_strings(tmp_path, capsys, pair):
                    "cofinal-path") == 3
     assert capsys.readouterr().err == (
         "error: config key 'pair' must be a list of two word strings\n")
+
+
+def test_cofinal_path_refuses_pair_with_pairs(tmp_path, capsys):
+    # one of them would be ignored without a word
+    config = {**F2XZ_Z_LEADING, "pair": ["c", "cc"], "pairs": 2}
+    assert run_cli(tmp_path, config, "cofinal-path") == 3
+    assert capsys.readouterr().err == (
+        "error: cofinal-path takes 'pair' or 'pairs', not both\n")
+    assert not (tmp_path / "out" / "cofinal-path.report.json").exists()
 
 
 @pytest.mark.parametrize("command", ["dfa-verify", "dfa-path", "dfa-qg"])

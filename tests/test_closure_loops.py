@@ -290,14 +290,15 @@ def test_landing_groups_are_the_landing_by_lengths(model, data):
 
 @functools.cache
 def brute_walk(model, radius):
-    """The keys of B(radius) in ball order, each (g, g^-1) pair with g met
-    first, and each (g, h, gh) with gh in the ball, over all pairs of keys."""
+    """The keys of B(radius) in ball order, each (g, g^-1) rank pair with g
+    met first, and each (g, h, gh) rank triple with gh in the ball, over all
+    pairs of members."""
     keys = [g.key for g in model.ball(radius)]
     ranks = {k: i for i, k in enumerate(keys)}
-    products = [(g, h, gh) for g in keys for h in keys
-                for gh in [model.mul(g, h)] if gh in ranks]
-    pairs = [(g, h) for g, h, gh in products
-             if gh == model.one and g != model.one and ranks[g] <= ranks[h]]
+    products = [(g, h, ranks[gh]) for g, a in enumerate(keys)
+                for h, b in enumerate(keys)
+                for gh in [model.mul(a, b)] if gh in ranks]
+    pairs = [(g, h) for g, h, gh in products if gh == 0 and 1 <= g <= h]
     return keys, pairs, products
 
 
@@ -309,21 +310,34 @@ def test_walk_matches_brute_force(model, data):
     keys, pairs, products = brute_walk(model, radius)
     assert model.inverse_pairs(model.ball(radius)) == pairs
     # every non-identity member lies in exactly one pair
-    assert Counter(k for pair in pairs for k in pair) == Counter(keys[1:])
+    assert Counter(g for pair in pairs for g in pair) == \
+        Counter(range(1, len(keys)))
 
     # a seeded generator: drawing each membership from hypothesis would
     # exceed its entropy budget on F3 B(4) (937 members)
     rnd = random.Random(data.draw(st.integers(0, 2**32 - 1)))
     density = data.draw(st.floats(0, 1))
-    chosen = [k for k in keys if rnd.random() < density]
-    # ranks are ball ranks or positions among the members; either orders
-    # the members as the ball does
-    if data.draw(st.booleans()):
-        ranks = {k: i for i, k in enumerate(keys)}
-    else:
-        ranks = {k: i for i, k in enumerate(chosen)}
-    rnd.shuffle(chosen)
-    members = {k: ranks[k] for k in chosen}
+    inside = [rnd.random() < density for _ in keys]
     expected = [(g, h, gh) for g, h, gh in products
-                if g in members and h in members and gh not in members]
-    assert model.closure_misses(members, radius) == expected
+                if inside[g] and inside[h] and not inside[gh]]
+    assert model.closure_misses(model.ball(radius), inside) == expected
+
+
+@pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
+def test_walk_reads_the_view_of_a_grown_ball(model):
+    """On a model whose held ball was grown past the walked radius, the walk
+    of B(3) finds what the brute-force walk finds and names no rank past
+    B(3)."""
+    keys, pairs, products = brute_walk(model, 3)
+    fresh = cs.model_from_descriptor(model.descriptor())
+    fresh.ball(4)
+    ball = fresh.ball(3)
+    assert len(ball) == len(keys)
+    rnd = random.Random(3)
+    inside = [rnd.random() < 0.5 for _ in keys]
+    expected = [(g, h, gh) for g, h, gh in products
+                if inside[g] and inside[h] and not inside[gh]]
+    misses = fresh.closure_misses(ball, inside)
+    assert expected and misses == expected
+    assert fresh.inverse_pairs(ball) == pairs
+    assert all(rank < len(ball) for triple in misses for rank in triple)

@@ -359,17 +359,30 @@ def test_semigroup_closure_on_balls(klein_oracle, hyper_irr):
 # -- descriptors ----------------------------------------------------------------------
 
 def test_order_descriptor_round_trip(f2, z2, klein, z_leading):
+    z_lead = {"kind": "lex_pair", "leading_factor": 1,
+              "leading": {"kind": "hyperplane", "weights": [[1, 0]]},
+              "trailing": {"kind": "magnus"}}
     cases = [
         ({"kind": "magnus"}, f2),
         ({"kind": "hyperplane", "weights": [[1, 0], [0, 1]]}, z2),
         ({"kind": "klein"}, klein),
-        ({"kind": "lex_pair", "leading_factor": 1,
-          "leading": {"kind": "hyperplane", "weights": [[1, 0]]},
-          "trailing": {"kind": "magnus"}}, z_leading.model),
+        (z_lead, z_leading.model),
+        ({"kind": "lex_pair", "leading": {"kind": "magnus"},
+          "trailing": {"kind": "hyperplane", "weights": [[1, 0]]}},
+         cs.DirectProduct((cs.FreeGroup(2), cs.FreeAbelian(1)))),
+        ({**z_lead, "trailing": {**z_lead, "leading_factor": 0,
+                                 "leading": {"kind": "magnus"},
+                                 "trailing": z_lead["leading"]}},
+         cs.DirectProduct((z_leading.model, cs.FreeAbelian(1)))),
     ]
     for descriptor, model in cases:
         oracle = cs.order_from_descriptor(descriptor, model)
-        assert oracle.model == model
+        # a lex pair lives on the passed product, so the caller's held ball
+        # is the one its diagnostics read
+        assert oracle.model is model
+        central = oracle.declared_cofinal_central  # where Z leads
+        assert (central is None) == (descriptor.get("leading_factor") != 1)
+        assert central is None or central.model is model
         ball = model.ball(2)
         # a usable oracle: all signs defined
         for g in ball.sorted_elements():
