@@ -208,6 +208,8 @@ def language_sample(dfa: ConeDfa, model: GroupModel,
     if dfa.initial in dfa.accepting:
         words.append(())
     for _ in range(max_length):
+        if not frontier:
+            break
         extension: list[tuple[Word, str]] = []
         for word, state in frontier:
             for letter, target in dfa.table[state].items():
@@ -258,6 +260,8 @@ def reachable_evaluations(dfa: ConeDfa, model: GroupModel,
     if dfa.initial in dfa.accepting:
         reached.add(model.one)
     for _ in range(max_length):
+        if not frontier:
+            break
         extension = []
         for state, g in frontier:
             for letter, target in dfa.table[state].items():
@@ -367,7 +371,9 @@ def quasigeodesic_check(dfa: ConeDfa, model: GroupModel, lam, c,
         raise ValueError("need lambda >= 1 and c >= 0")
     model.alphabet.check_word(dfa.alphabet.letters)
     sample = language_sample(dfa, model, max_length)
-    limit = [math.floor(lam * (d + c)) for d in range(max_length + 1)]
+    # an infix is no longer than its word, nor its distance than the infix
+    longest = max(map(len, sample.words), default=0)
+    limit = [math.floor(lam * (d + c)) for d in range(longest + 1)]
     steps, length = model.letter_steps, model.key_length
     for word in sample.words:
         n = len(word)

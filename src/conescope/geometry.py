@@ -297,13 +297,10 @@ def r_components(oracle: OrderOracle, r: int, radius: int) -> ComponentReport:
 
 # -- negative swamps ----------------------------------------------------------
 
-class SwampCertificate:
+class SwampCertificate(namedtuple("SwampCertificate",
+                                  "r center swamp witnesses verdict")):
     """A width-r negative set around a center, with positive witnesses."""
-
-    def __init__(self, r: int, center: Element, swamp: frozenset[Element],
-                 witnesses: tuple[Element, Element], verdict: Verdict):
-        self.r, self.center, self.swamp = r, center, swamp
-        self.witnesses, self.verdict = witnesses, verdict
+    __slots__ = ()
 
     def to_json(self) -> dict:
         model = self.center.model
@@ -320,12 +317,6 @@ class SwampCertificate:
         u, v = self.witnesses
         return (f"swamp r={self.r}: center {self.center}, |S|={len(self.swamp)}, "
                 f"witnesses {u} / {v}, verdict {self.verdict.value}")
-
-
-def _branch_letter(model: FreeGroup, center: tuple, g: tuple) -> int | None:
-    """First letter of the tree geodesic from the center to g, on keys."""
-    word = model.mul(model.inv(center), g)  # a free key is the reduced word
-    return word[0] if word else None
 
 
 def _witnesses(oracle: OrderOracle, candidates, letters,
@@ -414,24 +405,20 @@ def product_column_swamp(oracle: OrderOracle, r: int,
     # B(r + 1), held for the center, first: a refusal grows no larger ball
     for R in (min(r + 1, radius), radius):
         ball = model.ball(R)
-        # a free key is the reduced word of c_F^-1 times the free coordinate
-        swamp = [Element(model, g) for g in ball.keys[:len(ball)]
-                 if len(free.mul(back, g[0])) <= r]
+        members = ball.keys[:len(ball)]
+        # the offset c_F^-1 g_F is a reduced word: its length is the distance
+        # from c_F and its first letter the branch there
+        offsets = [free.mul(back, g[0]) for g in members]
+        swamp = [Element(model, g) for g, d in zip(members, offsets) if len(d) <= r]
         for s in swamp:
             if oracle.sign_key(s.key) is not Sign.NEGATIVE:
                 raise ModelMismatch(
                     f"the column swamp needs the free factor to lead the order: "
                     f"column element {s} is not negative under {oracle.name}")
 
-    def candidates():
-        # each free coordinate beyond distance r of c_F (never c_F itself),
-        # by the first letter of its reduced word seen from c_F
-        for g in ball.keys[:len(ball)]:
-            word = free.mul(back, g[0])
-            if len(word) > r:
-                yield word[0], g
-
-    witnesses = _witnesses(oracle, candidates(), free.alphabet.letters, radius)
+    witnesses = _witnesses(oracle, ((d[0], g) for g, d in zip(members, offsets)
+                                    if len(d) > r),
+                           free.alphabet.letters, radius)
     return SwampCertificate(r, Element(model, center), frozenset(swamp),
                             witnesses, Verdict.EVIDENCE)
 
@@ -463,18 +450,14 @@ def verify_separation(cert: SwampCertificate,
     search is only Evidence.
     """
     model, (u, v) = cert.center.model, cert.witnesses
+    swamp = {s.key for s in cert.swamp}
     if isinstance(model, FreeGroup):
-        c, ball = cert.center.key, model.ball(cert.r)
-        swamp = {s.key for s in cert.swamp}
-        bu = _branch_letter(model, c, u.key)
-        bv = _branch_letter(model, c, v.key)
-        structural = (
-            all(model.mul(c, b) in swamp for b in ball.keys[:len(ball)])
-            and bu is not None and bv is not None and bu != bv
-            and model.distance(cert.center, u) > cert.r
-            and model.distance(cert.center, v) > cert.r
-        )
-        if structural:
+        # the offset c^-1 w is a reduced word: its length is the distance
+        # from the center and its first letter the branch there
+        c, r, ball = cert.center.key, cert.r, model.ball(cert.r)
+        du, dv = (model.mul(model.inv(c), w.key) for w in (u, v))
+        if (len(du) > r and len(dv) > r and du[0] != dv[0]
+                and all(model.mul(c, b) in swamp for b in ball.keys[:len(ball)])):
             return SeparationResult(verdict=Verdict.CERTIFIED_TREE)
         # fall through to the bounded search if the certificate is malformed
 
@@ -482,8 +465,7 @@ def verify_separation(cert: SwampCertificate,
         radius = max(u.length, v.length, cert.center.length) + cert.r + 1
     ball = model.ball(radius)
     ranks = ball.ranks
-    allowed = set(range(len(ball))).difference(ranks.get(s.key)
-                                               for s in cert.swamp)
+    allowed = set(range(len(ball))).difference(ranks.get(s) for s in swamp)
     ends = [ranks.get(u.key), ranks.get(v.key)]
     if not allowed.issuperset(ends):
         raise ValueError("witnesses must lie inside the search ball and off S")

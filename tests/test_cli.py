@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -273,6 +274,34 @@ def test_dfa_from_file(tmp_path):
     assert run_cli(tmp_path, config, "dfa-verify") == 0
 
 
+# accepts the one word a: a finite language
+ONLY_A_DFA = {
+    "states": ["s0", "s", "sink"], "initial": "s0", "accepting": ["s"],
+    "alphabet": "ab",
+    "transitions": {"s0": {"a": "s", "A": "sink", "b": "sink", "B": "sink"},
+                    "s": {ch: "sink" for ch in "aAbB"},
+                    "sink": {ch: "sink" for ch in "aAbB"}}}
+
+
+@pytest.mark.parametrize("command,params,verdict", [
+    ("dfa-verify", {"radius": 2}, "UNKNOWN"), ("dfa-qg", {}, "PASS")])
+def test_automaton_walks_stop_once_nothing_is_live(tmp_path, command, params,
+                                                   verdict):
+    # past the longest accepted word no state is live, so a huge lmax
+    # costs what a small one does
+    outcomes = []
+    for lmax in (5, 10**8):
+        config = {"group": Z2_GROUP, "dfa": ONLY_A_DFA, "lmax": lmax, **params}
+        start = time.perf_counter()
+        code = run_cli(tmp_path, config, command, out=f"out{lmax}")
+        seconds = time.perf_counter() - start
+        report = tmp_path / f"out{lmax}" / f"{command}.report.json"
+        outcomes.append((code, json.loads(report.read_text())["result"]))
+    assert seconds < 1
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1]["verdict"] == verdict
+
+
 @pytest.mark.parametrize("text,reason", [
     (b"{oops", "Expecting property name enclosed in double quotes: "
                "line 1 column 2 (char 1)"),
@@ -487,6 +516,56 @@ def test_ray_klein_radius_12_under_default_cap(tmp_path, monkeypatch):
     config = {"group": {"kind": "klein"}, "order": {"kind": "klein"},
               "radius": 12}
     assert run_cli(tmp_path, config, "ray") == 0
+
+
+# pairs of presentations of one ordered group under one alphabet
+ISOMORPHIC = {
+    "Z2-F1xF1": (
+        {"group": Z2_GROUP,
+         "order": {"kind": "hyperplane", "weights": [[1, 0], [0, 0]]}},
+        {"group": {"kind": "product", "factors": [{"kind": "free", "rank": 1},
+                                                  {"kind": "free", "rank": 1}]},
+         "order": {"kind": "lex_pair", "leading_factor": 0,
+                   "leading": {"kind": "magnus"},
+                   "trailing": {"kind": "magnus"}}}),
+    "Z3-Z2xZ1": (
+        {"group": {"kind": "abelian", "rank": 3},
+         "order": {"kind": "hyperplane", "weights": [[1, 0], [0, 0], [0, 0]]}},
+        {"group": {"kind": "product", "factors": [Z2_GROUP,
+                                                  {"kind": "abelian", "rank": 1}]},
+         "order": {"kind": "lex_pair", "leading_factor": 0,
+                   "leading": {"kind": "hyperplane", "weights": [[1, 0], [0, 0]]},
+                   "trailing": {"kind": "hyperplane", "weights": [[1, 0]]}}}),
+}
+ISOMORPHIC_RUNS = [
+    ("axioms", {"radius": 4}, 0), ("ray", {"radius": 4}, 0),
+    ("components", {"radius": 4, "width": 1}, 0),
+    ("survey", {"radii": [2, 3, 4], "width": 1}, 0),
+    ("survey", {"radii": [2, 3, 4], "width": 2}, 0),
+    ("export-dot", {"radius": 3, "width": 1}, 0),
+    ("cofinal-path", {"pair": ["a", "b"]}, 2),
+]
+
+
+@pytest.mark.parametrize("pair", ISOMORPHIC.values(), ids=ISOMORPHIC)
+def test_isomorphic_presentations_agree(tmp_path, capsys, pair):
+    # every report but its inputs, the text summary, stdout and the exit
+    # code; the orders share one name, which the reports print
+    for n, (command, params, code) in enumerate(ISOMORPHIC_RUNS):
+        outcomes = []
+        for side, config in enumerate(pair):
+            order = {**config["order"], "name": "lex"}
+            out = tmp_path / f"{n}-{side}"
+            assert run_cli(tmp_path, {**config, "order": order, **params},
+                           command, out=out.name) == code
+            files = {}
+            for f in sorted(out.iterdir()):
+                files[f.name] = f.read_text()
+                if f.name.endswith(".report.json"):
+                    files[f.name] = json.loads(files[f.name])
+                    del files[f.name]["inputs"]
+            outcomes.append((capsys.readouterr(), files))
+        assert outcomes[0] == outcomes[1], command
 
 
 Z2_DFA = {"group": {"kind": "abelian", "rank": 2}, "dfa": Z2_LEX_DFA}

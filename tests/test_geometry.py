@@ -389,6 +389,30 @@ def test_separation_tree_certificates(magnus, f2):
         assert result.verdict is Verdict.CERTIFIED_TREE
 
 
+def test_separation_tree_cut_falls_through_to_the_search(magnus, f2):
+    # the cut holds only with both witnesses beyond distance r of the
+    # center, in two branches there, and all of c B(r) in S; any other
+    # certificate goes to the bounded search
+    e = f2.element
+    built = cs.tree_swamp_certificate(magnus, 1)
+    assert (built.center, built.witnesses) == (e("AA"), (e("a"), e("AAAbaaa")))
+    assert built.swamp == {e(w) for w in ("A", "AA", "AAA", "AAb", "AAB")}
+    outcomes = [
+        ({}, "certified-tree (0 nodes explored)"),
+        ({"witnesses": (e("a"), e("b"))},  # one branch at the center
+         "not-separating (16 nodes explored) via a -> 1 -> b"),
+        ({"swamp": built.swamp - {e("AAB")}}, "evidence (29524 nodes explored)"),
+    ]
+    for edit, summary in outcomes:
+        result = cs.verify_separation(built._replace(**edit))
+        assert result.summary() == "separation: " + summary
+    for edit in ({"witnesses": (e("A"), e("AAAbaaa"))},  # at distance 1
+                 {"r": 0, "witnesses": (e("AA"), e("AAAbaaa"))}):
+        with pytest.raises(ValueError, match="witnesses must lie inside the "
+                                             "search ball and off S"):
+            cs.verify_separation(built._replace(**edit))
+
+
 def test_separation_not_separating_in_plane(z2, hyper_irr):
     # S = {x} does not 1-disconnect y from x^2: an avoiding path exists
     center = z2.element("a")
@@ -850,6 +874,47 @@ def test_survey_disconnection_evidence(f2_leading):
     report = cs.connectivity_survey(f2_leading, 1, [3, 4, 5])
     assert report.counts[-1] >= 2
     assert report.classification is cs.SurveyClass.DISCONNECTION_EVIDENCE
+
+
+# the truth for each shipped cone (coarsely connected or not) against its
+# survey class and counts at widths 1 and 2 today
+VERDICT_MATRIX = [
+    # order, radii, connected, width, class, counts
+    # F2: tree swamps cut the cone
+    ("magnus", (3, 4, 5), False, 1, "hucha-certified", (5, 11, 28)),
+    ("magnus", (3, 4, 5), False, 2, "hucha-certified", (4, 9, 22)),
+    # Z^2: half-planes
+    ("hyper_irr", (8, 12, 16), True, 1, "prieto-consistent", (1, 1, 1)),
+    ("hyper_irr", (8, 12, 16), True, 2, "prieto-consistent", (1, 1, 1)),
+    ("hyper_lex", (8, 12, 16), True, 1, "prieto-consistent", (1, 1, 1)),
+    ("hyper_lex", (8, 12, 16), True, 2, "prieto-consistent", (1, 1, 1)),
+    # Klein bottle: a^2 is central and cofinal
+    ("klein_oracle", (3, 4, 5), True, 1, "prieto-consistent", (1, 1, 1)),
+    ("klein_oracle", (3, 4, 5), True, 2, "prieto-consistent", (1, 1, 1)),
+    # F2 x Z, free factor leading: every r-path crosses a negative column
+    ("f2_leading", (3, 4, 5), False, 1, "disconnection-evidence", (4, 10, 27)),
+    ("f2_leading", (3, 4, 5), False, 2, "disconnection-evidence", (3, 8, 21)),
+    # F2 x Z, Z leading: c is central and cofinal
+    ("z_leading", (3, 4, 5), True, 1, "disconnection-evidence", (3, 7, 18)),
+    ("z_leading", (3, 4, 5), True, 2, "prieto-consistent", (1, 1, 1)),
+]
+# the cells whose class is weaker than the truth; collared counts, a
+# connection certificate and a certified column swamp are to move them
+WEAK_CELLS = {("z_leading", 1), ("f2_leading", 1), ("f2_leading", 2)}
+
+
+@pytest.mark.parametrize("name,radii,connected,r,klass,counts", VERDICT_MATRIX)
+def test_verdict_matrix(request, name, radii, connected, r, klass, counts):
+    report = cs.connectivity_survey(request.getfixturevalue(name), r, radii)
+    assert (report.classification.value, report.counts) == (klass, counts)
+    # no certified class contradicts the truth
+    if report.classification is cs.SurveyClass.HUCHA_CERTIFIED:
+        assert not connected
+        assert cs.verify_separation(report.certificate).verdict \
+            is Verdict.CERTIFIED_TREE
+    agrees = (cs.SurveyClass.PRIETO_CONSISTENT if connected
+              else cs.SurveyClass.HUCHA_CERTIFIED)
+    assert (report.classification is not agrees) == ((name, r) in WEAK_CELLS)
 
 
 # -- RPath invariants --------------------------------------------------------------------------

@@ -580,6 +580,30 @@ def model_distance_triangle(model, g, h, k):
     return model.distance(g, k) <= model.distance(g, h) + model.distance(h, k)
 
 
+NEAR_BALLS = [
+    (cs.FreeGroup(2), 5), (cs.FreeGroup(3), 4), (cs.FreeAbelian(2), 8),
+    (cs.FreeAbelian(3), 5), (cs.KleinBottle(), 8),
+    (cs.DirectProduct((cs.FreeGroup(2), cs.FreeAbelian(1))), 4),
+    (cs.DirectProduct((cs.KleinBottle(), cs.FreeAbelian(1))), 5),
+    (cs.DirectProduct((cs.FreeGroup(2), cs.FreeGroup(2))), 4),
+]
+
+
+@pytest.mark.parametrize("model,radius", NEAR_BALLS, ids=[
+    "F2", "F3", "Z2", "Z3", "Klein", "F2xZ", "KleinxZ", "F2xF2"])
+def test_near_matches_key_distance(model, radius):
+    # Ball.near walks the step table inside the ball; the reference measures
+    # every pair of members by key_distance, on a view of a larger held ball
+    model = fresh(model)
+    model.ball(radius + 1)
+    ball = model.ball(radius)
+    keys = ball.keys[:len(ball)]
+    for g, u in enumerate(keys):
+        dist = [model.key_distance(u, v) for v in keys]
+        for r in (1, 2, 3):
+            assert ball.near(g, r) == {h for h, d in enumerate(dist) if d <= r}
+
+
 # -- product conventions -----------------------------------------------------------
 
 def test_product_length_is_sum_of_factor_lengths(f2xz):

@@ -59,9 +59,10 @@ def test_elements_of_equal_models_are_equal():
 def _records(f2):
     """Each report record's fields, all given, in the record's field order."""
     a, b = f2.element("a"), f2.element("b")
-    cert = cs.SwampCertificate(r=1, center=a, swamp=frozenset({a}),
-                               witnesses=(a, b), verdict=Verdict.EVIDENCE)
+    cert = dict(r=1, center=a, swamp=frozenset({a}), witnesses=(a, b),
+                verdict=Verdict.EVIDENCE)
     return {
+        cs.SwampCertificate: cert,
         cs.AxiomReport: dict(oracle_name="o", radius=2, checked=5,
                              partition_failures=(), identity_failures=(),
                              closure_failures=(("a", "b", "ab", "negative"),)),
@@ -76,7 +77,8 @@ def _records(f2):
         cs.SurveyReport: dict(oracle_name="o", r=1, radii=(2, 3),
                               counts=(1, 1), stable=True,
                               classification=cs.SurveyClass.PRIETO_CONSISTENT,
-                              verdict="v", certificate=cert),
+                              verdict="v",
+                              certificate=cs.SwampCertificate(**cert)),
         cs.ConeDfaReport: dict(verdict="PASS", radius=2, max_length=8,
                                in_ball=(a,), unresolved=(b,),
                                counterexamples=(), unresolved_products=()),
