@@ -52,6 +52,23 @@ grid, as the Klein bottle is in (n, m) coordinates; in a product, each
 factor's length-reducing steps first), so `Ball.near` walks the step table
 alone.
 
+The cone-axiom walk `closure_misses` finds each g h with g and h in a
+candidate cone and g h in B(R) but not in it. `GroupModel.closure_misses`
+forms the `landing` products of each g and looks them up; free groups and
+products walk so, and it is the slow reference the tests compare the
+others against. On Z^n and the Klein bottle, left multiplication by g
+translates the key grid (on the Klein bottle after n -> -n when g's
+a-exponent is odd), so these walk by shifting bit planes. A plane holds
+the members of B(R) with one key[2:] (Z^1, Z^2 and the Klein bottle have
+one) as an int, with a bit at (k0 + R) + W (k1 + R), W = 3R + 1; in rank 1
+a plane is one row, the bit k0 + R. For each g in the cone, (the cone's
+plane p shifted by g's bit offset) & (the plane of non-cone members at
+p + g[2:]) has exactly the bits of the missing g h. No bit aliases: a
+shifted low digit k0 + g0 + R lies in [-R, 3R]; above 2R it stays below W
+and carries nothing, below 0 it borrows and lands in [2R + 1, 3R], and no
+member of B(R) has a low digit there. A right shift drops only positions
+below 0, where no member sits.
+
 The GroupModel methods product_word and inverse_word normalise the
 concatenation or the inverted word; they are the slow reference the tests
 compare the key arithmetic against.
@@ -368,7 +385,9 @@ class GroupModel:
                        inside: list[bool]) -> list[tuple[int, int, int]]:
         """The sorted rank triples (g, h, gh) with g and h inside (one flag
         per rank of the ball) and gh in the ball but not inside. Only the
-        `landing` products are formed, tested on a dict of inside keys."""
+        `landing` products are formed, tested on a dict of inside keys. Z^n
+        and the Klein bottle shift bit planes instead, with this walk as
+        their slow reference (see the module docs)."""
         keys, ranks, radius = ball.keys, ball.ranks, ball.radius
         members = {keys[g]: g for g, flag in enumerate(inside) if flag}
         mul, landing = self.mul, self.landing
@@ -517,6 +536,10 @@ class FreeAbelian(GroupModel):
         return [h + (y,) for h, r, o in level
                 for y in range(max(-r, -o - x), min(r, o - x) + 1)]
 
+    def closure_misses(self, ball: Ball,
+                       inside: list[bool]) -> list[tuple[int, int, int]]:
+        return _translation_misses(self, ball, inside, reflect=False)
+
     def exponents(self, g: Element) -> tuple[int, ...]:
         return g.key
 
@@ -563,6 +586,10 @@ class KleinBottle(GroupModel):
         # gh = (n1 + s n2, m1 + m2) with s = (-1)^m1 and |n1 + s n2| =
         # |s n1 + n2|: the Z^2 landing of (s n1, m1)
         return FreeAbelian.landing((-g[0], g[1]) if g[1] % 2 else g, out, reach)
+
+    def closure_misses(self, ball: Ball,
+                       inside: list[bool]) -> list[tuple[int, int, int]]:
+        return _translation_misses(self, ball, inside, reflect=True)
 
     def descriptor(self) -> dict:
         return {"kind": "klein"}
@@ -657,6 +684,51 @@ class DirectProduct(GroupModel):
 def _power(generator: int, e: int) -> Word:
     """The word x^e for the generator x."""
     return (generator,) * e if e >= 0 else (-generator,) * -e
+
+
+def _translation_misses(model: GroupModel, ball: Ball, inside: list[bool],
+                        reflect: bool) -> list[tuple[int, int, int]]:
+    """`closure_misses` on Z^n (reflect false) or the Klein bottle (reflect
+    true) by translating bit planes, forming no product that lands outside
+    the cone (see the module docs)."""
+    keys, ranks, radius = ball.keys, ball.ranks, ball.radius
+    width, flat = 3 * radius + 1, len(model.one) == 1
+
+    def bit(k: tuple) -> int:  # a key's bit in its plane k[2:]
+        return k[0] + radius + (0 if flat else width * (k[1] + radius))
+
+    members, straight, mirrored, outside = [], {}, {}, {}
+    for g, (k, flag) in enumerate(zip(keys, inside)):
+        plane, b = k[2:], bit(k)
+        if not flag:
+            outside[plane] = outside.get(plane, 0) | 1 << b
+            continue
+        members.append((g, k))
+        straight[plane] = straight.get(plane, 0) | 1 << b
+        if reflect:  # the bit of (-n, m)
+            mirrored[plane] = mirrored.get(plane, 0) | 1 << (b - 2 * k[0])
+    origin, mul, inv = bit(model.one), model.mul, model.inv
+    misses = []
+    for g, key in members:
+        shift, lift = bit(key) - origin, key[2:]
+        for plane, bits in (mirrored if reflect and key[1] % 2
+                            else straight).items():
+            target = tuple(map(add, plane, lift))
+            found = outside.get(target, 0)
+            if found:
+                found &= bits << shift if shift >= 0 else bits >> -shift
+            while found:  # each set bit is a product gh outside the cone
+                low = found & -found
+                found ^= low
+                b = low.bit_length() - 1
+                if flat:
+                    gh = (b - radius,)
+                else:
+                    row, column = divmod(b, width)
+                    gh = (column - radius, row - radius) + target
+                misses.append((g, ranks[mul(inv(key), gh)], ranks[gh]))
+    misses.sort()  # the (g, h) rank pairs are distinct
+    return misses
 
 
 def check_descriptor(data, known: dict[str, tuple], what: str,

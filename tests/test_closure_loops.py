@@ -1,7 +1,8 @@
 """The closure loops of verify_order_axioms and verify_cone_dfa against
 Element-level references over all pairs: whole reports, failure tuples in
 order; the shared cone-axiom walk (`inverse_pairs`, `closure_misses`) and
-each model's `landing` against brute-force filters."""
+each model's `landing` against brute-force filters; the translation walk of
+Z^n and the Klein bottle against the landing walk at large radii."""
 
 import functools
 import random
@@ -16,6 +17,13 @@ from conescope.words import GeneratorAlphabet
 from test_automata import all_accepting_f2_dfa
 from test_groups import KERNEL_IDS, KERNEL_MODELS
 from test_orders import NEGATED
+
+# the kernel models, with Z^1, a rank-5 group and a product whose first
+# factor is not free (its landing groups come from `KleinBottle.landing`)
+WALK_MODELS = KERNEL_MODELS + [
+    cs.FreeAbelian(1), cs.FreeAbelian(5),
+    cs.DirectProduct((cs.KleinBottle(), cs.FreeAbelian(1)))]
+WALK_IDS = KERNEL_IDS + ["Z", "Z5", "KleinxZ"]
 
 
 # -- references: every pair through Element arithmetic --------------------------
@@ -254,7 +262,7 @@ def test_cone_dfa_cases_cover_every_outcome(dfa_reports):
 
 # -- landing sets -----------------------------------------------------------------
 
-@pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
+@pytest.mark.parametrize("model", WALK_MODELS, ids=WALK_IDS)
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_landing_is_every_h_that_lands_once(model, data):
@@ -268,7 +276,7 @@ def test_landing_is_every_h_that_lands_once(model, data):
                             and length(model.mul(g, h)) <= out}
 
 
-@pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
+@pytest.mark.parametrize("model", WALK_MODELS, ids=WALK_IDS)
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_landing_groups_are_the_landing_by_lengths(model, data):
@@ -302,11 +310,11 @@ def brute_walk(model, radius):
     return keys, pairs, products
 
 
-@pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
+@pytest.mark.parametrize("model", WALK_MODELS, ids=WALK_IDS)
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_walk_matches_brute_force(model, data):
-    radius = data.draw(st.sampled_from([3, 4]))
+    radius = data.draw(st.sampled_from([0, 1, 3, 4]))
     keys, pairs, products = brute_walk(model, radius)
     assert model.inverse_pairs(model.ball(radius)) == pairs
     # every non-identity member lies in exactly one pair
@@ -323,7 +331,7 @@ def test_walk_matches_brute_force(model, data):
     assert model.closure_misses(model.ball(radius), inside) == expected
 
 
-@pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
+@pytest.mark.parametrize("model", WALK_MODELS, ids=WALK_IDS)
 def test_walk_reads_the_view_of_a_grown_ball(model):
     """On a model whose held ball was grown past the walked radius, the walk
     of B(3) finds what the brute-force walk finds and names no rank past
@@ -341,3 +349,48 @@ def test_walk_reads_the_view_of_a_grown_ball(model):
     assert expected and misses == expected
     assert fresh.inverse_pairs(ball) == pairs
     assert all(rank < len(ball) for triple in misses for rank in triple)
+
+
+def plane_cone(model):
+    """A cone that passes the axioms on the model."""
+    if isinstance(model, cs.KleinBottle):
+        return cs.klein_order(model)
+    weights = [(1, 0), (0, 1)] + [(0, 0)] * (model.rank - 2)  # 1, sqrt2, 0...
+    return cs.hyperplane_order(model, weights)
+
+
+@pytest.mark.parametrize("model, radius", [
+    (cs.FreeAbelian(2), 16), (cs.FreeAbelian(3), 12), (cs.KleinBottle(), 14)],
+    ids=["Z2", "Z3", "Klein"])
+def test_translation_walk_matches_landing_walk(model, radius):
+    """At radii where brute force is too slow, the walk of Z^n and the Klein
+    bottle finds what the landing walk (`GroupModel.closure_misses`, the slow
+    reference) finds: on random flags and on a cone with some flags
+    flipped."""
+    ball = model.ball(radius)
+    rnd = random.Random(radius)
+    cone = [s is cs.Sign.POSITIVE for s in plane_cone(model).signs(ball)]
+    broken = [flag != (rnd.random() < 0.02) for flag in cone]
+    for inside in ([rnd.random() < 0.5 for _ in cone], broken):
+        expected = cs.GroupModel.closure_misses(model, ball, inside)
+        assert expected and model.closure_misses(ball, inside) == expected
+
+
+def test_plane_walks_form_no_landing(monkeypatch, hyper_irr, hyper_lex,
+                                     klein_oracle):
+    """`axioms` and `dfa-verify` on Z^2 and the Klein bottle at the radii of
+    the plane-regular workload never call `landing`."""
+    calls = []
+
+    def landing(*args):
+        calls.append(args)
+        raise AssertionError("landing called")
+
+    for kind in (cs.FreeAbelian, cs.KleinBottle):
+        monkeypatch.setattr(kind, "landing", landing)
+    for oracle, radius in ((hyper_irr, 18), (hyper_lex, 14), (klein_oracle, 16)):
+        assert cs.verify_order_axioms(oracle, radius).passed
+    for dfa, model in ((cs.z2_lex_cone_dfa(), hyper_lex.model),
+                       (cs.klein_cone_dfa(), klein_oracle.model)):
+        assert cs.verify_cone_dfa(dfa, model, 14).verdict == "PASS"
+    assert calls == []
