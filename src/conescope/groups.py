@@ -54,9 +54,17 @@ alone.
 
 The cone-axiom walk `closure_misses` finds each g h with g and h in a
 candidate cone and g h in B(R) but not in it. `GroupModel.closure_misses`
-forms the `landing` products of each g and looks them up; free groups and
-products walk so, and it is the slow reference the tests compare the
-others against. On Z^n and the Klein bottle, left multiplication by g
+forms the `landing` products of each g and looks them up; products walk
+so, and it is the slow reference the tests compare the others against.
+Free groups walk h over B(R) depth first along the held ball's tree, each
+h carrying the ranks of g h for the cone's g, one step-table read per pair:
+a child h x of h has a rank above h's, its parent and a step out of B(R)
+(read -1) do not. A g h whose g h1 left B(R) for a prefix h1 of h is
+dropped, exactly: h is reduced, so g, g h1, g h1 h2, ..., g h is a geodesic
+in the tree, whose distance to 1 falls, then rises, and never exceeds
+max(|g|, |g h|); a product that leaves B(R) never comes back. In a product
+it can: in F2 x Z at R = 5, g = (a, c^4) and h = (a, c^-4) give |g a| = 6
+but g h = a^2. On Z^n and the Klein bottle, left multiplication by g
 translates the key grid (on the Klein bottle after n -> -n when g's
 a-exponent is odd), so these walk by shifting bit planes. A plane holds
 the members of B(R) with one key[2:] (Z^1, Z^2 and the Klein bottle have
@@ -385,9 +393,9 @@ class GroupModel:
                        inside: list[bool]) -> list[tuple[int, int, int]]:
         """The sorted rank triples (g, h, gh) with g and h inside (one flag
         per rank of the ball) and gh in the ball but not inside. Only the
-        `landing` products are formed, tested on a dict of inside keys. Z^n
-        and the Klein bottle shift bit planes instead, with this walk as
-        their slow reference (see the module docs)."""
+        `landing` products are formed, tested on a dict of inside keys. Free
+        groups walk the tree, and Z^n and the Klein bottle shift bit planes,
+        with this walk as their slow reference (see the module docs)."""
         keys, ranks, radius = ball.keys, ball.ranks, ball.radius
         members = {keys[g]: g for g, flag in enumerate(inside) if flag}
         mul, landing = self.mul, self.landing
@@ -472,6 +480,35 @@ class FreeGroup(GroupModel):
                 if size < budget:
                     level = [h + (x,) for h in level for x in follow[h[-1]]]
         return groups
+
+    def closure_misses(self, ball: Ball,
+                       inside: list[bool]) -> list[tuple[int, int, int]]:
+        # depth first along the tree from the identity: each h carries the
+        # ranks of g h for the inside g whose path g, g h1, ... stays in the
+        # ball, which loses no g h in it (see the module docs)
+        keys, ranks, size, width = ball.keys, ball.ranks, len(ball), ball.width
+        # columns[i][p]: the rank of p x for the i-th letter x, -1 off the ball
+        columns = [[c if c < size else -1 for c in ball.step[i:size * width:width]]
+                   for i in range(width)]
+        mul, inv = self.mul, self.inv
+        misses = []
+        stack = [(0, [g for g, flag in enumerate(inside) if flag])]
+        while stack:
+            h, ps = stack.pop()
+            for col in columns:
+                c = col[h]
+                if c <= h:  # the parent, or outside the ball
+                    continue
+                qs = [q for q in map(col.__getitem__, ps) if q >= 0]
+                if not qs:
+                    continue
+                if inside[c]:
+                    back = inv(keys[c])
+                    misses += [(ranks[mul(keys[q], back)], c, q)
+                               for q in qs if not inside[q]]
+                stack.append((c, qs))
+        misses.sort()  # the (g, h) rank pairs are distinct
+        return misses
 
     def descriptor(self) -> dict:
         return {"kind": "free", "rank": self.rank}

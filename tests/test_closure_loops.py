@@ -1,8 +1,9 @@
 """The closure loops of verify_order_axioms and verify_cone_dfa against
 Element-level references over all pairs: whole reports, failure tuples in
 order; the shared cone-axiom walk (`inverse_pairs`, `closure_misses`) and
-each model's `landing` against brute-force filters; the translation walk of
-Z^n and the Klein bottle against the landing walk at large radii."""
+each model's `landing` against brute-force filters; the fast walks (the
+tree walk of free groups, the translation walk of Z^n and the Klein bottle)
+against the landing walk at large radii."""
 
 import functools
 import random
@@ -14,16 +15,17 @@ from hypothesis import given, settings, strategies as st
 import conescope as cs
 from conescope.words import GeneratorAlphabet
 
-from test_automata import all_accepting_f2_dfa
+from test_automata import all_accepting_f2_dfa, backtracking_dfa
 from test_groups import KERNEL_IDS, KERNEL_MODELS
 from test_orders import NEGATED
 
-# the kernel models, with Z^1, a rank-5 group and a product whose first
-# factor is not free (its landing groups come from `KleinBottle.landing`)
+# the kernel models, with F1 (a tree whose members have at most two steps),
+# Z^1, a rank-5 group and a product whose first factor is not free (its
+# landing groups come from `KleinBottle.landing`)
 WALK_MODELS = KERNEL_MODELS + [
-    cs.FreeAbelian(1), cs.FreeAbelian(5),
+    cs.FreeGroup(1), cs.FreeAbelian(1), cs.FreeAbelian(5),
     cs.DirectProduct((cs.KleinBottle(), cs.FreeAbelian(1)))]
-WALK_IDS = KERNEL_IDS + ["Z", "Z5", "KleinxZ"]
+WALK_IDS = KERNEL_IDS + ["F1", "Z", "Z5", "KleinxZ"]
 
 
 # -- references: every pair through Element arithmetic --------------------------
@@ -351,46 +353,57 @@ def test_walk_reads_the_view_of_a_grown_ball(model):
     assert all(rank < len(ball) for triple in misses for rank in triple)
 
 
-def plane_cone(model):
+def passing_cone(model):
     """A cone that passes the axioms on the model."""
+    if isinstance(model, cs.FreeGroup):
+        return cs.magnus_order(model)
     if isinstance(model, cs.KleinBottle):
         return cs.klein_order(model)
     weights = [(1, 0), (0, 1)] + [(0, 0)] * (model.rank - 2)  # 1, sqrt2, 0...
     return cs.hyperplane_order(model, weights)
 
 
-@pytest.mark.parametrize("model, radius", [
-    (cs.FreeAbelian(2), 16), (cs.FreeAbelian(3), 12), (cs.KleinBottle(), 14)],
-    ids=["Z2", "Z3", "Klein"])
-def test_translation_walk_matches_landing_walk(model, radius):
-    """At radii where brute force is too slow, the walk of Z^n and the Klein
-    bottle finds what the landing walk (`GroupModel.closure_misses`, the slow
-    reference) finds: on random flags and on a cone with some flags
-    flipped."""
+@pytest.mark.parametrize("model, radius, grown", [
+    (cs.FreeAbelian(2), 16, 0), (cs.FreeAbelian(3), 12, 0),
+    (cs.KleinBottle(), 14, 0), (cs.FreeGroup(2), 7, 0), (cs.FreeGroup(3), 5, 0),
+    (cs.FreeGroup(2), 6, 2)],
+    ids=["Z2", "Z3", "Klein", "F2", "F3", "F2-grown"])
+def test_fast_walks_match_landing_walk(model, radius, grown):
+    """At radii where brute force is too slow, the tree walk of free groups
+    and the translation walk of Z^n and the Klein bottle find what the
+    landing walk (`GroupModel.closure_misses`, the slow reference) finds: on
+    a cone that passes the axioms, on random flags and on the cone with some
+    flags flipped; once on a held ball grown past the walked radius."""
+    model.ball(radius + grown)
     ball = model.ball(radius)
     rnd = random.Random(radius)
-    cone = [s is cs.Sign.POSITIVE for s in plane_cone(model).signs(ball)]
+    cone = [s is cs.Sign.POSITIVE for s in passing_cone(model).signs(ball)]
     broken = [flag != (rnd.random() < 0.02) for flag in cone]
-    for inside in ([rnd.random() < 0.5 for _ in cone], broken):
+    for inside in (cone, [rnd.random() < 0.5 for _ in cone], broken):
         expected = cs.GroupModel.closure_misses(model, ball, inside)
-        assert expected and model.closure_misses(ball, inside) == expected
+        assert model.closure_misses(ball, inside) == expected
+        assert bool(expected) == (inside is not cone)
 
 
 def test_plane_walks_form_no_landing(monkeypatch, hyper_irr, hyper_lex,
-                                     klein_oracle):
-    """`axioms` and `dfa-verify` on Z^2 and the Klein bottle at the radii of
-    the plane-regular workload never call `landing`."""
+                                     klein_oracle, magnus):
+    """`axioms` and `dfa-verify` on Z^2, the Klein bottle and F2 at the radii
+    of the plane-regular and free-tree workloads never call `landing`."""
     calls = []
 
     def landing(*args):
         calls.append(args)
         raise AssertionError("landing called")
 
-    for kind in (cs.FreeAbelian, cs.KleinBottle):
+    for kind in (cs.FreeAbelian, cs.KleinBottle, cs.FreeGroup):
         monkeypatch.setattr(kind, "landing", landing)
-    for oracle, radius in ((hyper_irr, 18), (hyper_lex, 14), (klein_oracle, 16)):
+    for oracle, radius in ((hyper_irr, 18), (hyper_lex, 14), (klein_oracle, 16),
+                           (magnus, 6)):
         assert cs.verify_order_axioms(oracle, radius).passed
     for dfa, model in ((cs.z2_lex_cone_dfa(), hyper_lex.model),
                        (cs.klein_cone_dfa(), klein_oracle.model)):
         assert cs.verify_cone_dfa(dfa, model, 14).verdict == "PASS"
+    report = cs.verify_cone_dfa(backtracking_dfa(), magnus.model, 6)
+    assert report.verdict == "UNKNOWN"
+    assert report.unresolved_products == (("a", "a", "aa"),)
     assert calls == []
