@@ -16,8 +16,7 @@ coordinates in which the model computes:
   so |(g, h)| = |g| + |h|.
 
 Each model implements the same key operations: `one`, `key_of` (read any
-word), `spell` (write the canonical word), `mul`, `inv`, `key_length` and
-`landing` (each h with |h| <= reach and |gh| <= out, for the closure checks).
+word), `spell` (write the canonical word), `mul`, `inv` and `key_length`.
 Two more have defaults built from these, which the models override with
 arithmetic that forms no product: `letter_steps` (letter x -> the map
 k -> k x, in letter order: the one way a key is multiplied by a generator
@@ -54,28 +53,30 @@ alone.
 
 The cone-axiom walk `closure_misses` finds each g h with g and h in a
 candidate cone and g h in B(R) but not in it. `GroupModel.closure_misses`
-forms the `landing` products of each g and looks them up; products walk
-so, and it is the slow reference the tests compare the others against.
-Free groups walk h over B(R) depth first along the held ball's tree, each
-h carrying the ranks of g h for the cone's g, one step-table read per pair:
-a child h x of h has a rank above h's, its parent and a step out of B(R)
-(read -1) do not. A g h whose g h1 left B(R) for a prefix h1 of h is
-dropped, exactly: h is reduced, so g, g h1, g h1 h2, ..., g h is a geodesic
-in the tree, whose distance to 1 falls, then rises, and never exceeds
-max(|g|, |g h|); a product that leaves B(R) never comes back. In a product
-it can: in F2 x Z at R = 5, g = (a, c^4) and h = (a, c^-4) give |g a| = 6
-but g h = a^2. On Z^n and the Klein bottle, left multiplication by g
-translates the key grid (on the Klein bottle after n -> -n when g's
-a-exponent is odd), so these walk by shifting bit planes. A plane holds
-the members of B(R) with one key[2:] (Z^1, Z^2 and the Klein bottle have
-one) as an int, with a bit at (k0 + R) + W (k1 + R), W = 3R + 1; in rank 1
-a plane is one row, the bit k0 + R. For each g in the cone, (the cone's
-plane p shifted by g's bit offset) & (the plane of non-cone members at
-p + g[2:]) has exactly the bits of the missing g h. No bit aliases: a
-shifted low digit k0 + g0 + R lies in [-R, 3R]; above 2R it stays below W
-and carries nothing, below 0 it borrows and lands in [2R + 1, 3R], and no
-member of B(R) has a low digit there. A right shift drops only positions
-below 0, where no member sits.
+walks h over B(R) sphere by sphere along the step table, each h carrying the
+ranks of g h for the cone's g, one step read per pair; a child h x in the
+next sphere keeps the g h x in B(R) and takes the union of what its
+predecessors carry. So g h is found when some geodesic of h keeps every
+g h1 (h1 a prefix) in B(R), and on every model some geodesic does: along it
+the distance from g h1 to 1 falls, then rises, so it never exceeds
+max(|g|, |g h|). On a tree, take the reduced word of h; on Z^n, first the
+steps that move a coordinate of g h1 toward 0; on the Klein bottle the same,
+since its Cayley graph is the (n, m) grid and left multiplication is an
+isometry of the grid; in a product, the falling steps of both factors
+first. One geodesic per h is not enough: in F2 x Z at R = 4, g = (a^3, c^-1)
+and h = (a, c) give |g a| = 5 but g h = a^4, kept only along c, a c. On
+Z^n and the Klein bottle, left multiplication by g translates the key grid
+(on the Klein bottle after n -> -n when g's a-exponent is odd), so these
+walk by shifting bit planes, 20-40 times faster than the generic walk at
+R = 14-18, which is their slow reference. A plane holds the members of B(R)
+with one key[2:] (Z^1, Z^2 and the Klein bottle have one) as an int, with a
+bit at (k0 + R) + W (k1 + R), W = 3R + 1; in rank 1 a plane is one row, the
+bit k0 + R. For each g in the cone, (the cone's plane p shifted by g's bit
+offset) & (the plane of non-cone members at p + g[2:]) has exactly the bits
+of the missing g h. No bit aliases: a shifted low digit k0 + g0 + R lies
+in [-R, 3R]; above 2R it stays below W and carries nothing, below 0 it
+borrows and lands in [2R + 1, 3R], and no member of B(R) has a low digit
+there. A right shift drops only positions below 0, where no member sits.
 
 The GroupModel methods product_word and inverse_word normalise the
 concatenation or the inverted word; they are the slow reference the tests
@@ -206,8 +207,7 @@ class GroupModel:
 
     # concrete subclasses define: alphabet, descriptor, `params` (the
     # constructor arguments) and the key operations one, key_of, spell, mul,
-    # inv, key_length and landing (each key h with |h| <= reach and
-    # |gh| <= out, exactly once)
+    # inv and key_length
 
     def __eq__(self, other: object) -> bool:
         # a model is a value: one kind with equal parameters
@@ -285,15 +285,6 @@ class GroupModel:
     def word_length(self, word: Word) -> int:
         """|w| in the word metric: the canonical word is geodesic."""
         return self.key_length(self.key_of(word))
-
-    def _landing_groups(self, g: tuple, out: int, reach: int) -> dict:
-        """(|h|, |gh|) -> the keys h of `landing` with those lengths, so
-        that a direct product hands its second factor what the first leaves."""
-        groups: dict[tuple[int, int], list] = {}
-        length, mul = self.key_length, self.mul
-        for h in self.landing(g, out, reach):
-            groups.setdefault((length(h), length(mul(g, h))), []).append(h)
-        return groups
 
     def distance(self, g: Element, h: Element) -> int:
         """d(g, h) = |g^-1 h|."""
@@ -392,20 +383,40 @@ class GroupModel:
     def closure_misses(self, ball: Ball,
                        inside: list[bool]) -> list[tuple[int, int, int]]:
         """The sorted rank triples (g, h, gh) with g and h inside (one flag
-        per rank of the ball) and gh in the ball but not inside. Only the
-        `landing` products are formed, tested on a dict of inside keys. Free
-        groups walk the tree, and Z^n and the Klein bottle shift bit planes,
-        with this walk as their slow reference (see the module docs)."""
-        keys, ranks, radius = ball.keys, ball.ranks, ball.radius
-        members = {keys[g]: g for g, flag in enumerate(inside) if flag}
-        mul, landing = self.mul, self.landing
+        per rank of the ball) and gh in the ball but not inside. The walk
+        goes sphere by sphere over the step table; each member h carries the
+        ranks of g h for the inside g, which is exact on every model kind (see
+        the module docs). Z^n and the Klein bottle shift bit planes, with
+        this walk as their slow reference."""
+        keys, ranks, sizes, size, width = (
+            ball.keys, ball.ranks, ball.sizes, len(ball), ball.width)
+        # columns[i][p]: the rank of p x for the i-th letter x, -1 off the ball
+        columns = [[c if c < size else -1 for c in ball.step[i:size * width:width]]
+                   for i in range(width)]
+        mul, inv = self.mul, self.inv
         misses = []
-        for g, rank in members.items():
-            for h in landing(g, radius, radius):
-                if h in members:
-                    gh = mul(g, h)
-                    if gh not in members:
-                        misses.append((rank, members[h], ranks[gh]))
+        carried = {0: [g for g, flag in enumerate(inside) if flag]}
+        for n in range(ball.radius):
+            grown, first = {}, sizes[n]  # the next sphere starts at rank first
+            last = n + 1 == ball.radius  # where only a miss is worth keeping
+            while carried:  # each list is dropped once its steps are taken
+                h, ps = carried.popitem()
+                for col in columns:
+                    c = col[h]
+                    # a step back, or on the last sphere a c outside the cone
+                    if c < first or last and not inside[c]:
+                        continue
+                    qs = [q for q in map(col.__getitem__, ps)
+                          if q >= 0 and not (last and inside[q])]
+                    if qs:  # c takes what each of its predecessors carries
+                        got = grown.get(c)
+                        grown[c] = qs if got is None else {*got, *qs}
+            for c, qs in grown.items():
+                if inside[c]:
+                    back = inv(keys[c])
+                    misses += [(ranks[mul(keys[q], back)], c, q)
+                               for q in qs if not inside[q]]
+            carried = grown
         misses.sort()  # the (g, h) rank pairs are distinct
         return misses
 
@@ -456,60 +467,6 @@ class FreeGroup(GroupModel):
             common += 1
         return len(u) + len(v) - 2 * common
 
-    def landing(self, g: Word, out: int, reach: int) -> list:
-        groups = self._landing_groups(g, out, reach).values()
-        return [h for group in groups for h in group]
-
-    def _landing_groups(self, g: Word, out: int, reach: int) -> dict:
-        # h = (last c letters of g)^-1 t cancels exactly c letters of g, so
-        # |h| = c + |t| and |gh| = |g| - c + |t| (Lyndon-Schupp I.1): each
-        # (c, |t|) is one group
-        n, letters, groups = len(g), self.alphabet.letters, {}
-        follow = {l: [x for x in letters if x != -l] for l in letters}
-        for c in range(min(n, reach) + 1):
-            budget = min(out - n + c, reach - c)
-            if budget < 0:
-                continue
-            head = inverse_word(g[n - c:])
-            groups[c, n - c] = [head]
-            # t[0] cancels neither g[-c-1] nor the last letter of head
-            level = [head + (x,) for x in letters
-                     if (c == n or x != -g[n - c - 1]) and (c == 0 or x != g[n - c])]
-            for size in range(1, budget + 1):
-                groups[c + size, n - c + size] = level
-                if size < budget:
-                    level = [h + (x,) for h in level for x in follow[h[-1]]]
-        return groups
-
-    def closure_misses(self, ball: Ball,
-                       inside: list[bool]) -> list[tuple[int, int, int]]:
-        # depth first along the tree from the identity: each h carries the
-        # ranks of g h for the inside g whose path g, g h1, ... stays in the
-        # ball, which loses no g h in it (see the module docs)
-        keys, ranks, size, width = ball.keys, ball.ranks, len(ball), ball.width
-        # columns[i][p]: the rank of p x for the i-th letter x, -1 off the ball
-        columns = [[c if c < size else -1 for c in ball.step[i:size * width:width]]
-                   for i in range(width)]
-        mul, inv = self.mul, self.inv
-        misses = []
-        stack = [(0, [g for g, flag in enumerate(inside) if flag])]
-        while stack:
-            h, ps = stack.pop()
-            for col in columns:
-                c = col[h]
-                if c <= h:  # the parent, or outside the ball
-                    continue
-                qs = [q for q in map(col.__getitem__, ps) if q >= 0]
-                if not qs:
-                    continue
-                if inside[c]:
-                    back = inv(keys[c])
-                    misses += [(ranks[mul(keys[q], back)], c, q)
-                               for q in qs if not inside[q]]
-                stack.append((c, qs))
-        misses.sort()  # the (g, h) rank pairs are distinct
-        return misses
-
     def descriptor(self) -> dict:
         return {"kind": "free", "rank": self.rank}
 
@@ -559,20 +516,6 @@ class FreeAbelian(GroupModel):
     def key_distance(self, u: tuple[int, ...], v: tuple[int, ...]) -> int:
         return sum(map(abs, map(sub, u, v)))
 
-    @staticmethod
-    def landing(g: tuple[int, ...], out: int, reach: int) -> list:
-        """Each h with |h| <= reach and |g + h| <= out in the l1 norm,
-        built one coordinate interval at a time."""
-        # a level holds (prefix, reach left, out left): |y| <= r, |x + y| <= o
-        level = [((), reach, out)]
-        for x in g[:-1]:
-            level = [(h + (y,), r - abs(y), o - abs(x + y))
-                     for h, r, o in level
-                     for y in range(max(-r, -o - x), min(r, o - x) + 1)]
-        x = g[-1]
-        return [h + (y,) for h, r, o in level
-                for y in range(max(-r, -o - x), min(r, o - x) + 1)]
-
     def closure_misses(self, ball: Ball,
                        inside: list[bool]) -> list[tuple[int, int, int]]:
         return _translation_misses(self, ball, inside, reflect=False)
@@ -618,11 +561,6 @@ class KleinBottle(GroupModel):
 
     def key_length(self, key: tuple[int, int]) -> int:
         return abs(key[0]) + abs(key[1])
-
-    def landing(self, g: tuple[int, int], out: int, reach: int) -> list:
-        # gh = (n1 + s n2, m1 + m2) with s = (-1)^m1 and |n1 + s n2| =
-        # |s n1 + n2|: the Z^2 landing of (s n1, m1)
-        return FreeAbelian.landing((-g[0], g[1]) if g[1] % 2 else g, out, reach)
 
     def closure_misses(self, ball: Ball,
                        inside: list[bool]) -> list[tuple[int, int, int]]:
@@ -692,15 +630,6 @@ class DirectProduct(GroupModel):
     def key_distance(self, u: tuple, v: tuple) -> int:
         return (self.factors[0].key_distance(u[0], v[0])
                 + self.factors[1].key_distance(u[1], v[1]))
-
-    def landing(self, g: tuple, out: int, reach: int) -> list:
-        # lengths add: per group of first-factor lengths, one second-factor
-        # landing on the budgets the first factor leaves
-        first, second = self.factors
-        groups = first._landing_groups(g[0], out, reach)
-        return [(h1, h2) for (l1, o1), firsts in groups.items()
-                for h2 in second.landing(g[1], out - o1, reach - l1)
-                for h1 in firsts]
 
     def project(self, g: Element, index: int) -> Element:
         return Element(self.factors[index], g.key[index])

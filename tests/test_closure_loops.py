@@ -1,9 +1,9 @@
 """The closure loops of verify_order_axioms and verify_cone_dfa against
 Element-level references over all pairs: whole reports, failure tuples in
-order; the shared cone-axiom walk (`inverse_pairs`, `closure_misses`) and
-each model's `landing` against brute-force filters; the fast walks (the
-tree walk of free groups, the translation walk of Z^n and the Klein bottle)
-against the landing walk at large radii."""
+order; the shared cone-axiom walk (`inverse_pairs`, `closure_misses`)
+against brute-force filters, on free groups and products also at the radii
+the workloads walk; the translation walk of Z^n and the Klein bottle against
+the generic walk (`GroupModel.closure_misses`) at large radii."""
 
 import functools
 import random
@@ -21,7 +21,7 @@ from test_orders import NEGATED
 
 # the kernel models, with F1 (a tree whose members have at most two steps),
 # Z^1, a rank-5 group and a product whose first factor is not free (its
-# landing groups come from `KleinBottle.landing`)
+# geodesics turn on the Klein bottle's grid)
 WALK_MODELS = KERNEL_MODELS + [
     cs.FreeGroup(1), cs.FreeAbelian(1), cs.FreeAbelian(5),
     cs.DirectProduct((cs.KleinBottle(), cs.FreeAbelian(1)))]
@@ -242,7 +242,7 @@ def test_cone_dfa_matches_reference(dfa_reports):
 
 
 def test_closure_failures_on_klein_and_product(axiom_reports):
-    # the findings a landing set that drops pairs would lose
+    # the findings a walk that drops pairs would lose
     twisted, flipped = [report for _, report in axiom_reports[-2:]]
     for report in (twisted, flipped):
         assert report.closure_failures
@@ -260,40 +260,6 @@ def test_cone_dfa_cases_cover_every_outcome(dfa_reports):
     assert {c[0] for c in free.counterexamples} >= {"identity-in", "both-in"}
     assert len(klein.unresolved_products) == 40
     assert {r.verdict for _, r in dfa_reports} == {"FAIL", "UNKNOWN"}
-
-
-# -- landing sets -----------------------------------------------------------------
-
-@pytest.mark.parametrize("model", WALK_MODELS, ids=WALK_IDS)
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_landing_is_every_h_that_lands_once(model, data):
-    keys = [g.key for g in model.ball(4)]
-    g = data.draw(st.sampled_from(keys))
-    out, reach = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
-    landing = model.landing(g, out, reach)
-    length = model.key_length
-    assert len(landing) == len(set(landing))
-    assert set(landing) == {h for h in keys if length(h) <= reach
-                            and length(model.mul(g, h)) <= out}
-
-
-@pytest.mark.parametrize("model", WALK_MODELS, ids=WALK_IDS)
-@settings(max_examples=50, deadline=None)
-@given(data=st.data())
-def test_landing_groups_are_the_landing_by_lengths(model, data):
-    # a direct product builds its landing from its first factor's groups
-    # (the generic grouping of `landing` when that factor is a product); each
-    # group must hold exactly the landing keys with its (|h|, |gh|)
-    keys = [g.key for g in model.ball(4)]
-    g = data.draw(st.sampled_from(keys))
-    out, reach = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
-    groups = model._landing_groups(g, out, reach)
-    length = model.key_length
-    assert Counter(h for hs in groups.values() for h in hs) == \
-        Counter(model.landing(g, out, reach))
-    assert all((length(h), length(model.mul(g, h))) == lengths
-               for lengths, hs in groups.items() for h in hs)
 
 
 # -- the cone-axiom walk ----------------------------------------------------------
@@ -363,18 +329,15 @@ def passing_cone(model):
     return cs.hyperplane_order(model, weights)
 
 
-@pytest.mark.parametrize("model, radius, grown", [
-    (cs.FreeAbelian(2), 16, 0), (cs.FreeAbelian(3), 12, 0),
-    (cs.KleinBottle(), 14, 0), (cs.FreeGroup(2), 7, 0), (cs.FreeGroup(3), 5, 0),
-    (cs.FreeGroup(2), 6, 2)],
-    ids=["Z2", "Z3", "Klein", "F2", "F3", "F2-grown"])
-def test_fast_walks_match_landing_walk(model, radius, grown):
-    """At radii where brute force is too slow, the tree walk of free groups
-    and the translation walk of Z^n and the Klein bottle find what the
-    landing walk (`GroupModel.closure_misses`, the slow reference) finds: on
-    a cone that passes the axioms, on random flags and on the cone with some
-    flags flipped; once on a held ball grown past the walked radius."""
-    model.ball(radius + grown)
+@pytest.mark.parametrize("model, radius", [
+    (cs.FreeAbelian(2), 16), (cs.FreeAbelian(3), 12), (cs.KleinBottle(), 14)],
+    ids=["Z2", "Z3", "Klein"])
+def test_plane_walks_match_generic_walk(model, radius):
+    """At radii where brute force is too slow, the translation walk of Z^n
+    and the Klein bottle finds what the generic walk
+    (`GroupModel.closure_misses`, its slow reference) finds: on a cone that
+    passes the axioms, on random flags and on the cone with some flags
+    flipped."""
     ball = model.ball(radius)
     rnd = random.Random(radius)
     cone = [s is cs.Sign.POSITIVE for s in passing_cone(model).signs(ball)]
@@ -385,25 +348,81 @@ def test_fast_walks_match_landing_walk(model, radius, grown):
         assert bool(expected) == (inside is not cone)
 
 
+def workload_cone(case):
+    """The order and radius of the `axioms` walk of the free-tree and product
+    workloads, and the radius of the held ball to grow first."""
+    if case == "F2xZ":
+        f2xz = cs.DirectProduct((cs.FreeGroup(2), cs.FreeAbelian(1)))
+        z = cs.hyperplane_order(f2xz.factors[1], [(1, 0)], name="z-natural")
+        magnus = cs.magnus_order(f2xz.factors[0])
+        return cs.lex_pair_sign(z, magnus, leading_factor=1), 5, 5
+    return cs.magnus_order(cs.FreeGroup(2)), 6, 8 if case == "F2-grown" else 6
+
+
+@pytest.mark.parametrize("case", ["F2", "F2xZ", "F2-grown"])
+def test_walk_matches_brute_force_at_workload_radii(case):
+    """At the radii the workloads walk, the generic walk on free groups and
+    products finds exactly the products g h of each pair of inside members
+    that land in the ball outside the cone: on a cone that passes the axioms,
+    on random flags and on the cone with some flags flipped; once on a held
+    ball grown past the walked radius."""
+    oracle, radius, grown = workload_cone(case)
+    model = oracle.model
+    model.ball(grown)
+    ball = model.ball(radius)
+    keys, ranks, size, mul = ball.keys, ball.ranks, len(ball), model.mul
+    rnd = random.Random(radius)
+    cone = [s is cs.Sign.POSITIVE for s in oracle.signs(ball)]
+    broken = [flag != (rnd.random() < 0.02) for flag in cone]
+    for inside in (cone, [rnd.random() < 0.5 for _ in cone], broken):
+        members = [g for g, flag in enumerate(inside) if flag]
+        expected = [(g, h, gh) for g in members for h in members
+                    for gh in [ranks.get(mul(keys[g], keys[h]), size)]
+                    if gh < size and not inside[gh]]
+        assert model.closure_misses(ball, inside) == expected
+        assert bool(expected) == (inside is not cone)
+
+
+def test_walk_merges_the_predecessors_of_a_member():
+    """In F2 x Z at R = 4, h = ac has two predecessors, a and c. For
+    g = aaaC, g h = aaaa is in the ball but g a = aaaaC is not, so only the
+    path through c keeps g h; for f = Accc, f h = cccc and only the path
+    through a keeps it. So h must carry what both of them carry, in
+    whichever order it meets them."""
+    model = cs.DirectProduct((cs.FreeGroup(2), cs.FreeAbelian(1)))
+    ball = model.ball(4)
+    keys, ranks = ball.keys, ball.ranks
+    g, f, h, gh, fh = (ranks[model.element(w).key]
+                       for w in ("aaaC", "Accc", "ac", "aaaa", "cccc"))
+    inside = [rank in (g, f, h) for rank in range(len(ball))]
+    misses = model.closure_misses(ball, inside)
+    assert (g, h, gh) in misses and (f, h, fh) in misses
+    assert misses == sorted(
+        (x, y, z) for x in (g, f, h) for y in (g, f, h)
+        for z in [ranks.get(model.mul(keys[x], keys[y]), len(ball))]
+        if z < len(ball) and not inside[z])
+
+
 def test_plane_walks_form_no_landing(monkeypatch, hyper_irr, hyper_lex,
                                      klein_oracle, magnus):
-    """`axioms` and `dfa-verify` on Z^2, the Klein bottle and F2 at the radii
-    of the plane-regular and free-tree workloads never call `landing`."""
+    """`axioms` and `dfa-verify` on Z^2 and the Klein bottle at the radii of
+    the plane-regular workload shift bit planes and never run the generic
+    walk; on F2 the generic walk finds the one unresolved product of an
+    automaton whose every word evaluates to a."""
+    report = cs.verify_cone_dfa(backtracking_dfa(), magnus.model, 6)
+    assert report.verdict == "UNKNOWN"
+    assert report.unresolved_products == (("a", "a", "aa"),)
+
     calls = []
 
-    def landing(*args):
+    def generic(*args):
         calls.append(args)
-        raise AssertionError("landing called")
+        raise AssertionError("generic walk called")
 
-    for kind in (cs.FreeAbelian, cs.KleinBottle, cs.FreeGroup):
-        monkeypatch.setattr(kind, "landing", landing)
-    for oracle, radius in ((hyper_irr, 18), (hyper_lex, 14), (klein_oracle, 16),
-                           (magnus, 6)):
+    monkeypatch.setattr(cs.GroupModel, "closure_misses", generic)
+    for oracle, radius in ((hyper_irr, 18), (hyper_lex, 14), (klein_oracle, 16)):
         assert cs.verify_order_axioms(oracle, radius).passed
     for dfa, model in ((cs.z2_lex_cone_dfa(), hyper_lex.model),
                        (cs.klein_cone_dfa(), klein_oracle.model)):
         assert cs.verify_cone_dfa(dfa, model, 14).verdict == "PASS"
-    report = cs.verify_cone_dfa(backtracking_dfa(), magnus.model, 6)
-    assert report.verdict == "UNKNOWN"
-    assert report.unresolved_products == (("a", "a", "aa"),)
     assert calls == []
