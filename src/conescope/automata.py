@@ -296,12 +296,12 @@ def verify_cone_dfa(dfa: ConeDfa, model: GroupModel, radius: int,
     if max_length is None:
         max_length = 4 * radius
     ball = model.ball(radius)
-    # the walk runs on ranks; an Element is built only to print a finding
+    # the walk runs on ranks
     reached_keys = reachable_evaluations(dfa, model, max_length)
     keys = ball.keys
 
     def show(rank: int) -> str:
-        return str(Element(model, keys[rank]))
+        return model.text(keys[rank])
 
     counterexamples = []
     if model.one in reached_keys:

@@ -67,7 +67,7 @@ from .geometry import (
 )
 from .groups import DEFAULT_CAP, DirectProduct, FreeGroup, model_from_descriptor
 from .orders import order_from_descriptor, verify_order_axioms
-from .words import format_word, parse_word
+from .words import parse_word
 
 COMMANDS = ("axioms", "ray", "components", "swamp", "survey", "cofinal-path",
             "dfa-verify", "dfa-path", "dfa-qg", "export-dot")
@@ -327,7 +327,7 @@ class Runner:
         for g, h in pairs:  # a path runs from g to h
             keys = cofinal_positive_path(oracle, g, h).keys
             for k in set(keys).difference(spelled):
-                spelled[k] = format_word(model.spell(k))
+                spelled[k] = model.text(k)
             words = [spelled[k] for k in keys]
             results.append({"from": words[0], "to": words[-1], "points": words})
         summary = f"cofinal-path: {len(results)} positive path(s) constructed"

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from .geometry import _r_classes
 from .orders import OrderOracle, Sign
-from .words import format_word
 
 _SIGN_ATTR = {Sign.POSITIVE: "pos", Sign.NEGATIVE: "neg", Sign.IDENTITY: "id"}
 
@@ -23,12 +22,12 @@ def export_dot(oracle: OrderOracle, r: int, radius: int) -> str:
     else:
         signs, least = oracle.signs(ball), [-1] * len(ball)
     # a class is numbered at its least rank, in the order of r_components
-    spell, number = oracle.model.spell, {-1: -1}
+    text, number = oracle.model.text, {-1: -1}
     lines = ["graph cayley_ball {"]
     for i, (key, sign, top) in enumerate(zip(ball.keys, signs, least)):
         if top == i:
             number[i] = len(number) - 1
-        lines.append(f'  n{i} [label="{format_word(spell(key))}", '
+        lines.append(f'  n{i} [label="{text(key)}", '
                      f'sign={_SIGN_ATTR[sign]}, comp={number[top]}];')
     # node ids are ranks; an edge is met from both ends, written from the
     # lower, in letter order from the step table (-1: outside the held ball)

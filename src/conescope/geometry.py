@@ -28,6 +28,7 @@ import enum
 import random
 from collections import deque, namedtuple
 from functools import cached_property, partial
+from itertools import groupby
 
 from .errors import (
     BrokenOrderError,
@@ -39,7 +40,6 @@ from .errors import (
 )
 from .groups import Ball, DirectProduct, Element, FreeGroup, GroupModel
 from .orders import OrderOracle, Sign
-from .words import format_word, shortlex_key
 
 
 class Verdict(enum.Enum):
@@ -72,7 +72,7 @@ class RPath:
             raise ValueError("an r-path needs at least one point")
         for i, d in enumerate(self._gaps):
             if d > self.r:
-                a, b = map(partial(Element, self.model), self.keys[i:i + 2])
+                a, b = map(self.model.text, self.keys[i:i + 2])
                 raise ValueError(f"gap {d} > r={self.r} between {a} and {b}")
 
     def gaps(self) -> list[int]:
@@ -84,24 +84,12 @@ class RPath:
         return tuple(map(self.model.key_distance, self.keys, self.keys[1:]))
 
     def words(self) -> list[str]:
-        return [format_word(self.model.spell(k)) for k in self.keys]
+        return list(map(self.model.text, self.keys))
 
 
 def _dedupe(points: list) -> list:
-    out: list = []
-    for p in points:
-        if not out or out[-1] != p:
-            out.append(p)
-    return out
-
-
-def _geodesic_keys(model: GroupModel, g: tuple, h: tuple) -> list[tuple]:
-    """The keys of a 1-path from g to h spelled by the canonical word of
-    g^-1 h, one letter step at a time."""
-    steps, keys = model.letter_steps, [g]
-    for letter in model.spell(model.mul(model.inv(g), h)):
-        keys.append(steps[letter](keys[-1]))
-    return keys
+    """The points with each run of repeats collapsed to one."""
+    return [p for p, _ in groupby(points)]
 
 
 # -- ball maxima -------------------------------------------------------------
@@ -118,8 +106,8 @@ def _ball_maxima(oracle: OrderOracle, n: int) -> list[tuple]:
             s = sign(mul(back, keys[rank]))
             if s is Sign.IDENTITY:  # rank > best: two distinct members tie
                 raise BrokenOrderError(
-                    f"tie between distinct elements {Element(model, keys[best])} "
-                    f"and {Element(model, keys[rank])}")
+                    f"tie between distinct elements {model.text(keys[best])} "
+                    f"and {model.text(keys[rank])}")
             if s is Sign.POSITIVE:
                 best, back = rank, inv(keys[rank])
         maxima.append(best)
@@ -181,7 +169,7 @@ def verify_maxima_ray(oracle: OrderOracle, depth: int) -> RayReport:
             s = sign(mul(center, b))
             if s is not Sign.NEGATIVE:
                 negativity_failures.append(
-                    (n, str(Element(model, mul(center, b))), s.value))
+                    (n, model.text(mul(center, b)), s.value))
 
     return RayReport(
         oracle_name=oracle.name,
@@ -493,16 +481,15 @@ def sample_tree_paths(cert: SwampCertificate, count: int, seed: int) -> list[RPa
     model, c = cert.center.model, cert.center.key
     u, v = (w.key for w in cert.witnesses)
     ball = model.ball(max(model.key_distance(c, u), model.key_distance(c, v)))
-    # the keys c b, in the order of Element.sort_key
     pool = sorted((model.mul(c, b) for b in ball.keys[:len(ball)]),
-                  key=lambda k: shortlex_key(model.spell(k), model.alphabet))
+                  key=model.sort_key)
     step = max(cert.r, 1)
     paths = []
     for _ in range(count):
         waypoints = [u] + [rng.choice(pool) for _ in range(rng.randint(0, 4))] + [v]
         chain: list[tuple] = []  # each leg without its last point
         for a, b in zip(waypoints, waypoints[1:]):
-            chain.extend(_geodesic_keys(model, a, b)[:-1])
+            chain.extend(model.geodesic(a, b)[:-1])
         path = RPath(model, tuple(_dedupe(chain[::step] + [v])), step)
         path.check()
         paths.append(path)
@@ -530,7 +517,7 @@ def _cone_path(oracle: OrderOracle, keys: list[tuple], r: int,
     for k in path.keys:
         if oracle.sign_key(k) is not Sign.POSITIVE:
             raise BrokenOrderError(
-                f"{kind} path left the cone at {Element(path.model, k)}")
+                f"{kind} path left the cone at {path.model.text(k)}")
     return path
 
 
@@ -551,7 +538,7 @@ def cofinal_positive_path(oracle: OrderOracle, g: Element, h: Element) -> RPath:
     if sign(z) is Sign.NEGATIVE:
         z = model.inv(z)
 
-    base = _geodesic_keys(model, g.key, h.key)
+    base = model.geodesic(g.key, h.key)
     powers, translate = [model.one], base  # z^0, ..., z^s; z^s times base
     while not all(sign(p) is Sign.POSITIVE for p in translate):
         if len(powers) > _POWER_BUDGET:

@@ -22,8 +22,9 @@ arithmetic that forms no product: `letter_steps` (letter x -> the map
 k -> k x, in letter order: the one way a key is multiplied by a generator
 on the right) and `key_distance` (|u^-1 v|).
 Products, inverses, distances, lengths and signs compute on keys; words
-appear only at the boundary: parsing, printing, shortlex sorting and
-spelling geodesics (`Element.word`, computed when read).
+appear only at the boundary: parsing (`key_of`), and three conversions that
+every diagnostic goes through, `text` (the printed word), `sort_key` (its
+shortlex key) and `geodesic` (the keys along the canonical word of u^-1 v).
 
 Every normal form is geodesic, so the word length is the length of the
 canonical word. For the Klein bottle: each generator moves |n| + |m| of
@@ -95,7 +96,6 @@ from .words import (
     EMPTY,
     GeneratorAlphabet,
     Word,
-    concat,
     format_word,
     free_reduce,
     inverse_word,
@@ -145,7 +145,7 @@ class Element:
         return self.model.invert(self)
 
     def sort_key(self) -> tuple:
-        return shortlex_key(self.word, self.model.alphabet)
+        return self.model.sort_key(self.key)
 
     @property
     def length(self) -> int:
@@ -153,10 +153,10 @@ class Element:
         return self.model.key_length(self.key)
 
     def __str__(self) -> str:
-        return format_word(self.word)
+        return self.model.text(self.key)
 
     def __repr__(self) -> str:
-        return f"<{format_word(self.word)}>"
+        return f"<{self.model.text(self.key)}>"
 
 
 class Ball:
@@ -227,7 +227,7 @@ class GroupModel:
 
     def product_word(self, u: Word, v: Word) -> Word:
         """The canonical word of uv: the slow reference for `mul`."""
-        return self.normal_form_word(concat(u, v))
+        return self.normal_form_word(u + v)
 
     def inverse_word(self, u: Word) -> Word:
         """The canonical word of u^-1: the slow reference for `inv`."""
@@ -235,6 +235,24 @@ class GroupModel:
 
     def descriptor(self) -> dict:
         raise NotImplementedError
+
+    # -- the word boundary ------------------------------------------------
+
+    def text(self, key: tuple) -> str:
+        """The canonical word of the key, printed."""
+        return format_word(self.spell(key))
+
+    def sort_key(self, key: tuple) -> tuple:
+        """The shortlex key of the key's canonical word."""
+        return shortlex_key(self.spell(key), self.alphabet)
+
+    def geodesic(self, u: tuple, v: tuple) -> list[tuple]:
+        """The keys of a 1-path from u to v spelled by the canonical word of
+        u^-1 v, one letter step at a time."""
+        steps, keys = self.letter_steps, [u]
+        for letter in self.spell(self.mul(self.inv(u), v)):
+            keys.append(steps[letter](keys[-1]))
+        return keys
 
     # -- elements ---------------------------------------------------------
 
@@ -343,7 +361,6 @@ class GroupModel:
         held, steps, cap = self._held, self.letter_steps.values(), self.cap
         keys, ranks, sizes, step, width = (
             held.keys, held.ranks, held.sizes, held.step, held.width)
-        spell, alphabet = self.spell, self.alphabet
         resort = not self.shortlex_discovery
         for n in range(len(sizes), radius + 1):
             first, start = sizes[-2] if len(sizes) > 1 else 0, len(keys)
@@ -355,8 +372,7 @@ class GroupModel:
                 if len(ranks) > cap:
                     raise CapExceeded(cap + 1, cap, what=f"ball of radius {radius}")
             found = list(islice(ranks, start, None))  # in discovery order
-            keys += (sorted(found, key=lambda h: shortlex_key(spell(h), alphabet))
-                     if resort else found)  # in the order of Element.sort_key
+            keys += sorted(found, key=self.sort_key) if resort else found
             if resort:
                 ranks.update(zip(islice(keys, start, None), count(start)))
             sizes.append(len(keys))

@@ -36,9 +36,8 @@ from .groups import (
     KleinBottle,
     check_descriptor,
 )
-from .magnus import leading_term
+from .magnus import Word, leading_term
 from .quadratic import as_quadratic, sqrt2_sign
-from .words import Word
 
 
 class Sign(enum.Enum):
@@ -246,11 +245,11 @@ def verify_order_axioms(oracle: OrderOracle, radius: int) -> AxiomReport:
     (`inverse_pairs`, `closure_misses`) finds the pairs and products.
     """
     model, ball = oracle.model, oracle.model.ball(radius)
-    # the walk runs on ranks; an Element is built only to print a failure
+    # the walk runs on ranks
     signs, keys, positive = oracle.signs(ball), ball.keys, Sign.POSITIVE
 
     def show(rank: int) -> str:
-        return str(Element(model, keys[rank]))
+        return model.text(keys[rank])
 
     identity_failures = []
     if signs[0] is not Sign.IDENTITY:  # rank 0: the identity

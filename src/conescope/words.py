@@ -63,13 +63,6 @@ def inverse_word(word: Word) -> Word:
     return tuple(-l for l in reversed(word))
 
 
-def concat(*parts: Word) -> Word:
-    out: list[int] = []
-    for part in parts:
-        out.extend(part)
-    return tuple(out)
-
-
 def letter_char(letter: Letter) -> str:
     base = chr(ord("a") + abs(letter) - 1)
     return base if letter > 0 else base.upper()

@@ -255,8 +255,11 @@ def test_language_sample_evaluations(kdfa, klein):
 
 def test_language_sample_cap(monkeypatch):
     monkeypatch.setattr(automata, "DEFAULT_WORD_CAP", 100)
-    with pytest.raises(cs.CapExceeded):
+    with pytest.raises(cs.CapExceeded) as caught:
         cs.language_sample(all_accepting_f2_dfa(), cs.FreeGroup(2), 10)
+    # the error names its phase and the count that crossed the cap
+    assert (caught.value.reached, caught.value.cap) == (101, 100)
+    assert "language enumeration reached 101 nodes" in str(caught.value)
 
 
 # -- cone verification ------------------------------------------------------------------------
@@ -313,9 +316,16 @@ def test_verify_cone_unknown_when_language_too_thin(z2):
 
 
 def test_reachable_evaluations_matches_language_sample(kdfa, klein):
-    reached = cs.reachable_evaluations(kdfa, klein, 6)
-    sample = cs.language_sample(kdfa, klein, 6)
-    assert reached == {g.key for g in sample.evaluations}
+    # the (state, key) walk against enumerating the words and evaluating
+    # them: the shipped Klein automaton, and seeded random ones
+    cases = [(kdfa, klein, 6)] + [
+        (cs.random_dfa(random.Random(seed)), model, lmax) for seed in range(6)
+        for model in (cs.FreeGroup(2), cs.FreeAbelian(2), klein)
+        for lmax in range(7)]
+    for dfa, model, lmax in cases:
+        reached = cs.reachable_evaluations(dfa, model, lmax)
+        sample = cs.language_sample(dfa, model, lmax)
+        assert reached == {g.key for g in sample.evaluations}
 
 
 def test_verify_cone_calls_reachable_evaluations_once(kdfa, klein, monkeypatch):
@@ -336,6 +346,11 @@ def test_verify_cone_node_cap(f2, monkeypatch):
     monkeypatch.setattr(automata, "DEFAULT_NODE_CAP", 50)
     with pytest.raises(cs.CapExceeded):
         cs.verify_cone_dfa(all_accepting_f2_dfa(), f2, 2, 8)
+    with pytest.raises(cs.CapExceeded) as caught:
+        cs.reachable_evaluations(all_accepting_f2_dfa(), f2, 8)
+    # the error names its phase and the count that crossed the cap
+    assert (caught.value.reached, caught.value.cap) == (51, 50)
+    assert "state-element reachability reached 51 nodes" in str(caught.value)
 
 
 # -- quasigeodesic checks -----------------------------------------------------------------------

@@ -694,12 +694,13 @@ def test_ball_bounded_diagnostics_order_by_rank(zz_lex, monkeypatch):
     ]
     grown = [run() for run in runs]
     calls = []
-    sort_key = cs.Element.sort_key
+    sort_key = cs.GroupModel.sort_key
 
-    def counted(self):
-        calls.append(self)
-        return sort_key(self)
-    monkeypatch.setattr(cs.Element, "sort_key", counted)
+    def counted(self, key):
+        calls.append(key)
+        return sort_key(self, key)
+    # Element.sort_key and every spelling sort go through the model
+    monkeypatch.setattr(cs.GroupModel, "sort_key", counted)
     assert [run() for run in runs] == grown
     assert calls == []
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import conescope as cs
 from conescope import groups
-from conescope.words import parse_word, shortlex_key
+from conescope.words import format_word, parse_word, shortlex_key
 
 from test_words import words_strategy
 
@@ -185,6 +185,24 @@ def test_letter_steps_and_key_distance_match_mul(model):
     for u, v in itertools.product(keys, keys):
         assert model.key_distance(u, v) == \
             model.key_length(model.mul(model.inv(u), v))
+
+
+@pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
+def test_word_boundary_matches_elements(model):
+    # text, sort_key and geodesic are the one place keys turn into words
+    ball = fresh(model).ball(3)
+    keys = ball.keys[:len(ball)]
+    for k in keys:
+        g = cs.Element(model, k)
+        assert model.text(k) == str(g) == format_word(model.spell(k))
+        assert repr(g) == f"<{model.text(k)}>"
+        assert model.sort_key(k) == g.sort_key() == \
+            shortlex_key(model.spell(k), model.alphabet)
+    for u, v in itertools.product(keys[:ball.sizes[2]], keys):
+        path = model.geodesic(u, v)
+        assert (path[0], path[-1]) == (u, v)
+        assert len(path) == model.key_distance(u, v) + 1
+        assert all(model.key_distance(a, b) == 1 for a, b in zip(path, path[1:]))
 
 
 def test_element_is_immutable(f2xz):
