@@ -351,10 +351,10 @@ def tree_swamp_certificate(oracle: OrderOracle, r: int,
 
     c, ball = model.inv(_ball_maxima(oracle, r + 1)[-1]), model.ball(r)
     swamp = frozenset(Element(model, model.mul(c, b)) for b in ball.keys[:len(ball)])
-    for s in sorted(swamp, key=Element.sort_key):
-        if oracle.sign_key(s.key) is not Sign.NEGATIVE:
-            raise BrokenOrderError(
-                f"swamp element {s} is not negative under {oracle.name}")
+    failures = [s for s in swamp if oracle.sign_key(s.key) is not Sign.NEGATIVE]
+    if failures:  # name the shortlex-least, sorting no more than the failures
+        raise BrokenOrderError(f"swamp element {min(failures, key=Element.sort_key)} "
+                               f"is not negative under {oracle.name}")
 
     def candidates():
         # the key of a free-group element is its reduced word
@@ -557,9 +557,15 @@ def product_positive_path(oracle: OrderOracle, g: Element, h: Element,
     """Three-leg positive path in a direct product whose factor cones connect.
 
     First both endpoints are normalized so that each coordinate is positive
-    in its factor (walking the offending coordinate to the identity through
-    the cone costs nothing because the other coordinate keeps the product
-    positive), then one leg moves through A x {b1} and one through {a2} x B.
+    in its factor, then one leg moves through A x {b1} and one through
+    {a2} x B. A coordinate a outside its factor cone climbs through a q for
+    each q on the cone path from first (the shortlex-least restricted
+    positive) to a^-1, skipped when |a| <= r, then through the identity to
+    first. Under a lexicographic order the other coordinate keeps each point
+    positive: a positive point's leading coordinate is positive or the
+    identity, so either a trailing coordinate climbs behind a positive
+    leader, or the leader is the identity and steps straight to first while
+    the trailing coordinate is positive.
     Refuses with FactorNotConnectedAtScale when a factor cone is not
     r-connected within the working ball, e.g. for a free-group factor.
     """
@@ -600,19 +606,6 @@ def product_positive_path(oracle: OrderOracle, g: Element, h: Element,
         # the gate made allowed one r-class, so the search reaches dst
         return [ball.keys[i] for i in _search(ball, r, ends[0], ends[1], allowed)[0]]
 
-    def ladder(factor: int, dst: tuple) -> list[tuple]:
-        """[1, p_1, ..., dst] with every point after 1 restricted-positive.
-
-        The gate made the restricted cone one r-class, so its first element
-        within r of the identity reaches dst exactly when any element does.
-        """
-        group = factors[factor]
-        if group.key_length(dst) <= r:
-            return _dedupe([group.one, dst])
-        if group.key_length(cones[factor][0]) > r:
-            raise FactorNotConnectedAtScale(r, factor_radius, factor)
-        return [group.one] + factor_path(factor, cones[factor][0], dst)
-
     def normalize(point: tuple) -> list[tuple]:
         """Walk both coordinates into the factor cones; the path ends there."""
         path = [point]
@@ -624,8 +617,10 @@ def product_positive_path(oracle: OrderOracle, g: Element, h: Element,
             # the climb ends at the shortlex-least restricted positive, first
             if group.key_length(first) > max(r, 1):
                 raise FactorNotConnectedAtScale(r, max(r, 1), factor)
-            climb = [group.mul(a, q) for q in ladder(factor, group.inv(a))]
-            path += [join(factor, q, other) for q in climb + [first]]
+            # a times the cone path from first to a^-1 steps a to the identity
+            climb = [] if group.key_length(a) <= r else [
+                group.mul(a, q) for q in factor_path(factor, first, group.inv(a))]
+            path += [join(factor, q, other) for q in climb + [group.one, first]]
         return path
 
     up_g, up_h = normalize(g.key), normalize(h.key)

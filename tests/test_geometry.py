@@ -291,6 +291,20 @@ def test_tree_swamp_degenerate_r0(magnus):
     assert cert.center in cert.swamp
 
 
+def test_tree_swamp_refuses_on_the_shortlex_least_positive_member(f2):
+    # Magnus except at AAA and A, which the maxima never sign, so the center
+    # stays AAA; AAA = AAA * 1 comes first by rank in the swamp AAA B(2) and
+    # A = AAA * aa fifth, but A is the shortlex-least, and is the one named
+    magnus = cs.magnus_order(f2)
+    flipped = {f2.element(w).key for w in ("AAA", "A")}
+    order = cs.OrderOracle("flipped", f2, lambda k: cs.Sign.POSITIVE if k in flipped
+                           else magnus.sign_fn(k))
+    with pytest.raises(cs.BrokenOrderError,
+                       match="^swamp element A is not negative under flipped$"):
+        cs.tree_swamp_certificate(order, 2)
+    assert cs.tree_swamp_certificate(magnus, 2).center == f2.element("AAA")
+
+
 def test_tree_swamp_needs_free_group(klein_oracle):
     with pytest.raises(cs.ModelMismatch):
         cs.tree_swamp_certificate(klein_oracle, 1)
@@ -429,16 +443,18 @@ def test_separation_not_separating_in_plane(z2, hyper_irr):
     path.check()
 
 
-def test_separation_certified_exhaustive_annulus(z2, hyper_irr):
-    # a full annulus encloses the origin: the search space is finite
-    ball = z2.ball(6)
+@pytest.mark.parametrize("radius", [6, 7, 8, 10])
+def test_separation_certified_exhaustive_annulus(z2, radius):
+    # a full annulus encloses the origin: the search space is finite, and a
+    # larger search ball finds the same five enclosed nodes
+    ball = z2.ball(radius)
     annulus = frozenset(g for g, d in bfs_depths(ball).items() if d in (2, 3))
     cert = SwampCertificate(
         r=1, center=z2.element("aa"), swamp=annulus,
         witnesses=(z2.element("b"), z2.element("bbbbb")),
         verdict=Verdict.EVIDENCE)
-    result = cs.verify_separation(cert, radius=6)
-    assert result.verdict is Verdict.CERTIFIED_EXHAUSTIVE
+    result = cs.verify_separation(cert, radius=radius)
+    assert (result.verdict, result.explored) == (Verdict.CERTIFIED_EXHAUSTIVE, 5)
 
 
 def test_separation_product_column_evidence(f2_leading):
@@ -516,6 +532,47 @@ def test_product_path_plane_example(zz_lex):
         n = M.factors[1].exponents(M.project(p, 1))[0]
         assert m > 0 or (m == 0 and n > 0)
     assert max(path.gaps()) <= 1
+
+
+@pytest.mark.parametrize("r, words", [
+    (2, ["b", "ab", "a", "aBB", "aBBBB", "aBBBBB"]),
+    (3, ["b", "ab", "a", "aBBB", "aBBBB", "aBBBBB"]),
+])
+def test_product_path_plane_example_wider(zz_lex, r, words):
+    # h's trailing coordinate B^5 climbs through B^5 q for q on the width-r
+    # cone path from b to b^5, then the identity and b; the path ends reversed
+    M = zz_lex.model
+    path = cs.product_positive_path(zz_lex, M.element("b"), M.element("aBBBBB"), r=r)
+    assert path.words() == words
+
+
+# cone-connected factors A, each paired with Z under either factor leading
+LEX_FACTORS = {
+    "Z": lambda: cs.hyperplane_order(cs.FreeAbelian(1), [(1, 0)], name="z"),
+    "Z2-irrational": lambda: cs.hyperplane_order(
+        cs.FreeAbelian(2), cs.sqrt2_weights(), name="irrational"),
+    "Z2-lex": lambda: cs.hyperplane_order(cs.FreeAbelian(2), [(1, 0), (0, 0)],
+                                          name="lex"),
+    "Klein": lambda: cs.klein_order(cs.KleinBottle()),
+}
+
+
+@pytest.mark.parametrize("leading", [0, 1], ids=["A-leading", "Z-leading"])
+@pytest.mark.parametrize("factor", LEX_FACTORS)
+def test_product_path_property(factor, leading):
+    a, z = LEX_FACTORS[factor](), LEX_FACTORS["Z"]()
+    oracle = cs.lex_pair_sign(z, a, 1) if leading else cs.lex_pair_sign(a, z, 0)
+    positives = oracle.positives(oracle.model.ball(4))
+    rng = random.Random(7)
+    for r in (1, 2, 3):
+        for _ in range(25):
+            g, h = rng.choice(positives), rng.choice(positives)
+            path = cs.product_positive_path(oracle, g, h, r=r)
+            assert path.points[0] == g and path.points[-1] == h
+            assert all(oracle.is_positive(p) for p in path.points)
+            assert max(path.gaps(), default=0) <= r
+    with pytest.raises(cs.FactorNotConnectedAtScale):
+        cs.product_positive_path(oracle, g, h, r=0)
 
 
 def test_product_path_single_point(zz_lex):
@@ -686,6 +743,7 @@ def test_ball_bounded_diagnostics_order_by_rank(zz_lex, monkeypatch):
     runs = [
         lambda: cs.r_components(o["magnus"], 2, 4),
         lambda: cs.r_components(o["z_leading"], 1, 4),
+        lambda: cs.tree_swamp_certificate(o["magnus"], 2),
         lambda: cs.export_dot(o["f2_leading"], 1, 3),
         lambda: cs.verify_separation(product_column_swamp(o["f2_leading"], 1, 5),
                                      radius=5),
