@@ -357,11 +357,10 @@ def tree_swamp_certificate(oracle: OrderOracle, r: int,
                                f"is not negative under {oracle.name}")
 
     def candidates():
-        # the key of a free-group element is its reduced word
         for k in range(r + 1, search_radius + 1):
             ball = model.ball(k)
             for g in ball.keys[ball.sizes[k - 1]:ball.sizes[k]]:
-                yield g[0], model.mul(c, g)
+                yield model.first_letter(g), model.mul(c, g)
 
     witnesses = _witnesses(oracle, candidates(), model.alphabet.letters,
                            search_radius)
@@ -394,18 +393,20 @@ def product_column_swamp(oracle: OrderOracle, r: int,
     for R in (min(r + 1, radius), radius):
         ball = model.ball(R)
         members = ball.keys[:len(ball)]
-        # the offset c_F^-1 g_F is a reduced word: its length is the distance
-        # from c_F and its first letter the branch there
+        # the offset c_F^-1 g_F: its length is the distance from c_F and its
+        # first letter the branch there
         offsets = [free.mul(back, g[0]) for g in members]
-        swamp = [Element(model, g) for g, d in zip(members, offsets) if len(d) <= r]
+        swamp = [Element(model, g) for g, d in zip(members, offsets)
+                 if free.key_length(d) <= r]
         for s in swamp:
             if oracle.sign_key(s.key) is not Sign.NEGATIVE:
                 raise ModelMismatch(
                     f"the column swamp needs the free factor to lead the order: "
                     f"column element {s} is not negative under {oracle.name}")
 
-    witnesses = _witnesses(oracle, ((d[0], g) for g, d in zip(members, offsets)
-                                    if len(d) > r),
+    witnesses = _witnesses(oracle, ((free.first_letter(d), g)
+                                    for g, d in zip(members, offsets)
+                                    if free.key_length(d) > r),
                            free.alphabet.letters, radius)
     return SwampCertificate(r, Element(model, center), frozenset(swamp),
                             witnesses, Verdict.EVIDENCE)
@@ -440,11 +441,12 @@ def verify_separation(cert: SwampCertificate,
     model, (u, v) = cert.center.model, cert.witnesses
     swamp = {s.key for s in cert.swamp}
     if isinstance(model, FreeGroup):
-        # the offset c^-1 w is a reduced word: its length is the distance
-        # from the center and its first letter the branch there
+        # the offset c^-1 w: its length is the distance from the center and
+        # its first letter the branch there
         c, r, ball = cert.center.key, cert.r, model.ball(cert.r)
         du, dv = (model.mul(model.inv(c), w.key) for w in (u, v))
-        if (len(du) > r and len(dv) > r and du[0] != dv[0]
+        if (model.key_length(du) > r and model.key_length(dv) > r
+                and model.first_letter(du) != model.first_letter(dv)
                 and all(model.mul(c, b) in swamp for b in ball.keys[:len(ball)])):
             return SeparationResult(verdict=Verdict.CERTIFIED_TREE)
         # fall through to the bounded search if the certificate is malformed

@@ -3,7 +3,12 @@
 Four model kinds are supported. Each holds an element by its key, the
 coordinates in which the model computes:
 
-* FreeGroup(k): the freely reduced word.
+* FreeGroup(k): the freely reduced word as an int: a leading 1, then one
+  byte per letter holding its code, its position in the letter order
+  (x1, x1^-1, x2, ... -> 0, 1, 2, ...). The code of x^-1 is that of x ^ 1,
+  numeric order is shortlex order, and byte tables over `int.to_bytes` give
+  `spell`, `text`, `inv` and the exponent sums for every rank up to 26.
+  Only FreeGroup reads this layout.
 * FreeAbelian(n): the exponent tuple (e1, ..., en); the canonical word is
   x1^e1 ... xn^en (sorted exponent blocks).
 * KleinBottle: presentation <a, b | a b a^-1 = b^-1>, key (n, m) for the
@@ -20,7 +25,9 @@ word), `spell` (write the canonical word), `mul`, `inv` and `key_length`.
 Two more have defaults built from these, which the models override with
 arithmetic that forms no product: `letter_steps` (letter x -> the map
 k -> k x, in letter order: the one way a key is multiplied by a generator
-on the right) and `key_distance` (|u^-1 v|).
+on the right) and `key_distance` (|u^-1 v|). On F_k a letter step with code
+c is k >> 8 when the last code is c ^ 1, and k << 8 | c otherwise; the
+distance is read off the XOR of the two keys cut to the shorter length.
 Products, inverses, distances, lengths and signs compute on keys; words
 appear only at the boundary: parsing (`key_of`), and three conversions that
 every diagnostic goes through, `text` (the printed word), `sort_key` (its
@@ -90,6 +97,7 @@ from array import array
 from functools import cached_property, partial
 from itertools import count, islice
 from operator import add, neg, sub
+from typing import Callable
 
 from .errors import CapExceeded, ModelMismatch
 from .words import (
@@ -438,7 +446,11 @@ class GroupModel:
 
 
 class FreeGroup(GroupModel):
-    one = EMPTY
+    """F_k; the key packs the reduced word into an int (see the module docs).
+    No other module reads that layout: it asks for `key_length`,
+    `first_letter` and `first_exponent_sum`."""
+
+    one = 1  # the sentinel alone: the empty word
     shortlex_discovery = True
 
     def __init__(self, rank: int):
@@ -450,38 +462,105 @@ class FreeGroup(GroupModel):
     def alphabet(self) -> GeneratorAlphabet:
         return GeneratorAlphabet(self.rank)
 
-    def key_of(self, word: Word) -> Word:
-        return free_reduce(word)
+    def key_of(self, word: Word) -> int:
+        codes = self.alphabet.positions  # a letter's code is its position
+        try:
+            return int.from_bytes(bytes([1, *map(codes.__getitem__,
+                                                 free_reduce(word))]), "big")
+        except KeyError:
+            self.alphabet.check_word(word)  # raises UnknownLetter
+            raise
 
-    def spell(self, key: Word) -> Word:
-        return key
-
-    def mul(self, u: Word, v: Word) -> Word:
-        # u and v are reduced, so only the junction can cancel
-        if not u or not v or u[-1] != -v[0]:
-            return u + v
-        i, n = 1, min(len(u), len(v))
-        while i < n and u[-1 - i] == -v[i]:
-            i += 1
-        return u[:len(u) - i] + v[i:]
-
-    def inv(self, u: Word) -> Word:
-        return inverse_word(u)
+    @staticmethod
+    def _codes(key: int) -> bytes:
+        """The key's letter codes, one byte each, first letter first."""
+        return key.to_bytes(key.bit_length() + 7 >> 3, "big")[1:]
 
     @cached_property
-    def letter_steps(self) -> dict:  # append x, or cancel a last x^-1
-        return {x: lambda k, x=x: k[:-1] if k and k[-1] == -x else k + (x,)
-                for x in self.alphabet.letters}
+    def _letter_table(self) -> bytes:
+        """The byte table from a letter's code to the letter, a signed byte."""
+        return bytes(x & 255 for x in self.alphabet.letters).ljust(256, b"\0")
 
-    def key_length(self, key: Word) -> int:
-        return len(key)
+    @cached_property
+    def _char_table(self) -> bytes:
+        """The byte table from a letter's code to its character."""
+        return format_word(self.alphabet.letters).encode().ljust(256, b"?")
 
-    def key_distance(self, u: Word, v: Word) -> int:
-        # u^-1 v cancels exactly the common prefix of the reduced words
-        common, n = 0, min(len(u), len(v))
-        while common < n and u[common] == v[common]:
-            common += 1
-        return len(u) + len(v) - 2 * common
+    @cached_property
+    def _flip_table(self) -> bytes:
+        """The byte table from a letter's code to its inverse's, c -> c ^ 1."""
+        return bytes(c ^ 1 for c in range(256))
+
+    def spell(self, key: int) -> Word:
+        return tuple(memoryview(self._codes(key).translate(self._letter_table)).cast("b"))
+
+    def text(self, key: int) -> str:
+        return self._codes(key).translate(self._char_table).decode() or "1"
+
+    def mul(self, u: int, v: int) -> int:
+        # u and v are reduced, so only the junction can cancel; s = 8 |v|
+        s = v.bit_length() - 1
+        if s and u > 255 and (v >> s - 8 & 255) ^ 1 == u & 255:
+            # cancel while v's next letter undoes u's last one, 8 bits a letter
+            i, n = 8, min(s, u.bit_length() - 1)
+            while i < n and (v >> s - 8 - i & 255) ^ 1 == u >> i & 255:
+                i += 8
+            return (u >> i) << s - i | v & (1 << s - i) - 1
+        return (u - 1 << s) + v
+
+    def inv(self, u: int) -> int:
+        # read little-endian, the flipped codes come out reversed; the
+        # sentinel, flipped to 0, is the low byte that the shift drops
+        s = u.bit_length() - 1
+        return int.from_bytes(u.to_bytes((s >> 3) + 1, "big").translate(self._flip_table),
+                              "little") >> 8 | 1 << s
+
+    @cached_property
+    def letter_steps(self) -> dict:  # append code c, or cancel a last c ^ 1
+        # the guard k > 255 keeps the sentinel of the identity from reading
+        # as the code 1 of x1^-1
+        return {x: lambda k, c=c, b=c ^ 1: k >> 8 if k & 255 == b and k > 255 else k << 8 | c
+                for c, x in enumerate(self.alphabet.letters)}
+
+    def key_length(self, key: int) -> int:
+        return key.bit_length() >> 3
+
+    def first_letter(self, key: int) -> int:
+        """The first letter of a non-identity key's word."""
+        return self.alphabet.letters[key >> key.bit_length() - 9 & 255]
+
+    def key_distance(self, u: int, v: int) -> int:
+        # u^-1 v cancels exactly the common prefix of the reduced words: with
+        # both keys cut to the shorter length, the bytes of their XOR run
+        # from the first letter where they differ
+        s, t = u.bit_length(), v.bit_length()
+        if s < t:
+            v >>= t - s
+        else:
+            u >>= s - t
+        return (abs(s - t) >> 3) + ((u ^ v).bit_length() + 7 >> 3 << 1)
+
+    @cached_property
+    def first_exponent_sum(self) -> Callable[[int], int]:
+        """key -> the exponent sum of the first generator on which the key's
+        word has a nonzero one, or 0 when the word lies in [F, F]."""
+        tables, from_bytes = [], int.from_bytes
+        for even in range(0, 2 * self.rank, 2):  # the codes of x and x^-1
+            # read through the table, x sets 2 bits, x^-1 none and any other
+            # code 1; table[1] is what the sentinel, read as code 1, sets
+            table = bytearray(b"\1" * 256)
+            table[even], table[even + 1] = 3, 0
+            tables.append((bytes(table), table[1]))
+
+        def first_sum(key: int) -> int:
+            n = key.bit_length() >> 3
+            data = key.to_bytes(n + 1, "big")
+            for table, sentinel in tables:
+                total = from_bytes(data.translate(table), "big").bit_count() - n - sentinel
+                if total:
+                    return total
+            return 0
+        return first_sum
 
     def descriptor(self) -> dict:
         return {"kind": "free", "rank": self.rank}
@@ -625,6 +704,19 @@ class DirectProduct(GroupModel):
     def spell(self, key: tuple) -> Word:
         second = tuple(map(self._up.__getitem__, self.factors[1].spell(key[1])))
         return self.factors[0].spell(key[0]) + second
+
+    @cached_property
+    def _up_chars(self) -> dict[int, str]:
+        """Second-factor character -> product character."""
+        letters = self.factors[1].alphabet.letters
+        return str.maketrans(format_word(letters),
+                             format_word(tuple(map(self._up.__getitem__, letters))))
+
+    def text(self, key: tuple) -> str:
+        # the factor words, each printed as "1" when empty
+        first = self.factors[0].text(key[0])
+        second = self.factors[1].text(key[1]).translate(self._up_chars)
+        return second if first == "1" else first if second == "1" else first + second
 
     def mul(self, u: tuple, v: tuple) -> tuple:
         return (self.factors[0].mul(u[0], v[0]),

@@ -107,16 +107,16 @@ def magnus_sign(word: Word) -> Sign:
 def magnus_order(model: FreeGroup, name: str = "magnus") -> OrderOracle:
     if not isinstance(model, FreeGroup):
         raise ModelMismatch("the Magnus order lives on free groups")
-    generators = range(1, model.rank + 1)
+    first_sum, spell = model.first_exponent_sum, model.spell
+    positive, negative = Sign.POSITIVE, Sign.NEGATIVE
 
-    def sign_fn(key: Word) -> Sign:
-        # a key is the reduced word, whose exponent sums are its degree-1
-        # coefficients: only a word in [F, F] needs `magnus_sign`
-        for i in generators:
-            total = key.count(i) - key.count(-i)
-            if total:
-                return _sign_of_int(total)
-        return magnus_sign(key)
+    def sign_fn(key: int) -> Sign:
+        # the exponent sums are the degree-1 coefficients: only a word in
+        # [F, F] needs `magnus_sign`
+        total = first_sum(key)
+        if total:
+            return positive if total > 0 else negative
+        return magnus_sign(spell(key))
     return OrderOracle(name=name, model=model, sign_fn=sign_fn)
 
 

@@ -134,7 +134,8 @@ def test_maxima_ray_flags_broken_oracle(f2):
     weird = cs.OrderOracle(
         name="weird", model=f2,
         sign_fn=lambda key: cs.Sign.IDENTITY if key == f2.one
-        else (cs.Sign.POSITIVE if len(key) % 2 == 0 else cs.Sign.NEGATIVE))
+        else (cs.Sign.POSITIVE if f2.key_length(key) % 2 == 0
+              else cs.Sign.NEGATIVE))
     report = cs.verify_maxima_ray(weird, 3)
     assert not report.passed
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import conescope as cs
 from conescope import groups
-from conescope.words import format_word, parse_word, shortlex_key
+from conescope.words import format_word, inverse_word, parse_word, shortlex_key
 
 from test_words import words_strategy
 
@@ -129,13 +129,24 @@ def test_invert_is_involution_and_inverse(word):
 
 # -- key arithmetic against the normalise-the-concatenation reference ----------
 
+# F1 and F26 hold the free keys at the ends of the alphabet (codes 0-1 and
+# 0-51); the last product has its free factor second
 KERNEL_MODELS = [
     cs.FreeGroup(2), cs.FreeGroup(3), cs.FreeAbelian(2), cs.FreeAbelian(3),
     cs.KleinBottle(), cs.DirectProduct((cs.FreeGroup(2), cs.FreeAbelian(1))),
     cs.DirectProduct((cs.DirectProduct((cs.FreeGroup(2), cs.FreeAbelian(1))),
                       cs.FreeAbelian(1))),
+    cs.FreeGroup(1), cs.FreeGroup(26),
+    cs.DirectProduct((cs.FreeAbelian(1), cs.FreeGroup(2))),
 ]
-KERNEL_IDS = ["F2", "F3", "Z2", "Z3", "Klein", "F2xZ", "F2xZxZ"]
+KERNEL_IDS = ["F2", "F3", "Z2", "Z3", "Klein", "F2xZ", "F2xZxZ", "F1", "F26",
+              "ZxF2"]
+
+
+def cut(model, radius, most=2):
+    """The radius, cut to `most` on the 52 letters of F26, whose balls are
+    wide: |B(1)| = 53, |B(2)| = 2,705 and |B(3)| = 137,957."""
+    return min(radius, most) if len(model.alphabet) == 52 else radius
 
 
 def canonical_words(model, count):
@@ -149,12 +160,18 @@ def canonical_words(model, count):
 @settings(max_examples=150)
 @given(data=st.data())
 def test_product_and_inverse_word_match_reference(model, data):
-    u, v = data.draw(canonical_words(model, 2))
-    g, h = model.element(u), model.element(v)
-    assert (g * h).key == model.key_of(model.product_word(u, v))
-    assert g.inverse().key == model.key_of(model.inverse_word(u))
-    assert (g * h).word == model.product_word(u, v)
-    assert g.inverse().word == model.inverse_word(u)
+    u, w = data.draw(canonical_words(model, 2))
+    back = inverse_word(u)
+    cancel = data.draw(st.integers(0, len(u)))
+    # besides a free pair, v starts with a prefix of u^-1, so that u v
+    # cancels across the junction, or v = u^-1 w cancels u entirely
+    for v in (w, model.normal_form_word(back[:cancel] + w),
+              model.normal_form_word(back + w)):
+        g, h = model.element(u), model.element(v)
+        assert (g * h).key == model.key_of(model.product_word(u, v))
+        assert g.inverse().key == model.key_of(model.inverse_word(u))
+        assert (g * h).word == model.product_word(u, v)
+        assert g.inverse().word == model.inverse_word(u)
 
 
 @pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
@@ -177,7 +194,7 @@ def test_keys_round_trip_through_canonical_words(model, data):
 @pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
 def test_letter_steps_and_key_distance_match_mul(model):
     # the overrides against their defaults: k x by mul, and |u^-1 v|
-    keys = [g.key for g in fresh(model).ball(3)]
+    keys = [g.key for g in fresh(model).ball(cut(model, 3, most=1))]
     assert list(model.letter_steps) == list(model.alphabet.letters)
     for k in keys:
         assert {l: step(k) for l, step in model.letter_steps.items()} == \
@@ -190,7 +207,7 @@ def test_letter_steps_and_key_distance_match_mul(model):
 @pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
 def test_word_boundary_matches_elements(model):
     # text, sort_key and geodesic are the one place keys turn into words
-    ball = fresh(model).ball(3)
+    ball = fresh(model).ball(cut(model, 3, most=1))
     keys = ball.keys[:len(ball)]
     for k in keys:
         g = cs.Element(model, k)
@@ -198,7 +215,7 @@ def test_word_boundary_matches_elements(model):
         assert repr(g) == f"<{model.text(k)}>"
         assert model.sort_key(k) == g.sort_key() == \
             shortlex_key(model.spell(k), model.alphabet)
-    for u, v in itertools.product(keys[:ball.sizes[2]], keys):
+    for u, v in itertools.product(keys[:ball.sizes[min(2, ball.radius)]], keys):
         path = model.geodesic(u, v)
         assert (path[0], path[-1]) == (u, v)
         assert len(path) == model.key_distance(u, v) + 1
@@ -308,7 +325,7 @@ def test_ball_counts_match_closed_forms(f2, z2, klein, f2xz):
 
 @pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
 def test_sorted_elements_sorts_once_into_fresh_lists(model):
-    ball = model.ball(3)
+    ball = model.ball(cut(model, 3))
     first = ball.sorted_elements()
     assert first == sorted(ball, key=cs.Element.sort_key)
     first.reverse()
@@ -355,7 +372,7 @@ def test_ball_within_matches_fresh_ball(model, requests):
     # a ball within the one the model holds, in any request order, is the
     # ball a fresh model builds: same members, depths and shortlex order
     held = fresh(model)
-    for n in requests:
+    for n in (cut(model, n) for n in requests):
         ball, reference = held.ball(n), fresh(model).ball(n)
         assert ball.radius == n
         assert list(ball) == list(reference)
@@ -380,21 +397,23 @@ def test_ball_within_keeps_sorted_parent_order(model, monkeypatch):
         return shortlex_key(word, alphabet)
     held = fresh(model)
     monkeypatch.setattr(groups, "shortlex_key", counted)
-    balls = [list(held.ball(n)) for n in (2, 0, 4, 1, 3, 4)]
+    radii = [cut(model, n) for n in (2, 0, 4, 1, 3, 4)]
+    balls = [list(held.ball(n)) for n in radii]
     monkeypatch.undo()
-    largest = list(held.ball(4))
+    largest = list(held.ball(max(radii)))
     assert largest == sorted(largest, key=cs.Element.sort_key)
     sorts = isinstance(model, cs.KleinBottle)
     assert (sorted(keyed, key=lambda w: shortlex_key(w, model.alphabet))
             == ([g.word for g in largest[1:]] if sorts else []))
-    assert balls == [largest[:len(held.ball(n))] for n in (2, 0, 4, 1, 3, 4)]
+    assert balls == [largest[:len(held.ball(n))] for n in radii]
 
 
 @pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
 def test_step_table_matches_mul(model):
     # step[rank * |S| + i] is the rank of g x_i, or -1 exactly where the
     # product leaves the held ball
-    ball = fresh(model).ball(4)
+    radius = cut(model, 4)
+    ball = fresh(model).ball(radius)
     letters = [x.key for x in model.generators.values()]
     width = len(letters)
     assert ball.width == width and len(ball.step) == width * len(ball.keys)
@@ -402,12 +421,12 @@ def test_step_table_matches_mul(model):
         for i, x in enumerate(letters):
             h = model.mul(g, x)
             assert ball.step[rank * width + i] == ball.ranks.get(h, -1)
-            assert (ball.step[rank * width + i] == -1) == (model.key_length(h) > 4)
+            assert (ball.step[rank * width + i] == -1) == (model.key_length(h) > radius)
     # grown in steps, the table is the same
     stepped = fresh(model)
     for n in (2, 0, 4, 1, 3):
-        stepped.ball(n)
-    assert stepped.ball(4).step == ball.step
+        stepped.ball(cut(model, n))
+    assert stepped.ball(radius).step == ball.step
 
 
 def test_growth_forms_only_the_unknown_steps():
@@ -431,7 +450,7 @@ def test_held_index_matches_sorted_reference_bfs(model, requests):
     held = fresh(model)
     early = held.ball(1)
     early_members = list(early)
-    for n in requests:
+    for n in (cut(model, n, most=1) for n in requests):
         ball = held.ball(n)
         reference = reference_bfs(model, n)
         assert list(ball) == sorted(reference, key=cs.Element.sort_key)
@@ -442,7 +461,7 @@ def test_held_index_matches_sorted_reference_bfs(model, requests):
             sphere = ball.keys[sizes[m - 1]:sizes[m]]
             assert all(model.key_length(g) == m for g in sphere)
     # a Ball taken before the growth keeps its length, members and membership
-    beyond = held.ball(4).sorted_elements()[len(early_members):]
+    beyond = held.ball(cut(model, 4)).sorted_elements()[len(early_members):]
     assert len(early) == len(early_members) and list(early) == early_members
     assert all(g in early for g in early_members)
     assert not any(g in early for g in beyond)
@@ -455,7 +474,7 @@ def test_held_index_matches_sorted_reference_bfs(model, requests):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_rank_order_is_shortlex_order(model, data):
-    ball = model.ball(3)
+    ball = model.ball(cut(model, 3))
     ranks = ball.ranks
     subset = data.draw(st.lists(st.sampled_from(ball.sorted_elements()),
                                 unique_by=lambda g: g.key))
@@ -489,23 +508,23 @@ def test_cap_hit_in_mid_growth_keeps_no_partial_sphere():
     # growth appends in place; a sphere cut short by the cap stays past the
     # last member, where no view of a held radius reads
     for model in KERNEL_MODELS:
-        check_cap_hit_in_mid_growth(fresh(model), fresh(model).ball(4))
+        check_cap_hit_in_mid_growth(fresh(model), fresh(model).ball(cut(model, 4)))
 
 
 def check_cap_hit_in_mid_growth(model, reference):
-    sizes = reference.sizes
-    views = {n: model.ball(n) for n in range(3)}
+    sizes, R = reference.sizes, reference.radius
+    views = {n: model.ball(n) for n in range(R - 1)}
     before = {n: (list(view), len(view)) for n, view in views.items()}
-    model.cap = (sizes[3] + sizes[4]) // 2  # B(3) fits, B(4) does not
+    model.cap = (sizes[R - 1] + sizes[R]) // 2  # B(R - 1) fits, B(R) does not
     with pytest.raises(cs.CapExceeded) as err:
-        model.ball(4)
+        model.ball(R)
     assert err.value.reached == model.cap + 1
     held = model._held
-    assert held.radius == 3 and held.sizes == sizes[:4]
-    assert len(held.keys) == sizes[3] < len(held.ranks)
-    assert len(held.step) == sizes[3] * held.width
-    partial = [k for k in held.ranks if held.ranks[k] >= sizes[3]]
-    for n, view in {**views, 3: model.ball(3)}.items():
+    assert held.radius == R - 1 and held.sizes == sizes[:R]
+    assert len(held.keys) == sizes[R - 1] < len(held.ranks)
+    assert len(held.step) == sizes[R - 1] * held.width
+    partial = [k for k in held.ranks if held.ranks[k] >= sizes[R - 1]]
+    for n, view in {**views, R - 1: model.ball(R - 1)}.items():
         if n in before:
             assert (list(view), len(view)) == before[n]
         assert list(view) == list(reference)[:sizes[n]]
@@ -513,10 +532,10 @@ def check_cap_hit_in_mid_growth(model, reference):
         # every step a view follows stays inside it
         for rank in range(len(view)):
             assert view.near(rank, 1) <= set(range(len(view)))
-    model.cap = sizes[4]  # |B(4)| exactly
-    assert list(model.ball(4)) == list(reference)
-    assert model.ball(4).step == reference.step
-    assert model.ball(4).ranks == reference.ranks
+    model.cap = sizes[R]  # |B(R)| exactly
+    assert list(model.ball(R)) == list(reference)
+    assert model.ball(R).step == reference.step
+    assert model.ball(R).ranks == reference.ranks
 
 
 @pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
@@ -525,7 +544,7 @@ def test_growth_keeps_one_held_ball(model):
     model = fresh(model)
     held = model._held
     keys, step = held.keys, held.step
-    for k in range(1, 10 if model.alphabet.rank == 2 else 6):  # small balls
+    for k in range(1, cut(model, 9 if model.alphabet.rank == 2 else 5) + 1):  # small balls
         ball = model.ball(k)
         assert model._held is held and held.radius == k
         assert ball.keys is keys and ball.step is step
@@ -546,7 +565,7 @@ def test_growth_builds_no_element(built):
 
 @pytest.mark.parametrize("model", KERNEL_MODELS, ids=KERNEL_IDS)
 def test_iteration_reads_keys_in_rank_order(model):
-    ball = fresh(model).ball(3)
+    ball = fresh(model).ball(cut(model, 3))
     members = list(ball)
     assert [g.key for g in members] == ball.keys[:len(ball)]
     assert all(g.model is ball.model for g in members)

@@ -215,10 +215,11 @@ def test_magnus_order_sign_matches_magnus_sign_on_ball(monkeypatch, rank,
     monkeypatch.setattr(orders, "magnus_sign",
                         lambda word: calls.append(word) or cs.magnus_sign(word))
     keys = [g.key for g in model.ball(radius)]
-    assert [sign_fn(key) for key in keys] == [cs.magnus_sign(key)
-                                              for key in keys]
-    in_commutator = [key for key in keys
-                     if all(key.count(i) == key.count(-i)
+    words = list(map(model.spell, keys))
+    assert [sign_fn(key) for key in keys] == [cs.magnus_sign(word)
+                                              for word in words]
+    in_commutator = [word for word in words
+                     if all(word.count(i) == word.count(-i)
                             for i in range(1, rank + 1))]
     assert calls == in_commutator
 
@@ -227,7 +228,8 @@ def test_magnus_order_sign_matches_magnus_sign_on_ball(monkeypatch, rank,
 @given(words_strategy(rank=3, max_size=14), words_strategy(rank=3, max_size=4),
        words_strategy(rank=3, max_size=4))
 def test_magnus_order_sign_matches_magnus_sign_on_drawn_words(word, u, v):
-    sign_fn = cs.magnus_order(cs.FreeGroup(3)).sign_fn
-    for key in (free_reduce(word), commutator(u, v),
-                commutator(commutator(u, v), free_reduce(word))):
-        assert sign_fn(key) is cs.magnus_sign(key), key
+    model = cs.FreeGroup(3)
+    sign_fn = cs.magnus_order(model).sign_fn
+    for reduced in (free_reduce(word), commutator(u, v),
+                    commutator(commutator(u, v), free_reduce(word))):
+        assert sign_fn(model.key_of(reduced)) is cs.magnus_sign(reduced), reduced
