@@ -22,7 +22,7 @@ from functools import cached_property
 
 from .errors import CapExceeded, NotAccepted
 from .geometry import RPath
-from .groups import Element, GroupModel
+from .groups import Element, GroupModel, Key
 from .words import GeneratorAlphabet, Word, format_word, letter_char
 
 DEFAULT_NODE_CAP = 2_000_000
@@ -239,7 +239,7 @@ class ConeDfaReport(namedtuple("ConeDfaReport", (
 
 
 def reachable_evaluations(dfa: ConeDfa, model: GroupModel,
-                          max_length: int) -> set[tuple]:
+                          max_length: int) -> set[Key]:
     """The keys of the elements of ev(L) hit by accepted words of length
     <= max_length.
 

@@ -65,7 +65,7 @@ from .geometry import (
     verify_maxima_ray,
     verify_separation,
 )
-from .groups import DEFAULT_CAP, DirectProduct, FreeGroup, model_from_descriptor
+from .groups import DEFAULT_CAP, DirectProduct, FreeGroup, Key, model_from_descriptor
 from .orders import order_from_descriptor, verify_order_axioms
 from .words import parse_word
 
@@ -322,7 +322,7 @@ class Runner:
                 pairs.append((rng.choice(positives), rng.choice(positives)))
         else:
             raise ConfigError("cofinal-path needs 'pair' or 'pairs'")
-        spelled: dict[tuple, str] = {}  # the paths share most points
+        spelled: dict[Key, str] = {}  # the paths share most points
         results = []
         for g, h in pairs:  # a path runs from g to h
             keys = cofinal_positive_path(oracle, g, h).keys

@@ -38,7 +38,7 @@ from .errors import (
     PathNotFound,
     WitnessNotFound,
 )
-from .groups import Ball, DirectProduct, Element, FreeGroup, GroupModel
+from .groups import Ball, DirectProduct, Element, FreeGroup, GroupModel, Key
 from .orders import OrderOracle, Sign
 
 
@@ -94,7 +94,7 @@ def _dedupe(points: list) -> list:
 
 # -- ball maxima -------------------------------------------------------------
 
-def _ball_maxima(oracle: OrderOracle, n: int) -> list[tuple]:
+def _ball_maxima(oracle: OrderOracle, n: int) -> list[Key]:
     """The keys of the maxima g_0, ..., g_n of B(1, 0), ..., B(1, n): B(k) is
     a prefix of B(n), so one running comparison over B(n) gives every g_k."""
     model, ball = oracle.model, oracle.model.ball(n)
@@ -315,7 +315,7 @@ def _witnesses(oracle: OrderOracle, candidates, letters,
     positive of each branch is kept, and the scan stops once every letter
     has one. Returns the first two in letter order.
     """
-    found: dict[int, tuple] = {}
+    found: dict[int, Key] = {}
     for branch, g in candidates:
         if branch not in found and oracle.sign_key(g) is Sign.POSITIVE:
             found[branch] = g
@@ -489,7 +489,7 @@ def sample_tree_paths(cert: SwampCertificate, count: int, seed: int) -> list[RPa
     paths = []
     for _ in range(count):
         waypoints = [u] + [rng.choice(pool) for _ in range(rng.randint(0, 4))] + [v]
-        chain: list[tuple] = []  # each leg without its last point
+        chain: list[Key] = []  # each leg without its last point
         for a, b in zip(waypoints, waypoints[1:]):
             chain.extend(model.geodesic(a, b)[:-1])
         path = RPath(model, tuple(_dedupe(chain[::step] + [v])), step)
@@ -511,7 +511,7 @@ def _check_endpoints(oracle: OrderOracle, g: Element, h: Element) -> None:
         raise ValueError("both endpoints must be positive")
 
 
-def _cone_path(oracle: OrderOracle, keys: list[tuple], r: int,
+def _cone_path(oracle: OrderOracle, keys: list[Key], r: int,
                kind: str) -> RPath:
     """The keys, repeats dropped, as an r-path checked to stay in the cone."""
     path = RPath(oracle.model, tuple(_dedupe(keys)), r)
@@ -577,7 +577,7 @@ def product_positive_path(oracle: OrderOracle, g: Element, h: Element,
     _check_endpoints(oracle, g, h)
     factors = model.factors
 
-    def join(factor: int, a: tuple, other: tuple) -> tuple:
+    def join(factor: int, a: Key, other: Key) -> tuple:
         """The product key with a at the factor and other at the other one."""
         return (a, other) if factor == 0 else (other, a)
 
@@ -599,7 +599,7 @@ def product_positive_path(oracle: OrderOracle, g: Element, h: Element,
             raise FactorNotConnectedAtScale(r, factor_radius, factor)
         cones.append((ball.keys[positives[0]], ball, allowed))
 
-    def factor_path(factor: int, src: tuple, dst: tuple) -> list[tuple]:
+    def factor_path(factor: int, src: Key, dst: Key) -> list[Key]:
         """r-path from src to dst through restricted positives."""
         _, ball, allowed = cones[factor]
         ends = [ball.ranks.get(src), ball.ranks.get(dst)]

@@ -73,18 +73,18 @@ since its Cayley graph is the (n, m) grid and left multiplication is an
 isometry of the grid; in a product, the falling steps of both factors
 first. One geodesic per h is not enough: in F2 x Z at R = 4, g = (a^3, c^-1)
 and h = (a, c) give |g a| = 5 but g h = a^4, kept only along c, a c. On
-Z^n and the Klein bottle, left multiplication by g translates the key grid
-(on the Klein bottle after n -> -n when g's a-exponent is odd), so these
-walk by shifting bit planes, 20-40 times faster than the generic walk at
-R = 14-18, which is their slow reference. A plane holds the members of B(R)
-with one key[2:] (Z^1, Z^2 and the Klein bottle have one) as an int, with a
-bit at (k0 + R) + W (k1 + R), W = 3R + 1; in rank 1 a plane is one row, the
-bit k0 + R. For each g in the cone, (the cone's plane p shifted by g's bit
-offset) & (the plane of non-cone members at p + g[2:]) has exactly the bits
-of the missing g h. No bit aliases: a shifted low digit k0 + g0 + R lies
-in [-R, 3R]; above 2R it stays below W and carries nothing, below 0 it
-borrows and lands in [2R + 1, 3R], and no member of B(R) has a low digit
-there. A right shift drops only positions below 0, where no member sits.
+Z^2 and the Klein bottle, left multiplication by g translates the key grid
+(on the Klein bottle after n -> -n when g's a-exponent is odd), so these two
+shift one plane, 20-40 times faster than the generic walk at R = 14-18,
+which is their slow reference; every other model takes the generic walk.
+The plane is three ints over B(R), (n, m) at bit (n + R) + W (m + R) with
+W = 3R + 1: the cone, the rest of the ball and the mirrored cone (the bit of
+(-n, m)). For each g in the cone, rest & (the cone, or on the Klein bottle
+with m_g odd the mirror, shifted by n_g + W m_g) has exactly the bits of
+the missing g h. No bit aliases: a shifted low digit n + n_g + R lies in
+[-R, 3R]; above 2R it stays below W and carries nothing, below 0 it borrows
+and lands in [2R + 1, 3R], and no member of B(R) has a low digit there. A
+right shift drops only positions below 0, where no member sits.
 
 The GroupModel methods product_word and inverse_word normalise the
 concatenation or the inverted word; they are the slow reference the tests
@@ -113,13 +113,16 @@ from .words import (
 
 DEFAULT_CAP = 10**7
 
+# a key of any model kind: an int on F_k, a tuple on the others
+Key = int | tuple
+
 
 class Element:
     """A group element held by its model's key (see the module docs)."""
 
     __slots__ = ("model", "key")
 
-    def __init__(self, model: "GroupModel", key: tuple):
+    def __init__(self, model: "GroupModel", key: Key):
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "key", key)
 
@@ -177,8 +180,8 @@ class Ball:
 
     __slots__ = ("model", "radius", "keys", "ranks", "sizes", "step", "width")
 
-    def __init__(self, model: "GroupModel", radius: int, keys: list[tuple],
-                 ranks: dict[tuple, int], sizes: list[int], step: array,
+    def __init__(self, model: "GroupModel", radius: int, keys: list[Key],
+                 ranks: dict[Key, int], sizes: list[int], step: array,
                  width: int):
         self.model, self.radius, self.keys, self.ranks = model, radius, keys, ranks
         self.sizes, self.step, self.width = sizes, step, width
@@ -246,15 +249,15 @@ class GroupModel:
 
     # -- the word boundary ------------------------------------------------
 
-    def text(self, key: tuple) -> str:
+    def text(self, key: Key) -> str:
         """The canonical word of the key, printed."""
         return format_word(self.spell(key))
 
-    def sort_key(self, key: tuple) -> tuple:
+    def sort_key(self, key: Key) -> tuple:
         """The shortlex key of the key's canonical word."""
         return shortlex_key(self.spell(key), self.alphabet)
 
-    def geodesic(self, u: tuple, v: tuple) -> list[tuple]:
+    def geodesic(self, u: Key, v: Key) -> list[Key]:
         """The keys of a 1-path from u to v spelled by the canonical word of
         u^-1 v, one letter step at a time."""
         steps, keys = self.letter_steps, [u]
@@ -319,7 +322,7 @@ class GroupModel:
             raise ModelMismatch("operands belong to different models")
         return self.key_distance(g.key, h.key)
 
-    def key_distance(self, u: tuple, v: tuple) -> int:
+    def key_distance(self, u: Key, v: Key) -> int:
         """|u^-1 v|, the word distance between the keys."""
         return self.key_length(self.mul(self.inv(u), v))
 
@@ -410,8 +413,8 @@ class GroupModel:
         per rank of the ball) and gh in the ball but not inside. The walk
         goes sphere by sphere over the step table; each member h carries the
         ranks of g h for the inside g, which is exact on every model kind (see
-        the module docs). Z^n and the Klein bottle shift bit planes, with
-        this walk as their slow reference."""
+        the module docs). Z^2 and the Klein bottle shift one plane, with this
+        walk as their slow reference."""
         keys, ranks, sizes, size, width = (
             ball.keys, ball.ranks, ball.sizes, len(ball), ball.width)
         # columns[i][p]: the rank of p x for the i-th letter x, -1 off the ball
@@ -613,6 +616,8 @@ class FreeAbelian(GroupModel):
 
     def closure_misses(self, ball: Ball,
                        inside: list[bool]) -> list[tuple[int, int, int]]:
+        if self.rank != 2:  # only Z^2 shifts a plane
+            return super().closure_misses(ball, inside)
         return _translation_misses(self, ball, inside, reflect=False)
 
     def exponents(self, g: Element) -> tuple[int, ...]:
@@ -762,45 +767,33 @@ def _power(generator: int, e: int) -> Word:
 
 def _translation_misses(model: GroupModel, ball: Ball, inside: list[bool],
                         reflect: bool) -> list[tuple[int, int, int]]:
-    """`closure_misses` on Z^n (reflect false) or the Klein bottle (reflect
-    true) by translating bit planes, forming no product that lands outside
-    the cone (see the module docs)."""
+    """`closure_misses` on Z^2 (reflect false) or the Klein bottle (reflect
+    true) by shifting one plane, forming no product that lands outside the
+    cone (see the module docs)."""
     keys, ranks, radius = ball.keys, ball.ranks, ball.radius
-    width, flat = 3 * radius + 1, len(model.one) == 1
-
-    def bit(k: tuple) -> int:  # a key's bit in its plane k[2:]
-        return k[0] + radius + (0 if flat else width * (k[1] + radius))
-
-    members, straight, mirrored, outside = [], {}, {}, {}
+    width = 3 * radius + 1
+    origin = radius + width * radius  # the bit of (0, 0)
+    members, cone, mirror, rest = [], 0, 0, 0
     for g, (k, flag) in enumerate(zip(keys, inside)):
-        plane, b = k[2:], bit(k)
+        b = origin + k[0] + width * k[1]
         if not flag:
-            outside[plane] = outside.get(plane, 0) | 1 << b
+            rest |= 1 << b
             continue
         members.append((g, k))
-        straight[plane] = straight.get(plane, 0) | 1 << b
-        if reflect:  # the bit of (-n, m)
-            mirrored[plane] = mirrored.get(plane, 0) | 1 << (b - 2 * k[0])
-    origin, mul, inv = bit(model.one), model.mul, model.inv
+        cone |= 1 << b
+        mirror |= 1 << b - 2 * k[0]  # the bit of (-n, m)
+    mul, inv = model.mul, model.inv
     misses = []
     for g, key in members:
-        shift, lift = bit(key) - origin, key[2:]
-        for plane, bits in (mirrored if reflect and key[1] % 2
-                            else straight).items():
-            target = tuple(map(add, plane, lift))
-            found = outside.get(target, 0)
-            if found:
-                found &= bits << shift if shift >= 0 else bits >> -shift
-            while found:  # each set bit is a product gh outside the cone
-                low = found & -found
-                found ^= low
-                b = low.bit_length() - 1
-                if flat:
-                    gh = (b - radius,)
-                else:
-                    row, column = divmod(b, width)
-                    gh = (column - radius, row - radius) + target
-                misses.append((g, ranks[mul(inv(key), gh)], ranks[gh]))
+        shift = key[0] + width * key[1]
+        bits = mirror if reflect and key[1] % 2 else cone
+        found = rest & (bits << shift if shift >= 0 else bits >> -shift)
+        while found:  # each set bit is a product gh outside the cone
+            low = found & -found
+            found ^= low
+            row, column = divmod(low.bit_length() - 1, width)
+            gh = (column - radius, row - radius)
+            misses.append((g, ranks[mul(inv(key), gh)], ranks[gh]))
     misses.sort()  # the (g, h) rank pairs are distinct
     return misses
 

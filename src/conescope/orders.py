@@ -33,6 +33,7 @@ from .groups import (
     FreeAbelian,
     FreeGroup,
     GroupModel,
+    Key,
     KleinBottle,
     check_descriptor,
 )
@@ -58,7 +59,7 @@ class OrderOracle:
     """A total sign function on a group model, hence a positive cone."""
 
     def __init__(self, name: str, model: GroupModel,
-                 sign_fn: Callable[[tuple], Sign],
+                 sign_fn: Callable[[Key], Sign],
                  declared_cofinal_central: Element | None = None):
         z = declared_cofinal_central
         if z is not None and any(z * x != x * z
@@ -66,9 +67,9 @@ class OrderOracle:
             raise BrokenOrderError(f"declared generator {z} is not central")
         self.name, self.model, self.sign_fn = name, model, sign_fn
         self.declared_cofinal_central = z
-        self._cache: dict[tuple, Sign] = {}
+        self._cache: dict[Key, Sign] = {}
 
-    def sign_key(self, key: tuple) -> Sign:
+    def sign_key(self, key: Key) -> Sign:
         """The sign of the element with this key in the oracle's model."""
         cached = self._cache.get(key)
         if cached is None:

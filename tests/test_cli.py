@@ -983,16 +983,29 @@ def test_reports_identical_under_reference_kernel(tmp_path, monkeypatch):
 
     # key arithmetic replaced by normalising the concatenated or inverted
     # canonical words; letter steps and key distances fall back to the
-    # defaults, which go through mul and inv
+    # defaults, which go through mul and inv; texts print the spelled word,
+    # and the free group's first letters and exponent sums read it
     def mul(self, a, b):
         return self.key_of(self.product_word(self.spell(a), self.spell(b)))
 
     def inv(self, a):
         return self.key_of(self.inverse_word(self.spell(a)))
+
+    def first_exponent_sum(self):
+        def first_sum(key):
+            word = self.spell(key)
+            sums = [word.count(i) - word.count(-i) for i in range(1, self.rank + 1)]
+            return next((t for t in sums if t), 0)
+        return first_sum
     for cls in (cs.FreeGroup, cs.FreeAbelian, cs.KleinBottle, cs.DirectProduct):
         monkeypatch.setattr(cls, "mul", mul)
         monkeypatch.setattr(cls, "inv", inv)
         monkeypatch.setattr(cls, "letter_steps", cs.GroupModel.letter_steps)
         monkeypatch.setattr(cls, "key_distance", cs.GroupModel.key_distance)
+        monkeypatch.setattr(cls, "text", cs.GroupModel.text)
+    monkeypatch.setattr(cs.FreeGroup, "first_letter",
+                        lambda self, key: self.spell(key)[0])
+    monkeypatch.setattr(cs.FreeGroup, "first_exponent_sum",
+                        property(first_exponent_sum))
     reference = _kernel_reports(tmp_path, "reference")
     assert fast == reference

@@ -1,6 +1,7 @@
 import itertools
 import random
 from bisect import bisect_right
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -220,6 +221,31 @@ def test_word_boundary_matches_elements(model):
         assert (path[0], path[-1]) == (u, v)
         assert len(path) == model.key_distance(u, v) + 1
         assert all(model.key_distance(a, b) == 1 for a, b in zip(path, path[1:]))
+
+
+@pytest.mark.parametrize("model", [cs.FreeGroup(1), cs.FreeGroup(2),
+                                   cs.FreeGroup(26)], ids=["F1", "F2", "F26"])
+def test_free_key_readers_match_spelled_words(model):
+    # first_letter and first_exponent_sum read the packed key; the reference
+    # reads the spelled word. F2's B(4) holds the commutators, whose sums are 0
+    ball = model.ball(cut(model, 4))
+    for k in ball.keys[:len(ball)]:
+        word = model.spell(k)
+        sums = [word.count(i) - word.count(-i) for i in range(1, model.rank + 1)]
+        assert model.first_exponent_sum(k) == next((t for t in sums if t), 0)
+        if word:
+            assert model.first_letter(k) == word[0]
+
+
+def test_only_groups_reads_the_free_key_layout():
+    # the byte layout of a free key stays inside groups.py: no other module
+    # packs, unpacks or shifts a key by a letter
+    layout = ("to_bytes", "from_bytes", ">> 8", "<< 8", "& 255")
+    package = Path(groups.__file__).parent
+    readers = {(path.name, token) for path in package.glob("*.py")
+               if path.name != "groups.py"
+               for token in layout if token in path.read_text(encoding="utf-8")}
+    assert not readers
 
 
 def test_element_is_immutable(f2xz):
